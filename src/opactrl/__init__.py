@@ -10,6 +10,7 @@ from .estimator import (
     ObservationPair,
     SupervisionError,
     augment,
+    closed_loop_simulate,
     estimate_from_flow,
     estimator_step,
     estimator_trace,
@@ -36,7 +37,6 @@ from .structure import (
     InfoState,
     StructureError,
     brute_estimate_set,
-    closed_loop_simulate,
     info_decision,
     info_estimates,
     info_plant_states,

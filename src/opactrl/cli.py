@@ -41,6 +41,19 @@ def _mode(args) -> IssuanceMode:
     return IssuanceMode(args.mode)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # named in argparse's "invalid int value" message
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode",
@@ -50,15 +63,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--size-guard",
-        type=int,
+        type=_int_at_least(1),
         default=10**6,
         help="maximum arena state count (default: 1e6)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for the bundled random-instance generator",
     )
 
 
@@ -78,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--open-loop", action="store_true", help="uncontrolled plant")
     group.add_argument("--supervisor", metavar="PATH", help="policy file")
-    p.add_argument("--bound", type=int, default=None, help="search depth for tabular policies")
+    p.add_argument("--bound", type=_int_at_least(0), default=None,
+                   help="search depth for tabular policies")
     _add_common(p)
 
     p = sub.add_parser("synthesize", help="synthesize an opacity-enforcing supervisor")
@@ -105,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", action="store_true",
                    help="render the estimator slice of a supervisor instead")
     p.add_argument("--supervisor", metavar="PATH", help="policy for --estimator")
-    p.add_argument("--depth", type=int, default=6, help="depth for --estimator")
+    p.add_argument("--depth", type=_int_at_least(0), default=6,
+                   help="depth for --estimator")
     _add_common(p)
     return parser
 
@@ -157,7 +166,6 @@ def _cmd_synthesize(args) -> int:
         "mode": args.mode,
         "policy": args.policy,
         "size_guard": args.size_guard,
-        "seed": args.seed,
     }
     outcome_doc = {
         "solved": True,
@@ -205,9 +213,12 @@ def _cmd_export_dot(args) -> int:
         model = _load_model(args.input)
         if not args.supervisor:
             raise CliError("--estimator requires --supervisor")
-        sup = serialize.parse_supervisor_text(
-            model, Path(args.supervisor).read_text()
-        )
+        try:
+            sup = serialize.parse_supervisor_text(
+                model, Path(args.supervisor).read_text()
+            )
+        except OSError as exc:
+            raise CliError(f"cannot read supervisor: {exc}") from exc
         if isinstance(sup, ControlStructure):
             sup = sup.decoded()
         output = dotmod.estimator_slice_to_dot(model, sup, _mode(args), args.depth)

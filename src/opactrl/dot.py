@@ -7,9 +7,9 @@ Plants render as circles with secret states filled red.
 
 from __future__ import annotations
 
-from .estimator import IssuanceMode, augment, estimator_trace
+from .estimator import IssuanceMode, closed_loop_simulate, estimator_trace
 from .model import PlantModel
-from .structure import ControlStructure, closed_loop_simulate, is_safe
+from .structure import INITIAL_KEY, ControlStructure, canonical_ids, is_safe
 from .supervisors import Supervisor
 from .synthesis import Arena
 
@@ -42,72 +42,16 @@ def _info_label(model: PlantModel, info) -> str:
     return "{" + members + "}, " + gamma
 
 
-def structure_to_dot(structure: ControlStructure) -> str:
-    model = structure.model
-    obs_order = sorted(structure.observations)
-    obs_id = {info: i for i, info in enumerate(obs_order)}
-
-    def dkey_sort(key):
-        info, sigma = key
-        return (-1, -1) if info is None else (obs_id[info], sigma)
-
-    dec_order = sorted(structure.decisions, key=dkey_sort)
-    dec_id = {key: i for i, key in enumerate(dec_order)}
-
-    lines = ["digraph structure {", "  rankdir=TB;"]
-    for key in dec_order:
-        info, sigma = key
-        label = (
-            "{m0}, -"
-            if info is None
-            else _info_label(model, info) + ", " + model.events[sigma]
-        )
-        lines.append(
-            f"  d{dec_id[key]} [shape=box, style=rounded, label={_quote(label)}];"
-        )
-    for info in obs_order:
-        attrs = ["shape=box"]
-        if not is_safe(info, model.secret_mask):
-            attrs.append('style=filled')
-            attrs.append("fillcolor=red")
-        attrs.append(f"label={_quote(_info_label(model, info))}")
-        lines.append(f"  o{obs_id[info]} [{', '.join(attrs)}];")
-    for key in dec_order:
-        gamma, target = structure.decisions[key]
-        lines.append(
-            f"  d{dec_id[key]} -> o{obs_id[target]} "
-            f"[label={_quote(model.format_decision(gamma))}];"
-        )
-    for info in obs_order:
-        for sigma in structure.observations[info]:
-            lines.append(
-                f"  o{obs_id[info]} -> d{dec_id[(info, sigma)]} "
-                f"[label={_quote(model.events[sigma])}];"
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def arena_to_dot(arena: Arena, pruned_states=()) -> str:
-    """Render an arena; states in ``pruned_states`` get a red outline.  An
-    empty arena renders as a header-only graph."""
-    model = arena.model
-    lines = ["digraph arena {"]
-    if arena.is_empty:
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    pruned = set(pruned_states)
-    obs_order = sorted(arena.observation_events)
-    obs_id = {info: i for i, info in enumerate(obs_order)}
-
-    def dkey_sort(key):
-        info, sigma = key
-        return (-1, -1) if info is None else (obs_id[info], sigma)
-
-    dec_order = sorted(arena.decision_edges, key=dkey_sort)
-    dec_id = {key: i for i, key in enumerate(dec_order)}
-    lines.append("  rankdir=TB;")
-    for key in dec_order:
+def _graph_to_dot(
+    name: str, model: PlantModel, decision_edges, observation_events, pruned=frozenset()
+) -> str:
+    """Render a decision/observation graph under its canonical numbering.
+    A graph without the initial decision state renders header-only."""
+    if INITIAL_KEY not in decision_edges:
+        return f"digraph {name} {{\n}}\n"
+    obs_id, dec_id = canonical_ids(observation_events, decision_edges)
+    lines = [f"digraph {name} {{", "  rankdir=TB;"]
+    for key, i in dec_id.items():
         info, sigma = key
         label = (
             "{m0}, -"
@@ -117,8 +61,8 @@ def arena_to_dot(arena: Arena, pruned_states=()) -> str:
         attrs = ["shape=box", "style=rounded", f"label={_quote(label)}"]
         if key in pruned:
             attrs.append("color=red")
-        lines.append(f"  d{dec_id[key]} [{', '.join(attrs)}];")
-    for info in obs_order:
+        lines.append(f"  d{i} [{', '.join(attrs)}];")
+    for info, i in obs_id.items():
         attrs = ["shape=box"]
         if not is_safe(info, model.secret_mask):
             attrs.append("style=filled")
@@ -126,23 +70,41 @@ def arena_to_dot(arena: Arena, pruned_states=()) -> str:
         if info in pruned:
             attrs.append("color=red")
         attrs.append(f"label={_quote(_info_label(model, info))}")
-        lines.append(f"  o{obs_id[info]} [{', '.join(attrs)}];")
-    for key in dec_order:
-        for gamma, target in arena.decision_edges[key]:
+        lines.append(f"  o{i} [{', '.join(attrs)}];")
+    for key, i in dec_id.items():
+        for gamma, target in decision_edges[key]:
             lines.append(
-                f"  d{dec_id[key]} -> o{obs_id[target]} "
+                f"  d{i} -> o{obs_id[target]} "
                 f"[label={_quote(model.format_decision(gamma))}];"
             )
-    for info in obs_order:
-        for sigma in arena.observation_events[info]:
+    for info, i in obs_id.items():
+        for sigma in observation_events[info]:
             key = (info, sigma)
             if key in dec_id:
                 lines.append(
-                    f"  o{obs_id[info]} -> d{dec_id[key]} "
+                    f"  o{i} -> d{dec_id[key]} "
                     f"[label={_quote(model.events[sigma])}];"
                 )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def structure_to_dot(structure: ControlStructure) -> str:
+    """Render a control structure: an arena with one edge per decision state."""
+    edges = {key: (edge,) for key, edge in structure.decisions.items()}
+    return _graph_to_dot("structure", structure.model, edges, structure.observations)
+
+
+def arena_to_dot(arena: Arena, pruned_states=()) -> str:
+    """Render an arena; states in ``pruned_states`` get a red outline.  An
+    empty arena renders as a header-only graph."""
+    return _graph_to_dot(
+        "arena",
+        arena.model,
+        arena.decision_edges,
+        arena.observation_events,
+        set(pruned_states),
+    )
 
 
 def estimator_slice_to_dot(
@@ -151,8 +113,7 @@ def estimator_slice_to_dot(
     """Render the estimator states visited along all closed-loop strings up
     to the given length, under one supervisor."""
     nodes: dict = {}
-    edges = []
-    seen_edges = set()
+    edges: dict = {}  # used as an insertion-ordered set
 
     def node_id(m):
         if m not in nodes:
@@ -163,19 +124,15 @@ def estimator_slice_to_dot(
         result = closed_loop_simulate(model, sup, s)
         if not result.accepted:
             return
-        trace = estimator_trace(model, augment(model, s, sup), mode)
+        trace = estimator_trace(model, result.trace, mode)
         prev = "m0"
-        prev_id = None
         for event, state in zip(result.trace, trace):
             sid = node_id(state)
             label = (
                 "-" if event.event is None else model.events[event.event]
             ) + "," + model.format_decision(event.decision)
-            edge = (prev if prev_id is None else prev_id, sid, label)
-            if edge not in seen_edges:
-                seen_edges.add(edge)
-                edges.append(edge)
-            prev_id = sid
+            edges.setdefault((prev, sid, label))
+            prev = sid
         if len(s) < depth:
             for e in range(len(model.events)):
                 explore(s + (e,))

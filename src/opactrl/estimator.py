@@ -1,5 +1,6 @@
-"""The intruder's view of the closed loop: information flows, augmented
-strings, the recursive state estimator, and an exhaustive decoration oracle.
+"""The intruder's view of the closed loop: closed-loop simulation and
+augmented strings, information flows, the recursive state estimator, and an
+exhaustive decoration oracle.
 
 Two decision-issuance mechanisms are supported.  Under the observation-
 triggered mechanism the supervisor releases a decision after every event it
@@ -12,6 +13,7 @@ whole computation.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .model import PlantModel, iter_bits
@@ -64,30 +66,61 @@ class EstimatorState(NamedTuple):
     decision: int
 
 
-def augment(
-    model: PlantModel, s: Sequence[int], sup: Supervisor
-) -> tuple[AugmentedEvent, ...]:
-    """Decorate each event of ``s`` with the decision in force after it,
-    preceded by the initial decision.  ``s`` must be executable under
-    ``sup``; the first blocked position is reported otherwise."""
+@dataclass
+class SimulationResult:
+    accepted: bool
+    rejected_at: int | None = None
+    reason: str | None = None
+    trace: tuple[AugmentedEvent, ...] | None = None
+
+
+def closed_loop_simulate(
+    model: PlantModel, sup: Supervisor, s: Sequence[int]
+) -> SimulationResult:
+    """Membership of ``s`` in the closed-loop language, with the augmented
+    trace on acceptance: each event decorated with the decision in force
+    after it, preceded by the initial decision.  Rejection is a verdict, not
+    an error; a step both undefined in the plant and disabled by the
+    supervisor is reported as undefined."""
     decision = sup.decision(())
-    out = [AugmentedEvent(None, decision)]
+    trace = [AugmentedEvent(None, decision)]
     x = model.initial
     obs: list[int] = []
     for pos, sigma in enumerate(s):
-        if not (decision >> sigma) & 1:
-            raise SupervisionError("string disabled by supervisor", pos)
         y = model.step(x, sigma)
         if y is None:
-            raise SupervisionError(
-                f"event {model.events[sigma]!r} undefined in plant", pos
-            )
+            return SimulationResult(False, pos, "event undefined in plant")
+        if not (decision >> sigma) & 1:
+            return SimulationResult(False, pos, "event disabled by supervisor")
+        x = y
         if (model.supervisor_observable >> sigma) & 1:
             obs.append(sigma)
             decision = sup.decision(tuple(obs))
-        out.append(AugmentedEvent(sigma, decision))
-        x = y
-    return tuple(out)
+        trace.append(AugmentedEvent(sigma, decision))
+    return SimulationResult(True, trace=tuple(trace))
+
+
+def augment(
+    model: PlantModel, s: Sequence[int], sup: Supervisor
+) -> tuple[AugmentedEvent, ...]:
+    """The augmented trace of ``s``, which must be executable under ``sup``;
+    the first rejected position is reported otherwise."""
+    result = closed_loop_simulate(model, sup, s)
+    if not result.accepted:
+        raise SupervisionError(result.reason, result.rejected_at)
+    return result.trace
+
+
+def released(
+    model: PlantModel, sigma: int, gamma: int, new_gamma: int, mode: IssuanceMode
+) -> bool:
+    """Whether the step on ``sigma`` from decision ``gamma`` to ``new_gamma``
+    releases a decision: the supervisor sees ``sigma`` under the
+    observation-triggered mechanism, the decision changes under the
+    decision-triggered one."""
+    if mode is IssuanceMode.OBSERVATION:
+        return bool((model.supervisor_observable >> sigma) & 1)
+    return new_gamma != gamma
 
 
 def information_flow(
@@ -95,40 +128,32 @@ def information_flow(
 ) -> tuple[ObservationPair, ...]:
     """The intruder's timeline of (observed event, released decision) pairs
     along ``s``.  Steps invisible to both parties contribute nothing."""
-    decision = sup.decision(())
-    out = [ObservationPair(None, decision)]
-    x = model.initial
-    obs: list[int] = []
-    for pos, sigma in enumerate(s):
-        if not (decision >> sigma) & 1:
-            raise SupervisionError("string disabled by supervisor", pos)
-        y = model.step(x, sigma)
-        if y is None:
-            raise SupervisionError(
-                f"event {model.events[sigma]!r} undefined in plant", pos
-            )
-        sup_sees = (model.supervisor_observable >> sigma) & 1
-        int_sees = (model.intruder_observable >> sigma) & 1
-        if sup_sees:
-            obs.append(sigma)
-            new_decision = sup.decision(tuple(obs))
-        else:
-            # The decision in force cannot change on a step the supervisor
-            # does not observe; we assert this rather than re-query policies.
-            new_decision = decision
-        if mode is IssuanceMode.OBSERVATION:
-            released = bool(sup_sees)
-        else:
-            released = new_decision != decision
-        if int_sees and released:
-            out.append(ObservationPair(sigma, new_decision))
-        elif int_sees:
-            out.append(ObservationPair(sigma, None))
-        elif released:
-            out.append(ObservationPair(None, new_decision))
-        decision = new_decision
-        x = y
+    trace = augment(model, s, sup)
+    out = [ObservationPair(None, trace[0].decision)]
+    for (_, gamma), (sigma, new_gamma) in zip(trace, trace[1:]):
+        seen = sigma if (model.intruder_observable >> sigma) & 1 else None
+        release = new_gamma if released(model, sigma, gamma, new_gamma, mode) else None
+        if seen is not None or release is not None:
+            out.append(ObservationPair(seen, release))
     return tuple(out)
+
+
+def update_estimate(
+    model: PlantModel, q: int, gamma: int, seen: int | None, release: int | None
+) -> int:
+    """The intruder's estimate after one step from estimate ``q`` under
+    decision ``gamma``: it observed ``seen`` (None when the event is hidden
+    from it) and the supervisor released ``release`` (None when nothing was
+    released).  A step showing neither leaves the estimate unchanged."""
+    if seen is None and release is None:
+        return q
+    if seen is None:
+        base = model.unobservable_reach_plus(q, gamma)
+    else:
+        base = model.observable_reach(q, seen)
+    return model.unobservable_reach(
+        base, gamma if release is None else release, model.intruder_unobservable
+    )
 
 
 def estimator_step(
@@ -142,13 +167,9 @@ def estimator_step(
     From the initial marker (``m is None``) only ``(None, decision)`` events
     are defined: the supervisor commits a decision before anything runs.
     Otherwise the event must be enabled at the true plant state by the
-    decision in force, and the estimate update depends on the issuance
-    mechanism:
-
-    * observation-triggered: keyed on whether the intruder and/or the
-      supervisor observes the event;
-    * decision-triggered: keyed on whether the intruder observes the event
-      and whether the decision changed.
+    decision in force, and the estimate is updated on what the intruder
+    sees: the event if it observes it, and the new decision if the issuance
+    mechanism releases it (see :func:`released`).
     """
     sigma, new_gamma = event
     if m is None:
@@ -165,42 +186,9 @@ def estimator_step(
         raise EstimatorError("event not enabled at estimator state")
     y = model.step(x, sigma)
     assert y is not None
-    hidden = model.intruder_unobservable
-    int_sees = (model.intruder_observable >> sigma) & 1
-
-    if mode is IssuanceMode.OBSERVATION:
-        sup_sees = (model.supervisor_observable >> sigma) & 1
-        if int_sees and not sup_sees:
-            est = model.unobservable_reach(
-                model.observable_reach(q, sigma), gamma, hidden
-            )
-        elif sup_sees and not int_sees:
-            est = model.unobservable_reach(
-                model.unobservable_reach_plus(q, gamma), new_gamma, hidden
-            )
-        elif int_sees:
-            est = model.unobservable_reach(
-                model.observable_reach(q, sigma), new_gamma, hidden
-            )
-        else:
-            est = q
-    else:
-        changed = new_gamma != gamma
-        if int_sees and not changed:
-            est = model.unobservable_reach(
-                model.observable_reach(q, sigma), gamma, hidden
-            )
-        elif changed and not int_sees:
-            est = model.unobservable_reach(
-                model.unobservable_reach_plus(q, gamma), new_gamma, hidden
-            )
-        elif int_sees:
-            est = model.unobservable_reach(
-                model.observable_reach(q, sigma), new_gamma, hidden
-            )
-        else:
-            est = q
-    return EstimatorState(y, est, new_gamma)
+    seen = sigma if (model.intruder_observable >> sigma) & 1 else None
+    release = new_gamma if released(model, sigma, gamma, new_gamma, mode) else None
+    return EstimatorState(y, update_estimate(model, q, gamma, seen, release), new_gamma)
 
 
 def estimator_trace(
@@ -237,33 +225,20 @@ def estimate_from_flow(
     q = model.unobservable_reach(
         1 << model.initial, gamma, model.intruder_unobservable
     )
-    hidden = model.intruder_unobservable
-    for pair in flow[1:]:
-        sigma, released = pair
-        if sigma is None and released is None:
+    for sigma, release in flow[1:]:
+        if sigma is None and release is None:
             raise FlowFormatError("empty observation pair in flow")
         if sigma is not None and not (model.intruder_observable >> sigma) & 1:
             raise FlowFormatError(
                 f"event {model.events[sigma]!r} is not visible to the intruder"
             )
-        if released is not None and mode is IssuanceMode.DECISION and released == gamma:
+        if release is not None and mode is IssuanceMode.DECISION and release == gamma:
             raise FlowFormatError(
                 "unchanged decision released under the decision-triggered mechanism"
             )
-        if released is None:
-            q = model.unobservable_reach(
-                model.observable_reach(q, sigma), gamma, hidden
-            )
-        elif sigma is None:
-            q = model.unobservable_reach(
-                model.unobservable_reach_plus(q, gamma), released, hidden
-            )
-            gamma = released
-        else:
-            q = model.unobservable_reach(
-                model.observable_reach(q, sigma), released, hidden
-            )
-            gamma = released
+        q = update_estimate(model, q, gamma, sigma, release)
+        if release is not None:
+            gamma = release
     return q
 
 

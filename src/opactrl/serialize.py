@@ -22,6 +22,7 @@ from .structure import (
     EstimatorState,
     InfoState,
     StructureError,
+    canonical_ids,
 )
 from .supervisors import Supervisor, TabularSupervisor
 
@@ -120,23 +121,14 @@ def _member_from_list(model: PlantModel, entry) -> EstimatorState:
 
 def structure_to_dict(structure: ControlStructure) -> dict:
     model = structure.model
-    obs_order = sorted(structure.observations)
-    obs_id = {info: i for i, info in enumerate(obs_order)}
-
-    def dkey_sort(key):
-        info, sigma = key
-        return (-1, -1) if info is None else (obs_id[info], sigma)
-
-    dec_order = sorted(structure.decisions, key=dkey_sort)
-    dec_id = {key: i for i, key in enumerate(dec_order)}
-
+    obs_id, dec_id = canonical_ids(structure.observations, structure.decisions)
     decision_states = []
-    for key in dec_order:
+    for key, i in dec_id.items():
         info, sigma = key
         gamma, target = structure.decisions[key]
         decision_states.append(
             {
-                "id": dec_id[key],
+                "id": i,
                 "source": None if info is None else obs_id[info],
                 "event": None if sigma is None else model.events[sigma],
                 "decision": list(model.event_names(gamma)),
@@ -145,14 +137,14 @@ def structure_to_dict(structure: ControlStructure) -> dict:
         )
     observation_states = [
         {
-            "id": obs_id[info],
+            "id": i,
             "members": [_member_to_list(model, m) for m in info],
         }
-        for info in obs_order
+        for info, i in obs_id.items()
     ]
     od = [
-        [obs_id[info], model.events[sigma], dec_id[(info, sigma)]]
-        for info in obs_order
+        [i, model.events[sigma], dec_id[(info, sigma)]]
+        for info, i in obs_id.items()
         for sigma in structure.observations[info]
     ]
     return {

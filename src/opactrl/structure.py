@@ -19,6 +19,10 @@ from .estimator import (
     IssuanceMode,
     estimator_step,
 )
+
+# Closed-loop simulation lives in the estimator; callers such as
+# perfbench/workloads.py import it from here.
+from .estimator import SimulationResult, closed_loop_simulate  # noqa: F401
 from .model import PlantModel, iter_bits
 from .supervisors import Supervisor
 
@@ -112,6 +116,59 @@ def ur_is(
     return make_info(list(seen))
 
 
+def decision_successor(
+    model: PlantModel, key: DecisionKey, gamma: int, mode: IssuanceMode
+) -> InfoState:
+    """The observation state reached by committing ``gamma`` at decision
+    state ``key``: the image of its observation (from the initial decision
+    state, the estimator's first step) closed under unobservable events."""
+    info, sigma = key
+    if info is None:
+        core: InfoState = (
+            estimator_step(model, None, AugmentedEvent(None, gamma), mode),
+        )
+    else:
+        core = nx_is(model, info, sigma, gamma, mode)
+    return ur_is(model, core, gamma, mode)
+
+
+def feasible_events(model: PlantModel, info: InfoState) -> tuple[int, ...]:
+    """Observations the plant can produce at this state under the shared
+    decision: supervisor-observable, enabled, and active somewhere."""
+    if not info:
+        return ()
+    return tuple(
+        iter_bits(
+            model.supervisor_observable
+            & info_decision(info)
+            & model.active_events(info_plant_states(info))
+        )
+    )
+
+
+def canonical_ids(
+    observations, decision_keys
+) -> tuple[dict[InfoState, int], dict[DecisionKey, int]]:
+    """Canonical numbering of a decision/observation graph: observation
+    states in sorted order, decision states in :func:`decision_key_order`.
+    Each dict iterates in its canonical order."""
+    obs_id = {info: i for i, info in enumerate(sorted(observations))}
+    dec_id = {
+        key: i for i, key in enumerate(sorted(decision_keys, key=decision_key_order))
+    }
+    return obs_id, dec_id
+
+
+def graph_canonical_form(mode: IssuanceMode, decisions: dict, observations: dict):
+    """Order-independent content of a decision/observation graph, for
+    equality checks and hashing."""
+    return (
+        mode.value,
+        tuple(sorted(decisions.items(), key=lambda kv: decision_key_order(kv[0]))),
+        tuple(sorted(observations.items())),
+    )
+
+
 @dataclass
 class StructureRun:
     decision_state: DecisionKey
@@ -175,12 +232,7 @@ class ControlStructure:
         return DecodedSupervisor(self)
 
     def canonical_form(self):
-        """Order-independent content, for equality checks and hashing."""
-        return (
-            self.mode.value,
-            tuple(sorted(self.decisions.items(), key=lambda kv: decision_key_order(kv[0]))),
-            tuple(sorted(self.observations.items())),
-        )
+        return graph_canonical_form(self.mode, self.decisions, self.observations)
 
     def __eq__(self, other):
         return (
@@ -213,36 +265,6 @@ class DecodedSupervisor(Supervisor):
             gamma = self.structure.run(obs).decisions[-1]
             self._cache[obs] = gamma
             return gamma
-
-
-@dataclass
-class SimulationResult:
-    accepted: bool
-    rejected_at: int | None = None
-    reason: str | None = None
-    trace: tuple[AugmentedEvent, ...] | None = None
-
-
-def closed_loop_simulate(
-    model: PlantModel, sup: Supervisor, s: Sequence[int]
-) -> SimulationResult:
-    """Membership of ``s`` in the closed-loop language, with the augmented
-    trace on acceptance.  Rejection is a verdict, not an error."""
-    decision = sup.decision(())
-    trace = [AugmentedEvent(None, decision)]
-    x = model.initial
-    obs: list[int] = []
-    for pos, sigma in enumerate(s):
-        if model.step(x, sigma) is None:
-            return SimulationResult(False, pos, "event undefined in plant")
-        if not (decision >> sigma) & 1:
-            return SimulationResult(False, pos, "event disabled by supervisor")
-        x = model.step(x, sigma)
-        if (model.supervisor_observable >> sigma) & 1:
-            obs.append(sigma)
-            decision = sup.decision(tuple(obs))
-        trace.append(AugmentedEvent(sigma, decision))
-    return SimulationResult(True, trace=tuple(trace))
 
 
 def supervisor_estimate(
@@ -297,23 +319,10 @@ def structure_from_policy(
                 )
             continue
         first_seen[key] = alpha
-        info, sigma = key
-        if info is None:
-            core: InfoState = (
-                estimator_step(model, None, AugmentedEvent(None, gamma), mode),
-            )
-        else:
-            core = nx_is(model, info, sigma, gamma, mode)
-        target = ur_is(model, core, gamma, mode)
+        target = decision_successor(model, key, gamma, mode)
         decisions[key] = (gamma, target)
         if target not in observations:
-            observations[target] = tuple(
-                iter_bits(
-                    model.supervisor_observable
-                    & gamma
-                    & model.active_events(info_plant_states(target))
-                )
-            )
+            observations[target] = feasible_events(model, target)
         queue.extend(
             ((target, nxt), alpha + (nxt,)) for nxt in observations[target]
         )
@@ -405,14 +414,7 @@ def verify_closed_loop_opacity(
     # under the requested mechanism.  The pairing with the structure's own
     # states keeps decoding aligned even when `mode` differs from the one the
     # structure was built for.
-    policy = DecodedSupervisor(structure)
-    gamma0 = structure.initial_decision
-    init = ur_is(
-        model,
-        (estimator_step(model, None, AugmentedEvent(None, gamma0), mode),),
-        gamma0,
-        mode,
-    )
+    init = decision_successor(model, INITIAL_KEY, structure.initial_decision, mode)
     struct_init = structure.decisions[INITIAL_KEY][1]
     stack = [(struct_init, init)]
     seen = {(struct_init, init)}
@@ -422,29 +424,21 @@ def verify_closed_loop_opacity(
         if not is_safe(derived, model.secret_mask):
             unsafe = True
             break
-        gamma_cur = info_decision(derived)
-        feasible = (
-            model.supervisor_observable
-            & gamma_cur
-            & model.active_events(info_plant_states(derived))
-        )
-        for sigma in iter_bits(feasible):
+        for sigma in feasible_events(model, derived):
             if sigma not in structure.observations[struct_obs]:
                 raise StructureError(
                     f"structure is incomplete: observation "
                     f"{model.events[sigma]!r} undefined"
                 )
             gamma, struct_next = structure.decisions[(struct_obs, sigma)]
-            derived_next = ur_is(
-                model, nx_is(model, derived, sigma, gamma, mode), gamma, mode
-            )
+            derived_next = decision_successor(model, (derived, sigma), gamma, mode)
             node = (struct_next, derived_next)
             if node not in seen:
                 seen.add(node)
                 stack.append(node)
     if not unsafe:
         return ClosedLoopVerdict(True, None, True, None)
-    witness, _ = _find_revealing_string(model, policy, mode, None)
+    witness, _ = _find_revealing_string(model, DecodedSupervisor(structure), mode, None)
     assert witness is not None
     return ClosedLoopVerdict(
         False, tuple(model.events[e] for e in witness), True, None

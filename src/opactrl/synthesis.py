@@ -13,19 +13,25 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
-from .estimator import AugmentedEvent, IssuanceMode, estimator_step
-from .model import PlantModel, iter_bits
+from .estimator import IssuanceMode
+from .model import PlantModel
 from .structure import (
     INITIAL_KEY,
     ControlStructure,
     DecisionKey,
     InfoState,
+    canonical_ids,
     decision_key_order,
-    info_plant_states,
+    decision_successor,
+    feasible_events,
+    graph_canonical_form,
     is_safe,
-    nx_is,
-    ur_is,
 )
+
+# Not called here any more, but the layer tracer in perfbench/spans.py patches
+# these names on this module.
+from .estimator import estimator_step  # noqa: F401
+from .structure import nx_is, ur_is  # noqa: F401
 
 EXTRACTION_POLICIES = ("first_feasible", "locally_maximal", "enumerate_all")
 
@@ -91,29 +97,9 @@ class Arena:
     def is_empty(self) -> bool:
         return INITIAL_KEY not in self.decision_edges
 
-    def feasible_events(self, info: InfoState) -> tuple[int, ...]:
-        """Observations the plant can produce at this state under the shared
-        decision: supervisor-observable, enabled, and active somewhere."""
-        if not info:
-            return ()
-        return tuple(
-            iter_bits(
-                self.model.supervisor_observable
-                & info[0].decision
-                & self.model.active_events(info_plant_states(info))
-            )
-        )
-
     def canonical_form(self):
-        return (
-            self.mode.value,
-            tuple(
-                sorted(
-                    self.decision_edges.items(),
-                    key=lambda kv: decision_key_order(kv[0]),
-                )
-            ),
-            tuple(sorted(self.observation_events.items())),
+        return graph_canonical_form(
+            self.mode, self.decision_edges, self.observation_events
         )
 
     def __eq__(self, other):
@@ -124,19 +110,6 @@ class Arena:
             f"Arena({len(self.decision_edges)} decision states, "
             f"{len(self.observation_events)} observation states, {self.mode.value})"
         )
-
-
-def _decision_successor(
-    model: PlantModel, key: DecisionKey, gamma: int, mode: IssuanceMode
-) -> InfoState:
-    info, sigma = key
-    if info is None:
-        core: InfoState = (
-            estimator_step(model, None, AugmentedEvent(None, gamma), mode),
-        )
-    else:
-        core = nx_is(model, info, sigma, gamma, mode)
-    return ur_is(model, core, gamma, mode)
 
 
 def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
@@ -156,18 +129,12 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
         key = stack.pop()
         edges = []
         for gamma in decisions:
-            target = _decision_successor(model, key, gamma, mode)
+            target = decision_successor(model, key, gamma, mode)
             if not is_safe(target, model.secret_mask):
                 continue
             edges.append((gamma, target))
             if target not in observation_events:
-                feasible = tuple(
-                    iter_bits(
-                        model.supervisor_observable
-                        & gamma
-                        & model.active_events(info_plant_states(target))
-                    )
-                )
+                feasible = feasible_events(model, target)
                 observation_events[target] = feasible
                 for sigma in feasible:
                     child = (target, sigma)
@@ -193,7 +160,7 @@ def find_incomplete(arena: Arena) -> IncompleteStates:
         for info in arena.observation_events
         if any(
             (info, sigma) not in arena.decision_edges
-            for sigma in arena.feasible_events(info)
+            for sigma in feasible_events(arena.model, info)
         )
     )
     return IncompleteStates(bad_d, bad_o)
@@ -405,16 +372,14 @@ class SynthesisOutcome:
         lines.append(f"  outcome: {len(self.structures)} structure(s)")
         first = self.structures[0]
         model = first.model
-        obs_id = {info: i for i, info in enumerate(sorted(first.observations))}
-        ordered = sorted(first.decisions, key=decision_key_order)
-        for key in ordered:
-            info, sigma = key
+        obs_id, dec_id = canonical_ids(first.observations, first.decisions)
+        for info, sigma in dec_id:
             label = (
                 "initial"
                 if info is None
                 else f"o{obs_id[info]} --{model.events[sigma]}-->"
             )
-            gamma, target = first.decisions[key]
+            gamma, target = first.decisions[(info, sigma)]
             lines.append(
                 f"    {label} decision {model.format_decision(gamma)} "
                 f"-> o{obs_id[target]}"

@@ -290,3 +290,30 @@ def test_cli_export_dot_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("]]")
     assert main(["export-dot", str(bad)]) == 2
+
+
+def test_cli_export_dot_estimator_missing_supervisor(capsys):
+    code = main(["export-dot", RUN, "--estimator", "--supervisor", "missing.json"])
+    assert code == 2
+    assert "cannot read supervisor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synthesize", RUN, "--size-guard", "0"],
+        ["verify", RUN, "--open-loop", "--size-guard", "-1"],
+        ["verify", RUN, "--supervisor", SRUN, "--bound", "-3"],
+        ["export-dot", RUN, "--estimator", "--supervisor", SRUN, "--depth", "-1"],
+    ],
+)
+def test_cli_rejects_out_of_range_limits_at_parse_time(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "must be at least" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_seed_flag_is_gone(capsys):
+    assert main(["synthesize", RUN, "--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
