@@ -36,6 +36,7 @@ from .structure import (
     DecodedSupervisor,
     InfoState,
     StructureError,
+    Successors,
     brute_estimate_set,
     info_decision,
     info_estimates,

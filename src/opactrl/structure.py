@@ -80,56 +80,103 @@ def is_safe(info: InfoState, secret_mask: int) -> bool:
     return all(m.estimate & ~secret_mask for m in info)
 
 
+class Successors:
+    """The decision successor of one model under one issuance mode.
+
+    It memoises two pure functions for its own lifetime: estimator steps,
+    keyed by (member, event, decision), and the closure of each single member
+    under unobservable events, keyed by (member, decision).  The closure of an
+    information state is the union of its members' closures, because every
+    member steps on its own.  Build one per computation and drop it after:
+    nothing here outlives the object."""
+
+    def __init__(self, model: PlantModel, mode: IssuanceMode):
+        self.model = model
+        self.mode = mode
+        self._steps: dict[tuple, EstimatorState] = {}
+        self._closures: dict[tuple[EstimatorState, int], frozenset[EstimatorState]] = {}
+
+    def _step(
+        self, m: EstimatorState | None, sigma: int | None, gamma: int
+    ) -> EstimatorState:
+        key = (m, sigma, gamma)
+        nxt = self._steps.get(key)
+        if nxt is None:
+            # Looked up at call time, so that a wrapper installed on this
+            # module's ``estimator_step`` sees every miss.
+            nxt = estimator_step(self.model, m, AugmentedEvent(sigma, gamma), self.mode)
+            self._steps[key] = nxt
+        return nxt
+
+    def nx(self, info: InfoState, sigma: int, gamma: int) -> InfoState:
+        """Image of an information state under an observed event and the
+        newly committed decision.  Members at which the event is not enabled
+        are dropped; an empty result marks the observation infeasible."""
+        active = self.model.active
+        return make_info(
+            [
+                self._step(m, sigma, gamma)
+                for m in info
+                if (active(m.plant_state) >> sigma) & 1 and (m.decision >> sigma) & 1
+            ]
+        )
+
+    def _closure(self, m: EstimatorState, gamma: int) -> frozenset[EstimatorState]:
+        key = (m, gamma)
+        if key in self._closures:
+            return self._closures[key]
+        model = self.model
+        hidden = model.supervisor_unobservable & gamma
+        seen = {m}
+        frontier = [m]
+        while frontier:
+            x = frontier.pop()
+            for sigma in iter_bits(model.active(x.plant_state) & hidden):
+                nxt = self._step(x, sigma, gamma)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        closure = self._closures[key] = frozenset(seen)
+        return closure
+
+    def ur(self, info: InfoState, gamma: int) -> InfoState:
+        """Closure of an information state under events the supervisor cannot
+        observe, all carrying the unchanged decision ``gamma``.  This composes
+        over intruder-visible but supervisor-silent events as well, so the
+        intruder's estimate keeps evolving inside the closure."""
+        for m in info:
+            if m.decision != gamma:
+                raise StructureError("closure requires the shared decision")
+        out: set[EstimatorState] = set()
+        for m in info:
+            out |= self._closure(m, gamma)
+        return make_info(out)
+
+    def __call__(self, key: DecisionKey, gamma: int) -> InfoState:
+        """The observation state reached by committing ``gamma`` at decision
+        state ``key``: the image of its observation (from the initial
+        decision state, the estimator's first step) closed under unobservable
+        events."""
+        info, sigma = key
+        if info is None:
+            core: InfoState = (self._step(None, None, gamma),)
+        else:
+            core = self.nx(info, sigma, gamma)
+        return self.ur(core, gamma)
+
+
 def nx_is(
     model: PlantModel, info: InfoState, sigma: int, gamma: int, mode: IssuanceMode
 ) -> InfoState:
-    """Image of an information state under an observed event and the newly
-    committed decision.  Members at which the event is not enabled are
-    dropped; an empty result marks the observation infeasible."""
-    out = []
-    for m in info:
-        if (model.active(m.plant_state) >> sigma) & 1 and (m.decision >> sigma) & 1:
-            out.append(estimator_step(model, m, AugmentedEvent(sigma, gamma), mode))
-    return make_info(out)
+    """See :meth:`Successors.nx`."""
+    return Successors(model, mode).nx(info, sigma, gamma)
 
 
 def ur_is(
     model: PlantModel, info: InfoState, gamma: int, mode: IssuanceMode
 ) -> InfoState:
-    """Closure of an information state under events the supervisor cannot
-    observe, all carrying the unchanged decision ``gamma``.  This composes
-    over intruder-visible but supervisor-silent events as well, so the
-    intruder's estimate keeps evolving inside the closure."""
-    for m in info:
-        if m.decision != gamma:
-            raise StructureError("closure requires the shared decision")
-    hidden = model.supervisor_unobservable & gamma
-    seen = set(info)
-    frontier = list(info)
-    while frontier:
-        m = frontier.pop()
-        for sigma in iter_bits(model.active(m.plant_state) & hidden):
-            nxt = estimator_step(model, m, AugmentedEvent(sigma, gamma), mode)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return make_info(list(seen))
-
-
-def decision_successor(
-    model: PlantModel, key: DecisionKey, gamma: int, mode: IssuanceMode
-) -> InfoState:
-    """The observation state reached by committing ``gamma`` at decision
-    state ``key``: the image of its observation (from the initial decision
-    state, the estimator's first step) closed under unobservable events."""
-    info, sigma = key
-    if info is None:
-        core: InfoState = (
-            estimator_step(model, None, AugmentedEvent(None, gamma), mode),
-        )
-    else:
-        core = nx_is(model, info, sigma, gamma, mode)
-    return ur_is(model, core, gamma, mode)
+    """See :meth:`Successors.ur`."""
+    return Successors(model, mode).ur(info, gamma)
 
 
 def feasible_events(model: PlantModel, info: InfoState) -> tuple[int, ...]:
@@ -306,6 +353,7 @@ def structure_from_policy(
     decisions: dict[DecisionKey, tuple[int, InfoState]] = {}
     observations: dict[InfoState, tuple[int, ...]] = {}
     first_seen: dict[DecisionKey, tuple[int, ...]] = {}
+    successor = Successors(model, mode)
     queue: list[tuple[DecisionKey, tuple[int, ...]]] = [(INITIAL_KEY, ())]
     while queue:
         key, alpha = queue.pop(0)
@@ -319,7 +367,7 @@ def structure_from_policy(
                 )
             continue
         first_seen[key] = alpha
-        target = decision_successor(model, key, gamma, mode)
+        target = successor(key, gamma)
         decisions[key] = (gamma, target)
         if target not in observations:
             observations[target] = feasible_events(model, target)
@@ -414,7 +462,8 @@ def verify_closed_loop_opacity(
     # under the requested mechanism.  The pairing with the structure's own
     # states keeps decoding aligned even when `mode` differs from the one the
     # structure was built for.
-    init = decision_successor(model, INITIAL_KEY, structure.initial_decision, mode)
+    successor = Successors(model, mode)
+    init = successor(INITIAL_KEY, structure.initial_decision)
     struct_init = structure.decisions[INITIAL_KEY][1]
     stack = [(struct_init, init)]
     seen = {(struct_init, init)}
@@ -431,7 +480,7 @@ def verify_closed_loop_opacity(
                     f"{model.events[sigma]!r} undefined"
                 )
             gamma, struct_next = structure.decisions[(struct_obs, sigma)]
-            derived_next = decision_successor(model, (derived, sigma), gamma, mode)
+            derived_next = successor((derived, sigma), gamma)
             node = (struct_next, derived_next)
             if node not in seen:
                 seen.add(node)

@@ -20,9 +20,9 @@ from .structure import (
     ControlStructure,
     DecisionKey,
     InfoState,
+    Successors,
     canonical_ids,
     decision_key_order,
-    decision_successor,
     feasible_events,
     graph_canonical_form,
     is_safe,
@@ -118,7 +118,7 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     new safe observation state spawns one decision state per feasible
     observation.  Unsafe targets are computed, tested, and discarded without
     ever entering the arena."""
-    mode = cfg.mode
+    successor = Successors(model, cfg.mode)
     decisions = list(model.iter_decisions())
     decision_edges: dict[DecisionKey, tuple[tuple[int, InfoState], ...] | None] = {
         INITIAL_KEY: None
@@ -129,7 +129,7 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
         key = stack.pop()
         edges = []
         for gamma in decisions:
-            target = decision_successor(model, key, gamma, mode)
+            target = successor(key, gamma)
             if not is_safe(target, model.secret_mask):
                 continue
             edges.append((gamma, target))
@@ -146,7 +146,7 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
                     )
         decision_edges[key] = tuple(edges)
     assert all(v is not None for v in decision_edges.values())
-    return Arena(model, mode, decision_edges, observation_events)  # type: ignore[arg-type]
+    return Arena(model, cfg.mode, decision_edges, observation_events)  # type: ignore[arg-type]
 
 
 def find_incomplete(arena: Arena) -> IncompleteStates:
@@ -235,28 +235,34 @@ def enumerate_structures(arena: Arena) -> Iterator[ControlStructure]:
     if arena.is_empty:
         return
 
-    def rec(assigned, pending, known_obs):
-        if not pending:
-            yield ControlStructure(
-                arena.model,
-                arena.mode,
-                dict(assigned),
-                {info: arena.observation_events[info] for info in known_obs},
-            )
-            return
-        key = pending[0]
-        rest = pending[1:]
+    def branches(assigned, pending, known_obs):
+        # Every way to commit the first pending decision state.
+        key, rest = pending[0], pending[1:]
         for gamma, target in arena.decision_edges.get(key, ()):
             extra: tuple[DecisionKey, ...] = ()
             if target not in known_obs:
                 extra = tuple((target, s) for s in arena.observation_events[target])
-            yield from rec(
-                {**assigned, key: (gamma, target)},
-                rest + extra,
-                known_obs | {target},
-            )
+            yield {**assigned, key: (gamma, target)}, rest + extra, known_obs | {target}
 
-    yield from rec({}, (INITIAL_KEY,), frozenset())
+    # Depth-first over partial assignments, with an explicit stack of branch
+    # iterators: the depth grows with the number of decision states, so
+    # recursion would overflow on long arenas.
+    stack = [iter((({}, (INITIAL_KEY,), frozenset()),))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        assigned, pending, known_obs = node
+        if pending:
+            stack.append(branches(assigned, pending, known_obs))
+        else:
+            yield ControlStructure(
+                arena.model,
+                arena.mode,
+                assigned,
+                {info: arena.observation_events[info] for info in known_obs},
+            )
 
 
 def exhaustive_solution_exists(arena: Arena) -> bool:

@@ -222,6 +222,26 @@ def test_cli_synthesize_no_solution(tmp_path, capsys):
     assert "no solution exists" in capsys.readouterr().out
 
 
+def test_cli_enumerate_all_on_a_long_chain(tmp_path, capsys):
+    """One structure on a 1,500-state chain: enumeration goes one decision
+    state deeper per chain state, past the interpreter's recursion limit."""
+    n = 1500
+    doc = {
+        "states": [str(i) for i in range(n)],
+        "events": ["u"],
+        "initial": "0",
+        "secret": [],
+        "transitions": [[str(i), "u", str(i + 1)] for i in range(n - 1)],
+        "observable_supervisor": ["u"],
+        "observable_intruder": ["u"],
+        "controllable": [],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(dump_json(doc))
+    assert main(["synthesize", str(path), "--policy", "enumerate_all"]) == 0
+    assert "outcome: 1 structure(s)" in capsys.readouterr().out
+
+
 def test_cli_synthesize_size_guard(capsys):
     assert main(["synthesize", RUN, "--size-guard", "4"]) == 2
     assert "size guard" in capsys.readouterr().err

@@ -1,12 +1,15 @@
 """Byte-identity regression: SHA-256 digests of the artifacts produced for
 the running example, recorded before the closed-loop walker, estimate update,
-decision successor, numbering and DOT writers were each merged into one.
-Any change to these bytes is a change to the artifact format."""
+decision successor, numbering and DOT writers were each merged into one, and
+of raw randgen arenas, recorded before the successor kernel was memoised.
+Any change to these bytes is a change to the artifact format or to the
+arena that expansion builds."""
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -22,6 +25,7 @@ from opactrl import (
 )
 from opactrl.cli import main
 from opactrl.dot import arena_to_dot
+from opactrl.randgen import RandomModelConfig, random_model
 
 RUN = str(MODELS / "run.json")
 
@@ -67,6 +71,25 @@ ARENA_DIGESTS = {
 }
 
 
+# (draw, mode) -> (arena states, sha256 of the raw arena's DOT), for the
+# models drawn in sequence from random.Random(10) with RANDGEN_CONFIG.
+RANDGEN_CONFIG = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
+RANDGEN_ARENA_DIGESTS = {
+    (2, "observation"): (
+        2065, "6927be34dd8988bcd524513e4169fd5128d0affb57dabd314fd54440d7b14f65"
+    ),
+    (2, "decision"): (
+        4910, "09b94cf7e46c4426e16c6c5d1ac76a7ed5d8cb062c00a33584b305f4f263a1b5"
+    ),
+    (17, "observation"): (
+        681, "cf17564d37a124b1eb6df84284db7dafc1ae6dfb87254f7213bb4a04fd2d094d"
+    ),
+    (17, "decision"): (
+        1561, "88c729d1b8706a6cafcb7537fd363dc006c65df3c4381ff7c496f9b5801e1ab6"
+    ),
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -93,6 +116,16 @@ def test_arena_dot_is_byte_identical(run_model, mode):
     raw_dot = arena_to_dot(arena, pruned_states=removed)
     assert (sha256(raw_dot.encode()), sha256(arena_to_dot(pruned).encode())) == (
         ARENA_DIGESTS[mode]
+    )
+
+
+@pytest.mark.parametrize("draw, mode", sorted(RANDGEN_ARENA_DIGESTS))
+def test_randgen_raw_arena_is_byte_identical(draw, mode):
+    rng = random.Random(10)
+    model = [random_model(rng, RANDGEN_CONFIG) for _ in range(draw + 1)][draw]
+    arena = expand_arena(model, SynthesisConfig(mode=IssuanceMode(mode)))
+    assert (arena.n_states, sha256(arena_to_dot(arena).encode())) == (
+        RANDGEN_ARENA_DIGESTS[(draw, mode)]
     )
 
 

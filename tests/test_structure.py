@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import DEC, OBS, closed_loop_strings, feasible_observations
 from opactrl import (
+    INITIAL_KEY,
     ConstantSupervisor,
     EstimatorState,
     PlantModel,
     StructureError,
+    Successors,
     SynthesisConfig,
     brute_estimate_set,
     closed_loop_simulate,
@@ -33,6 +35,7 @@ from opactrl import (
     verify_closed_loop_opacity,
 )
 from opactrl.estimator import AugmentedEvent
+from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
 from opactrl.supervisors import TabularSupervisor
 
@@ -391,3 +394,63 @@ def test_estimator_matches_brute_set_membership(seed, mode):
             e for e in s if (model.supervisor_observable >> e) & 1
         )
         assert final.estimate in brute_estimate_set(model, sup, alpha, mode)
+
+
+def _reference_nx(model, info, sigma, gamma, mode):
+    """Set-level image under an observation, one estimator step per member."""
+    out = []
+    for m in info:
+        if (model.active(m.plant_state) >> sigma) & 1 and (m.decision >> sigma) & 1:
+            out.append(estimator_step(model, m, AugmentedEvent(sigma, gamma), mode))
+    return make_info(out)
+
+
+def _reference_ur(model, info, gamma, mode):
+    """Set-level closure under supervisor-unobservable events, one frontier
+    for the whole state."""
+    for m in info:
+        if m.decision != gamma:
+            raise StructureError("closure requires the shared decision")
+    hidden = model.supervisor_unobservable & gamma
+    seen = set(info)
+    frontier = list(info)
+    while frontier:
+        m = frontier.pop()
+        for sigma in iter_bits(model.active(m.plant_state) & hidden):
+            nxt = estimator_step(model, m, AugmentedEvent(sigma, gamma), mode)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return make_info(list(seen))
+
+
+@given(model_seeds, st.sampled_from([OBS, DEC]))
+@settings(max_examples=40, deadline=None)
+def test_memoised_successors_match_the_set_level_reference(seed, mode):
+    """One kernel answers every query of a run, so later queries are served
+    from steps and closures cached by earlier ones; each answer must still be
+    the one the uncached set-level loops give."""
+    rng = random.Random(seed)
+    model = random_model(rng, RandomModelConfig(max_states=5, max_events=4))
+    sup = random_supervisor(rng, model)
+    succ = Successors(model, mode)
+    decisions = list(model.iter_decisions())
+    for gamma in decisions:
+        m0 = estimator_step(model, None, AugmentedEvent(None, gamma), mode)
+        assert succ(INITIAL_KEY, gamma) == _reference_ur(model, (m0,), gamma, mode)
+    for state in _sample_info_states(rng, model, sup, mode, max_len=3):
+        gamma = info_decision(state)
+        assert succ.ur(state, gamma) == _reference_ur(model, state, gamma, mode)
+        for sigma in range(len(model.events)):
+            gamma_new = rng.choice(decisions)
+            image = succ.nx(state, sigma, gamma_new)
+            assert image == _reference_nx(model, state, sigma, gamma_new, mode)
+            assert succ((state, sigma), gamma_new) == _reference_ur(
+                model, image, gamma_new, mode
+            )
+        other = next((d for d in decisions if d != gamma), None)
+        if other is not None:
+            mixed = make_info(state + (state[0]._replace(decision=other),))
+            for closure in (succ.ur, lambda i, g: _reference_ur(model, i, g, mode)):
+                with pytest.raises(StructureError, match="shared decision"):
+                    closure(mixed, gamma)

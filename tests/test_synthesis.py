@@ -1,13 +1,15 @@
 """Arena expansion, incomplete-state pruning, extraction policies, and the
 end-to-end synthesis pipeline."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEC, OBS, feasible_observations
+from conftest import DEC, MODELS, OBS, feasible_observations
 from opactrl import (
     EstimatorState,
     PlantModel,
@@ -259,6 +261,19 @@ def test_synthesize_decision_mode_on_running_example(run_model):
     out = synthesize(run_model, SynthesisConfig(mode=DEC))
     assert out.solved
     assert verify_closed_loop_opacity(run_model, out.structure, DEC).opaque
+
+
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_no_cache_outlives_the_call(mode):
+    """The successor kernel's caches belong to one call: once the caller
+    lets go of the model and the outcome, nothing else holds the model."""
+    model = PlantModel.from_json((MODELS / "run.json").read_text())
+    ref = weakref.ref(model)
+    outcome = synthesize(model, SynthesisConfig(mode=mode))
+    assert verify_closed_loop_opacity(model, outcome.structure, mode).opaque
+    del model, outcome
+    gc.collect()
+    assert ref() is None
 
 
 def test_size_guard_raises_with_partial_statistics(run_model):
