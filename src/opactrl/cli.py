@@ -2,7 +2,7 @@
 
 Subcommands: ``verify``, ``synthesize``, ``estimate``, ``export-dot``.
 Exit codes: 0 success (verify: opaque), 1 verify: not opaque, 2 usage,
-parse, or resource errors, 3 synthesize: no solution exists.
+parse, resource or internal errors, 3 synthesize: no solution exists.
 """
 
 from __future__ import annotations
@@ -272,6 +272,9 @@ def main(argv=None) -> int:
         raise CliError(f"unknown command {args.command!r}")
     except (CliError, ModelFormatError, StructureError, FlowFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # a bug, not a verdict: never exit 1 with a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -118,19 +118,10 @@ class PlantModel:
         self.supervisor_observable = self.event_mask(partitions.supervisor_observable)
         self.intruder_observable = self.event_mask(partitions.intruder_observable)
         self.controllable = self.event_mask(partitions.controllable)
-
-    # Derived complements.
-    @property
-    def supervisor_unobservable(self) -> int:
-        return self.all_events_mask & ~self.supervisor_observable
-
-    @property
-    def intruder_unobservable(self) -> int:
-        return self.all_events_mask & ~self.intruder_observable
-
-    @property
-    def uncontrollable(self) -> int:
-        return self.all_events_mask & ~self.controllable
+        # Derived complements, computed once: hot loops read them per step.
+        self.supervisor_unobservable = self.all_events_mask & ~self.supervisor_observable
+        self.intruder_unobservable = self.all_events_mask & ~self.intruder_observable
+        self.uncontrollable = self.all_events_mask & ~self.controllable
 
     # Name/index conversions -------------------------------------------------
 

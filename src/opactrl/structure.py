@@ -10,6 +10,7 @@ policy.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +19,7 @@ from .estimator import (
     EstimatorState,
     IssuanceMode,
     estimator_step,
+    update_estimate,
 )
 
 # Closed-loop simulation lives in the estimator; callers such as
@@ -83,18 +85,49 @@ def is_safe(info: InfoState, secret_mask: int) -> bool:
 class Successors:
     """The decision successor of one model under one issuance mode.
 
-    It memoises two pure functions for its own lifetime: estimator steps,
-    keyed by (member, event, decision), and the closure of each single member
-    under unobservable events, keyed by (member, decision).  The closure of an
-    information state is the union of its members' closures, because every
-    member steps on its own.  Build one per computation and drop it after:
-    nothing here outlives the object."""
+    It memoises, for its own lifetime, the pure functions that expansion asks
+    about again and again:
+
+    - estimator steps, keyed by (member, event, decision);
+    - the intruder's estimate update, keyed by what :func:`update_estimate`
+      reads (see :meth:`_update`);
+    - the closure of each single member under unobservable events, keyed by
+      (member, decision).  The closure of an information state is the union
+      of its members' closures, because every member steps on its own;
+    - that union, keyed by (information state, decision).
+
+    Build one per computation and drop it after: nothing here outlives the
+    object."""
 
     def __init__(self, model: PlantModel, mode: IssuanceMode):
         self.model = model
         self.mode = mode
         self._steps: dict[tuple, EstimatorState] = {}
+        self._updates: dict[tuple, int] = {}
         self._closures: dict[tuple[EstimatorState, int], frozenset[EstimatorState]] = {}
+        self._urs: dict[tuple[InfoState, int], InfoState] = {}
+
+    def _update(
+        self, model: PlantModel, q: int, gamma: int, seen: int | None, release: int | None
+    ) -> int:
+        """:func:`update_estimate`, memoised on the inputs it reads.  The
+        decisions enter only through their intruder-unobservable events: the
+        old one when the event is hidden, the released one (else the old
+        one) in the closure.  Whether anything was released is part of the
+        key, because a step showing nothing keeps ``q`` where a release with
+        the same masked events would close it."""
+        hidden = model.intruder_unobservable
+        key = (
+            q,
+            seen,
+            gamma & hidden if seen is None else None,
+            (gamma if release is None else release) & hidden,
+            release is None,
+        )
+        out = self._updates.get(key)
+        if out is None:
+            out = self._updates[key] = update_estimate(model, q, gamma, seen, release)
+        return out
 
     def _step(
         self, m: EstimatorState | None, sigma: int | None, gamma: int
@@ -104,22 +137,27 @@ class Successors:
         if nxt is None:
             # Looked up at call time, so that a wrapper installed on this
             # module's ``estimator_step`` sees every miss.
-            nxt = estimator_step(self.model, m, AugmentedEvent(sigma, gamma), self.mode)
+            nxt = estimator_step(
+                self.model, m, AugmentedEvent(sigma, gamma), self.mode, self._update
+            )
             self._steps[key] = nxt
         return nxt
+
+    def _movers(self, info: InfoState, sigma: int) -> list[EstimatorState]:
+        """Members at which ``sigma`` is active and enabled: the part of
+        :meth:`nx` that does not depend on the new decision."""
+        active = self.model.active
+        return [
+            m
+            for m in info
+            if (active(m.plant_state) >> sigma) & 1 and (m.decision >> sigma) & 1
+        ]
 
     def nx(self, info: InfoState, sigma: int, gamma: int) -> InfoState:
         """Image of an information state under an observed event and the
         newly committed decision.  Members at which the event is not enabled
         are dropped; an empty result marks the observation infeasible."""
-        active = self.model.active
-        return make_info(
-            [
-                self._step(m, sigma, gamma)
-                for m in info
-                if (active(m.plant_state) >> sigma) & 1 and (m.decision >> sigma) & 1
-            ]
-        )
+        return make_info([self._step(m, sigma, gamma) for m in self._movers(info, sigma)])
 
     def _closure(self, m: EstimatorState, gamma: int) -> frozenset[EstimatorState]:
         key = (m, gamma)
@@ -147,22 +185,36 @@ class Successors:
         for m in info:
             if m.decision != gamma:
                 raise StructureError("closure requires the shared decision")
-        out: set[EstimatorState] = set()
-        for m in info:
-            out |= self._closure(m, gamma)
-        return make_info(out)
+        key = (info, gamma)
+        closed = self._urs.get(key)
+        if closed is None:
+            out: set[EstimatorState] = set()
+            for m in info:
+                out |= self._closure(m, gamma)
+            closed = self._urs[key] = make_info(out)
+        return closed
+
+    def successors(self, key: DecisionKey, gammas: Sequence[int]) -> list[InfoState]:
+        """The observation states reached by committing each of ``gammas`` at
+        decision state ``key``: the image of its observation (from the initial
+        decision state, the estimator's first step) closed under unobservable
+        events.  Which members the observation moves does not depend on the
+        decision, so that is worked out once for all of ``gammas``."""
+        info, sigma = key
+        if info is None:
+            cores = [(self._step(None, None, gamma),) for gamma in gammas]
+        else:
+            movers = self._movers(info, sigma)
+            cores = [
+                make_info([self._step(m, sigma, gamma) for m in movers])
+                for gamma in gammas
+            ]
+        return [self.ur(core, gamma) for core, gamma in zip(cores, gammas)]
 
     def __call__(self, key: DecisionKey, gamma: int) -> InfoState:
         """The observation state reached by committing ``gamma`` at decision
-        state ``key``: the image of its observation (from the initial
-        decision state, the estimator's first step) closed under unobservable
-        events."""
-        info, sigma = key
-        if info is None:
-            core: InfoState = (self._step(None, None, gamma),)
-        else:
-            core = self.nx(info, sigma, gamma)
-        return self.ur(core, gamma)
+        state ``key``; see :meth:`successors`."""
+        return self.successors(key, (gamma,))[0]
 
 
 def nx_is(
@@ -354,9 +406,9 @@ def structure_from_policy(
     observations: dict[InfoState, tuple[int, ...]] = {}
     first_seen: dict[DecisionKey, tuple[int, ...]] = {}
     successor = Successors(model, mode)
-    queue: list[tuple[DecisionKey, tuple[int, ...]]] = [(INITIAL_KEY, ())]
+    queue: deque[tuple[DecisionKey, tuple[int, ...]]] = deque([(INITIAL_KEY, ())])
     while queue:
-        key, alpha = queue.pop(0)
+        key, alpha = queue.popleft()
         gamma = sup.decision(alpha)
         if key in decisions:
             if decisions[key][0] != gamma:

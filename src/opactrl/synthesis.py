@@ -10,6 +10,7 @@ per surviving decision state.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
@@ -128,8 +129,7 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     while stack:
         key = stack.pop()
         edges = []
-        for gamma in decisions:
-            target = successor(key, gamma)
+        for gamma, target in zip(decisions, successor.successors(key, decisions)):
             if not is_safe(target, model.secret_mask):
                 continue
             edges.append((gamma, target))
@@ -281,9 +281,9 @@ def extract_matching(arena: Arena, sup) -> ControlStructure | None:
     assigned: dict[DecisionKey, tuple[int, InfoState]] = {}
     known_obs: dict[InfoState, tuple[int, ...]] = {}
     history: dict[DecisionKey, tuple[int, ...]] = {INITIAL_KEY: ()}
-    pending: list[DecisionKey] = [INITIAL_KEY]
+    pending: deque[DecisionKey] = deque([INITIAL_KEY])
     while pending:
-        key = pending.pop(0)
+        key = pending.popleft()
         if key in assigned:
             continue
         wanted = sup.decision(history[key])
@@ -311,9 +311,9 @@ def extract_matching(arena: Arena, sup) -> ControlStructure | None:
 def _walk_assignment(arena: Arena, choose) -> ControlStructure:
     assigned: dict[DecisionKey, tuple[int, InfoState]] = {}
     known_obs: dict[InfoState, tuple[int, ...]] = {}
-    pending: list[DecisionKey] = [INITIAL_KEY]
+    pending: deque[DecisionKey] = deque([INITIAL_KEY])
     while pending:
-        key = pending.pop(0)
+        key = pending.popleft()
         if key in assigned:
             continue
         edges = arena.decision_edges[key]

@@ -16,6 +16,7 @@ from opactrl import (
     structure_from_policy,
     synthesize,
 )
+from opactrl import cli
 from opactrl.cli import main
 from opactrl.dot import arena_to_dot, estimator_slice_to_dot, model_to_dot, structure_to_dot
 from opactrl.model import ModelFormatError
@@ -337,3 +338,15 @@ def test_cli_rejects_out_of_range_limits_at_parse_time(argv, capsys):
 def test_cli_seed_flag_is_gone(capsys):
     assert main(["synthesize", RUN, "--seed", "1"]) == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])
+def test_cli_unexpected_error_exits_2_without_traceback(error, monkeypatch, capsys):
+    def fail(model, cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "synthesize", fail)
+    assert main(["synthesize", RUN]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: internal error: {type(error).__name__}: {error}\n"
+    assert "Traceback" not in captured.out + captured.err

@@ -14,12 +14,14 @@ from opactrl import (
     EstimatorState,
     PlantModel,
     StructureError,
+    SizeGuardExceeded,
     Successors,
     SynthesisConfig,
     brute_estimate_set,
     closed_loop_simulate,
     augment,
     estimator_step,
+    expand_arena,
     info_decision,
     info_estimates,
     info_plant_states,
@@ -34,7 +36,7 @@ from opactrl import (
     ur_is,
     verify_closed_loop_opacity,
 )
-from opactrl.estimator import AugmentedEvent
+from opactrl.estimator import AugmentedEvent, update_estimate
 from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
 from opactrl.supervisors import TabularSupervisor
@@ -440,17 +442,91 @@ def test_memoised_successors_match_the_set_level_reference(seed, mode):
         assert succ(INITIAL_KEY, gamma) == _reference_ur(model, (m0,), gamma, mode)
     for state in _sample_info_states(rng, model, sup, mode, max_len=3):
         gamma = info_decision(state)
-        assert succ.ur(state, gamma) == _reference_ur(model, state, gamma, mode)
+        closed = succ.ur(state, gamma)
+        assert closed == _reference_ur(model, state, gamma, mode)
+        assert succ.ur(state, gamma) is closed  # the same (core, decision) again
         for sigma in range(len(model.events)):
             gamma_new = rng.choice(decisions)
             image = succ.nx(state, sigma, gamma_new)
             assert image == _reference_nx(model, state, sigma, gamma_new, mode)
-            assert succ((state, sigma), gamma_new) == _reference_ur(
-                model, image, gamma_new, mode
-            )
+            target = succ((state, sigma), gamma_new)
+            assert target == _reference_ur(model, image, gamma_new, mode)
+            assert succ.successors((state, sigma), decisions) == [
+                _reference_ur(model, _reference_nx(model, state, sigma, d, mode), d, mode)
+                for d in decisions
+            ]
+            assert succ((state, sigma), gamma_new) is target
+        # The consistent state's closure is cached now; a state mixing in a
+        # member under another decision must still be refused, under either.
         other = next((d for d in decisions if d != gamma), None)
         if other is not None:
             mixed = make_info(state + (state[0]._replace(decision=other),))
             for closure in (succ.ur, lambda i, g: _reference_ur(model, i, g, mode)):
-                with pytest.raises(StructureError, match="shared decision"):
-                    closure(mixed, gamma)
+                for shared in (gamma, other):
+                    with pytest.raises(StructureError, match="shared decision"):
+                        closure(mixed, shared)
+
+
+def _record_updates(monkeypatch):
+    """Record every estimate update the kernel answers, with its answer."""
+    calls = []
+    memoised = Successors._update
+
+    def recording(self, model, q, gamma, seen, release):
+        out = memoised(self, model, q, gamma, seen, release)
+        calls.append(((q, gamma, seen, release), out))
+        return out
+
+    monkeypatch.setattr(Successors, "_update", recording)
+    return calls
+
+
+@given(model_seeds, st.sampled_from([OBS, DEC]))
+@settings(max_examples=40, deadline=None)
+def test_memoised_update_matches_update_estimate(seed, mode):
+    """Every estimate update an expansion asks for, served from the kernel's
+    memo, is the one update_estimate computes."""
+    model = random_model(
+        random.Random(seed), RandomModelConfig(max_states=5, max_events=4)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_updates(mp)
+        try:
+            expand_arena(model, SynthesisConfig(mode=mode, size_guard=20_000))
+        except SizeGuardExceeded:
+            pass
+    for inputs, out in calls:
+        assert out == update_estimate(model, *inputs)
+
+
+# u is hidden from both parties, s from the intruder only, and the
+# controllable c is seen by both; nothing is secret.
+SILENT_AND_RELEASED = {
+    "states": ["0", "1", "2"],
+    "events": ["u", "s", "c"],
+    "initial": "0",
+    "secret": [],
+    "transitions": [["0", "u", "1"], ["0", "s", "2"], ["2", "c", "0"]],
+    "observable_supervisor": ["s", "c"],
+    "observable_intruder": ["c"],
+    "controllable": ["c"],
+}
+
+
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_memoised_update_keeps_a_silent_step_apart_from_a_release(mode, monkeypatch):
+    """Expanding this plant asks for the silent step on u, which keeps the
+    estimate, and for a release on s from the same estimate with the same
+    intruder-unobservable events in both decisions, which closes it.  Only
+    whether a decision was released tells the two updates apart."""
+    model = PlantModel.from_dict(SILENT_AND_RELEASED)
+    calls = _record_updates(monkeypatch)
+    expand_arena(model, SynthesisConfig(mode=mode))
+    hidden = model.intruder_unobservable
+    answers: dict[tuple, set[int]] = {}
+    for (q, gamma, seen, release), out in calls:
+        assert out == update_estimate(model, q, gamma, seen, release)
+        if seen is None:
+            masked = (gamma if release is None else release) & hidden
+            answers.setdefault((q, gamma & hidden, masked), set()).add(out)
+    assert any(len(outs) > 1 for outs in answers.values())
