@@ -15,8 +15,13 @@ from . import dot as dotmod
 from . import serialize
 from .estimator import FlowFormatError, IssuanceMode, estimate_from_flow
 from .model import ModelFormatError, PlantModel, verify_open_loop_opacity
-from .structure import ControlStructure, StructureError, verify_closed_loop_opacity
-from .synthesis import SizeGuardExceeded, SynthesisConfig, synthesize
+from .structure import (
+    ControlStructure,
+    SizeGuardExceeded,
+    StructureError,
+    verify_closed_loop_opacity,
+)
+from .synthesis import SynthesisConfig, synthesize
 
 EXIT_OK = 0
 EXIT_NOT_OPAQUE = 1
@@ -134,7 +139,12 @@ def _cmd_verify(args) -> int:
         sup = serialize.parse_supervisor_text(model, Path(args.supervisor).read_text())
     except OSError as exc:
         raise CliError(f"cannot read supervisor: {exc}") from exc
-    result = verify_closed_loop_opacity(model, sup, _mode(args), args.bound)
+    try:
+        result = verify_closed_loop_opacity(
+            model, sup, _mode(args), args.bound, args.size_guard
+        )
+    except SizeGuardExceeded as exc:
+        raise CliError(str(exc)) from exc
     if result.opaque:
         qualifier = "" if result.complete else f" up to bound {result.bound}"
         print(f"opaque{qualifier} ({args.mode} mode)")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .estimator import (
@@ -47,6 +48,32 @@ def decision_key_order(key: DecisionKey):
 
 class StructureError(ValueError):
     """A control structure is malformed or an observation is infeasible."""
+
+
+class SizeGuardExceeded(RuntimeError):
+    """A search hit the configured state budget.  Arena expansion counts its
+    decision and observation states; the closed-loop searches of
+    verification count the states they visited, with ``decision_states``
+    None."""
+
+    def __init__(
+        self,
+        guard: int,
+        decision_states: int | None,
+        observation_states: int,
+        search: str = "arena",
+    ):
+        counts = (
+            f"{observation_states} visited"
+            if decision_states is None
+            else f"{decision_states} decision + {observation_states} observation"
+        )
+        super().__init__(
+            f"{search} exceeded size guard of {guard} states ({counts} so far)"
+        )
+        self.guard = guard
+        self.decision_states = decision_states
+        self.observation_states = observation_states
 
 
 def make_info(members: Sequence[EstimatorState]) -> InfoState:
@@ -85,16 +112,23 @@ def is_safe(info: InfoState, secret_mask: int) -> bool:
 class Successors:
     """The decision successor of one model under one issuance mode.
 
-    It memoises, for its own lifetime, the pure functions that expansion asks
-    about again and again:
+    Every estimator state it meets gets a dense int id, in the order it is
+    discovered, and inside the kernel an information state is the sorted
+    tuple of its members' ids.  It memoises, for its own lifetime, the pure
+    functions that expansion asks about again and again:
 
-    - estimator steps, keyed by (member, event, decision);
+    - estimator steps, keyed by (member id, event, decision);
     - the intruder's estimate update, keyed by what :func:`update_estimate`
       reads (see :meth:`_update`);
     - the closure of each single member under unobservable events, keyed by
-      (member, decision).  The closure of an information state is the union
-      of its members' closures, because every member steps on its own;
-    - that union, keyed by (information state, decision).
+      (member id, decision).  The closure of an information state is the
+      union of its members' closures, because every member steps on its own;
+    - one row per (member id, event): the member's image under the event,
+      closed under each decision of :attr:`decisions` in turn.  The targets
+      of a decision state are the rows of the members the event moves,
+      merged position by position (see :meth:`targets`);
+    - the canonical :data:`InfoState` of each id tuple the public methods
+      answer with, so that equal answers are one object.
 
     Build one per computation and drop it after: nothing here outlives the
     object."""
@@ -102,10 +136,23 @@ class Successors:
     def __init__(self, model: PlantModel, mode: IssuanceMode):
         self.model = model
         self.mode = mode
-        self._steps: dict[tuple, EstimatorState] = {}
+        self._members: list[EstimatorState] = []
+        self._ids: dict[EstimatorState, int] = {}
+        # Per id: the events active at the member's plant state and enabled
+        # by its decision.
+        self._enabled: list[int] = []
+        self._steps: dict[tuple[int | None, int | None, int], int] = {}
         self._updates: dict[tuple, int] = {}
-        self._closures: dict[tuple[EstimatorState, int], frozenset[EstimatorState]] = {}
-        self._urs: dict[tuple[InfoState, int], InfoState] = {}
+        self._closures: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._rows: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+        self._infos: dict[tuple[int, ...], InfoState] = {}
+
+    @cached_property
+    def decisions(self) -> tuple[int, ...]:
+        """Every valid decision, in :meth:`PlantModel.iter_decisions` order:
+        the positions of a row.  Listed on first use, because only expansion
+        asks about every decision."""
+        return tuple(self.model.iter_decisions())
 
     def _update(
         self, model: PlantModel, q: int, gamma: int, seen: int | None, release: int | None
@@ -129,53 +176,119 @@ class Successors:
             out = self._updates[key] = update_estimate(model, q, gamma, seen, release)
         return out
 
-    def _step(
-        self, m: EstimatorState | None, sigma: int | None, gamma: int
-    ) -> EstimatorState:
-        key = (m, sigma, gamma)
+    # Ids ------------------------------------------------------------------
+
+    def _intern(self, m: EstimatorState) -> int:
+        i = self._ids.get(m)
+        if i is None:
+            i = self._ids[m] = len(self._members)
+            self._members.append(m)
+            self._enabled.append(self.model.active(m.plant_state) & m.decision)
+        return i
+
+    def _ids_of(self, info: InfoState) -> tuple[int, ...]:
+        """The id tuple of an information state, interning new members."""
+        return tuple(sorted({self._intern(m) for m in info}))
+
+    def info_of(self, ids: tuple[int, ...]) -> InfoState:
+        """The canonical information state of an id tuple, built anew."""
+        members = self._members
+        return make_info([members[i] for i in ids])
+
+    def _info(self, ids: tuple[int, ...]) -> InfoState:
+        info = self._infos.get(ids)
+        if info is None:
+            info = self._infos[ids] = self.info_of(ids)
+        return info
+
+    def is_safe(self, ids: tuple[int, ...]) -> bool:
+        """:func:`is_safe` of the information state with these ids."""
+        members, secret = self._members, self.model.secret_mask
+        return all(members[i].estimate & ~secret for i in ids)
+
+    # The kernel -----------------------------------------------------------
+
+    def _step(self, i: int | None, sigma: int | None, gamma: int) -> int:
+        """Estimator step from member ``i``; ``None`` is the initial marker."""
+        key = (i, sigma, gamma)
         nxt = self._steps.get(key)
         if nxt is None:
+            m = None if i is None else self._members[i]
             # Looked up at call time, so that a wrapper installed on this
             # module's ``estimator_step`` sees every miss.
-            nxt = estimator_step(
-                self.model, m, AugmentedEvent(sigma, gamma), self.mode, self._update
+            nxt = self._steps[key] = self._intern(
+                estimator_step(
+                    self.model, m, AugmentedEvent(sigma, gamma), self.mode, self._update
+                )
             )
-            self._steps[key] = nxt
         return nxt
 
-    def _movers(self, info: InfoState, sigma: int) -> list[EstimatorState]:
-        """Members at which ``sigma`` is active and enabled: the part of
-        :meth:`nx` that does not depend on the new decision."""
-        active = self.model.active
-        return [
-            m
-            for m in info
-            if (active(m.plant_state) >> sigma) & 1 and (m.decision >> sigma) & 1
-        ]
+    def _movers(self, ids: tuple[int, ...] | None, sigma: int | None) -> list:
+        """Members at which ``sigma`` is active and enabled: the part of a
+        successor that does not depend on the new decision.  The initial
+        decision state's one mover is the initial marker."""
+        if ids is None:
+            return [None]
+        enabled = self._enabled
+        return [i for i in ids if (enabled[i] >> sigma) & 1]
+
+    def _closure(self, i: int, gamma: int) -> tuple[int, ...]:
+        key = (i, gamma)
+        closed = self._closures.get(key)
+        if closed is None:
+            model, members = self.model, self._members
+            hidden = model.supervisor_unobservable & gamma
+            seen = {i}
+            frontier = [i]
+            while frontier:
+                x = frontier.pop()
+                for sigma in iter_bits(model.active(members[x].plant_state) & hidden):
+                    nxt = self._step(x, sigma, gamma)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            closed = self._closures[key] = tuple(sorted(seen))
+        return closed
+
+    def _image(self, movers: list, sigma: int | None, gamma: int) -> tuple[int, ...]:
+        """The movers' image under ``sigma`` and the new decision ``gamma``,
+        closed under unobservable events."""
+        out: set[int] = set()
+        for i in movers:
+            out.update(self._closure(self._step(i, sigma, gamma), gamma))
+        return tuple(sorted(out))
+
+    def _row(self, i: int | None, sigma: int | None) -> tuple[tuple[int, ...], ...]:
+        key = (i, sigma)
+        row = self._rows.get(key)
+        if row is None:
+            closure, step = self._closure, self._step
+            row = self._rows[key] = tuple(
+                closure(step(i, sigma, gamma), gamma) for gamma in self.decisions
+            )
+        return row
+
+    def targets(
+        self, ids: tuple[int, ...] | None, sigma: int | None
+    ) -> Sequence[tuple[int, ...]]:
+        """The id tuples of the observation states reached from decision
+        state (``ids``, ``sigma``) under each of :attr:`decisions`, in order;
+        ``ids`` is None for the initial decision state.  ``sigma`` must move
+        some member, as every feasible observation does."""
+        movers = self._movers(ids, sigma)
+        if len(movers) == 1:
+            return self._row(movers[0], sigma)
+        rows = [self._row(i, sigma) for i in movers]
+        return [tuple(sorted(set().union(*column))) for column in zip(*rows)]
+
+    # Information states in, information states out -------------------------
 
     def nx(self, info: InfoState, sigma: int, gamma: int) -> InfoState:
         """Image of an information state under an observed event and the
         newly committed decision.  Members at which the event is not enabled
         are dropped; an empty result marks the observation infeasible."""
-        return make_info([self._step(m, sigma, gamma) for m in self._movers(info, sigma)])
-
-    def _closure(self, m: EstimatorState, gamma: int) -> frozenset[EstimatorState]:
-        key = (m, gamma)
-        if key in self._closures:
-            return self._closures[key]
-        model = self.model
-        hidden = model.supervisor_unobservable & gamma
-        seen = {m}
-        frontier = [m]
-        while frontier:
-            x = frontier.pop()
-            for sigma in iter_bits(model.active(x.plant_state) & hidden):
-                nxt = self._step(x, sigma, gamma)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        closure = self._closures[key] = frozenset(seen)
-        return closure
+        movers = self._movers(self._ids_of(info), sigma)
+        return self._info(tuple(sorted({self._step(i, sigma, gamma) for i in movers})))
 
     def ur(self, info: InfoState, gamma: int) -> InfoState:
         """Closure of an information state under events the supervisor cannot
@@ -185,31 +298,22 @@ class Successors:
         for m in info:
             if m.decision != gamma:
                 raise StructureError("closure requires the shared decision")
-        key = (info, gamma)
-        closed = self._urs.get(key)
-        if closed is None:
-            out: set[EstimatorState] = set()
-            for m in info:
-                out |= self._closure(m, gamma)
-            closed = self._urs[key] = make_info(out)
-        return closed
+        out: set[int] = set()
+        for i in self._ids_of(info):
+            out.update(self._closure(i, gamma))
+        return self._info(tuple(sorted(out)))
 
     def successors(self, key: DecisionKey, gammas: Sequence[int]) -> list[InfoState]:
         """The observation states reached by committing each of ``gammas`` at
         decision state ``key``: the image of its observation (from the initial
         decision state, the estimator's first step) closed under unobservable
         events.  Which members the observation moves does not depend on the
-        decision, so that is worked out once for all of ``gammas``."""
+        decision, so that is worked out once for all of ``gammas``.  Rows are
+        not used here: a caller asking about one decision would pay for all
+        of them."""
         info, sigma = key
-        if info is None:
-            cores = [(self._step(None, None, gamma),) for gamma in gammas]
-        else:
-            movers = self._movers(info, sigma)
-            cores = [
-                make_info([self._step(m, sigma, gamma) for m in movers])
-                for gamma in gammas
-            ]
-        return [self.ur(core, gamma) for core, gamma in zip(cores, gammas)]
+        movers = self._movers(None if info is None else self._ids_of(info), sigma)
+        return [self._info(self._image(movers, sigma, gamma)) for gamma in gammas]
 
     def __call__(self, key: DecisionKey, gamma: int) -> InfoState:
         """The observation state reached by committing ``gamma`` at decision
@@ -440,13 +544,24 @@ class ClosedLoopVerdict:
         return self.opaque
 
 
+def _guard_visits(seen: set, size_guard: int | None, search: str) -> None:
+    if size_guard is not None and len(seen) > size_guard:
+        raise SizeGuardExceeded(size_guard, None, len(seen), search)
+
+
 def _find_revealing_string(
-    model: PlantModel, sup: Supervisor, mode: IssuanceMode, bound: int | None
+    model: PlantModel,
+    sup: Supervisor,
+    mode: IssuanceMode,
+    bound: int | None,
+    size_guard: int | None = None,
 ) -> tuple[tuple[int, ...] | None, bool]:
     """Breadth-first search over the closed loop for a string whose
     controlled state estimate is contained in the secret set.  Returns the
     shortest such string (None if none) and whether the search exhausted the
-    closed loop rather than hitting the bound."""
+    closed loop rather than hitting the bound.  Raises
+    :class:`SizeGuardExceeded` once it has visited more than ``size_guard``
+    states."""
     m0 = estimator_step(model, None, AugmentedEvent(None, sup.decision(())), mode)
     if not (m0.estimate & ~model.secret_mask):
         return (), True
@@ -473,6 +588,7 @@ def _find_revealing_string(
                 if node in seen:
                     continue
                 seen.add(node)
+                _guard_visits(seen, size_guard, "closed-loop search")
                 if not (nxt.estimate & ~model.secret_mask):
                     return s + (sigma,), True
                 nxt_level.append((nxt, new_obs, s + (sigma,)))
@@ -485,6 +601,7 @@ def verify_closed_loop_opacity(
     sup: Supervisor | ControlStructure,
     mode: IssuanceMode,
     depth_bound: int | None = None,
+    size_guard: int | None = None,
 ) -> ClosedLoopVerdict:
     """Decide whether the closed loop keeps the secret from an intruder that
     eavesdrops on released decisions.
@@ -493,7 +610,8 @@ def verify_closed_loop_opacity(
     exact: the reachable observation states are re-derived under ``mode`` and
     each must be safe.  For arbitrary behavioral policies the closed loop is
     searched up to ``depth_bound``; the verdict says whether the search was
-    exhaustive.
+    exhaustive.  Either search raises :class:`SizeGuardExceeded` once it has
+    visited more than ``size_guard`` states.
     """
     structure = None
     if isinstance(sup, ControlStructure):
@@ -503,7 +621,9 @@ def verify_closed_loop_opacity(
 
     if structure is None:
         assert isinstance(sup, Supervisor)
-        witness, complete = _find_revealing_string(model, sup, mode, depth_bound)
+        witness, complete = _find_revealing_string(
+            model, sup, mode, depth_bound, size_guard
+        )
         if witness is not None:
             return ClosedLoopVerdict(
                 False, tuple(model.events[e] for e in witness), True, depth_bound
@@ -536,10 +656,13 @@ def verify_closed_loop_opacity(
             node = (struct_next, derived_next)
             if node not in seen:
                 seen.add(node)
+                _guard_visits(seen, size_guard, "closed-loop walk")
                 stack.append(node)
     if not unsafe:
         return ClosedLoopVerdict(True, None, True, None)
-    witness, _ = _find_revealing_string(model, DecodedSupervisor(structure), mode, None)
+    witness, _ = _find_revealing_string(
+        model, DecodedSupervisor(structure), mode, None, size_guard
+    )
     assert witness is not None
     return ClosedLoopVerdict(
         False, tuple(model.events[e] for e in witness), True, None

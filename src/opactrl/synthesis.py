@@ -21,12 +21,12 @@ from .structure import (
     ControlStructure,
     DecisionKey,
     InfoState,
+    SizeGuardExceeded,
     Successors,
     canonical_ids,
     decision_key_order,
     feasible_events,
     graph_canonical_form,
-    is_safe,
 )
 
 # Not called here any more, but the layer tracer in perfbench/spans.py patches
@@ -35,19 +35,6 @@ from .estimator import estimator_step  # noqa: F401
 from .structure import nx_is, ur_is  # noqa: F401
 
 EXTRACTION_POLICIES = ("first_feasible", "locally_maximal", "enumerate_all")
-
-
-class SizeGuardExceeded(RuntimeError):
-    """Arena expansion hit the configured state budget."""
-
-    def __init__(self, guard: int, decision_states: int, observation_states: int):
-        super().__init__(
-            f"arena exceeded size guard of {guard} states "
-            f"({decision_states} decision + {observation_states} observation so far)"
-        )
-        self.guard = guard
-        self.decision_states = decision_states
-        self.observation_states = observation_states
 
 
 @dataclass(frozen=True)
@@ -118,50 +105,69 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     valid decision and keeping only edges into safe observation states.  Each
     new safe observation state spawns one decision state per feasible
     observation.  Unsafe targets are computed, tested, and discarded without
-    ever entering the arena."""
+    ever entering the arena.
+
+    The kernel answers with id tuples (see :class:`Successors`); each
+    distinct target is tested once, and a safe one gets its canonical
+    information state when it is first reached."""
     successor = Successors(model, cfg.mode)
-    decisions = list(model.iter_decisions())
+    decisions = successor.decisions
     decision_edges: dict[DecisionKey, tuple[tuple[int, InfoState], ...] | None] = {
         INITIAL_KEY: None
     }
     observation_events: dict[InfoState, tuple[int, ...]] = {}
-    stack: list[DecisionKey] = [INITIAL_KEY]
+    reached: dict[tuple[int, ...], InfoState] = {}
+    unsafe: set[tuple[int, ...]] = set()
+    # Each entry is a decision key and the id tuple of its observation state.
+    stack: list[tuple[DecisionKey, tuple[int, ...] | None]] = [(INITIAL_KEY, None)]
     while stack:
-        key = stack.pop()
+        key, ids = stack.pop()
         edges = []
-        for gamma, target in zip(decisions, successor.successors(key, decisions)):
-            if not is_safe(target, model.secret_mask):
-                continue
-            edges.append((gamma, target))
-            if target not in observation_events:
+        for gamma, t in zip(decisions, successor.targets(ids, key[1])):
+            target = reached.get(t)
+            if target is None:
+                if t in unsafe:
+                    continue
+                if not successor.is_safe(t):
+                    unsafe.add(t)
+                    continue
+                target = reached[t] = successor.info_of(t)
                 feasible = feasible_events(model, target)
                 observation_events[target] = feasible
                 for sigma in feasible:
                     child = (target, sigma)
                     decision_edges[child] = None
-                    stack.append(child)
+                    stack.append((child, t))
                 if len(decision_edges) + len(observation_events) > cfg.size_guard:
                     raise SizeGuardExceeded(
                         cfg.size_guard, len(decision_edges), len(observation_events)
                     )
+            edges.append((gamma, target))
         decision_edges[key] = tuple(edges)
     assert all(v is not None for v in decision_edges.values())
     return Arena(model, cfg.mode, decision_edges, observation_events)  # type: ignore[arg-type]
 
 
-def find_incomplete(arena: Arena) -> IncompleteStates:
+def _feasible_by_state(arena: Arena) -> dict[InfoState, tuple[int, ...]]:
+    model = arena.model
+    return {info: feasible_events(model, info) for info in arena.observation_events}
+
+
+def find_incomplete(
+    arena: Arena, feasible: dict[InfoState, tuple[int, ...]] | None = None
+) -> IncompleteStates:
     """Decision states with no decision left, and observation states where
-    some feasible observation has no decision state."""
+    some feasible observation has no decision state.  ``feasible`` may hold
+    each observation state's :func:`feasible_events`, worked out earlier."""
+    if feasible is None:
+        feasible = _feasible_by_state(arena)
     bad_d = frozenset(
         key for key, edges in arena.decision_edges.items() if not edges
     )
     bad_o = frozenset(
         info
         for info in arena.observation_events
-        if any(
-            (info, sigma) not in arena.decision_edges
-            for sigma in feasible_events(arena.model, info)
-        )
+        if any((info, sigma) not in arena.decision_edges for sigma in feasible[info])
     )
     return IncompleteStates(bad_d, bad_o)
 
@@ -199,10 +205,13 @@ def prune_incomplete(arena: Arena) -> Arena:
     The result is the greatest complete safe sub-arena."""
     decision_edges = dict(arena.decision_edges)
     observation_events = dict(arena.observation_events)
+    # What the plant can produce at a state depends on the state alone, so
+    # it is worked out once, not in every round.
+    feasible = _feasible_by_state(arena)
     trace: list[tuple] = []
     while True:
         work = Arena(arena.model, arena.mode, decision_edges, observation_events)
-        bad = find_incomplete(work)
+        bad = find_incomplete(work, feasible)
         if not bad:
             break
         trace.append(

@@ -248,6 +248,23 @@ def test_cli_synthesize_size_guard(capsys):
     assert "size guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["observation", "decision"])
+def test_cli_verify_size_guard(mode, tmp_path, run_model, srun, capsys):
+    """The guard bounds both closed-loop searches of verify: the search over
+    a tabular policy and the walk of a control structure."""
+    structure = tmp_path / "structure.json"
+    structure.write_text(structure_to_json(structure_from_policy(run_model, srun, OBS)))
+    for sup in (SRUN, str(structure)):
+        argv = ["verify", RUN, "--supervisor", sup, "--mode", mode]
+        assert main(argv + ["--size-guard", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: closed-loop ")
+        assert "exceeded size guard of 1 states" in captured.err
+        assert "Traceback" not in captured.err
+        assert main(argv + ["--size-guard", "100"]) in (0, 1)
+        capsys.readouterr()
+
+
 def test_cli_estimate_flows(capsys):
     assert main(["estimate", RUN, "--flow", str(MODELS / "example2.flow")]) == 0
     assert capsys.readouterr().out.strip() == "{7}"

@@ -467,6 +467,39 @@ def test_memoised_successors_match_the_set_level_reference(seed, mode):
                         closure(mixed, shared)
 
 
+@given(model_seeds, st.sampled_from([OBS, DEC]))
+@settings(max_examples=40, deadline=None)
+def test_kernel_answers_states_it_never_produced(seed, mode):
+    """A kernel that has already interned an expansion's estimator states is
+    asked about information states whose members it has never met: any
+    plant state, any estimate, one shared decision.  It interns them on the
+    way in and still gives the set-level answers."""
+    rng = random.Random(seed)
+    model = random_model(rng, RandomModelConfig(max_states=5, max_events=4))
+    succ = Successors(model, mode)
+    decisions = list(model.iter_decisions())
+    succ.successors(INITIAL_KEY, decisions)
+    n = len(model.states)
+    for _ in range(4):
+        gamma = rng.choice(decisions)
+        state = make_info(
+            [
+                EstimatorState(x, rng.getrandbits(n) | 1 << x, gamma)
+                for x in rng.sample(range(n), rng.randint(1, n))
+            ]
+        )
+        if all(m in succ._ids for m in state):
+            continue  # only states with a member the kernel has not met
+        assert succ.ur(state, gamma) == _reference_ur(model, state, gamma, mode)
+        for sigma in range(len(model.events)):
+            gamma_new = rng.choice(decisions)
+            image = succ.nx(state, sigma, gamma_new)
+            assert image == _reference_nx(model, state, sigma, gamma_new, mode)
+            assert succ((state, sigma), gamma_new) == _reference_ur(
+                model, image, gamma_new, mode
+            )
+
+
 def _record_updates(monkeypatch):
     """Record every estimate update the kernel answers, with its answer."""
     calls = []

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import DEC, MODELS, OBS, feasible_observations
 from opactrl import (
+    INITIAL_KEY,
+    Arena,
     EstimatorState,
     PlantModel,
     SizeGuardExceeded,
@@ -21,13 +23,17 @@ from opactrl import (
     extract_structure,
     find_incomplete,
     information_flow,
+    is_safe,
     make_info,
     prune_incomplete,
     synthesize,
     verify_closed_loop_opacity,
 )
+from opactrl.estimator import AugmentedEvent, estimator_step
+from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model
 from opactrl.serialize import structure_to_json
+from opactrl.structure import feasible_events
 from opactrl.synthesis import extract_matching
 
 SIGMA = "a u1 u2 u3 b"
@@ -398,3 +404,102 @@ def test_prune_idempotent_on_random_arenas(seed, mode):
     pruned = prune_incomplete(arena)
     assert prune_incomplete(pruned) == pruned
     assert not find_incomplete(pruned)
+
+
+# Interned expansion against a tuple-based one --------------------------------
+
+
+def _tuple_successor(model, key, gamma, mode):
+    """The decision successor on tuples of estimator states, one step per
+    member and one closure frontier per state, with nothing memoised."""
+    info_, sigma = key
+    if info_ is None:
+        core = [estimator_step(model, None, AugmentedEvent(None, gamma), mode)]
+    else:
+        core = [
+            estimator_step(model, m, AugmentedEvent(sigma, gamma), mode)
+            for m in info_
+            if (model.active(m.plant_state) >> sigma) & 1 and (m.decision >> sigma) & 1
+        ]
+    hidden = model.supervisor_unobservable & gamma
+    seen = set(core)
+    frontier = list(core)
+    while frontier:
+        m = frontier.pop()
+        for e in iter_bits(model.active(m.plant_state) & hidden):
+            nxt = estimator_step(model, m, AugmentedEvent(e, gamma), mode)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return make_info(seen)
+
+
+def _tuple_expand(model, cfg):
+    """Arena expansion with information states as tuples of estimator
+    states throughout: a safety test on every edge, and
+    the same depth-first order as expand_arena."""
+    decisions = list(model.iter_decisions())
+    decision_edges = {INITIAL_KEY: None}
+    observation_events = {}
+    stack = [INITIAL_KEY]
+    while stack:
+        key = stack.pop()
+        edges = []
+        for gamma in decisions:
+            target = _tuple_successor(model, key, gamma, cfg.mode)
+            if not is_safe(target, model.secret_mask):
+                continue
+            edges.append((gamma, target))
+            if target not in observation_events:
+                feasible = feasible_events(model, target)
+                observation_events[target] = feasible
+                for sigma in feasible:
+                    decision_edges[(target, sigma)] = None
+                    stack.append((target, sigma))
+                if len(decision_edges) + len(observation_events) > cfg.size_guard:
+                    raise SizeGuardExceeded(
+                        cfg.size_guard, len(decision_edges), len(observation_events)
+                    )
+        decision_edges[key] = tuple(edges)
+    return Arena(model, cfg.mode, decision_edges, observation_events)
+
+
+def _expansion_outcome(expand, model, cfg):
+    """The arena with its insertion orders, or the counts at which the size
+    guard tripped."""
+    try:
+        arena = expand(model, cfg)
+    except SizeGuardExceeded as exc:
+        return ("guard", exc.guard, exc.decision_states, exc.observation_states)
+    return (
+        arena,
+        list(arena.decision_edges.items()),
+        list(arena.observation_events.items()),
+    )
+
+
+@given(model_seeds, st.sampled_from([OBS, DEC]))
+@settings(max_examples=40, deadline=None)
+def test_interned_expansion_matches_tuple_expansion(seed, mode):
+    """Same arena, same dict insertion orders (so the same DFS), on random
+    plants in both modes.  The plants are big enough that observations
+    often move several members of one state, so rows get merged."""
+    model = random_model(
+        random.Random(seed),
+        RandomModelConfig(min_states=5, max_states=6, min_events=4, max_events=5),
+    )
+    cfg = SynthesisConfig(mode=mode, size_guard=3_000)
+    assert _expansion_outcome(expand_arena, model, cfg) == _expansion_outcome(
+        _tuple_expand, model, cfg
+    )
+
+
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_size_guard_trips_where_the_tuple_expansion_does(run_model, mode):
+    tripped = 0
+    for guard in range(1, 41):
+        cfg = SynthesisConfig(mode=mode, size_guard=guard)
+        outcome = _expansion_outcome(expand_arena, run_model, cfg)
+        assert outcome == _expansion_outcome(_tuple_expand, run_model, cfg)
+        tripped += outcome[0] == "guard"
+    assert tripped == 40  # both arenas have more than 40 states
