@@ -59,7 +59,9 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, guard: str) -> None:
+    """Add ``--mode`` and ``--size-guard``; ``guard`` says what the guard
+    bounds for this subcommand."""
     parser.add_argument(
         "--mode",
         choices=[m.value for m in IssuanceMode],
@@ -70,7 +72,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--size-guard",
         type=_int_at_least(1),
         default=10**6,
-        help="maximum arena state count (default: 1e6)",
+        help=f"{guard} (default: 1e6)",
     )
 
 
@@ -92,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--supervisor", metavar="PATH", help="policy file")
     p.add_argument("--bound", type=_int_at_least(0), default=None,
                    help="search depth for tabular policies")
-    _add_common(p)
+    _add_common(p, "maximum closed-loop states visited with --supervisor")
 
     p = sub.add_parser("synthesize", help="synthesize an opacity-enforcing supervisor")
     p.add_argument("model")
@@ -103,12 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", metavar="PATH", help="write the control structure here")
     p.add_argument("--dot", metavar="PATH", help="write a DOT rendering here")
-    _add_common(p)
+    _add_common(p, "maximum arena state count")
 
     p = sub.add_parser("estimate", help="intruder state estimate of a flow trace")
     p.add_argument("model")
     p.add_argument("--flow", required=True, metavar="PATH", help="flow trace file")
-    _add_common(p)
+    _add_common(p, "ignored: estimate makes one pass over the flow")
 
     p = sub.add_parser("export-dot", help="render a model or structure as DOT")
     p.add_argument("input", help="model or control-structure document")
@@ -120,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--supervisor", metavar="PATH", help="policy for --estimator")
     p.add_argument("--depth", type=_int_at_least(0), default=6,
                    help="depth for --estimator")
-    _add_common(p)
+    _add_common(p, "maximum closed-loop states the --estimator slice visits")
     return parser
 
 
@@ -231,7 +233,12 @@ def _cmd_export_dot(args) -> int:
             raise CliError(f"cannot read supervisor: {exc}") from exc
         if isinstance(sup, ControlStructure):
             sup = sup.decoded()
-        output = dotmod.estimator_slice_to_dot(model, sup, _mode(args), args.depth)
+        try:
+            output = dotmod.estimator_slice_to_dot(
+                model, sup, _mode(args), args.depth, args.size_guard
+            )
+        except SizeGuardExceeded as exc:
+            raise CliError(str(exc)) from exc
     else:
         import json
 

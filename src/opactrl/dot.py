@@ -7,9 +7,15 @@ Plants render as circles with secret states filled red.
 
 from __future__ import annotations
 
-from .estimator import IssuanceMode, closed_loop_simulate, estimator_trace
+from .estimator import IssuanceMode
 from .model import PlantModel
-from .structure import INITIAL_KEY, ControlStructure, canonical_ids, is_safe
+from .structure import (
+    INITIAL_KEY,
+    ControlStructure,
+    canonical_ids,
+    closed_loop_search,
+    is_safe,
+)
 from .supervisors import Supervisor
 from .synthesis import Arena
 
@@ -108,36 +114,26 @@ def arena_to_dot(arena: Arena, pruned_states=()) -> str:
 
 
 def estimator_slice_to_dot(
-    model: PlantModel, sup: Supervisor, mode: IssuanceMode, depth: int
+    model: PlantModel,
+    sup: Supervisor,
+    mode: IssuanceMode,
+    depth: int,
+    size_guard: int | None = None,
 ) -> str:
     """Render the estimator states visited along all closed-loop strings up
-    to the given length, under one supervisor."""
+    to the given length, under one supervisor, numbered in breadth-first
+    order.  Raises :class:`SizeGuardExceeded` once the search has visited
+    more than ``size_guard`` states."""
     nodes: dict = {}
     edges: dict = {}  # used as an insertion-ordered set
-
-    def node_id(m):
-        if m not in nodes:
-            nodes[m] = len(nodes)
-        return nodes[m]
-
-    def explore(s: tuple[int, ...]) -> None:
-        result = closed_loop_simulate(model, sup, s)
-        if not result.accepted:
-            return
-        trace = estimator_trace(model, result.trace, mode)
-        prev = "m0"
-        for event, state in zip(result.trace, trace):
-            sid = node_id(state)
-            label = (
-                "-" if event.event is None else model.events[event.event]
-            ) + "," + model.format_decision(event.decision)
-            edges.setdefault((prev, sid, label))
-            prev = sid
-        if len(s) < depth:
-            for e in range(len(model.events)):
-                explore(s + (e,))
-
-    explore(())
+    for parent, sigma, (m, _, _), _ in closed_loop_search(
+        model, sup, mode, depth, size_guard, search="estimator slice"
+    ):
+        src = "m0" if parent is None else f"n{nodes[parent[0]]}"
+        label = (
+            "-" if sigma is None else model.events[sigma]
+        ) + "," + model.format_decision(m.decision)
+        edges.setdefault((src, nodes.setdefault(m, len(nodes)), label))
     lines = ["digraph estimator {", "  rankdir=TB;", "  m0 [shape=box];"]
     for m, i in nodes.items():
         label = (
@@ -147,7 +143,6 @@ def estimator_slice_to_dot(
         )
         lines.append(f"  n{i} [shape=box, label={_quote(label)}];")
     for src, dst, label in edges:
-        src_txt = src if src == "m0" else f"n{src}"
-        lines.append(f"  {src_txt} -> n{dst} [label={_quote(label)}];")
+        lines.append(f"  {src} -> n{dst} [label={_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .estimator import (
     AugmentedEvent,
@@ -549,6 +549,75 @@ def _guard_visits(seen: set, size_guard: int | None, search: str) -> None:
         raise SizeGuardExceeded(size_guard, None, len(seen), search)
 
 
+LoopNode = tuple[EstimatorState, tuple[int, ...], tuple[int, ...]]
+
+
+def closed_loop_search(
+    model: PlantModel,
+    sup: Supervisor,
+    mode: IssuanceMode,
+    bound: int | None = None,
+    size_guard: int | None = None,
+    alpha: Sequence[int] | None = None,
+    search: str = "closed-loop search",
+) -> Iterator[tuple[LoopNode | None, int | None, LoopNode, bool]]:
+    """Breadth-first search over the closed loop of ``sup``.
+
+    A node is (estimator state, supervisor observation, string).  Yields
+    every move ``(parent, sigma, node, new)`` in breadth-first order, where
+    ``new`` says whether the node is met for the first time; the first yield
+    is the estimator's first step, with ``parent`` and ``sigma`` None.  Nodes
+    are told apart by their estimator state and the observation's
+    :meth:`Supervisor.observation_signature`.  With ``alpha`` given, only
+    moves whose observation stays a prefix of ``alpha`` are made, and nodes
+    are told apart by estimator state and observation length.  Nodes whose
+    string is ``bound`` long are not expanded.  Raises
+    :class:`SizeGuardExceeded`, named ``search``, once more than
+    ``size_guard`` nodes are known."""
+    steps: dict[tuple[EstimatorState | None, int | None, int], EstimatorState] = {}
+
+    def step(m: EstimatorState | None, sigma: int | None, gamma: int) -> EstimatorState:
+        key = (m, sigma, gamma)
+        nxt = steps.get(key)
+        if nxt is None:
+            # Looked up at call time, so that a wrapper installed on this
+            # module's ``estimator_step`` sees every miss.
+            nxt = steps[key] = estimator_step(
+                model, m, AugmentedEvent(sigma, gamma), mode
+            )
+        return nxt
+
+    signature = sup.observation_signature if alpha is None else len
+    root: LoopNode = (step(None, None, sup.decision(())), (), ())
+    seen = {(root[0], signature(()))}
+    yield None, None, root, True
+    observable = model.supervisor_observable
+    queue = deque([root])
+    while queue:
+        parent = queue.popleft()
+        m, obs, s = parent
+        if bound is not None and len(s) >= bound:
+            continue
+        for sigma in iter_bits(model.active(m.plant_state) & m.decision):
+            if (observable >> sigma) & 1:
+                if alpha is not None and (
+                    len(obs) == len(alpha) or alpha[len(obs)] != sigma
+                ):
+                    continue
+                new_obs = obs + (sigma,)
+                gamma = sup.decision(new_obs)
+            else:
+                new_obs, gamma = obs, m.decision
+            node = (step(m, sigma, gamma), new_obs, s + (sigma,))
+            key = (node[0], signature(new_obs))
+            new = key not in seen
+            if new:
+                seen.add(key)
+                _guard_visits(seen, size_guard, search)
+                queue.append(node)
+            yield parent, sigma, node, new
+
+
 def _find_revealing_string(
     model: PlantModel,
     sup: Supervisor,
@@ -556,44 +625,20 @@ def _find_revealing_string(
     bound: int | None,
     size_guard: int | None = None,
 ) -> tuple[tuple[int, ...] | None, bool]:
-    """Breadth-first search over the closed loop for a string whose
-    controlled state estimate is contained in the secret set.  Returns the
-    shortest such string (None if none) and whether the search exhausted the
-    closed loop rather than hitting the bound.  Raises
+    """The shortest closed-loop string whose controlled state estimate is
+    contained in the secret set (None if none), and whether the search
+    exhausted the closed loop rather than hitting the bound.  Raises
     :class:`SizeGuardExceeded` once it has visited more than ``size_guard``
     states."""
-    m0 = estimator_step(model, None, AugmentedEvent(None, sup.decision(())), mode)
-    if not (m0.estimate & ~model.secret_mask):
-        return (), True
-    level: list[tuple[EstimatorState, tuple[int, ...], tuple[int, ...]]] = [
-        (m0, (), ())
-    ]
-    seen = {(m0, sup.observation_signature(()))}
-    depth = 0
-    while level:
-        if bound is not None and depth >= bound:
-            return None, False
-        depth += 1
-        nxt_level = []
-        for m, obs, s in level:
-            for sigma in iter_bits(model.active(m.plant_state) & m.decision):
-                if (model.supervisor_observable >> sigma) & 1:
-                    new_obs = obs + (sigma,)
-                    gamma = sup.decision(new_obs)
-                else:
-                    new_obs = obs
-                    gamma = m.decision
-                nxt = estimator_step(model, m, AugmentedEvent(sigma, gamma), mode)
-                node = (nxt, sup.observation_signature(new_obs))
-                if node in seen:
-                    continue
-                seen.add(node)
-                _guard_visits(seen, size_guard, "closed-loop search")
-                if not (nxt.estimate & ~model.secret_mask):
-                    return s + (sigma,), True
-                nxt_level.append((nxt, new_obs, s + (sigma,)))
-        level = nxt_level
-    return None, True
+    complete = True
+    for _, _, (m, _, s), new in closed_loop_search(model, sup, mode, bound, size_guard):
+        if not new:
+            continue
+        if not (m.estimate & ~model.secret_mask):
+            return s, True
+        if len(s) == bound:
+            complete = False
+    return None, complete
 
 
 def verify_closed_loop_opacity(
@@ -677,68 +722,13 @@ def brute_estimate_set(
     bound: int | None = None,
 ) -> frozenset[int]:
     """All controlled state estimates over strings of the closed loop that
-    project to ``alpha``.
-
-    With ``bound`` set, plain enumeration of strings up to that length;
-    otherwise an exact fixpoint over (estimator state, consumed observation)
-    pairs.  Either way this folds the intruder-side estimator over strings,
-    independently of the information-state operators."""
-    alpha = tuple(alpha)
-    m0 = estimator_step(model, None, AugmentedEvent(None, sup.decision(())), mode)
-    out: set[int] = set()
-    if bound is None:
-        seen = {(m0, 0)}
-        stack = [(m0, 0)]
-        while stack:
-            m, i = stack.pop()
-            if i == len(alpha):
-                out.add(m.estimate)
-            for sigma in iter_bits(model.active(m.plant_state) & m.decision):
-                if (model.supervisor_observable >> sigma) & 1:
-                    if i == len(alpha) or alpha[i] != sigma:
-                        continue
-                    gamma = sup.decision(alpha[: i + 1])
-                    node = (
-                        estimator_step(model, m, AugmentedEvent(sigma, gamma), mode),
-                        i + 1,
-                    )
-                else:
-                    node = (
-                        estimator_step(
-                            model, m, AugmentedEvent(sigma, m.decision), mode
-                        ),
-                        i,
-                    )
-                if node not in seen:
-                    seen.add(node)
-                    stack.append(node)
-        return frozenset(out)
-
-    stack2 = [(m0, 0, 0)]
-    while stack2:
-        m, i, length = stack2.pop()
-        if i == len(alpha):
-            out.add(m.estimate)
-        if length == bound:
-            continue
-        for sigma in iter_bits(model.active(m.plant_state) & m.decision):
-            if (model.supervisor_observable >> sigma) & 1:
-                if i == len(alpha) or alpha[i] != sigma:
-                    continue
-                gamma = sup.decision(alpha[: i + 1])
-                stack2.append(
-                    (
-                        estimator_step(model, m, AugmentedEvent(sigma, gamma), mode),
-                        i + 1,
-                        length + 1,
-                    )
-                )
-            else:
-                stack2.append(
-                    (
-                        estimator_step(model, m, AugmentedEvent(sigma, m.decision), mode),
-                        i,
-                        length + 1,
-                    )
-                )
-    return frozenset(out)
+    project to ``alpha``, of at most ``bound`` events when ``bound`` is set.
+    This folds the intruder-side estimator over strings, independently of
+    the information-state operators."""
+    return frozenset(
+        m.estimate
+        for _, _, (m, obs, _), new in closed_loop_search(
+            model, sup, mode, bound, alpha=alpha
+        )
+        if new and len(obs) == len(alpha)
+    )

@@ -3,7 +3,9 @@ the running example, recorded before the closed-loop walker, estimate update,
 decision successor, numbering and DOT writers were each merged into one, and
 of raw randgen arenas, recorded before the successor kernel was memoised.
 Any change to these bytes is a change to the artifact format or to the
-arena that expansion builds."""
+arena that expansion builds.  The estimator-slice digests were recorded
+when the slice became one breadth-first search, which numbers its nodes in
+discovery order."""
 
 import contextlib
 import hashlib
@@ -28,6 +30,7 @@ from opactrl.dot import arena_to_dot
 from opactrl.randgen import RandomModelConfig, random_model
 
 RUN = str(MODELS / "run.json")
+SRUN = str(MODELS / "srun.json")
 
 # (mode, policy) -> (sha256 of --out bytes, sha256 of --dot bytes)
 SYNTHESIZE_DIGESTS = {
@@ -90,6 +93,17 @@ RANDGEN_ARENA_DIGESTS = {
 }
 
 
+# (mode, depth) -> sha256 of `export-dot --estimator` for run.json under
+# srun.json.  The plant is acyclic and every string is at most 4 events
+# long, so depth 6 renders the same graph as depth 4.
+SLICE_DIGESTS = {
+    ("observation", 4): "f730743aa39fbb64dde7b71e0fd4e2206b69d00ca16a05bf7d920b4b6ffb6fc1",
+    ("observation", 6): "f730743aa39fbb64dde7b71e0fd4e2206b69d00ca16a05bf7d920b4b6ffb6fc1",
+    ("decision", 4): "8a22a087868e8f1624ed154db27b9cb3ca03cd63930d56865faa9b7437b3f03b",
+    ("decision", 6): "8a22a087868e8f1624ed154db27b9cb3ca03cd63930d56865faa9b7437b3f03b",
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -127,6 +141,16 @@ def test_randgen_raw_arena_is_byte_identical(draw, mode):
     assert (arena.n_states, sha256(arena_to_dot(arena).encode())) == (
         RANDGEN_ARENA_DIGESTS[(draw, mode)]
     )
+
+
+@pytest.mark.parametrize("mode, depth", sorted(SLICE_DIGESTS))
+def test_estimator_slice_dot_is_byte_identical(mode, depth):
+    stdout = io.StringIO()
+    argv = ["export-dot", RUN, "--estimator", "--supervisor", SRUN,
+            "--mode", mode, "--depth", str(depth)]
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    assert sha256(stdout.getvalue().encode()) == SLICE_DIGESTS[(mode, depth)]
 
 
 def test_step_undefined_and_disabled_is_reported_as_undefined(run_model, srun):

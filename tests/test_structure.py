@@ -563,3 +563,24 @@ def test_memoised_update_keeps_a_silent_step_apart_from_a_release(mode, monkeypa
             masked = (gamma if release is None else release) & hidden
             answers.setdefault((q, gamma & hidden, masked), set()).add(out)
     assert any(len(outs) > 1 for outs in answers.values())
+
+
+@given(model_seeds, st.sampled_from([OBS, DEC]), st.integers(0, 4))
+@settings(max_examples=25, deadline=None)
+def test_bounded_brute_estimate_set_matches_string_replay(seed, mode, k):
+    """With ``bound=k``, the estimates are those the estimator reaches by
+    replaying each closed-loop string of at most ``k`` events that projects
+    to ``alpha``: a cross-check that does not share the breadth-first
+    search."""
+    rng = random.Random(seed)
+    model = random_model(rng, RandomModelConfig(max_states=4, max_events=3))
+    sup = random_supervisor(rng, model)
+    replayed: dict[tuple[int, ...], set[int]] = {}
+    for s in closed_loop_strings(model, sup, k):
+        alpha = tuple(e for e in s if (model.supervisor_observable >> e) & 1)
+        final = run_estimator(model, augment(model, s, sup), mode)
+        replayed.setdefault(alpha, set()).add(final.estimate)
+    for alpha in feasible_observations(model, sup, k):
+        assert brute_estimate_set(model, sup, alpha, mode, bound=k) == replayed.get(
+            alpha, set()
+        )
