@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per issuance mode over everything synthesis builds on a
+fixed corpus, so that two source trees can be shown to build the same
+arenas and structures.
+
+The corpus is the randgen seed-10 draws 1-25 (the synth-random models of
+perfbench) and 400 small random models from seed 7.  Per model and mode the
+digest covers:
+
+- the raw arena and the pruned arena, with the insertion order of both
+  dicts;
+- the pruning trace;
+- the structures of all three extraction policies, with their insertion
+  orders;
+- where expansion stops under a few small size guards: the arena size, or
+  the decision and observation counts at which the guard tripped.
+
+Run ``python3 scripts/arena_digest.py``; it imports ``opactrl`` from the
+``src`` directory of its own checkout and takes a few seconds.  Equal output
+from two checkouts means equal results on this corpus.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from opactrl import IssuanceMode, SizeGuardExceeded, SynthesisConfig  # noqa: E402
+from opactrl.randgen import RandomModelConfig, random_model  # noqa: E402
+from opactrl.synthesis import (  # noqa: E402
+    EXTRACTION_POLICIES,
+    expand_arena,
+    extract_structure,
+    prune_incomplete,
+)
+
+CORPUS_CONFIG = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
+SMALL_CONFIG = RandomModelConfig(min_states=3, max_states=7, min_events=2, max_events=4)
+SMALL_MODELS = 400
+# A model whose arena outgrows this is digested by where the guard tripped.
+SIZE_GUARD = 20_000
+GUARDS = (3, 20, 150)
+
+
+def corpus():
+    rng = random.Random(10)
+    draws = [random_model(rng, CORPUS_CONFIG) for _ in range(26)]
+    small = random.Random(7)
+    return draws[1:] + [random_model(small, SMALL_CONFIG) for _ in range(SMALL_MODELS)]
+
+
+def _feed(h, label: str, items) -> None:
+    h.update(label.encode())
+    for item in items:
+        h.update(repr(item).encode())
+        h.update(b"\n")
+
+
+def _expand(model, cfg):
+    """The arena, or the guard and counts at which expansion stopped."""
+    try:
+        return expand_arena(model, cfg), None
+    except SizeGuardExceeded as exc:
+        return None, (exc.guard, exc.decision_states, exc.observation_states)
+
+
+def digest_mode(models, mode: IssuanceMode) -> str:
+    h = hashlib.sha256()
+    for n, model in enumerate(models):
+        h.update(f"model {n}\n".encode())
+        for guard in GUARDS:
+            arena, tripped = _expand(model, SynthesisConfig(mode=mode, size_guard=guard))
+            _feed(h, "guard", [guard, tripped or arena.n_states])
+        arena, tripped = _expand(
+            model, SynthesisConfig(mode=mode, size_guard=SIZE_GUARD)
+        )
+        if arena is None:
+            _feed(h, "tripped", [tripped])
+            continue
+        pruned = prune_incomplete(arena)
+        for label, a in (("raw", arena), ("pruned", pruned)):
+            _feed(h, label + " decisions", a.decision_edges.items())
+            _feed(h, label + " observations", a.observation_events.items())
+        _feed(h, "trace", pruned.pruning_trace)
+        for policy in EXTRACTION_POLICIES:
+            outcome = extract_structure(
+                pruned, SynthesisConfig(mode=mode, extraction_policy=policy)
+            )
+            for structure in outcome.structures:
+                _feed(h, policy + " decisions", structure.decisions.items())
+                _feed(h, policy + " observations", structure.observations.items())
+    return h.hexdigest()
+
+
+def main() -> None:
+    models = corpus()
+    for mode in IssuanceMode:
+        print(f"{mode.value}: {digest_mode(models, mode)}")
+
+
+if __name__ == "__main__":
+    main()

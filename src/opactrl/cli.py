@@ -186,18 +186,17 @@ def _cmd_synthesize(args) -> int:
         "arena_states_after": outcome.arena_states_after,
         "pruning_iterations": outcome.pruning_iterations,
     }
-    if args.out:
+    if args.out or args.dot:
+        # One manifest for both artifacts: the model file is read and hashed once.
         manifest = serialize.manifest_for(
             "synthesize", [args.model], config_doc, outcome_doc
         )
+    if args.out:
         serialize.write_artifact(
             args.out, serialize.structure_to_json(structure), manifest
         )
         print(f"structure written to {args.out}")
     if args.dot:
-        manifest = serialize.manifest_for(
-            "synthesize", [args.model], config_doc, outcome_doc
-        )
         serialize.write_artifact(args.dot, dotmod.structure_to_dot(structure), manifest)
         print(f"dot written to {args.dot}")
     return EXIT_OK

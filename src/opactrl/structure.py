@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterator, Sequence
 
 from .estimator import (
@@ -112,23 +113,39 @@ def is_safe(info: InfoState, secret_mask: int) -> bool:
 class Successors:
     """The decision successor of one model under one issuance mode.
 
-    Every estimator state it meets gets a dense int id, in the order it is
-    discovered, and inside the kernel an information state is the sorted
-    tuple of its members' ids.  It memoises, for its own lifetime, the pure
-    functions that expansion asks about again and again:
+    Every member of an information state carries the state's one decision,
+    so the kernel keeps apart only what differs between members: the
+    *core*, (plant state, estimate).  Each core it meets gets a dense int
+    id, in the order it is discovered, and inside the kernel an information
+    state is its decision and the set of its core ids, held as an int with
+    bit ``c`` set for core ``c``: merging sets is an ``|``, and safety is
+    one ``&`` against the set of cores whose estimate lies in the secret.
 
-    - estimator steps, keyed by (member id, event, decision);
+    A step and a closure read of a decision only its events hidden from the
+    supervisor or the intruder, ``gamma & (Σ_uo,S | Σ_uo,I)``, so decisions
+    that agree there fall in one *class* and get one answer.  Under the
+    decision-triggered mechanism a step releases the new decision iff it
+    differs from the old one, so there a new decision's class also records
+    whether it equals the old decision.
+
+    It memoises, for its own lifetime, the pure functions that expansion
+    asks about again and again:
+
+    - estimator steps, keyed by (core id, event, class of the old decision,
+      class of the new one);
     - the intruder's estimate update, keyed by what :func:`update_estimate`
       reads (see :meth:`_update`);
-    - the closure of each single member under unobservable events, keyed by
-      (member id, decision).  The closure of an information state is the
-      union of its members' closures, because every member steps on its own;
-    - one row per (member id, event): the member's image under the event,
-      closed under each decision of :attr:`decisions` in turn.  The targets
-      of a decision state are the rows of the members the event moves,
-      merged position by position (see :meth:`targets`);
-    - the canonical :data:`InfoState` of each id tuple the public methods
-      answer with, so that equal answers are one object.
+    - the closure of each single core under unobservable events, keyed by
+      (core id, class of the decision).  The closure of an information
+      state is the union of its members' closures, because every member
+      steps on its own;
+    - one row per (core id, event, old decision): the core's image under
+      the event, closed, under one representative of each class of new
+      decision (see :meth:`_layout`).  The targets of a decision state are
+      the rows of the cores the event moves, merged position by position
+      (see :meth:`targets`);
+    - the canonical :data:`InfoState` of each (decision, core set) the
+      public methods answer with, so that equal answers are one object.
 
     Build one per computation and drop it after: nothing here outlives the
     object."""
@@ -136,22 +153,29 @@ class Successors:
     def __init__(self, model: PlantModel, mode: IssuanceMode):
         self.model = model
         self.mode = mode
-        self._members: list[EstimatorState] = []
-        self._ids: dict[EstimatorState, int] = {}
-        # Per id: the events active at the member's plant state and enabled
-        # by its decision.
-        self._enabled: list[int] = []
-        self._steps: dict[tuple[int | None, int | None, int], int] = {}
+        self._decision_mode = mode is IssuanceMode.DECISION
+        # The events of a decision that steps and closures read.
+        self._hidden = model.supervisor_unobservable | model.intruder_unobservable
+        self._cores: list[tuple[int, int]] = []
+        self._core_ids: dict[tuple[int, int], int] = {}
+        # Per core id: the events active at its plant state.
+        self._active: list[int] = []
+        # Per event: the set of cores at whose plant state it is active.
+        self._active_at: list[int] = [0] * len(model.events)
+        # The set of cores whose estimate lies inside the secret.
+        self._revealing = 0
+        self._steps: dict[tuple, int] = {}
         self._updates: dict[tuple, int] = {}
-        self._closures: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._rows: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-        self._infos: dict[tuple[int, ...], InfoState] = {}
+        self._closures: dict[tuple[int, int], int] = {}
+        self._layouts: dict[int | None, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._rows: dict[tuple, tuple[int, ...]] = {}
+        self._infos: dict[tuple[int, int], InfoState] = {}
 
     @cached_property
     def decisions(self) -> tuple[int, ...]:
-        """Every valid decision, in :meth:`PlantModel.iter_decisions` order:
-        the positions of a row.  Listed on first use, because only expansion
-        asks about every decision."""
+        """Every valid decision, in :meth:`PlantModel.iter_decisions` order.
+        Listed on first use, because only expansion asks about every
+        decision."""
         return tuple(self.model.iter_decisions())
 
     def _update(
@@ -176,119 +200,196 @@ class Successors:
             out = self._updates[key] = update_estimate(model, q, gamma, seen, release)
         return out
 
-    # Ids ------------------------------------------------------------------
+    # Cores ----------------------------------------------------------------
 
-    def _intern(self, m: EstimatorState) -> int:
-        i = self._ids.get(m)
-        if i is None:
-            i = self._ids[m] = len(self._members)
-            self._members.append(m)
-            self._enabled.append(self.model.active(m.plant_state) & m.decision)
-        return i
+    def _intern(self, core: tuple[int, int]) -> int:
+        """The id of a (plant state, estimate) core."""
+        c = self._core_ids.get(core)
+        if c is None:
+            c = self._core_ids[core] = len(self._cores)
+            self._cores.append(core)
+            x, q = core
+            active = self.model.active(x)
+            self._active.append(active)
+            for sigma in iter_bits(active):
+                self._active_at[sigma] |= 1 << c
+            if not q & ~self.model.secret_mask:
+                self._revealing |= 1 << c
+        return c
 
-    def _ids_of(self, info: InfoState) -> tuple[int, ...]:
-        """The id tuple of an information state, interning new members."""
-        return tuple(sorted({self._intern(m) for m in info}))
+    def info_of(self, gamma: int, cores: int) -> InfoState:
+        """The canonical information state of a decision and a set of cores,
+        built anew."""
+        # Members sharing a decision sort as their cores do.
+        members = sorted(self._cores[c] for c in iter_bits(cores))
+        return tuple(EstimatorState(x, q, gamma) for x, q in members)
 
-    def info_of(self, ids: tuple[int, ...]) -> InfoState:
-        """The canonical information state of an id tuple, built anew."""
-        members = self._members
-        return make_info([members[i] for i in ids])
-
-    def _info(self, ids: tuple[int, ...]) -> InfoState:
-        info = self._infos.get(ids)
+    def _info(self, gamma: int, cores: int) -> InfoState:
+        key = (gamma, cores)
+        info = self._infos.get(key)
         if info is None:
-            info = self._infos[ids] = self.info_of(ids)
+            info = self._infos[key] = self.info_of(gamma, cores)
         return info
 
-    def is_safe(self, ids: tuple[int, ...]) -> bool:
-        """:func:`is_safe` of the information state with these ids."""
-        members, secret = self._members, self.model.secret_mask
-        return all(members[i].estimate & ~secret for i in ids)
+    def is_safe(self, cores: int) -> bool:
+        """:func:`is_safe` of an information state with this set of cores:
+        safety reads the estimates only."""
+        return not cores & self._revealing
+
+    def feasible_events(self, gamma: int, cores: int) -> tuple[int, ...]:
+        """:func:`feasible_events` of the information state with this
+        decision and this set of cores."""
+        active_at = self._active_at
+        return tuple(
+            sigma
+            for sigma in iter_bits(self.model.supervisor_observable & gamma)
+            if cores & active_at[sigma]
+        )
 
     # The kernel -----------------------------------------------------------
 
-    def _step(self, i: int | None, sigma: int | None, gamma: int) -> int:
-        """Estimator step from member ``i``; ``None`` is the initial marker."""
-        key = (i, sigma, gamma)
+    def _step(
+        self, c: int | None, m: EstimatorState | None, sigma: int | None, gamma: int
+    ) -> int:
+        """Estimator step from ``m``, a member with core ``c``, on ``sigma``,
+        committing ``gamma``; ``c`` and ``m`` are None for the initial
+        marker.  Answers the core id reached."""
+        old = None if m is None else m.decision
+        hidden = self._hidden
+        key = (
+            c,
+            sigma,
+            None if old is None else old & hidden,
+            gamma & hidden,
+            self._decision_mode and gamma == old,
+        )
         nxt = self._steps.get(key)
         if nxt is None:
-            m = None if i is None else self._members[i]
             # Looked up at call time, so that a wrapper installed on this
             # module's ``estimator_step`` sees every miss.
-            nxt = self._steps[key] = self._intern(
-                estimator_step(
-                    self.model, m, AugmentedEvent(sigma, gamma), self.mode, self._update
-                )
+            out = estimator_step(
+                self.model, m, AugmentedEvent(sigma, gamma), self.mode, self._update
             )
+            nxt = self._steps[key] = self._intern(out[:2])
         return nxt
 
-    def _movers(self, ids: tuple[int, ...] | None, sigma: int | None) -> list:
-        """Members at which ``sigma`` is active and enabled: the part of a
-        successor that does not depend on the new decision.  The initial
-        decision state's one mover is the initial marker."""
-        if ids is None:
-            return [None]
-        enabled = self._enabled
-        return [i for i in ids if (enabled[i] >> sigma) & 1]
-
-    def _closure(self, i: int, gamma: int) -> tuple[int, ...]:
-        key = (i, gamma)
+    def _closure(self, c: int, gamma: int) -> int:
+        """The set of cores reached from core ``c`` along events the
+        supervisor cannot observe and ``gamma`` enables."""
+        key = (c, gamma & self._hidden)
         closed = self._closures.get(key)
         if closed is None:
-            model, members = self.model, self._members
-            hidden = model.supervisor_unobservable & gamma
-            seen = {i}
-            frontier = [i]
+            active, cores = self._active, self._cores
+            hidden = self.model.supervisor_unobservable & gamma
+            seen = 1 << c
+            frontier = [c]
             while frontier:
                 x = frontier.pop()
-                for sigma in iter_bits(model.active(members[x].plant_state) & hidden):
-                    nxt = self._step(x, sigma, gamma)
-                    if nxt not in seen:
-                        seen.add(nxt)
+                events = active[x] & hidden
+                if not events:
+                    continue
+                m = EstimatorState(*cores[x], gamma)
+                for sigma in iter_bits(events):
+                    nxt = self._step(x, m, sigma, gamma)
+                    if not (seen >> nxt) & 1:
+                        seen |= 1 << nxt
                         frontier.append(nxt)
-            closed = self._closures[key] = tuple(sorted(seen))
+            closed = self._closures[key] = seen
         return closed
 
-    def _image(self, movers: list, sigma: int | None, gamma: int) -> tuple[int, ...]:
+    def _image(self, movers: list, sigma: int | None, gamma: int) -> int:
         """The movers' image under ``sigma`` and the new decision ``gamma``,
-        closed under unobservable events."""
-        out: set[int] = set()
-        for i in movers:
-            out.update(self._closure(self._step(i, sigma, gamma), gamma))
-        return tuple(sorted(out))
+        closed under unobservable events; a mover is (core id, member)."""
+        out = 0
+        for c, m in movers:
+            out |= self._closure(self._step(c, m, sigma, gamma), gamma)
+        return out
 
-    def _row(self, i: int | None, sigma: int | None) -> tuple[tuple[int, ...], ...]:
-        key = (i, sigma)
+    def _layout(self, old: int | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The classes of the new decisions after ``old`` (None at the
+        initial decision state): one representative of each class, in order
+        of first appearance in :attr:`decisions`, and each decision's
+        position among them.  Only the decision-triggered mechanism makes
+        the classes depend on ``old``."""
+        key = old if self._decision_mode else None
+        layout = self._layouts.get(key)
+        if layout is None:
+            hidden, decision_mode = self._hidden, self._decision_mode
+            representatives: list[int] = []
+            position: dict[tuple[int, bool], int] = {}
+            columns = []
+            for gamma in self.decisions:
+                cls = (gamma & hidden, decision_mode and gamma == old)
+                if cls not in position:
+                    position[cls] = len(representatives)
+                    representatives.append(gamma)
+                columns.append(position[cls])
+            layout = self._layouts[key] = (tuple(representatives), tuple(columns))
+        return layout
+
+    def _row(self, c: int | None, old: int | None, sigma: int | None) -> tuple[int, ...]:
+        """The closed images of core ``c`` under ``sigma`` after decision
+        ``old``, one per representative of :meth:`_layout`.  The old decision
+        is read through its class, except under the decision-triggered
+        mechanism, where the layout depends on all of it."""
+        if old is not None and not self._decision_mode:
+            old_key = old & self._hidden
+        else:
+            old_key = old
+        key = (c, sigma, old_key)
         row = self._rows.get(key)
         if row is None:
             closure, step = self._closure, self._step
+            m = None if c is None else EstimatorState(*self._cores[c], old)
             row = self._rows[key] = tuple(
-                closure(step(i, sigma, gamma), gamma) for gamma in self.decisions
+                closure(step(c, m, sigma, gamma), gamma)
+                for gamma in self._layout(old)[0]
             )
         return row
 
-    def targets(
-        self, ids: tuple[int, ...] | None, sigma: int | None
-    ) -> Sequence[tuple[int, ...]]:
-        """The id tuples of the observation states reached from decision
-        state (``ids``, ``sigma``) under each of :attr:`decisions`, in order;
-        ``ids`` is None for the initial decision state.  ``sigma`` must move
-        some member, as every feasible observation does."""
-        movers = self._movers(ids, sigma)
-        if len(movers) == 1:
-            return self._row(movers[0], sigma)
-        rows = [self._row(i, sigma) for i in movers]
-        return [tuple(sorted(set().union(*column))) for column in zip(*rows)]
+    def targets(self, old: int | None, cores: int | None, sigma: int | None) -> list[int]:
+        """The core sets of the observation states reached from decision
+        state (observation state, ``sigma``) under each of :attr:`decisions`,
+        in order, where the observation state has decision ``old`` and core
+        set ``cores``; both are None at the initial decision state.
+        ``sigma`` must move some core, as every feasible observation does."""
+        if cores is None:
+            row = self._row(None, None, None)
+        else:
+            rows = [
+                self._row(c, old, sigma)
+                for c in iter_bits(cores & self._active_at[sigma])
+            ]
+            if len(rows) == 1:
+                row = rows[0]
+            else:
+                row = [reduce(or_, column) for column in zip(*rows)]
+        return [row[i] for i in self._layout(old)[1]]
 
     # Information states in, information states out -------------------------
+
+    def _movers(self, info: InfoState | None, sigma: int | None) -> list:
+        """(core id, member) of each member at which ``sigma`` is active and
+        enabled, interning new cores: the part of a successor that does not
+        depend on the new decision.  The initial decision state's one mover
+        is the initial marker."""
+        if info is None:
+            return [(None, None)]
+        active = self.model.active
+        return [
+            (self._intern(m[:2]), m)
+            for m in info
+            if (active(m.plant_state) & m.decision) >> sigma & 1
+        ]
 
     def nx(self, info: InfoState, sigma: int, gamma: int) -> InfoState:
         """Image of an information state under an observed event and the
         newly committed decision.  Members at which the event is not enabled
         are dropped; an empty result marks the observation infeasible."""
-        movers = self._movers(self._ids_of(info), sigma)
-        return self._info(tuple(sorted({self._step(i, sigma, gamma) for i in movers})))
+        image = 0
+        for c, m in self._movers(info, sigma):
+            image |= 1 << self._step(c, m, sigma, gamma)
+        return self._info(gamma, image)
 
     def ur(self, info: InfoState, gamma: int) -> InfoState:
         """Closure of an information state under events the supervisor cannot
@@ -298,10 +399,10 @@ class Successors:
         for m in info:
             if m.decision != gamma:
                 raise StructureError("closure requires the shared decision")
-        out: set[int] = set()
-        for i in self._ids_of(info):
-            out.update(self._closure(i, gamma))
-        return self._info(tuple(sorted(out)))
+        out = 0
+        for m in info:
+            out |= self._closure(self._intern(m[:2]), gamma)
+        return self._info(gamma, out)
 
     def successors(self, key: DecisionKey, gammas: Sequence[int]) -> list[InfoState]:
         """The observation states reached by committing each of ``gammas`` at
@@ -312,8 +413,8 @@ class Successors:
         not used here: a caller asking about one decision would pay for all
         of them."""
         info, sigma = key
-        movers = self._movers(None if info is None else self._ids_of(info), sigma)
-        return [self._info(self._image(movers, sigma, gamma)) for gamma in gammas]
+        movers = self._movers(info, sigma)
+        return [self._info(gamma, self._image(movers, sigma, gamma)) for gamma in gammas]
 
     def __call__(self, key: DecisionKey, gamma: int) -> InfoState:
         """The observation state reached by committing ``gamma`` at decision
@@ -455,19 +556,26 @@ class ControlStructure:
 
 class DecodedSupervisor(Supervisor):
     """The policy read off a control structure: the decision committed at
-    the decision state reached by the observation history."""
+    the decision state reached by the observation history.  Histories that
+    reach the same decision state have the same future, so that decision
+    state is the history's :meth:`observation_signature`."""
 
     def __init__(self, structure: ControlStructure):
         self.structure = structure
-        self._cache: dict[tuple[int, ...], int] = {}
+        self._cache: dict[tuple[int, ...], tuple[int, DecisionKey]] = {}
+
+    def _run(self, obs: tuple[int, ...]) -> tuple[int, DecisionKey]:
+        hit = self._cache.get(obs)
+        if hit is None:
+            run = self.structure.run(obs)
+            hit = self._cache[obs] = (run.decisions[-1], run.decision_state)
+        return hit
 
     def decision(self, obs: tuple[int, ...]) -> int:
-        try:
-            return self._cache[obs]
-        except KeyError:
-            gamma = self.structure.run(obs).decisions[-1]
-            self._cache[obs] = gamma
-            return gamma
+        return self._run(obs)[0]
+
+    def observation_signature(self, obs: tuple[int, ...]) -> DecisionKey:
+        return self._run(obs)[1]
 
 
 def supervisor_estimate(

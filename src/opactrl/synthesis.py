@@ -1,10 +1,10 @@
 """Supervisor synthesis as a safety game over information states.
 
 Expansion enumerates every control decision from every reachable decision
-state, keeping only safe observation states.  Pruning removes incomplete
-states to a fixpoint: decision states left with no decision, and observation
-states missing a feasible observation.  Extraction then commits one decision
-per surviving decision state.
+state, keeping only safe observation states.  Pruning removes the attractor
+of the incomplete states: decision states left with no decision, and
+observation states missing a feasible observation.  Extraction then commits
+one decision per surviving decision state.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .structure import (
     Successors,
     canonical_ids,
     decision_key_order,
-    feasible_events,
     graph_canonical_form,
 )
 
@@ -61,7 +60,16 @@ class IncompleteStates(NamedTuple):
 
 class Arena:
     """Expansion result: like a control structure, but decision states carry
-    every safe alternative (possibly none)."""
+    every safe alternative (possibly none).
+
+    Expansion and pruning both keep two invariants, and pruning relies on
+    them:
+
+    - ``observation_events[info] == feasible_events(model, info)`` for every
+      observation state;
+    - every state is reachable from the initial decision state, along
+      decision edges into observation states and from an observation state
+      ``info`` along each of its events ``sigma`` into ``(info, sigma)``."""
 
     def __init__(
         self,
@@ -107,37 +115,35 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     observation.  Unsafe targets are computed, tested, and discarded without
     ever entering the arena.
 
-    The kernel answers with id tuples (see :class:`Successors`); each
-    distinct target is tested once, and a safe one gets its canonical
-    information state when it is first reached."""
+    The kernel answers with sets of core ids (see :class:`Successors`), on
+    which the safety test is one mask test, since safety reads the estimates
+    only; a safe target gets its canonical information state when it is
+    first reached under its decision."""
     successor = Successors(model, cfg.mode)
     decisions = successor.decisions
     decision_edges: dict[DecisionKey, tuple[tuple[int, InfoState], ...] | None] = {
         INITIAL_KEY: None
     }
     observation_events: dict[InfoState, tuple[int, ...]] = {}
-    reached: dict[tuple[int, ...], InfoState] = {}
-    unsafe: set[tuple[int, ...]] = set()
-    # Each entry is a decision key and the id tuple of its observation state.
-    stack: list[tuple[DecisionKey, tuple[int, ...] | None]] = [(INITIAL_KEY, None)]
+    reached: dict[tuple[int, int], InfoState] = {}
+    # Each entry is a decision key and the decision and core set of its
+    # observation state (None for the initial decision state).
+    stack: list[tuple[DecisionKey, int | None, int | None]] = [(INITIAL_KEY, None, None)]
     while stack:
-        key, ids = stack.pop()
+        key, old, cores = stack.pop()
         edges = []
-        for gamma, t in zip(decisions, successor.targets(ids, key[1])):
-            target = reached.get(t)
+        for gamma, t in zip(decisions, successor.targets(old, cores, key[1])):
+            target = reached.get((gamma, t))
             if target is None:
-                if t in unsafe:
-                    continue
                 if not successor.is_safe(t):
-                    unsafe.add(t)
                     continue
-                target = reached[t] = successor.info_of(t)
-                feasible = feasible_events(model, target)
+                target = reached[(gamma, t)] = successor.info_of(gamma, t)
+                feasible = successor.feasible_events(gamma, t)
                 observation_events[target] = feasible
                 for sigma in feasible:
                     child = (target, sigma)
                     decision_edges[child] = None
-                    stack.append((child, t))
+                    stack.append((child, gamma, t))
                 if len(decision_edges) + len(observation_events) > cfg.size_guard:
                     raise SizeGuardExceeded(
                         cfg.size_guard, len(decision_edges), len(observation_events)
@@ -148,92 +154,93 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     return Arena(model, cfg.mode, decision_edges, observation_events)  # type: ignore[arg-type]
 
 
-def _feasible_by_state(arena: Arena) -> dict[InfoState, tuple[int, ...]]:
-    model = arena.model
-    return {info: feasible_events(model, info) for info in arena.observation_events}
-
-
-def find_incomplete(
-    arena: Arena, feasible: dict[InfoState, tuple[int, ...]] | None = None
-) -> IncompleteStates:
+def find_incomplete(arena: Arena) -> IncompleteStates:
     """Decision states with no decision left, and observation states where
-    some feasible observation has no decision state.  ``feasible`` may hold
-    each observation state's :func:`feasible_events`, worked out earlier."""
-    if feasible is None:
-        feasible = _feasible_by_state(arena)
-    bad_d = frozenset(
-        key for key, edges in arena.decision_edges.items() if not edges
-    )
+    some feasible observation (by the :class:`Arena` invariant, each of its
+    events) has no decision state."""
+    decision_edges = arena.decision_edges
+    bad_d = frozenset(key for key, edges in decision_edges.items() if not edges)
     bad_o = frozenset(
         info
-        for info in arena.observation_events
-        if any((info, sigma) not in arena.decision_edges for sigma in feasible[info])
+        for info, events in arena.observation_events.items()
+        if any((info, sigma) not in decision_edges for sigma in events)
     )
     return IncompleteStates(bad_d, bad_o)
 
 
-def _reachable(arena: Arena) -> Arena:
-    if INITIAL_KEY not in arena.decision_edges:
-        return Arena(arena.model, arena.mode, {}, {}, arena.pruning_trace)
-    seen_d: set[DecisionKey] = set()
+def prune_incomplete(arena: Arena) -> Arena:
+    """Remove the incomplete states and every state their removal makes
+    incomplete, then drop states unreachable from the initial decision
+    state.  The result is the greatest complete safe sub-arena.
+
+    The removed states are the attractor of the incomplete ones, worked out
+    in one backward pass: a decision state goes when its last target has
+    gone (a count of live edges per decision state, decremented along
+    predecessor lists), an observation state when the first of its decision
+    states has.  A state's rank is 0 when it is incomplete in the given
+    arena, else one more than the rank of the removal that forced it out.
+    That is the round in which a round-by-round fixpoint would remove it,
+    and ``pruning_trace`` lists the removed states by rank.  When nothing is
+    incomplete the arena's dicts are shared, not rebuilt."""
+    decision_edges = arena.decision_edges
+    observation_events = arena.observation_events
+    bad = find_incomplete(arena)
+    if not bad:
+        return Arena(arena.model, arena.mode, decision_edges, observation_events)
+    predecessors: dict[InfoState, list[DecisionKey]] = {}
+    for key, edges in decision_edges.items():
+        for _, target in edges:
+            predecessors.setdefault(target, []).append(key)
+    live = {key: len(edges) for key, edges in decision_edges.items()}
+    removed_d: set[DecisionKey] = set(bad.decision_states)
+    removed_o: set[InfoState] = set(bad.observation_states)
+    level_d, level_o = list(removed_d), list(removed_o)
+    trace: list[tuple] = []
+    while level_d or level_o:
+        trace.append(
+            tuple(sorted(level_d, key=decision_key_order)) + tuple(sorted(level_o))
+        )
+        next_d: list[DecisionKey] = []
+        next_o: list[InfoState] = []
+        for info in level_o:
+            for key in predecessors.get(info, ()):
+                live[key] -= 1
+                if not live[key]:
+                    removed_d.add(key)
+                    next_d.append(key)
+        for info, _ in level_d:
+            if info is not None and info not in removed_o:
+                removed_o.add(info)
+                next_o.append(info)
+        level_d, level_o = next_d, next_o
+    if INITIAL_KEY in removed_d:
+        return Arena(arena.model, arena.mode, {}, {}, tuple(trace))
+    # Every event of a surviving observation state leads to a surviving
+    # decision state, or the observation state would have gone.
+    seen_d: set[DecisionKey] = {INITIAL_KEY}
     seen_o: set[InfoState] = set()
     stack: list[DecisionKey] = [INITIAL_KEY]
-    seen_d.add(INITIAL_KEY)
     while stack:
-        key = stack.pop()
-        for _, target in arena.decision_edges[key]:
-            if target in seen_o:
+        for _, target in decision_edges[stack.pop()]:
+            if target in removed_o or target in seen_o:
                 continue
             seen_o.add(target)
-            for sigma in arena.observation_events[target]:
+            for sigma in observation_events[target]:
                 child = (target, sigma)
-                if child in arena.decision_edges and child not in seen_d:
+                if child not in seen_d:
                     seen_d.add(child)
                     stack.append(child)
     return Arena(
         arena.model,
         arena.mode,
-        {k: v for k, v in arena.decision_edges.items() if k in seen_d},
-        {k: v for k, v in arena.observation_events.items() if k in seen_o},
-        arena.pruning_trace,
-    )
-
-
-def prune_incomplete(arena: Arena) -> Arena:
-    """Remove incomplete states and their incident transitions until none
-    remain, then drop states unreachable from the initial decision state.
-    The result is the greatest complete safe sub-arena."""
-    decision_edges = dict(arena.decision_edges)
-    observation_events = dict(arena.observation_events)
-    # What the plant can produce at a state depends on the state alone, so
-    # it is worked out once, not in every round.
-    feasible = _feasible_by_state(arena)
-    trace: list[tuple] = []
-    while True:
-        work = Arena(arena.model, arena.mode, decision_edges, observation_events)
-        bad = find_incomplete(work, feasible)
-        if not bad:
-            break
-        trace.append(
-            tuple(sorted(bad.decision_states, key=decision_key_order))
-            + tuple(sorted(bad.observation_states))
-        )
-        for key in bad.decision_states:
-            del decision_edges[key]
-        for info in bad.observation_states:
-            del observation_events[info]
-        observation_events = {
-            info: tuple(s for s in evs if (info, s) in decision_edges)
-            for info, evs in observation_events.items()
-        }
-        decision_edges = {
-            key: tuple(e for e in edges if e[1] in observation_events)
+        {
+            key: tuple(edge for edge in edges if edge[1] not in removed_o)
             for key, edges in decision_edges.items()
-        }
-    pruned = Arena(
-        arena.model, arena.mode, decision_edges, observation_events, tuple(trace)
+            if key in seen_d
+        },
+        {info: events for info, events in observation_events.items() if info in seen_o},
+        tuple(trace),
     )
-    return _reachable(pruned)
 
 
 def enumerate_structures(arena: Arena) -> Iterator[ControlStructure]:

@@ -278,6 +278,24 @@ def test_cli_synthesize_writes_artifacts(tmp_path, capsys):
     assert main(["verify", RUN, "--supervisor", str(out)]) == 0
 
 
+def test_cli_synthesize_reads_the_model_once_for_both_sidecars(tmp_path, monkeypatch):
+    """With both --out and --dot, one manifest serves both artifacts, so the
+    model file is read and hashed once and the sidecars are equal."""
+    built = []
+    manifest_for = cli.serialize.manifest_for
+
+    def counting(*args):
+        built.append(args)
+        return manifest_for(*args)
+
+    monkeypatch.setattr(cli.serialize, "manifest_for", counting)
+    out, dot = tmp_path / "s.json", tmp_path / "s.dot"
+    assert main(["synthesize", RUN, "--out", str(out), "--dot", str(dot)]) == 0
+    assert len(built) == 1
+    sidecars = [(tmp_path / f"s.{ext}.manifest.json").read_bytes() for ext in ("json", "dot")]
+    assert sidecars[0] == sidecars[1]
+
+
 def test_cli_synthesize_artifacts_are_reproducible(tmp_path):
     paths = []
     for name in ("a.json", "b.json"):

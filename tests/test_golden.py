@@ -5,7 +5,8 @@ of raw randgen arenas, recorded before the successor kernel was memoised.
 Any change to these bytes is a change to the artifact format or to the
 arena that expansion builds.  The estimator-slice digests were recorded
 when the slice became one breadth-first search, which numbers its nodes in
-discovery order."""
+discovery order.  The randgen pruning pins were recorded on the round-based
+pruning fixpoint, before pruning became one attractor pass."""
 
 import contextlib
 import hashlib
@@ -93,6 +94,32 @@ RANDGEN_ARENA_DIGESTS = {
 }
 
 
+# (draw, mode) -> (states removed in each pruning round, sha256 of the
+# pruning trace's repr, sha256 of the pruned arena's DOT), for the same
+# randgen draws.  Draw 24 prunes to the empty arena.
+RANDGEN_PRUNING_DIGESTS = {
+    (19, "observation"): (
+        (12, 10),
+        "cc45e04136c9061d080add533e90ccb372c044702809a1402f1c3307e4345156",
+        "38586c28c72909bf9ba26296ace08dabc3fb158d9f35c589890ece062cff283c",
+    ),
+    (19, "decision"): (
+        (18, 15),
+        "7371546807e4ddde9007f21cf1aac720dbdedd73d55e5b1f72f0a4f2d1d4326e",
+        "b0a0e008d41eca80a78e9c8f8b7968da34d3c31efed6ea7bc16a93bf3131bb29",
+    ),
+    (24, "observation"): (
+        (4, 4, 1),
+        "d2d36f62eb3ab19021e62ca036732cc2bb6540280bc3a9b509d5d613085eb2a3",
+        "7301c6a12b2b763110d652515adc097572d7e30413b56d0d3107893472db3ee8",
+    ),
+    (24, "decision"): (
+        (4, 4, 1),
+        "d2d36f62eb3ab19021e62ca036732cc2bb6540280bc3a9b509d5d613085eb2a3",
+        "7301c6a12b2b763110d652515adc097572d7e30413b56d0d3107893472db3ee8",
+    ),
+}
+
 # (mode, depth) -> sha256 of `export-dot --estimator` for run.json under
 # srun.json.  The plant is acyclic and every string is at most 4 events
 # long, so depth 6 renders the same graph as depth 4.
@@ -106,6 +133,11 @@ SLICE_DIGESTS = {
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _randgen_model(draw: int):
+    rng = random.Random(10)
+    return [random_model(rng, RANDGEN_CONFIG) for _ in range(draw + 1)][draw]
 
 
 @pytest.mark.parametrize("mode, policy", sorted(SYNTHESIZE_DIGESTS))
@@ -135,13 +167,22 @@ def test_arena_dot_is_byte_identical(run_model, mode):
 
 @pytest.mark.parametrize("draw, mode", sorted(RANDGEN_ARENA_DIGESTS))
 def test_randgen_raw_arena_is_byte_identical(draw, mode):
-    rng = random.Random(10)
-    model = [random_model(rng, RANDGEN_CONFIG) for _ in range(draw + 1)][draw]
-    arena = expand_arena(model, SynthesisConfig(mode=IssuanceMode(mode)))
+    arena = expand_arena(_randgen_model(draw), SynthesisConfig(mode=IssuanceMode(mode)))
     assert (arena.n_states, sha256(arena_to_dot(arena).encode())) == (
         RANDGEN_ARENA_DIGESTS[(draw, mode)]
     )
 
+
+@pytest.mark.parametrize("draw, mode", sorted(RANDGEN_PRUNING_DIGESTS))
+def test_randgen_pruned_arena_and_trace_are_byte_identical(draw, mode):
+    arena = expand_arena(_randgen_model(draw), SynthesisConfig(mode=IssuanceMode(mode)))
+    pruned = prune_incomplete(arena)
+    trace = pruned.pruning_trace
+    assert (
+        tuple(len(batch) for batch in trace),
+        sha256(repr(trace).encode()),
+        sha256(arena_to_dot(pruned).encode()),
+    ) == RANDGEN_PRUNING_DIGESTS[(draw, mode)]
 
 @pytest.mark.parametrize("mode, depth", sorted(SLICE_DIGESTS))
 def test_estimator_slice_dot_is_byte_identical(mode, depth):

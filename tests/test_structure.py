@@ -36,6 +36,8 @@ from opactrl import (
     ur_is,
     verify_closed_loop_opacity,
 )
+from opactrl import structure as structure_module
+from opactrl.dot import estimator_slice_to_dot
 from opactrl.estimator import AugmentedEvent, update_estimate
 from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
@@ -241,6 +243,33 @@ def test_verify_structure_route_matches_string_route(run_model, fig4, sprime):
     assert verify_closed_loop_opacity(run_model, fig4, DEC).opaque
     sprime_structure = structure_from_policy(run_model, sprime, OBS)
     assert verify_closed_loop_opacity(run_model, sprime_structure.decoded(), OBS).opaque
+
+
+def test_decoded_structure_slice_stops_growing_with_depth(monkeypatch):
+    """A decoded structure's observation signature is the decision state its
+    history reaches, so the closed-loop search merges histories that reach
+    the same one.  On randgen seed-10 draw 5 the estimator slice is whole by
+    depth 8: depth 30 renders the same graph, stays far inside the size
+    guard, and takes no more estimator steps."""
+    rng = random.Random(10)
+    config = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
+    model = [random_model(rng, config) for _ in range(6)][5]
+    decoded = synthesize(model, SynthesisConfig(mode=OBS)).structure.decoded()
+    calls = []
+    step = structure_module.estimator_step
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(structure_module, "estimator_step", counting)
+    slices, steps = {}, {}
+    for depth in (8, 30):
+        calls.clear()
+        slices[depth] = estimator_slice_to_dot(model, decoded, OBS, depth, 10_000)
+        steps[depth] = len(calls)
+    assert slices[30] == slices[8]
+    assert 0 < steps[30] <= steps[8]
 
 
 def test_verify_bounded_verdict_on_infinite_memory_policy():
@@ -470,10 +499,13 @@ def test_memoised_successors_match_the_set_level_reference(seed, mode):
 @given(model_seeds, st.sampled_from([OBS, DEC]))
 @settings(max_examples=40, deadline=None)
 def test_kernel_answers_states_it_never_produced(seed, mode):
-    """A kernel that has already interned an expansion's estimator states is
-    asked about information states whose members it has never met: any
-    plant state, any estimate, one shared decision.  It interns them on the
-    way in and still gives the set-level answers."""
+    """A kernel that has already interned an expansion's cores is asked
+    about information states with a (plant state, estimate) core it has
+    never met: any plant state, any estimate, one shared decision.  It
+    interns them on the way in and still gives the set-level answers, under
+    every new decision.  Under the decision-triggered mechanism that covers
+    the unchanged decision, which releases nothing, next to changed
+    decisions of the same class."""
     rng = random.Random(seed)
     model = random_model(rng, RandomModelConfig(max_states=5, max_events=4))
     succ = Successors(model, mode)
@@ -488,8 +520,8 @@ def test_kernel_answers_states_it_never_produced(seed, mode):
                 for x in rng.sample(range(n), rng.randint(1, n))
             ]
         )
-        if all(m in succ._ids for m in state):
-            continue  # only states with a member the kernel has not met
+        if all((m.plant_state, m.estimate) in succ._core_ids for m in state):
+            continue  # only states with a core the kernel has not met
         assert succ.ur(state, gamma) == _reference_ur(model, state, gamma, mode)
         for sigma in range(len(model.events)):
             gamma_new = rng.choice(decisions)
@@ -498,6 +530,10 @@ def test_kernel_answers_states_it_never_produced(seed, mode):
             assert succ((state, sigma), gamma_new) == _reference_ur(
                 model, image, gamma_new, mode
             )
+            assert succ.successors((state, sigma), decisions) == [
+                _reference_ur(model, _reference_nx(model, state, sigma, d, mode), d, mode)
+                for d in decisions
+            ]
 
 
 def _record_updates(monkeypatch):

@@ -33,7 +33,7 @@ from opactrl.estimator import AugmentedEvent, estimator_step
 from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model
 from opactrl.serialize import structure_to_json
-from opactrl.structure import feasible_events
+from opactrl.structure import decision_key_order, feasible_events
 from opactrl.synthesis import extract_matching
 
 SIGMA = "a u1 u2 u3 b"
@@ -503,3 +503,174 @@ def test_size_guard_trips_where_the_tuple_expansion_does(run_model, mode):
         assert outcome == _expansion_outcome(_tuple_expand, run_model, cfg)
         tripped += outcome[0] == "guard"
     assert tripped == 40  # both arenas have more than 40 states
+
+
+# Attractor pruning against the round-based fixpoint -------------------------
+
+
+def _round_based_prune(arena):
+    """Pruning as a round-by-round fixpoint: remove every state incomplete
+    against the feasible events, filter the edges, repeat until nothing is
+    incomplete, then keep what the initial decision state reaches.  Each
+    round is one entry of the trace."""
+    model = arena.model
+    feasible = {info: feasible_events(model, info) for info in arena.observation_events}
+    decision_edges = dict(arena.decision_edges)
+    observation_events = dict(arena.observation_events)
+    trace = []
+    while True:
+        bad_d = {key for key, edges in decision_edges.items() if not edges}
+        bad_o = {
+            info
+            for info in observation_events
+            if any((info, sigma) not in decision_edges for sigma in feasible[info])
+        }
+        if not bad_d and not bad_o:
+            break
+        trace.append(tuple(sorted(bad_d, key=decision_key_order)) + tuple(sorted(bad_o)))
+        for key in bad_d:
+            del decision_edges[key]
+        for info in bad_o:
+            del observation_events[info]
+        observation_events = {
+            info: tuple(s for s in evs if (info, s) in decision_edges)
+            for info, evs in observation_events.items()
+        }
+        decision_edges = {
+            key: tuple(e for e in edges if e[1] in observation_events)
+            for key, edges in decision_edges.items()
+        }
+    seen_d, seen_o = _reachable_states(
+        Arena(model, arena.mode, decision_edges, observation_events)
+    )
+    return Arena(
+        model,
+        arena.mode,
+        {k: v for k, v in decision_edges.items() if k in seen_d},
+        {k: v for k, v in observation_events.items() if k in seen_o},
+        tuple(trace),
+    )
+
+
+def _reachable_states(arena):
+    """The decision and observation states reachable from the initial
+    decision state."""
+    if INITIAL_KEY not in arena.decision_edges:
+        return set(), set()
+    seen_d, seen_o = {INITIAL_KEY}, set()
+    stack = [INITIAL_KEY]
+    while stack:
+        for _, target in arena.decision_edges[stack.pop()]:
+            if target in seen_o or target not in arena.observation_events:
+                continue
+            seen_o.add(target)
+            for sigma in arena.observation_events[target]:
+                child = (target, sigma)
+                if child in arena.decision_edges and child not in seen_d:
+                    seen_d.add(child)
+                    stack.append(child)
+    return seen_d, seen_o
+
+
+def _chain_model(n, escape):
+    """An uncontrollable, supervisor-observable ``u`` chain s0..s(n-1) that
+    ends in the intruder-visible reveal ``r`` into the secret state.  The
+    escape variant enters the chain from a root through the controllable
+    ``c``.  Without the escape everything is pruned, one state per round."""
+    states = [f"s{i}" for i in range(n)] + ["S"]
+    transitions = [[states[i], "u", states[i + 1]] for i in range(n - 1)]
+    transitions.append([states[n - 1], "r", "S"])
+    events, controllable, observed = ["u", "r"], [], ["u"]
+    if escape:
+        states.insert(0, "root")
+        transitions.insert(0, ["root", "c", "s0"])
+        events, controllable, observed = ["c", "u", "r"], ["c"], ["c", "u"]
+    return PlantModel.from_dict(
+        {
+            "states": states,
+            "events": events,
+            "initial": states[0],
+            "secret": ["S"],
+            "transitions": transitions,
+            "observable_supervisor": observed,
+            "observable_intruder": ["r"],
+            "controllable": controllable,
+        }
+    )
+
+
+# (kind, plant): random plants, and forced chains of up to 60 states.
+plants = st.one_of(
+    st.builds(
+        lambda seed: ("random", random_model(random.Random(seed), RandomModelConfig())),
+        model_seeds,
+    ),
+    st.builds(
+        lambda n, escape: ("chain", _chain_model(n, escape)),
+        st.integers(2, 60),
+        st.booleans(),
+    ),
+)
+
+
+def _expand_or_none(model, mode):
+    try:
+        return expand_arena(model, SynthesisConfig(mode=mode, size_guard=5_000))
+    except SizeGuardExceeded:
+        return None
+
+
+def _with_orders(arena):
+    return (
+        arena,
+        list(arena.decision_edges.items()),
+        list(arena.observation_events.items()),
+        arena.pruning_trace,
+    )
+
+
+def test_attractor_pruning_matches_the_round_based_fixpoint():
+    """Same pruned arena, same dict insertion orders and the same trace: a
+    state's attractor rank is the round in which the fixpoint removes it.
+    Random plants and forced chains both have to prune something in some
+    drawn example, in each mode."""
+    pruned_some = set()
+
+    @given(plants, st.sampled_from([OBS, DEC]))
+    @settings(max_examples=120, deadline=None)
+    def check(plant, mode):
+        kind, model = plant
+        arena = _expand_or_none(model, mode)
+        if arena is None:
+            return
+        expected = _round_based_prune(arena)
+        assert _with_orders(prune_incomplete(arena)) == _with_orders(expected)
+        if expected.pruning_trace:
+            pruned_some.add((kind, mode))
+
+    check()
+    assert pruned_some == {(kind, mode) for kind in ("random", "chain") for mode in (OBS, DEC)}
+
+
+def test_forced_chain_prunes_one_state_per_round():
+    arena = expand_arena(_chain_model(60, False), SynthesisConfig(mode=OBS))
+    pruned = prune_incomplete(arena)
+    assert pruned.is_empty
+    assert [len(batch) for batch in pruned.pruning_trace] == [1] * (2 * 60 - 1)
+    assert _with_orders(pruned) == _with_orders(_round_based_prune(arena))
+
+
+@given(plants, st.sampled_from([OBS, DEC]))
+@settings(max_examples=60, deadline=None)
+def test_expansion_and_pruning_keep_the_arena_invariants(plant, mode):
+    """Every observation state lists exactly its feasible events, and every
+    state is reachable from the initial decision state, before and after
+    pruning."""
+    _, model = plant
+    arena = _expand_or_none(model, mode)
+    if arena is None:
+        return
+    for a in (arena, prune_incomplete(arena)):
+        for info, events in a.observation_events.items():
+            assert events == feasible_events(model, info)
+        assert _reachable_states(a) == (set(a.decision_edges), set(a.observation_events))
