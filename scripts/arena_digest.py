@@ -17,7 +17,9 @@ digest covers:
 
 Run ``python3 scripts/arena_digest.py``; it imports ``opactrl`` from the
 ``src`` directory of its own checkout and takes a few seconds.  Equal output
-from two checkouts means equal results on this corpus.
+from two checkouts means equal results on this corpus.  ``digest(models)``
+gives the same lines for any list of models; ``tests/test_golden.py`` pins
+them for a slice of the corpus.
 """
 
 from __future__ import annotations
@@ -97,10 +99,14 @@ def digest_mode(models, mode: IssuanceMode) -> str:
     return h.hexdigest()
 
 
+def digest(models) -> list[str]:
+    """The lines printed for ``models``: one per issuance mode, its name and
+    its digest."""
+    return [f"{mode.value}: {digest_mode(models, mode)}" for mode in IssuanceMode]
+
+
 def main() -> None:
-    models = corpus()
-    for mode in IssuanceMode:
-        print(f"{mode.value}: {digest_mode(models, mode)}")
+    print("\n".join(digest(corpus())))
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ parse, resource or internal errors, 3 synthesize: no solution exists.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -33,13 +34,29 @@ class CliError(Exception):
     pass
 
 
-def _load_model(path: str) -> PlantModel:
+def _read_input(path: str, what: str) -> tuple[bytes, str]:
+    """The bytes of an input file, and their text decoded as
+    ``Path.read_text`` decodes a file (default encoding, universal
+    newlines).  A command reads each input once, so that its manifest
+    digests the bytes it parsed."""
     try:
-        return PlantModel.from_json(Path(path).read_text())
+        data = Path(path).read_bytes()
     except OSError as exc:
-        raise CliError(f"cannot read model: {exc}") from exc
+        raise CliError(f"cannot read {what}: {exc}") from exc
+    return data, io.TextIOWrapper(io.BytesIO(data)).read()
+
+
+def _parse_model(path: str, text: str) -> PlantModel:
+    try:
+        return PlantModel.from_json(text)
     except ModelFormatError as exc:
         raise CliError(f"invalid model {path}: {exc}") from exc
+
+
+def _load_model(path: str) -> tuple[PlantModel, bytes]:
+    """The model in a file, and the file's bytes."""
+    data, text = _read_input(path, "model")
+    return _parse_model(path, text), data
 
 
 def _mode(args) -> IssuanceMode:
@@ -76,17 +93,7 @@ def _add_common(parser: argparse.ArgumentParser, guard: str) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="opactrl",
-        description=(
-            "Verify and enforce current-state opacity of finite-state "
-            "discrete-event systems against an intruder that eavesdrops on "
-            "online control decisions."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="check opacity of a plant or a closed loop")
     p.add_argument("model", help="model document (JSON)")
     group = p.add_mutually_exclusive_group(required=True)
@@ -96,6 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search depth for tabular policies")
     _add_common(p, "maximum closed-loop states visited with --supervisor")
 
+
+def _add_synthesize(sub) -> None:
     p = sub.add_parser("synthesize", help="synthesize an opacity-enforcing supervisor")
     p.add_argument("model")
     p.add_argument(
@@ -107,11 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="PATH", help="write a DOT rendering here")
     _add_common(p, "maximum arena state count")
 
+
+def _add_estimate(sub) -> None:
     p = sub.add_parser("estimate", help="intruder state estimate of a flow trace")
     p.add_argument("model")
     p.add_argument("--flow", required=True, metavar="PATH", help="flow trace file")
     _add_common(p, "ignored: estimate makes one pass over the flow")
 
+
+def _add_export_dot(sub) -> None:
     p = sub.add_parser("export-dot", help="render a model or structure as DOT")
     p.add_argument("input", help="model or control-structure document")
     p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
@@ -123,11 +136,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_int_at_least(0), default=6,
                    help="depth for --estimator")
     _add_common(p, "maximum closed-loop states the --estimator slice visits")
+
+
+SUBCOMMANDS = {
+    "verify": _add_verify,
+    "synthesize": _add_synthesize,
+    "estimate": _add_estimate,
+    "export-dot": _add_export_dot,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  When ``command`` names a subcommand, only
+    that subcommand's parser is added, so a call parses no more than it
+    runs; otherwise (``-h``, no arguments, an unknown command) all of them
+    are.  Either way it prints the same help, usage and error lines."""
+    parser = argparse.ArgumentParser(
+        prog="opactrl",
+        description=(
+            "Verify and enforce current-state opacity of finite-state "
+            "discrete-event systems against an intruder that eavesdrops on "
+            "online control decisions."
+        ),
+    )
+    adders = list(SUBCOMMANDS.values())
+    metavar = None  # argparse lists the subcommands it has
+    if command in SUBCOMMANDS:
+        adders = [SUBCOMMANDS[command]]
+        # The top-level usage line still lists every subcommand.
+        metavar = "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for add in adders:
+        add(sub)
     return parser
 
 
 def _cmd_verify(args) -> int:
-    model = _load_model(args.model)
+    model, _ = _load_model(args.model)
     if not model.is_live:
         print("note: model is not live (some reachable state is terminal)")
     if args.open_loop:
@@ -159,7 +204,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    model = _load_model(args.model)
+    model, data = _load_model(args.model)
     cfg = SynthesisConfig(
         mode=_mode(args),
         extraction_policy=args.policy,
@@ -187,9 +232,9 @@ def _cmd_synthesize(args) -> int:
         "pruning_iterations": outcome.pruning_iterations,
     }
     if args.out or args.dot:
-        # One manifest for both artifacts: the model file is read and hashed once.
+        # One manifest for both artifacts, over the bytes the model was parsed from.
         manifest = serialize.manifest_for(
-            "synthesize", [args.model], config_doc, outcome_doc
+            "synthesize", {args.model: data}, config_doc, outcome_doc
         )
     if args.out:
         serialize.write_artifact(
@@ -203,7 +248,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    model = _load_model(args.model)
+    model, _ = _load_model(args.model)
     try:
         flow = serialize.parse_flow(model, Path(args.flow).read_text())
         estimate = estimate_from_flow(model, flow, _mode(args))
@@ -216,12 +261,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read input: {exc}") from exc
+    data, text = _read_input(args.input, "input")
     if args.estimator:
-        model = _load_model(args.input)
+        model = _parse_model(args.input, text)
         if not args.supervisor:
             raise CliError("--estimator requires --supervisor")
         try:
@@ -248,7 +290,7 @@ def _cmd_export_dot(args) -> int:
         if isinstance(doc, dict) and doc.get("type") == "control-structure":
             if not args.model_path:
                 raise CliError("structure input requires --model")
-            model = _load_model(args.model_path)
+            model, _ = _load_model(args.model_path)
             try:
                 structure = serialize.structure_from_dict(model, doc)
             except ModelFormatError as exc:
@@ -262,7 +304,7 @@ def _cmd_export_dot(args) -> int:
             output = dotmod.model_to_dot(model)
     if args.out:
         manifest = serialize.manifest_for(
-            "export-dot", [args.input], {"estimator": args.estimator}, {}
+            "export-dot", {args.input: data}, {"estimator": args.estimator}, {}
         )
         serialize.write_artifact(args.out, output, manifest)
     else:
@@ -271,7 +313,8 @@ def _cmd_export_dot(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

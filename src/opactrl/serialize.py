@@ -239,11 +239,12 @@ class RunManifest:
         }
 
 
-def manifest_for(command: str, input_paths: list[str | Path], config: dict, outcome: dict) -> RunManifest:
-    digests = {}
-    for path in input_paths:
-        p = Path(path)
-        digests[str(p)] = sha256_of(p.read_bytes())
+def manifest_for(
+    command: str, inputs: dict[str, bytes], config: dict, outcome: dict
+) -> RunManifest:
+    """The manifest of a run that read ``inputs``, each path with the bytes
+    the run parsed from it."""
+    digests = {str(Path(path)): sha256_of(data) for path, data in inputs.items()}
     return RunManifest(command, digests, config, outcome)
 
 

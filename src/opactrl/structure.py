@@ -141,7 +141,7 @@ class Successors:
       steps on its own;
     - one row per (core id, event, old decision): the core's image under
       the event, closed, under one representative of each class of new
-      decision (see :meth:`_layout`).  The targets of a decision state are
+      decision (see :meth:`layout`).  The targets of a decision state are
       the rows of the cores the event moves, merged position by position
       (see :meth:`targets`);
     - the canonical :data:`InfoState` of each (decision, core set) the
@@ -305,7 +305,7 @@ class Successors:
             out |= self._closure(self._step(c, m, sigma, gamma), gamma)
         return out
 
-    def _layout(self, old: int | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def layout(self, old: int | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The classes of the new decisions after ``old`` (None at the
         initial decision state): one representative of each class, in order
         of first appearance in :attr:`decisions`, and each decision's
@@ -329,7 +329,7 @@ class Successors:
 
     def _row(self, c: int | None, old: int | None, sigma: int | None) -> tuple[int, ...]:
         """The closed images of core ``c`` under ``sigma`` after decision
-        ``old``, one per representative of :meth:`_layout`.  The old decision
+        ``old``, one per representative of :meth:`layout`.  The old decision
         is read through its class, except under the decision-triggered
         mechanism, where the layout depends on all of it."""
         if old is not None and not self._decision_mode:
@@ -343,28 +343,25 @@ class Successors:
             m = None if c is None else EstimatorState(*self._cores[c], old)
             row = self._rows[key] = tuple(
                 closure(step(c, m, sigma, gamma), gamma)
-                for gamma in self._layout(old)[0]
+                for gamma in self.layout(old)[0]
             )
         return row
 
-    def targets(self, old: int | None, cores: int | None, sigma: int | None) -> list[int]:
+    def targets(self, old: int | None, cores: int | None, sigma: int | None) -> Sequence[int]:
         """The core sets of the observation states reached from decision
-        state (observation state, ``sigma``) under each of :attr:`decisions`,
-        in order, where the observation state has decision ``old`` and core
-        set ``cores``; both are None at the initial decision state.
-        ``sigma`` must move some core, as every feasible observation does."""
+        state (observation state, ``sigma``), one per class of new decision
+        in :meth:`layout` order, where the observation state has decision
+        ``old`` and core set ``cores``; both are None at the initial
+        decision state.  ``sigma`` must move some core, as every feasible
+        observation does."""
         if cores is None:
-            row = self._row(None, None, None)
-        else:
-            rows = [
-                self._row(c, old, sigma)
-                for c in iter_bits(cores & self._active_at[sigma])
-            ]
-            if len(rows) == 1:
-                row = rows[0]
-            else:
-                row = [reduce(or_, column) for column in zip(*rows)]
-        return [row[i] for i in self._layout(old)[1]]
+            return self._row(None, None, None)
+        rows = [
+            self._row(c, old, sigma) for c in iter_bits(cores & self._active_at[sigma])
+        ]
+        if len(rows) == 1:
+            return rows[0]
+        return [reduce(or_, column) for column in zip(*rows)]
 
     # Information states in, information states out -------------------------
 

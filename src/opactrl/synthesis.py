@@ -4,15 +4,18 @@ Expansion enumerates every control decision from every reachable decision
 state, keeping only safe observation states.  Pruning removes the attractor
 of the incomplete states: decision states left with no decision, and
 observation states missing a feasible observation.  Extraction then commits
-one decision per surviving decision state.
+one decision per surviving decision state.  All three run on state ids;
+information states are built for the structures extracted, and for an
+arena's dict views when those are read.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from .estimator import IssuanceMode
 from .model import PlantModel
@@ -58,9 +61,52 @@ class IncompleteStates(NamedTuple):
         return bool(self.decision_states or self.observation_states)
 
 
+class _Expansion:
+    """The states one expansion numbered, shared by the arena it built and
+    by every arena pruned from it.
+
+    Observation state ``o`` (ids in order of first reach) has the decision
+    ``decision[o]``, the core set ``cores[o]`` (see :class:`Successors`) and
+    the feasible events ``events[o]``.  Decision state 0 is the initial one;
+    the decision states of ``o`` have the consecutive ids ``base[o] + i``,
+    one per event ``events[o][i]``, and ``owner[d]`` is the observation
+    state of decision state ``d`` (-1 for the initial one).  So ids follow
+    the insertion order of the dict views of :class:`Arena`.  An
+    ``InfoState`` is built only when asked for, once per id."""
+
+    def __init__(self, kernel: Successors):
+        self.kernel = kernel
+        self.decision: list[int] = []
+        self.cores: list[int] = []
+        self.events: list[tuple[int, ...]] = []
+        self.base: list[int] = []
+        self.owner: list[int] = [-1]
+        self._infos: dict[int, InfoState] = {}
+
+    def info(self, o: int) -> InfoState:
+        info = self._infos.get(o)
+        if info is None:
+            info = self._infos[o] = self.kernel.info_of(self.decision[o], self.cores[o])
+        return info
+
+    def key(self, d: int) -> DecisionKey:
+        if not d:
+            return INITIAL_KEY
+        o = self.owner[d]
+        return self.info(o), self.events[o][d - self.base[o]]
+
+
 class Arena:
     """Expansion result: like a control structure, but decision states carry
     every safe alternative (possibly none).
+
+    It is held in the ids of :class:`_Expansion`: per decision state, its
+    edges as (decision, observation state id), and per observation state,
+    its events; None marks a state that is not in this arena (pruning keeps
+    the ids of the arena it prunes).  ``decision_edges``,
+    ``observation_events`` and ``pruning_trace`` are read-only views in
+    ``InfoState``s, built on first read, with the insertion orders of a
+    dict-based expansion.
 
     Expansion and pruning both keep two invariants, and pruning relies on
     them:
@@ -69,29 +115,85 @@ class Arena:
       observation state;
     - every state is reachable from the initial decision state, along
       decision edges into observation states and from an observation state
-      ``info`` along each of its events ``sigma`` into ``(info, sigma)``."""
+      ``info`` along each of its events ``sigma`` into ``(info, sigma)``.
+
+    In ids, the decision states of an observation state are in the arena
+    exactly when it is."""
 
     def __init__(
         self,
-        model: PlantModel,
-        mode: IssuanceMode,
-        decision_edges: dict[DecisionKey, tuple[tuple[int, InfoState], ...]],
-        observation_events: dict[InfoState, tuple[int, ...]],
-        pruning_trace: tuple[tuple, ...] = (),
+        expansion: _Expansion,
+        edges: list[tuple[tuple[int, int], ...] | None],
+        events: list[tuple[int, ...] | None],
+        counts: tuple[int, int],
+        ranks: tuple[tuple[list[int], list[int]], ...] = (),
     ):
-        self.model = model
-        self.mode = mode
-        self.decision_edges = decision_edges
-        self.observation_events = observation_events
-        self.pruning_trace = pruning_trace
+        self.model = expansion.kernel.model
+        self.mode = expansion.kernel.mode
+        self._expansion = expansion
+        self._edges = edges
+        self._events = events
+        self._counts = counts  # decision states, observation states
+        self._ranks = ranks  # per rank: the decision and observation ids removed
+        self._dicts: tuple[Mapping, Mapping] | None = None
+        self._trace: tuple[tuple, ...] | None = None
 
     @property
     def n_states(self) -> int:
-        return len(self.decision_edges) + len(self.observation_events)
+        return self._counts[0] + self._counts[1]
 
     @property
     def is_empty(self) -> bool:
-        return INITIAL_KEY not in self.decision_edges
+        return self._edges[0] is None
+
+    @property
+    def pruning_iterations(self) -> int:
+        return len(self._ranks)
+
+    def _dict_views(self) -> tuple[Mapping, Mapping]:
+        if self._dicts is None:
+            info, base = self._expansion.info, self._expansion.base
+            edges = self._edges
+
+            def targets(d):
+                return tuple((gamma, info(o)) for gamma, o in edges[d])
+
+            decision_edges: dict[DecisionKey, tuple[tuple[int, InfoState], ...]] = {}
+            observation_events: dict[InfoState, tuple[int, ...]] = {}
+            if edges[0] is not None:
+                decision_edges[INITIAL_KEY] = targets(0)
+            for o, events in enumerate(self._events):
+                if events is not None:
+                    target = info(o)
+                    observation_events[target] = events
+                    for d, sigma in enumerate(events, base[o]):
+                        decision_edges[(target, sigma)] = targets(d)
+            self._dicts = (
+                MappingProxyType(decision_edges),
+                MappingProxyType(observation_events),
+            )
+        return self._dicts
+
+    @property
+    def decision_edges(self) -> Mapping[DecisionKey, tuple[tuple[int, InfoState], ...]]:
+        return self._dict_views()[0]
+
+    @property
+    def observation_events(self) -> Mapping[InfoState, tuple[int, ...]]:
+        return self._dict_views()[1]
+
+    @property
+    def pruning_trace(self) -> tuple[tuple, ...]:
+        """The removed states by rank: decision keys in
+        :func:`decision_key_order`, then observation states, sorted."""
+        if self._trace is None:
+            key, info = self._expansion.key, self._expansion.info
+            self._trace = tuple(
+                tuple(sorted(map(key, ds), key=decision_key_order))
+                + tuple(sorted(map(info, os)))
+                for ds, os in self._ranks
+            )
+        return self._trace
 
     def canonical_form(self):
         return graph_canonical_form(
@@ -103,8 +205,8 @@ class Arena:
 
     def __repr__(self):
         return (
-            f"Arena({len(self.decision_edges)} decision states, "
-            f"{len(self.observation_events)} observation states, {self.mode.value})"
+            f"Arena({self._counts[0]} decision states, "
+            f"{self._counts[1]} observation states, {self.mode.value})"
         )
 
 
@@ -115,43 +217,47 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     observation.  Unsafe targets are computed, tested, and discarded without
     ever entering the arena.
 
-    The kernel answers with sets of core ids (see :class:`Successors`), on
-    which the safety test is one mask test, since safety reads the estimates
-    only; a safe target gets its canonical information state when it is
-    first reached under its decision."""
+    The kernel answers with one set of core ids per class of decision (see
+    :class:`Successors`), on which the safety test is one mask test, since
+    safety reads the estimates only; it is made once per class.  A safe
+    target gets its observation state id when it is first reached under its
+    decision; no ``InfoState`` is built."""
     successor = Successors(model, cfg.mode)
+    expansion = _Expansion(successor)
+    decision_of, cores_of, events_of = expansion.decision, expansion.cores, expansion.events
+    base, owner = expansion.base, expansion.owner
     decisions = successor.decisions
-    decision_edges: dict[DecisionKey, tuple[tuple[int, InfoState], ...] | None] = {
-        INITIAL_KEY: None
-    }
-    observation_events: dict[InfoState, tuple[int, ...]] = {}
-    reached: dict[tuple[int, int], InfoState] = {}
-    # Each entry is a decision key and the decision and core set of its
-    # observation state (None for the initial decision state).
-    stack: list[tuple[DecisionKey, int | None, int | None]] = [(INITIAL_KEY, None, None)]
+    is_safe, feasible_events = successor.is_safe, successor.feasible_events
+    edges: list[tuple[tuple[int, int], ...] | None] = [None]
+    reached: dict[tuple[int, int], int] = {}
+    # Each entry is a decision state, the decision and core set of its
+    # observation state and its event (all None for the initial one).
+    stack: list[tuple[int, int | None, int | None, int | None]] = [(0, None, None, None)]
     while stack:
-        key, old, cores = stack.pop()
-        edges = []
-        for gamma, t in zip(decisions, successor.targets(old, cores, key[1])):
-            target = reached.get((gamma, t))
-            if target is None:
-                if not successor.is_safe(t):
-                    continue
-                target = reached[(gamma, t)] = successor.info_of(gamma, t)
-                feasible = successor.feasible_events(gamma, t)
-                observation_events[target] = feasible
-                for sigma in feasible:
-                    child = (target, sigma)
-                    decision_edges[child] = None
-                    stack.append((child, gamma, t))
-                if len(decision_edges) + len(observation_events) > cfg.size_guard:
-                    raise SizeGuardExceeded(
-                        cfg.size_guard, len(decision_edges), len(observation_events)
-                    )
-            edges.append((gamma, target))
-        decision_edges[key] = tuple(edges)
-    assert all(v is not None for v in decision_edges.values())
-    return Arena(model, cfg.mode, decision_edges, observation_events)  # type: ignore[arg-type]
+        d, old, cores, sigma = stack.pop()
+        row = [t if is_safe(t) else None for t in successor.targets(old, cores, sigma)]
+        out = []
+        for gamma, column in zip(decisions, successor.layout(old)[1]):
+            t = row[column]
+            if t is None:
+                continue
+            o = reached.get((gamma, t))
+            if o is None:
+                o = reached[(gamma, t)] = len(cores_of)
+                feasible = feasible_events(gamma, t)
+                decision_of.append(gamma)
+                cores_of.append(t)
+                events_of.append(feasible)
+                base.append(len(edges))
+                for s in feasible:
+                    stack.append((len(edges), gamma, t, s))
+                    edges.append(None)
+                    owner.append(o)
+                if len(edges) + len(cores_of) > cfg.size_guard:
+                    raise SizeGuardExceeded(cfg.size_guard, len(edges), len(cores_of))
+            out.append((gamma, o))
+        edges[d] = tuple(out)
+    return Arena(expansion, edges, events_of, (len(edges), len(events_of)))
 
 
 def find_incomplete(arena: Arena) -> IncompleteStates:
@@ -174,72 +280,67 @@ def prune_incomplete(arena: Arena) -> Arena:
     state.  The result is the greatest complete safe sub-arena.
 
     The removed states are the attractor of the incomplete ones, worked out
-    in one backward pass: a decision state goes when its last target has
-    gone (a count of live edges per decision state, decremented along
-    predecessor lists), an observation state when the first of its decision
-    states has.  A state's rank is 0 when it is incomplete in the given
+    in one backward pass over ids: a decision state goes when its last
+    target has gone (a count of live edges per decision state, decremented
+    along predecessor lists), an observation state when the first of its
+    decision states has.  Every event of an observation state has its
+    decision state, so only decision states with no edge are incomplete to
+    begin with.  A state's rank is 0 when it is incomplete in the given
     arena, else one more than the rank of the removal that forced it out.
     That is the round in which a round-by-round fixpoint would remove it,
     and ``pruning_trace`` lists the removed states by rank.  When nothing is
-    incomplete the arena's dicts are shared, not rebuilt."""
-    decision_edges = arena.decision_edges
-    observation_events = arena.observation_events
-    bad = find_incomplete(arena)
-    if not bad:
-        return Arena(arena.model, arena.mode, decision_edges, observation_events)
-    predecessors: dict[InfoState, list[DecisionKey]] = {}
-    for key, edges in decision_edges.items():
-        for _, target in edges:
-            predecessors.setdefault(target, []).append(key)
-    live = {key: len(edges) for key, edges in decision_edges.items()}
-    removed_d: set[DecisionKey] = set(bad.decision_states)
-    removed_o: set[InfoState] = set(bad.observation_states)
-    level_d, level_o = list(removed_d), list(removed_o)
-    trace: list[tuple] = []
+    incomplete the arena's lists are shared, not rebuilt."""
+    expansion = arena._expansion
+    edges, events = arena._edges, arena._events
+    level_d = [d for d, out in enumerate(edges) if out is not None and not out]
+    if not level_d:
+        return Arena(expansion, edges, events, arena._counts)
+    predecessors: list[list[int]] = [[] for _ in events]
+    live = [0] * len(edges)
+    for d, out in enumerate(edges):
+        if out:
+            live[d] = len(out)
+            for _, o in out:
+                predecessors[o].append(d)
+    owner = expansion.owner
+    removed_o = bytearray(len(events))
+    level_o: list[int] = []
+    ranks = []
     while level_d or level_o:
-        trace.append(
-            tuple(sorted(level_d, key=decision_key_order)) + tuple(sorted(level_o))
-        )
-        next_d: list[DecisionKey] = []
-        next_o: list[InfoState] = []
-        for info in level_o:
-            for key in predecessors.get(info, ()):
-                live[key] -= 1
-                if not live[key]:
-                    removed_d.add(key)
-                    next_d.append(key)
-        for info, _ in level_d:
-            if info is not None and info not in removed_o:
-                removed_o.add(info)
-                next_o.append(info)
+        ranks.append((level_d, level_o))
+        next_d = []
+        for o in level_o:
+            for d in predecessors[o]:
+                live[d] -= 1
+                if not live[d]:
+                    next_d.append(d)
+        next_o = []
+        for d in level_d:
+            o = owner[d]
+            if o >= 0 and not removed_o[o]:
+                removed_o[o] = 1
+                next_o.append(o)
         level_d, level_o = next_d, next_o
-    if INITIAL_KEY in removed_d:
-        return Arena(arena.model, arena.mode, {}, {}, tuple(trace))
+    kept_edges: list[tuple[tuple[int, int], ...] | None] = [None] * len(edges)
+    kept_events: list[tuple[int, ...] | None] = [None] * len(events)
+    if not live[0]:  # the initial decision state went
+        return Arena(expansion, kept_edges, kept_events, (0, 0), tuple(ranks))
     # Every event of a surviving observation state leads to a surviving
     # decision state, or the observation state would have gone.
-    seen_d: set[DecisionKey] = {INITIAL_KEY}
-    seen_o: set[InfoState] = set()
-    stack: list[DecisionKey] = [INITIAL_KEY]
+    base = expansion.base
+    n_decision = n_observation = 0
+    stack = [0]
     while stack:
-        for _, target in decision_edges[stack.pop()]:
-            if target in removed_o or target in seen_o:
-                continue
-            seen_o.add(target)
-            for sigma in observation_events[target]:
-                child = (target, sigma)
-                if child not in seen_d:
-                    seen_d.add(child)
-                    stack.append(child)
+        d = stack.pop()
+        n_decision += 1
+        out = kept_edges[d] = tuple(edge for edge in edges[d] if not removed_o[edge[1]])
+        for _, o in out:
+            if kept_events[o] is None:
+                kept_events[o] = events[o]
+                n_observation += 1
+                stack.extend(range(base[o], base[o] + len(events[o])))
     return Arena(
-        arena.model,
-        arena.mode,
-        {
-            key: tuple(edge for edge in edges if edge[1] not in removed_o)
-            for key, edges in decision_edges.items()
-            if key in seen_d
-        },
-        {info: events for info, events in observation_events.items() if info in seen_o},
-        tuple(trace),
+        expansion, kept_edges, kept_events, (n_decision, n_observation), tuple(ranks)
     )
 
 
@@ -325,27 +426,35 @@ def extract_matching(arena: Arena, sup) -> ControlStructure | None:
 
 
 def _walk_assignment(arena: Arena, choose) -> ControlStructure:
-    assigned: dict[DecisionKey, tuple[int, InfoState]] = {}
-    known_obs: dict[InfoState, tuple[int, ...]] = {}
-    pending: deque[DecisionKey] = deque([INITIAL_KEY])
+    """Commit ``choose(edges)`` at every decision state reached from the
+    initial one, breadth first, over ids; only the ``InfoState``s of the
+    structure are built."""
+    expansion = arena._expansion
+    edges, events, base = arena._edges, arena._events, expansion.base
+    assigned: dict[int, tuple[int, int]] = {}
+    known: dict[int, tuple[int, ...]] = {}
+    pending: deque[int] = deque([0])
     while pending:
-        key = pending.popleft()
-        if key in assigned:
-            continue
-        edges = arena.decision_edges[key]
-        gamma, target = choose(key, edges)
-        assigned[key] = (gamma, target)
-        if target not in known_obs:
-            known_obs[target] = arena.observation_events[target]
-            pending.extend((target, s) for s in known_obs[target])
-    return ControlStructure(arena.model, arena.mode, assigned, known_obs)
+        d = pending.popleft()
+        edge = assigned[d] = choose(edges[d])
+        o = edge[1]
+        if o not in known:
+            known[o] = events[o]
+            pending.extend(range(base[o], base[o] + len(events[o])))
+    info = expansion.info
+    return ControlStructure(
+        arena.model,
+        arena.mode,
+        {expansion.key(d): (gamma, info(o)) for d, (gamma, o) in assigned.items()},
+        {info(o): evs for o, evs in known.items()},
+    )
 
 
-def _first_feasible(key, edges):
+def _first_feasible(edges):
     return edges[0]
 
 
-def _locally_maximal(key, edges):
+def _locally_maximal(edges):
     maximal = [
         (gamma, target)
         for gamma, target in edges
@@ -365,8 +474,14 @@ class SynthesisOutcome:
     arena_states_before: int = 0
     arena_states_after: int = 0
     pruning_iterations: int = 0
-    pruning_trace: tuple[tuple, ...] = ()
     elapsed: float = 0.0
+    # The pruned arena the structures were extracted from.
+    arena: Arena | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def pruning_trace(self) -> tuple[tuple, ...]:
+        """The pruned arena's trace, built when first read."""
+        return () if self.arena is None else self.arena.pruning_trace
 
     @property
     def solved(self) -> bool:
@@ -417,9 +532,7 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
     state's alternatives; ``enumerate_all`` yields every combination up to
     the configured cap.  An empty arena yields the no-solution marker."""
     if arena.is_empty:
-        return SynthesisOutcome(
-            (), cfg.extraction_policy, cfg.mode, pruning_trace=arena.pruning_trace
-        )
+        return SynthesisOutcome((), cfg.extraction_policy, cfg.mode, arena=arena)
     if cfg.extraction_policy == "first_feasible":
         structures = (_walk_assignment(arena, _first_feasible),)
     elif cfg.extraction_policy == "locally_maximal":
@@ -431,9 +544,7 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
             if len(out) >= cfg.max_structures:
                 break
         structures = tuple(out)
-    return SynthesisOutcome(
-        structures, cfg.extraction_policy, cfg.mode, pruning_trace=arena.pruning_trace
-    )
+    return SynthesisOutcome(structures, cfg.extraction_policy, cfg.mode, arena=arena)
 
 
 def synthesize(model: PlantModel, cfg: SynthesisConfig) -> SynthesisOutcome:
@@ -448,7 +559,6 @@ def synthesize(model: PlantModel, cfg: SynthesisConfig) -> SynthesisOutcome:
         outcome,
         arena_states_before=before,
         arena_states_after=pruned.n_states,
-        pruning_iterations=len(pruned.pruning_trace),
-        pruning_trace=pruned.pruning_trace,
+        pruning_iterations=pruned.pruning_iterations,
         elapsed=time.perf_counter() - start,
     )

@@ -1,6 +1,7 @@
 """Serialization round-trips, DOT rendering, the command-line surface, and
 its exit-code contract."""
 
+import hashlib
 import json
 import random
 import re
@@ -477,3 +478,73 @@ def test_cli_unexpected_error_exits_2_without_traceback(error, monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.err == f"error: internal error: {type(error).__name__}: {error}\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_manifest_digests_the_model_bytes_synthesis_parsed(tmp_path, monkeypatch):
+    """The model file changes while synthesis runs: the sidecar still
+    records the bytes the structure was built from."""
+    model = tmp_path / "model.json"
+    original = (MODELS / "run.json").read_bytes()
+    model.write_bytes(original)
+    synthesize_ = cli.synthesize
+
+    def rewriting(*args):
+        outcome = synthesize_(*args)
+        model.write_bytes(original + b"\n")
+        return outcome
+
+    monkeypatch.setattr(cli, "synthesize", rewriting)
+    out = tmp_path / "s.json"
+    assert main(["synthesize", str(model), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
+    assert manifest["inputs"] == {str(model): hashlib.sha256(original).hexdigest()}
+
+
+def test_cli_export_dot_estimator_digests_the_bytes_it_parsed(tmp_path, monkeypatch):
+    model = tmp_path / "model.json"
+    original = (MODELS / "run.json").read_bytes()
+    model.write_bytes(original)
+    slice_to_dot = cli.dotmod.estimator_slice_to_dot
+
+    def rewriting(*args):
+        model.write_bytes(original + b"\n")
+        return slice_to_dot(*args)
+
+    monkeypatch.setattr(cli.dotmod, "estimator_slice_to_dot", rewriting)
+    out = tmp_path / "slice.dot"
+    argv = ["export-dot", str(model), "--estimator", "--supervisor", SRUN, "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "slice.dot.manifest.json").read_text())
+    assert manifest["inputs"] == {str(model): hashlib.sha256(original).hexdigest()}
+
+
+# Each argv stops at parse time; "M" stands for the running example's model.
+PARSE_ONLY_ARGVS = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["--nope"],
+    *([command, "-h"] for command in cli.SUBCOMMANDS),
+    ["synthesize", "M", "--policy", "nope"],
+    ["verify", "M"],
+    ["synthesize"],
+    ["estimate", "M"],
+    ["export-dot"],
+    ["verify", "M", "extra", "--open-loop"],
+    ["synthesize", "M", "--mode", "nope"],
+    *([command, "M", "--size-guard", "0"] for command in cli.SUBCOMMANDS),
+    ["verify", "M", "--open-loop", "--bound", "-1"],
+    ["export-dot", "M", "--estimator", "--depth", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ONLY_ARGVS, ids=lambda a: " ".join(a) or "-")
+def test_cli_parses_as_the_full_parser_does(argv, monkeypatch, capsys):
+    """Building only the invoked subcommand's parser changes no exit code,
+    help text, usage or error line."""
+    argv = [RUN if arg == "M" else arg for arg in argv]
+    monkeypatch.setenv("COLUMNS", "80")
+    got = (main(argv), *capsys.readouterr())
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert got == (main(argv), *capsys.readouterr())

@@ -6,17 +6,19 @@ Any change to these bytes is a change to the artifact format or to the
 arena that expansion builds.  The estimator-slice digests were recorded
 when the slice became one breadth-first search, which numbers its nodes in
 discovery order.  The randgen pruning pins were recorded on the round-based
-pruning fixpoint, before pruning became one attractor pass."""
+pruning fixpoint, before pruning became one attractor pass.  The
+arena-digest lines were recorded before the arena moved to ids."""
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import random
 
 import pytest
 
-from conftest import MODELS
+from conftest import MODELS, REPO_ROOT
 from opactrl import (
     IssuanceMode,
     SupervisionError,
@@ -131,6 +133,16 @@ SLICE_DIGESTS = {
 }
 
 
+# The lines of scripts/arena_digest.py for randgen seed-10 draws 19 and 24
+# followed by the first 60 small seed-7 models of its corpus, recorded
+# before expansion, pruning and extraction moved from dicts of information
+# states to ids.
+ARENA_DIGEST_LINES = [
+    "observation: 86d61ed0ea1fb10d79da0d4cbb87e201fa877754e50ad3778c2d1b4469873908",
+    "decision: ad9cd3d6e73465a6da093a1e3c30d703904824576e2405cfe357c159be1e9499",
+]
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -183,6 +195,21 @@ def test_randgen_pruned_arena_and_trace_are_byte_identical(draw, mode):
         sha256(repr(trace).encode()),
         sha256(arena_to_dot(pruned).encode()),
     ) == RANDGEN_PRUNING_DIGESTS[(draw, mode)]
+
+
+def test_arena_digest_of_a_corpus_slice_is_unchanged():
+    """Raw and pruned arenas with their dict orders, pruning traces, the
+    structures of all three policies and size-guard trip points."""
+    path = REPO_ROOT / "scripts" / "arena_digest.py"
+    spec = importlib.util.spec_from_file_location("arena_digest", path)
+    arena_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(arena_digest)
+    small = random.Random(7)
+    models = [_randgen_model(19), _randgen_model(24)] + [
+        random_model(small, arena_digest.SMALL_CONFIG) for _ in range(60)
+    ]
+    assert arena_digest.digest(models) == ARENA_DIGEST_LINES
+
 
 @pytest.mark.parametrize("mode, depth", sorted(SLICE_DIGESTS))
 def test_estimator_slice_dot_is_byte_identical(mode, depth):

@@ -4,6 +4,7 @@ end-to-end synthesis pipeline."""
 import gc
 import random
 import weakref
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import DEC, MODELS, OBS, feasible_observations
 from opactrl import (
     INITIAL_KEY,
-    Arena,
     EstimatorState,
     PlantModel,
     SizeGuardExceeded,
@@ -436,8 +436,9 @@ def _tuple_successor(model, key, gamma, mode):
 
 def _tuple_expand(model, cfg):
     """Arena expansion with information states as tuples of estimator
-    states throughout: a safety test on every edge, and
-    the same depth-first order as expand_arena."""
+    states throughout: a safety test on every edge, and the same
+    depth-first order as expand_arena.  Returns the decision-edge and
+    observation-event dicts."""
     decisions = list(model.iter_decisions())
     decision_edges = {INITIAL_KEY: None}
     observation_events = {}
@@ -461,21 +462,25 @@ def _tuple_expand(model, cfg):
                         cfg.size_guard, len(decision_edges), len(observation_events)
                     )
         decision_edges[key] = tuple(edges)
-    return Arena(model, cfg.mode, decision_edges, observation_events)
+    return decision_edges, observation_events
+
+
+def _views(arena):
+    return arena.decision_edges, arena.observation_events
 
 
 def _expansion_outcome(expand, model, cfg):
-    """The arena with its insertion orders, or the counts at which the size
-    guard tripped."""
+    """The arena's dicts with their insertion orders, or the counts at which
+    the size guard tripped."""
     try:
-        arena = expand(model, cfg)
+        decision_edges, observation_events = expand(model, cfg)
     except SizeGuardExceeded as exc:
         return ("guard", exc.guard, exc.decision_states, exc.observation_states)
-    return (
-        arena,
-        list(arena.decision_edges.items()),
-        list(arena.observation_events.items()),
-    )
+    return list(decision_edges.items()), list(observation_events.items())
+
+
+def _expand_views(model, cfg):
+    return _views(expand_arena(model, cfg))
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]))
@@ -489,7 +494,7 @@ def test_interned_expansion_matches_tuple_expansion(seed, mode):
         RandomModelConfig(min_states=5, max_states=6, min_events=4, max_events=5),
     )
     cfg = SynthesisConfig(mode=mode, size_guard=3_000)
-    assert _expansion_outcome(expand_arena, model, cfg) == _expansion_outcome(
+    assert _expansion_outcome(_expand_views, model, cfg) == _expansion_outcome(
         _tuple_expand, model, cfg
     )
 
@@ -499,7 +504,7 @@ def test_size_guard_trips_where_the_tuple_expansion_does(run_model, mode):
     tripped = 0
     for guard in range(1, 41):
         cfg = SynthesisConfig(mode=mode, size_guard=guard)
-        outcome = _expansion_outcome(expand_arena, run_model, cfg)
+        outcome = _expansion_outcome(_expand_views, run_model, cfg)
         assert outcome == _expansion_outcome(_tuple_expand, run_model, cfg)
         tripped += outcome[0] == "guard"
     assert tripped == 40  # both arenas have more than 40 states
@@ -508,15 +513,15 @@ def test_size_guard_trips_where_the_tuple_expansion_does(run_model, mode):
 # Attractor pruning against the round-based fixpoint -------------------------
 
 
-def _round_based_prune(arena):
-    """Pruning as a round-by-round fixpoint: remove every state incomplete
-    against the feasible events, filter the edges, repeat until nothing is
-    incomplete, then keep what the initial decision state reaches.  Each
-    round is one entry of the trace."""
-    model = arena.model
-    feasible = {info: feasible_events(model, info) for info in arena.observation_events}
-    decision_edges = dict(arena.decision_edges)
-    observation_events = dict(arena.observation_events)
+def _round_based_prune(model, decision_edges, observation_events):
+    """Pruning as a round-by-round fixpoint over an arena's dicts: remove
+    every state incomplete against the feasible events, filter the edges,
+    repeat until nothing is incomplete, then keep what the initial decision
+    state reaches.  Each round is one entry of the trace.  Returns the
+    pruned dicts and the trace."""
+    feasible = {info: feasible_events(model, info) for info in observation_events}
+    decision_edges = dict(decision_edges)
+    observation_events = dict(observation_events)
     trace = []
     while True:
         bad_d = {key for key, edges in decision_edges.items() if not edges}
@@ -540,33 +545,29 @@ def _round_based_prune(arena):
             key: tuple(e for e in edges if e[1] in observation_events)
             for key, edges in decision_edges.items()
         }
-    seen_d, seen_o = _reachable_states(
-        Arena(model, arena.mode, decision_edges, observation_events)
-    )
-    return Arena(
-        model,
-        arena.mode,
+    seen_d, seen_o = _reachable_states(decision_edges, observation_events)
+    return (
         {k: v for k, v in decision_edges.items() if k in seen_d},
         {k: v for k, v in observation_events.items() if k in seen_o},
         tuple(trace),
     )
 
 
-def _reachable_states(arena):
+def _reachable_states(decision_edges, observation_events):
     """The decision and observation states reachable from the initial
     decision state."""
-    if INITIAL_KEY not in arena.decision_edges:
+    if INITIAL_KEY not in decision_edges:
         return set(), set()
     seen_d, seen_o = {INITIAL_KEY}, set()
     stack = [INITIAL_KEY]
     while stack:
-        for _, target in arena.decision_edges[stack.pop()]:
-            if target in seen_o or target not in arena.observation_events:
+        for _, target in decision_edges[stack.pop()]:
+            if target in seen_o or target not in observation_events:
                 continue
             seen_o.add(target)
-            for sigma in arena.observation_events[target]:
+            for sigma in observation_events[target]:
                 child = (target, sigma)
-                if child in arena.decision_edges and child not in seen_d:
+                if child in decision_edges and child not in seen_d:
                     seen_d.add(child)
                     stack.append(child)
     return seen_d, seen_o
@@ -620,13 +621,12 @@ def _expand_or_none(model, mode):
         return None
 
 
-def _with_orders(arena):
-    return (
-        arena,
-        list(arena.decision_edges.items()),
-        list(arena.observation_events.items()),
-        arena.pruning_trace,
-    )
+def _with_orders(decision_edges, observation_events, trace):
+    return list(decision_edges.items()), list(observation_events.items()), trace
+
+
+def _pruned_with_orders(arena):
+    return _with_orders(*_views(arena), arena.pruning_trace)
 
 
 def test_attractor_pruning_matches_the_round_based_fixpoint():
@@ -643,9 +643,9 @@ def test_attractor_pruning_matches_the_round_based_fixpoint():
         arena = _expand_or_none(model, mode)
         if arena is None:
             return
-        expected = _round_based_prune(arena)
-        assert _with_orders(prune_incomplete(arena)) == _with_orders(expected)
-        if expected.pruning_trace:
+        expected = _round_based_prune(model, *_views(arena))
+        assert _pruned_with_orders(prune_incomplete(arena)) == _with_orders(*expected)
+        if expected[2]:
             pruned_some.add((kind, mode))
 
     check()
@@ -657,7 +657,9 @@ def test_forced_chain_prunes_one_state_per_round():
     pruned = prune_incomplete(arena)
     assert pruned.is_empty
     assert [len(batch) for batch in pruned.pruning_trace] == [1] * (2 * 60 - 1)
-    assert _with_orders(pruned) == _with_orders(_round_based_prune(arena))
+    assert _pruned_with_orders(pruned) == _with_orders(
+        *_round_based_prune(arena.model, *_views(arena))
+    )
 
 
 @given(plants, st.sampled_from([OBS, DEC]))
@@ -673,4 +675,127 @@ def test_expansion_and_pruning_keep_the_arena_invariants(plant, mode):
     for a in (arena, prune_incomplete(arena)):
         for info, events in a.observation_events.items():
             assert events == feasible_events(model, info)
-        assert _reachable_states(a) == (set(a.decision_edges), set(a.observation_events))
+        assert _reachable_states(*_views(a)) == (
+            set(a.decision_edges),
+            set(a.observation_events),
+        )
+
+
+# The pipeline in ids against a dict-based one ------------------------------
+
+
+def _dict_walk(decision_edges, observation_events, policy):
+    """Extraction over the dicts: breadth first from the initial decision
+    state, committing the first edge or the first locally maximal one."""
+    assigned, known = {}, {}
+    pending = deque([INITIAL_KEY])
+    while pending:
+        key = pending.popleft()
+        if key in assigned:
+            continue
+        edges = decision_edges[key]
+        if policy == "first_feasible":
+            edge = edges[0]
+        else:
+            edge = next(
+                (gamma, target)
+                for gamma, target in edges
+                if not any(g != gamma and g | gamma == g for g, _ in edges)
+            )
+        assigned[key] = edge
+        target = edge[1]
+        if target not in known:
+            known[target] = observation_events[target]
+            pending.extend((target, s) for s in known[target])
+    return list(assigned.items()), list(known.items())
+
+
+def _dict_pipeline(model, cfg):
+    decision_edges, observation_events = _tuple_expand(model, cfg)
+    kept_d, kept_o, trace = _round_based_prune(model, decision_edges, observation_events)
+    structure = None
+    if INITIAL_KEY in kept_d:
+        structure = _dict_walk(kept_d, kept_o, cfg.extraction_policy)
+    return (
+        len(decision_edges) + len(observation_events),
+        len(kept_d) + len(kept_o),
+        len(trace),
+        structure,
+    )
+
+
+def _id_pipeline(model, cfg):
+    out = synthesize(model, cfg)
+    structure = None
+    if out.solved:
+        structure = list(out.structure.decisions.items()), list(
+            out.structure.observations.items()
+        )
+    return out.arena_states_before, out.arena_states_after, out.pruning_iterations, structure
+
+
+def test_synthesis_in_ids_matches_the_dict_pipeline():
+    """Arena figures, pruning iterations and the extracted structure, with
+    its insertion orders, equal those of tuple expansion, round-based
+    pruning and a walk over the dicts, in both modes and under both walk
+    policies.  Some drawn examples must prune something and some must have
+    no solution."""
+    seen = set()
+
+    @given(
+        plants,
+        st.sampled_from([OBS, DEC]),
+        st.sampled_from(["first_feasible", "locally_maximal"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def check(plant, mode, policy):
+        _, model = plant
+        cfg = SynthesisConfig(mode=mode, extraction_policy=policy, size_guard=2_000)
+        try:
+            expected = _dict_pipeline(model, cfg)
+        except SizeGuardExceeded:
+            return
+        assert _id_pipeline(model, cfg) == expected
+        seen.add("pruned" if expected[2] else "kept")
+        seen.add("solved" if expected[3] else "unsolved")
+
+    check()
+    assert seen == {"pruned", "kept", "solved", "unsolved"}
+
+
+def test_synthesize_builds_only_what_it_outputs(monkeypatch):
+    """Seed-10 draw 2 in decision mode: a 4,910-state arena and a one-state
+    structure.  Information states are built for the structure only, and
+    no arena view is read."""
+    from opactrl import synthesis
+    from opactrl.structure import Successors
+
+    rng = random.Random(10)
+    config = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
+    model = [random_model(rng, config) for _ in range(3)][2]
+    built = []
+    info_of = Successors.info_of
+
+    def counting_info_of(self, gamma, cores):
+        built.append((gamma, cores))
+        return info_of(self, gamma, cores)
+
+    arenas = []
+
+    def keeping(phase):
+        def wrapper(*args):
+            arenas.append(phase(*args))
+            return arenas[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(Successors, "info_of", counting_info_of)
+    monkeypatch.setattr(synthesis, "expand_arena", keeping(synthesis.expand_arena))
+    monkeypatch.setattr(synthesis, "prune_incomplete", keeping(synthesis.prune_incomplete))
+    out = synthesize(model, SynthesisConfig(mode=DEC))
+    assert out.arena_states_before == 4_910
+    assert len(out.structure.observations) == 1
+    assert len(built) <= len(out.structure.observations)
+    assert len(arenas) == 2
+    for arena in arenas:
+        assert arena._dicts is None and arena._trace is None
