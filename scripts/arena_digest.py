@@ -15,11 +15,17 @@ digest covers:
 - where expansion stops under a few small size guards: the arena size, or
   the decision and observation counts at which the guard tripped.
 
+A third line digests the closed-loop side: for every structure above, in
+both modes, the structure ``structure_from_policy`` re-derives from its
+decoded policy (or the error it raises) and the ``verify_closed_loop_opacity``
+verdict with its counterexample (or the error it raises).
+
 Run ``python3 scripts/arena_digest.py``; it imports ``opactrl`` from the
-``src`` directory of its own checkout and takes a few seconds.  Equal output
+``src`` directory of its own checkout and takes about half a minute on a
+2-vCPU machine, most of it for the third line.  Equal output
 from two checkouts means equal results on this corpus.  ``digest(models)``
-gives the same lines for any list of models; ``tests/test_golden.py`` pins
-them for a slice of the corpus.
+and ``closed_loop_digest(models)`` give the same lines for any list of
+models; ``tests/test_golden.py`` pins them for a slice of the corpus.
 """
 
 from __future__ import annotations
@@ -32,7 +38,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from opactrl import IssuanceMode, SizeGuardExceeded, SynthesisConfig  # noqa: E402
+from opactrl import (  # noqa: E402
+    IssuanceMode,
+    SizeGuardExceeded,
+    StructureError,
+    SynthesisConfig,
+    structure_from_policy,
+    verify_closed_loop_opacity,
+)
 from opactrl.randgen import RandomModelConfig, random_model  # noqa: E402
 from opactrl.synthesis import (  # noqa: E402
     EXTRACTION_POLICIES,
@@ -71,6 +84,17 @@ def _expand(model, cfg):
         return None, (exc.guard, exc.decision_states, exc.observation_states)
 
 
+def _structures(pruned, mode: IssuanceMode):
+    """(policy, structure) for every structure each extraction policy takes
+    from a pruned arena."""
+    for policy in EXTRACTION_POLICIES:
+        outcome = extract_structure(
+            pruned, SynthesisConfig(mode=mode, extraction_policy=policy)
+        )
+        for structure in outcome.structures:
+            yield policy, structure
+
+
 def digest_mode(models, mode: IssuanceMode) -> str:
     h = hashlib.sha256()
     for n, model in enumerate(models):
@@ -89,13 +113,9 @@ def digest_mode(models, mode: IssuanceMode) -> str:
             _feed(h, label + " decisions", a.decision_edges.items())
             _feed(h, label + " observations", a.observation_events.items())
         _feed(h, "trace", pruned.pruning_trace)
-        for policy in EXTRACTION_POLICIES:
-            outcome = extract_structure(
-                pruned, SynthesisConfig(mode=mode, extraction_policy=policy)
-            )
-            for structure in outcome.structures:
-                _feed(h, policy + " decisions", structure.decisions.items())
-                _feed(h, policy + " observations", structure.observations.items())
+        for policy, structure in _structures(pruned, mode):
+            _feed(h, policy + " decisions", structure.decisions.items())
+            _feed(h, policy + " observations", structure.observations.items())
     return h.hexdigest()
 
 
@@ -105,8 +125,42 @@ def digest(models) -> list[str]:
     return [f"{mode.value}: {digest_mode(models, mode)}" for mode in IssuanceMode]
 
 
+def _closed_loop(model, structure, mode: IssuanceMode) -> tuple:
+    """What the closed-loop side makes of ``structure`` under ``mode``."""
+    try:
+        again = structure_from_policy(model, structure.decoded(), mode)
+        rederived = (list(again.decisions.items()), list(again.observations.items()))
+    except StructureError as exc:
+        rederived = str(exc)
+    try:
+        verdict = verify_closed_loop_opacity(model, structure, mode)
+        verified = (verdict.opaque, verdict.counterexample, verdict.complete)
+    except StructureError as exc:
+        verified = str(exc)
+    return rederived, verified
+
+
+def closed_loop_digest(models) -> str:
+    """The third printed line for ``models``: every structure the three
+    extraction policies give in either mode, re-derived from its decoded
+    policy and verified, in both modes."""
+    h = hashlib.sha256()
+    for n, model in enumerate(models):
+        h.update(f"model {n}\n".encode())
+        for built in IssuanceMode:
+            arena, _ = _expand(model, SynthesisConfig(mode=built, size_guard=SIZE_GUARD))
+            if arena is None:
+                continue
+            for policy, structure in _structures(prune_incomplete(arena), built):
+                for mode in IssuanceMode:
+                    label = f"{built.value} {policy} {mode.value}"
+                    _feed(h, label, _closed_loop(model, structure, mode))
+    return f"closed-loop: {h.hexdigest()}"
+
+
 def main() -> None:
-    print("\n".join(digest(corpus())))
+    models = corpus()
+    print("\n".join(digest(models) + [closed_loop_digest(models)]))
 
 
 if __name__ == "__main__":

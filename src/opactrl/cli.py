@@ -41,9 +41,9 @@ def _read_input(path: str, what: str) -> tuple[bytes, str]:
     digests the bytes it parsed."""
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
+        return data, io.TextIOWrapper(io.BytesIO(data)).read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {what}: {exc}") from exc
-    return data, io.TextIOWrapper(io.BytesIO(data)).read()
 
 
 def _parse_model(path: str, text: str) -> PlantModel:
@@ -182,10 +182,8 @@ def _cmd_verify(args) -> int:
             return EXIT_OK
         print("not opaque (open loop); witness observation: " + " ".join(verdict.witness))
         return EXIT_NOT_OPAQUE
-    try:
-        sup = serialize.parse_supervisor_text(model, Path(args.supervisor).read_text())
-    except OSError as exc:
-        raise CliError(f"cannot read supervisor: {exc}") from exc
+    _, text = _read_input(args.supervisor, "supervisor")
+    sup = serialize.parse_supervisor_text(model, text)
     try:
         result = verify_closed_loop_opacity(
             model, sup, _mode(args), args.bound, args.size_guard
@@ -249,11 +247,10 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_estimate(args) -> int:
     model, _ = _load_model(args.model)
+    _, text = _read_input(args.flow, "flow")
     try:
-        flow = serialize.parse_flow(model, Path(args.flow).read_text())
+        flow = serialize.parse_flow(model, text)
         estimate = estimate_from_flow(model, flow, _mode(args))
-    except OSError as exc:
-        raise CliError(f"cannot read flow: {exc}") from exc
     except (ModelFormatError, FlowFormatError) as exc:
         raise CliError(f"invalid flow: {exc}") from exc
     print(model.format_state_set(estimate))
@@ -266,12 +263,8 @@ def _cmd_export_dot(args) -> int:
         model = _parse_model(args.input, text)
         if not args.supervisor:
             raise CliError("--estimator requires --supervisor")
-        try:
-            sup = serialize.parse_supervisor_text(
-                model, Path(args.supervisor).read_text()
-            )
-        except OSError as exc:
-            raise CliError(f"cannot read supervisor: {exc}") from exc
+        _, sup_text = _read_input(args.supervisor, "supervisor")
+        sup = serialize.parse_supervisor_text(model, sup_text)
         if isinstance(sup, ControlStructure):
             sup = sup.decoded()
         try:

@@ -35,6 +35,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def list_field(value, what: str):
+    """``value``, which a document gives as a list (of names, or of
+    transitions).  Anything else is refused; a string would otherwise be
+    read one character at a time."""
+    if not isinstance(value, (list, tuple)):
+        raise ModelFormatError(f"invalid {what}: expected a list, got {value!r}")
+    return value
+
+
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -263,27 +272,32 @@ class PlantModel:
         for key in required:
             if key not in doc:
                 raise ModelFormatError(f"missing key {key!r}")
+
+        def listed(key: str) -> list:
+            return list_field(doc.get(key, ()), repr(key))
+
         parts = EventPartitions(
-            supervisor_observable=frozenset(doc.get("observable_supervisor", ())),
-            intruder_observable=frozenset(doc.get("observable_intruder", ())),
-            controllable=frozenset(doc.get("controllable", ())),
+            supervisor_observable=frozenset(listed("observable_supervisor")),
+            intruder_observable=frozenset(listed("observable_intruder")),
+            controllable=frozenset(listed("controllable")),
         )
+        events = listed("events")
         for name in (
             parts.supervisor_observable | parts.intruder_observable | parts.controllable
         ):
-            if name not in doc["events"]:
+            if name not in events:
                 raise ModelFormatError(f"unknown event {name!r} in partition")
         transitions = []
-        for entry in doc["transitions"]:
-            if len(entry) != 3:
+        for entry in listed("transitions"):
+            if len(list_field(entry, "transition")) != 3:
                 raise ModelFormatError(f"malformed transition {entry!r}")
             transitions.append(tuple(entry))
         return cls(
-            states=[str(s) for s in doc["states"]],
-            events=[str(e) for e in doc["events"]],
+            states=[str(s) for s in listed("states")],
+            events=[str(e) for e in events],
             transitions=transitions,
             initial=str(doc["initial"]),
-            secret=[str(s) for s in doc.get("secret", ())],
+            secret=[str(s) for s in listed("secret")],
             partitions=parts,
         )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .estimator import IssuanceMode, ObservationPair
-from .model import ModelFormatError, PlantModel
+from .model import ModelFormatError, PlantModel, list_field
 from .structure import (
     INITIAL_KEY,
     ControlStructure,
@@ -109,13 +109,13 @@ def _member_to_list(model: PlantModel, m: EstimatorState) -> list:
 
 
 def _member_from_list(model: PlantModel, entry) -> EstimatorState:
-    if len(entry) != 3:
+    if len(list_field(entry, "estimator state")) != 3:
         raise ModelFormatError(f"malformed estimator state {entry!r}")
     state, estimate, decision = entry
     return EstimatorState(
         model.state(state),
-        model.state_mask(estimate),
-        model.control_decision(decision),
+        model.state_mask(list_field(estimate, "estimate")),
+        model.control_decision(list_field(decision, "decision")),
     )
 
 
@@ -179,7 +179,7 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
                 else (obs_by_id[source], model.event(event))
             )
             decisions[key] = (
-                model.control_decision(entry["decision"]),
+                model.control_decision(list_field(entry["decision"], "decision")),
                 obs_by_id[entry["target"]],
             )
             dec_by_id[entry["id"]] = key

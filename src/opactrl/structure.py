@@ -143,9 +143,13 @@ class Successors:
       the event, closed, under one representative of each class of new
       decision (see :meth:`layout`).  The targets of a decision state are
       the rows of the cores the event moves, merged position by position
-      (see :meth:`targets`);
-    - the canonical :data:`InfoState` of each (decision, core set) the
-      public methods answer with, so that equal answers are one object.
+      (see :meth:`targets`).
+
+    It takes and answers core sets only; :meth:`intern` and :meth:`info_of`
+    convert between an information state and its decision and core set.
+    Expansion asks :meth:`targets` for every decision class at once, and a
+    walk of one structure asks :meth:`target` for the one decision it
+    commits.
 
     Build one per computation and drop it after: nothing here outlives the
     object."""
@@ -169,7 +173,6 @@ class Successors:
         self._closures: dict[tuple[int, int], int] = {}
         self._layouts: dict[int | None, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._rows: dict[tuple, tuple[int, ...]] = {}
-        self._infos: dict[tuple[int, int], InfoState] = {}
 
     @cached_property
     def decisions(self) -> tuple[int, ...]:
@@ -217,19 +220,20 @@ class Successors:
                 self._revealing |= 1 << c
         return c
 
+    def intern(self, info: InfoState) -> int:
+        """The core set of an information state, interning cores met for the
+        first time.  The members' decisions are not read."""
+        cores = 0
+        for m in info:
+            cores |= 1 << self._intern(m[:2])
+        return cores
+
     def info_of(self, gamma: int, cores: int) -> InfoState:
         """The canonical information state of a decision and a set of cores,
         built anew."""
         # Members sharing a decision sort as their cores do.
         members = sorted(self._cores[c] for c in iter_bits(cores))
         return tuple(EstimatorState(x, q, gamma) for x, q in members)
-
-    def _info(self, gamma: int, cores: int) -> InfoState:
-        key = (gamma, cores)
-        info = self._infos.get(key)
-        if info is None:
-            info = self._infos[key] = self.info_of(gamma, cores)
-        return info
 
     def is_safe(self, cores: int) -> bool:
         """:func:`is_safe` of an information state with this set of cores:
@@ -249,12 +253,11 @@ class Successors:
     # The kernel -----------------------------------------------------------
 
     def _step(
-        self, c: int | None, m: EstimatorState | None, sigma: int | None, gamma: int
+        self, c: int | None, old: int | None, sigma: int | None, gamma: int
     ) -> int:
-        """Estimator step from ``m``, a member with core ``c``, on ``sigma``,
-        committing ``gamma``; ``c`` and ``m`` are None for the initial
-        marker.  Answers the core id reached."""
-        old = None if m is None else m.decision
+        """Estimator step from core ``c`` under decision ``old`` on
+        ``sigma``, committing ``gamma``; ``c`` and ``old`` are None for the
+        initial marker.  Answers the core id reached."""
         hidden = self._hidden
         key = (
             c,
@@ -265,6 +268,7 @@ class Successors:
         )
         nxt = self._steps.get(key)
         if nxt is None:
+            m = None if c is None else EstimatorState(*self._cores[c], old)
             # Looked up at call time, so that a wrapper installed on this
             # module's ``estimator_step`` sees every miss.
             out = estimator_step(
@@ -279,31 +283,26 @@ class Successors:
         key = (c, gamma & self._hidden)
         closed = self._closures.get(key)
         if closed is None:
-            active, cores = self._active, self._cores
+            active = self._active
             hidden = self.model.supervisor_unobservable & gamma
             seen = 1 << c
             frontier = [c]
             while frontier:
                 x = frontier.pop()
-                events = active[x] & hidden
-                if not events:
-                    continue
-                m = EstimatorState(*cores[x], gamma)
-                for sigma in iter_bits(events):
-                    nxt = self._step(x, m, sigma, gamma)
+                for sigma in iter_bits(active[x] & hidden):
+                    nxt = self._step(x, gamma, sigma, gamma)
                     if not (seen >> nxt) & 1:
                         seen |= 1 << nxt
                         frontier.append(nxt)
             closed = self._closures[key] = seen
         return closed
 
-    def _image(self, movers: list, sigma: int | None, gamma: int) -> int:
-        """The movers' image under ``sigma`` and the new decision ``gamma``,
-        closed under unobservable events; a mover is (core id, member)."""
-        out = 0
-        for c, m in movers:
-            out |= self._closure(self._step(c, m, sigma, gamma), gamma)
-        return out
+    def _closed_step(
+        self, c: int | None, old: int | None, sigma: int | None, gamma: int
+    ) -> int:
+        """The image of core ``c`` under ``sigma`` and the new decision
+        ``gamma``, closed under unobservable events."""
+        return self._closure(self._step(c, old, sigma, gamma), gamma)
 
     def layout(self, old: int | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The classes of the new decisions after ``old`` (None at the
@@ -339,11 +338,9 @@ class Successors:
         key = (c, sigma, old_key)
         row = self._rows.get(key)
         if row is None:
-            closure, step = self._closure, self._step
-            m = None if c is None else EstimatorState(*self._cores[c], old)
+            closed_step = self._closed_step
             row = self._rows[key] = tuple(
-                closure(step(c, m, sigma, gamma), gamma)
-                for gamma in self.layout(old)[0]
+                closed_step(c, old, sigma, gamma) for gamma in self.layout(old)[0]
             )
         return row
 
@@ -363,74 +360,51 @@ class Successors:
             return rows[0]
         return [reduce(or_, column) for column in zip(*rows)]
 
-    # Information states in, information states out -------------------------
-
-    def _movers(self, info: InfoState | None, sigma: int | None) -> list:
-        """(core id, member) of each member at which ``sigma`` is active and
-        enabled, interning new cores: the part of a successor that does not
-        depend on the new decision.  The initial decision state's one mover
-        is the initial marker."""
-        if info is None:
-            return [(None, None)]
-        active = self.model.active
-        return [
-            (self._intern(m[:2]), m)
-            for m in info
-            if (active(m.plant_state) & m.decision) >> sigma & 1
-        ]
-
-    def nx(self, info: InfoState, sigma: int, gamma: int) -> InfoState:
-        """Image of an information state under an observed event and the
-        newly committed decision.  Members at which the event is not enabled
-        are dropped; an empty result marks the observation infeasible."""
-        image = 0
-        for c, m in self._movers(info, sigma):
-            image |= 1 << self._step(c, m, sigma, gamma)
-        return self._info(gamma, image)
-
-    def ur(self, info: InfoState, gamma: int) -> InfoState:
-        """Closure of an information state under events the supervisor cannot
-        observe, all carrying the unchanged decision ``gamma``.  This composes
-        over intruder-visible but supervisor-silent events as well, so the
-        intruder's estimate keeps evolving inside the closure."""
-        for m in info:
-            if m.decision != gamma:
-                raise StructureError("closure requires the shared decision")
+    def target(
+        self, old: int | None, cores: int | None, sigma: int | None, gamma: int
+    ) -> int:
+        """The core set of the observation state reached by committing
+        ``gamma`` at the decision state of :meth:`targets`: its column for
+        ``gamma``, worked out for that one decision.  Empty when ``old``
+        disables ``sigma`` or no core moves."""
+        if cores is None:
+            return self._closed_step(None, None, None, gamma)
         out = 0
-        for m in info:
-            out |= self._closure(self._intern(m[:2]), gamma)
-        return self._info(gamma, out)
-
-    def successors(self, key: DecisionKey, gammas: Sequence[int]) -> list[InfoState]:
-        """The observation states reached by committing each of ``gammas`` at
-        decision state ``key``: the image of its observation (from the initial
-        decision state, the estimator's first step) closed under unobservable
-        events.  Which members the observation moves does not depend on the
-        decision, so that is worked out once for all of ``gammas``.  Rows are
-        not used here: a caller asking about one decision would pay for all
-        of them."""
-        info, sigma = key
-        movers = self._movers(info, sigma)
-        return [self._info(gamma, self._image(movers, sigma, gamma)) for gamma in gammas]
-
-    def __call__(self, key: DecisionKey, gamma: int) -> InfoState:
-        """The observation state reached by committing ``gamma`` at decision
-        state ``key``; see :meth:`successors`."""
-        return self.successors(key, (gamma,))[0]
+        if (old >> sigma) & 1:
+            for c in iter_bits(cores & self._active_at[sigma]):
+                out |= self._closed_step(c, old, sigma, gamma)
+        return out
 
 
 def nx_is(
     model: PlantModel, info: InfoState, sigma: int, gamma: int, mode: IssuanceMode
 ) -> InfoState:
-    """See :meth:`Successors.nx`."""
-    return Successors(model, mode).nx(info, sigma, gamma)
+    """Image of an information state under an observed event and the newly
+    committed decision, one estimator step per member.  Members at which
+    the event is not enabled are dropped; an empty result marks the
+    observation infeasible."""
+    kernel = Successors(model, mode)
+    image = 0
+    for x, q, old in info:
+        if (model.active(x) & old) >> sigma & 1:
+            image |= 1 << kernel._step(kernel._intern((x, q)), old, sigma, gamma)
+    return kernel.info_of(gamma, image)
 
 
 def ur_is(
     model: PlantModel, info: InfoState, gamma: int, mode: IssuanceMode
 ) -> InfoState:
-    """See :meth:`Successors.ur`."""
-    return Successors(model, mode).ur(info, gamma)
+    """Closure of an information state under events the supervisor cannot
+    observe, all carrying the unchanged decision ``gamma``.  This composes
+    over intruder-visible but supervisor-silent events as well, so the
+    intruder's estimate keeps evolving inside the closure."""
+    if any(m.decision != gamma for m in info):
+        raise StructureError("closure requires the shared decision")
+    kernel = Successors(model, mode)
+    closed = 0
+    for c in iter_bits(kernel.intern(info)):
+        closed |= kernel._closure(c, gamma)
+    return kernel.info_of(gamma, closed)
 
 
 def feasible_events(model: PlantModel, info: InfoState) -> tuple[int, ...]:
@@ -610,17 +584,21 @@ def structure_from_policy(
 
     Each decision state is expanded once, but its decision is re-checked on
     every arrival, so a policy disagreeing with itself across any traversed
-    edge is rejected."""
-    decisions: dict[DecisionKey, tuple[int, InfoState]] = {}
-    observations: dict[InfoState, tuple[int, ...]] = {}
-    first_seen: dict[DecisionKey, tuple[int, ...]] = {}
-    successor = Successors(model, mode)
-    queue: deque[tuple[DecisionKey, tuple[int, ...]]] = deque([(INITIAL_KEY, ())])
+    edge is rejected.  The walk runs on the kernel's (decision, core set)
+    pairs; information states are built for the structure returned."""
+    kernel = Successors(model, mode)
+    # A decision state is (decision, core set, event) of its observation
+    # state and observation, all None for the initial one; an observation
+    # state is (decision, core set).
+    decided: dict[tuple, tuple[int, tuple[int, int]]] = {}
+    events: dict[tuple[int, int], tuple[int, ...]] = {}
+    first_seen: dict[tuple, tuple[int, ...]] = {}
+    queue: deque[tuple[tuple, tuple[int, ...]]] = deque([((None, None, None), ())])
     while queue:
         key, alpha = queue.popleft()
         gamma = sup.decision(alpha)
-        if key in decisions:
-            if decisions[key][0] != gamma:
+        if key in decided:
+            if decided[key][0] != gamma:
                 raise StructureError(
                     "policy is not information-state based: decision state "
                     f"reached by {first_seen[key]} and {alpha} with different "
@@ -628,14 +606,24 @@ def structure_from_policy(
                 )
             continue
         first_seen[key] = alpha
-        target = successor(key, gamma)
-        decisions[key] = (gamma, target)
-        if target not in observations:
-            observations[target] = feasible_events(model, target)
+        cores = kernel.target(*key, gamma)
+        target = (gamma, cores)
+        decided[key] = (gamma, target)
+        if target not in events:
+            events[target] = kernel.feasible_events(gamma, cores)
         queue.extend(
-            ((target, nxt), alpha + (nxt,)) for nxt in observations[target]
+            ((gamma, cores, nxt), alpha + (nxt,)) for nxt in events[target]
         )
-    return ControlStructure(model, mode, decisions, observations)
+    info = {obs: kernel.info_of(*obs) for obs in events}
+    return ControlStructure(
+        model,
+        mode,
+        {
+            (None if old is None else info[old, cores], sigma): (gamma, info[target])
+            for (old, cores, sigma), (gamma, target) in decided.items()
+        },
+        {info[obs]: evs for obs, evs in events.items()},
+    )
 
 
 @dataclass
@@ -781,29 +769,29 @@ def verify_closed_loop_opacity(
         return ClosedLoopVerdict(True, None, complete, depth_bound)
 
     # Re-derive the observation states induced by the structure's decisions
-    # under the requested mechanism.  The pairing with the structure's own
-    # states keeps decoding aligned even when `mode` differs from the one the
-    # structure was built for.
-    successor = Successors(model, mode)
-    init = successor(INITIAL_KEY, structure.initial_decision)
-    struct_init = structure.decisions[INITIAL_KEY][1]
-    stack = [(struct_init, init)]
-    seen = {(struct_init, init)}
+    # under the requested mechanism, as the kernel's (decision, core set)
+    # pairs.  The pairing with the structure's own states keeps decoding
+    # aligned even when `mode` differs from the one the structure was built
+    # for.
+    kernel = Successors(model, mode)
+    gamma, struct_obs = structure.decisions[INITIAL_KEY]
+    start = (struct_obs, gamma, kernel.target(None, None, None, gamma))
+    stack = [start]
+    seen = {start}
     unsafe = False
     while stack:
-        struct_obs, derived = stack.pop()
-        if not is_safe(derived, model.secret_mask):
+        struct_obs, old, cores = stack.pop()
+        if not kernel.is_safe(cores):
             unsafe = True
             break
-        for sigma in feasible_events(model, derived):
+        for sigma in kernel.feasible_events(old, cores):
             if sigma not in structure.observations[struct_obs]:
                 raise StructureError(
                     f"structure is incomplete: observation "
                     f"{model.events[sigma]!r} undefined"
                 )
             gamma, struct_next = structure.decisions[(struct_obs, sigma)]
-            derived_next = successor((derived, sigma), gamma)
-            node = (struct_next, derived_next)
+            node = (struct_next, gamma, kernel.target(old, cores, sigma, gamma))
             if node not in seen:
                 seen.add(node)
                 _guard_visits(seen, size_guard, "closed-loop walk")

@@ -9,7 +9,7 @@ representation.
 
 from __future__ import annotations
 
-from .model import ModelFormatError, PlantModel
+from .model import ModelFormatError, PlantModel, list_field
 
 
 class Supervisor:
@@ -52,7 +52,11 @@ class TabularSupervisor(Supervisor):
         self._table: dict[tuple[int, ...], int] = {}
         for key, value in table.items():
             obs = model.word(key) if isinstance(key, str) else tuple(key)
-            mask = value if isinstance(value, int) else model.control_decision(value)
+            if isinstance(value, int):
+                mask = value
+            else:
+                what = f"supervisor table entry {key!r}"
+                mask = model.control_decision(list_field(value, what))
             self._check(mask)
             self._table[obs] = mask
         if default is None:
@@ -60,6 +64,7 @@ class TabularSupervisor(Supervisor):
         elif isinstance(default, int):
             self.default = default
         else:
+            default = list_field(default, "supervisor default")
             self.default = model.control_decision(default)
         self._check(self.default)
         self._horizon = max((len(obs) for obs in self._table), default=0)

@@ -548,3 +548,81 @@ def test_cli_parses_as_the_full_parser_does(argv, monkeypatch, capsys):
     full_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
     assert got == (main(argv), *capsys.readouterr())
+
+
+def _replaced(doc, path, value):
+    """A deep copy of ``doc`` with the entry at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# (document, path of the entry, a value where the document wants a list).
+# On the model and the table, each string used to be read as the list of
+# its characters, which here names the entry's own members.
+NON_LISTS = [
+    ("model", ("controllable",), 3),
+    ("model", ("observable_intruder",), "ab"),
+    ("model", ("secret",), "7"),
+    ("model", ("transitions", 0), "0a1"),
+    ("model", ("states",), "01234567"),
+    ("supervisor", ("table", "u1"), "ab"),
+    ("supervisor", ("default",), "ab"),
+    ("structure", ("observation_states", 0, "members", 0), "0ab"),
+    ("structure", ("observation_states", 0, "members", 0, 1), "0"),
+    ("structure", ("observation_states", 0, "members", 0, 2), "ab"),
+    ("structure", ("decision_states", 0, "decision"), "ab"),
+]
+
+
+@pytest.mark.parametrize(
+    "document, path, value",
+    NON_LISTS,
+    ids=["-".join(map(str, (doc, *path, value))) for doc, path, value in NON_LISTS],
+)
+def test_cli_refuses_a_non_list_for_a_list(
+    document, path, value, tmp_path, run_model, srun, capsys
+):
+    docs = {
+        "model": run_model.to_dict(),
+        "supervisor": srun.to_dict(),
+        "structure": structure_to_dict(structure_from_policy(run_model, srun, OBS)),
+    }
+    docs[document] = _replaced(docs[document], path, value)
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dump_json(doc))
+    argv = ["verify", str(paths["model"])]
+    argv += ["--open-loop"] if document == "model" else ["--supervisor", str(paths[document])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid ")
+    assert f"expected a list, got {value!r}" in captured.err
+
+
+# Per read of an input file: the argv, where "M" stands for the running
+# example's model and BAD for a file that is not valid text, and what the
+# error line calls the file.
+UNDECODABLE_READS = [
+    (["verify", "BAD", "--open-loop"], "model"),
+    (["verify", "M", "--supervisor", "BAD"], "supervisor"),
+    (["estimate", "M", "--flow", "BAD"], "flow"),
+    (["export-dot", "M", "--estimator", "--supervisor", "BAD"], "supervisor"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, what", UNDECODABLE_READS, ids=[" ".join(argv) for argv, _ in UNDECODABLE_READS]
+)
+def test_cli_reports_an_undecodable_file_as_unreadable(argv, what, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff")
+    files = {"M": RUN, "BAD": str(bad)}
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {what}: ")
+    assert "codec can't decode byte 0xff" in captured.err

@@ -7,7 +7,9 @@ arena that expansion builds.  The estimator-slice digests were recorded
 when the slice became one breadth-first search, which numbers its nodes in
 discovery order.  The randgen pruning pins were recorded on the round-based
 pruning fixpoint, before pruning became one attractor pass.  The
-arena-digest lines were recorded before the arena moved to ids."""
+arena-digest lines were recorded before the arena moved to ids, and the
+closed-loop digest line before structure_from_policy and the structure walk
+of verify moved to the successor kernel's ids."""
 
 import contextlib
 import hashlib
@@ -141,6 +143,9 @@ ARENA_DIGEST_LINES = [
     "observation: 86d61ed0ea1fb10d79da0d4cbb87e201fa877754e50ad3778c2d1b4469873908",
     "decision: ad9cd3d6e73465a6da093a1e3c30d703904824576e2405cfe357c159be1e9499",
 ]
+CLOSED_LOOP_DIGEST_LINE = (
+    "closed-loop: 6a7dced68cff564bbacc0235ca903b0188274b167aa25fa25c640122a838877d"
+)
 
 
 def sha256(data: bytes) -> str:
@@ -197,9 +202,10 @@ def test_randgen_pruned_arena_and_trace_are_byte_identical(draw, mode):
     ) == RANDGEN_PRUNING_DIGESTS[(draw, mode)]
 
 
-def test_arena_digest_of_a_corpus_slice_is_unchanged():
-    """Raw and pruned arenas with their dict orders, pruning traces, the
-    structures of all three policies and size-guard trip points."""
+@pytest.fixture(scope="module")
+def corpus_slice():
+    """``scripts/arena_digest.py`` as a module, and the corpus slice its
+    pins cover: seed-10 draws 19 and 24 and the first 60 small models."""
     path = REPO_ROOT / "scripts" / "arena_digest.py"
     spec = importlib.util.spec_from_file_location("arena_digest", path)
     arena_digest = importlib.util.module_from_spec(spec)
@@ -208,7 +214,21 @@ def test_arena_digest_of_a_corpus_slice_is_unchanged():
     models = [_randgen_model(19), _randgen_model(24)] + [
         random_model(small, arena_digest.SMALL_CONFIG) for _ in range(60)
     ]
+    return arena_digest, models
+
+
+def test_arena_digest_of_a_corpus_slice_is_unchanged(corpus_slice):
+    """Raw and pruned arenas with their dict orders, pruning traces, the
+    structures of all three policies and size-guard trip points."""
+    arena_digest, models = corpus_slice
     assert arena_digest.digest(models) == ARENA_DIGEST_LINES
+
+
+def test_closed_loop_digest_of_a_corpus_slice_is_unchanged(corpus_slice):
+    """Each structure of the slice re-derived from its decoded policy and
+    verified, in both modes, with counterexamples and error texts."""
+    arena_digest, models = corpus_slice
+    assert arena_digest.closed_loop_digest(models) == CLOSED_LOOP_DIGEST_LINE
 
 
 @pytest.mark.parametrize("mode, depth", sorted(SLICE_DIGESTS))
