@@ -81,7 +81,19 @@ def parse_supervisor(model: PlantModel, doc: dict) -> Supervisor | ControlStruct
     control structure."""
     kind = doc.get("type")
     if kind == "supervisor-table":
-        return TabularSupervisor(model, doc.get("table", {}), doc.get("default"))
+        # Decisions are lists of event names; an int mask is accepted from
+        # Python callers only, not from a document.
+        table = doc.get("table", {})
+        if not isinstance(table, dict):
+            raise ModelFormatError(
+                f"invalid supervisor table: expected an object, got {table!r}"
+            )
+        for key, value in table.items():
+            list_field(value, f"supervisor table entry {key!r}")
+        default = doc.get("default")
+        if default is not None:
+            list_field(default, "supervisor default")
+        return TabularSupervisor(model, table, default)
     if kind == "control-structure":
         return structure_from_dict(model, doc)
     raise ModelFormatError(f"unknown supervisor document type {kind!r}")
@@ -157,9 +169,19 @@ def structure_to_dict(structure: ControlStructure) -> dict:
     }
 
 
+def _mode_of(value) -> IssuanceMode:
+    try:
+        return IssuanceMode(value)
+    except ValueError:
+        names = ", ".join(repr(mode.value) for mode in IssuanceMode)
+        raise ModelFormatError(
+            f"invalid mode: expected one of {names}, got {value!r}"
+        ) from None
+
+
 def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
     try:
-        mode = IssuanceMode(doc["mode"])
+        mode = _mode_of(doc["mode"])
         obs_by_id: dict[int, InfoState] = {}
         for entry in doc["observation_states"]:
             members = tuple(

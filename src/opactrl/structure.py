@@ -129,21 +129,21 @@ class Successors:
     whether it equals the old decision.
 
     It memoises, for its own lifetime, the pure functions that expansion
-    asks about again and again:
+    asks about again and again, each keyed on exactly what its answer
+    reads:
 
-    - estimator steps, keyed by (core id, event, class of the old decision,
-      class of the new one);
-    - the intruder's estimate update, keyed by what :func:`update_estimate`
-      reads (see :meth:`_update`);
+    - estimator steps (see :meth:`_step`);
+    - the intruder's estimate update, and under it the plant's reach
+      operators (see :meth:`_update`);
     - the closure of each single core under unobservable events, keyed by
       (core id, class of the decision).  The closure of an information
       state is the union of its members' closures, because every member
       steps on its own;
-    - one row per (core id, event, old decision): the core's image under
-      the event, closed, under one representative of each class of new
-      decision (see :meth:`layout`).  The targets of a decision state are
-      the rows of the cores the event moves, merged position by position
-      (see :meth:`targets`).
+    - one row per (core id, event, :meth:`old_key` of the old decision):
+      the core's image under the event, closed, under one representative
+      of each class of new decision (see :meth:`layout`).  The targets of a
+      decision state are the rows of the cores the event moves, merged
+      position by position (see :meth:`targets`).
 
     It takes and answers core sets only; :meth:`intern` and :meth:`info_of`
     convert between an information state and its decision and core set.
@@ -160,6 +160,12 @@ class Successors:
         self._decision_mode = mode is IssuanceMode.DECISION
         # The events of a decision that steps and closures read.
         self._hidden = model.supervisor_unobservable | model.intruder_unobservable
+        # What a step reads of the model's partitions, read once per kernel
+        # rather than once per step.
+        self._supervisor_sees = model.supervisor_observable
+        self._intruder_sees = model.intruder_observable
+        self._intruder_hidden = model.intruder_unobservable
+        self._reach = _ReachMemo(model)
         self._cores: list[tuple[int, int]] = []
         self._core_ids: dict[tuple[int, int], int] = {}
         # Per core id: the events active at its plant state.
@@ -189,8 +195,10 @@ class Successors:
         old one when the event is hidden, the released one (else the old
         one) in the closure.  Whether anything was released is part of the
         key, because a step showing nothing keeps ``q`` where a release with
-        the same masked events would close it."""
-        hidden = model.intruder_unobservable
+        the same masked events would close it.  A miss runs
+        :func:`update_estimate` on this kernel's memoised view of the
+        model's reach operators (see :class:`_ReachMemo`)."""
+        hidden = self._intruder_hidden
         key = (
             q,
             seen,
@@ -200,7 +208,9 @@ class Successors:
         )
         out = self._updates.get(key)
         if out is None:
-            out = self._updates[key] = update_estimate(model, q, gamma, seen, release)
+            out = self._updates[key] = update_estimate(
+                self._reach, q, gamma, seen, release
+            )
         return out
 
     # Cores ----------------------------------------------------------------
@@ -257,15 +267,32 @@ class Successors:
     ) -> int:
         """Estimator step from core ``c`` under decision ``old`` on
         ``sigma``, committing ``gamma``; ``c`` and ``old`` are None for the
-        initial marker.  Answers the core id reached."""
-        hidden = self._hidden
-        key = (
-            c,
-            sigma,
-            None if old is None else old & hidden,
-            gamma & hidden,
-            self._decision_mode and gamma == old,
-        )
+        initial marker.  Answers the core id reached.
+
+        Memoised on what :func:`estimator_step` reads of its inputs for the
+        core it answers: (core, event, whether the step releases, the old
+        decision's intruder-unobservable events when the intruder does not
+        see the event, the intruder-unobservable events of the decision the
+        estimate closes under: the new one if released, else the old one).
+        The plant successor reads the core and the event only, and the
+        estimate update reads nothing more (see :meth:`_update`).  The
+        initial marker's key is (None, the new decision's
+        intruder-unobservable events), which is all its estimate reads."""
+        hidden = self._intruder_hidden
+        if c is None:
+            key = (None, gamma & hidden)
+        else:
+            if self._decision_mode:
+                release = gamma != old
+            else:
+                release = bool((self._supervisor_sees >> sigma) & 1)
+            key = (
+                c,
+                sigma,
+                release,
+                None if (self._intruder_sees >> sigma) & 1 else old & hidden,
+                (gamma if release else old) & hidden,
+            )
         nxt = self._steps.get(key)
         if nxt is None:
             m = None if c is None else EstimatorState(*self._cores[c], old)
@@ -326,16 +353,19 @@ class Successors:
             layout = self._layouts[key] = (tuple(representatives), tuple(columns))
         return layout
 
+    def old_key(self, old: int | None) -> int | None:
+        """What a row, and so a decision state's targets, read of the old
+        decision ``old``: its class, except under the decision-triggered
+        mechanism, where the layout depends on all of it.  None at the
+        initial decision state."""
+        if old is None or self._decision_mode:
+            return old
+        return old & self._hidden
+
     def _row(self, c: int | None, old: int | None, sigma: int | None) -> tuple[int, ...]:
         """The closed images of core ``c`` under ``sigma`` after decision
-        ``old``, one per representative of :meth:`layout`.  The old decision
-        is read through its class, except under the decision-triggered
-        mechanism, where the layout depends on all of it."""
-        if old is not None and not self._decision_mode:
-            old_key = old & self._hidden
-        else:
-            old_key = old
-        key = (c, sigma, old_key)
+        ``old``, one per representative of :meth:`layout`."""
+        key = (c, sigma, self.old_key(old))
         row = self._rows.get(key)
         if row is None:
             closed_step = self._closed_step
@@ -343,6 +373,14 @@ class Successors:
                 closed_step(c, old, sigma, gamma) for gamma in self.layout(old)[0]
             )
         return row
+
+    def targets_key(self, old: int, cores: int, sigma: int) -> tuple[int, int, int]:
+        """A key that fixes :meth:`targets` and :meth:`layout` at a
+        non-initial decision state: (:meth:`old_key` of ``old``, the cores
+        ``sigma`` moves, ``sigma``).  The targets merge the rows of the
+        moved cores only, each row is keyed on the same old-decision key,
+        and so is the layout."""
+        return self.old_key(old), cores & self._active_at[sigma], sigma
 
     def targets(self, old: int | None, cores: int | None, sigma: int | None) -> Sequence[int]:
         """The core sets of the observation states reached from decision
@@ -373,6 +411,45 @@ class Successors:
         if (old >> sigma) & 1:
             for c in iter_bits(cores & self._active_at[sigma]):
                 out |= self._closed_step(c, old, sigma, gamma)
+        return out
+
+
+class _ReachMemo:
+    """The plant reach operators that :func:`update_estimate` calls,
+    memoised on what each reads: ``observable_reach`` on (state set,
+    event), ``unobservable_reach`` on (state set, the decision's events in
+    the hidden set passed in) and ``unobservable_reach_plus`` on (state
+    set, the decision's intruder-unobservable events).  One belongs to one
+    kernel; the model itself keeps no cache."""
+
+    def __init__(self, model: PlantModel):
+        self.model = model
+        self.intruder_unobservable = model.intruder_unobservable
+        self._observable: dict[tuple[int, int], int] = {}
+        self._unobservable: dict[tuple[int, int], int] = {}
+        self._plus: dict[tuple[int, int], int] = {}
+
+    def observable_reach(self, q: int, sigma: int) -> int:
+        key = (q, sigma)
+        out = self._observable.get(key)
+        if out is None:
+            out = self._observable[key] = self.model.observable_reach(q, sigma)
+        return out
+
+    def unobservable_reach(self, q: int, gamma: int, hidden: int) -> int:
+        key = (q, gamma & hidden)
+        out = self._unobservable.get(key)
+        if out is None:
+            out = self._unobservable[key] = self.model.unobservable_reach(
+                q, gamma, hidden
+            )
+        return out
+
+    def unobservable_reach_plus(self, q: int, gamma: int) -> int:
+        key = (q, gamma & self.intruder_unobservable)
+        out = self._plus.get(key)
+        if out is None:
+            out = self._plus[key] = self.model.unobservable_reach_plus(q, gamma)
         return out
 
 
@@ -490,18 +567,23 @@ class ControlStructure:
         Raises :class:`StructureError` naming the failing position when some
         observation is not defined."""
         key: DecisionKey = INITIAL_KEY
-        gamma, obs = self.decisions[key]
-        taken = [gamma]
+        taken = [self.decisions[key][0]]
         for pos, sigma in enumerate(alpha):
-            if sigma not in self.observations[obs]:
-                raise StructureError(
-                    f"observation {self.model.events[sigma]!r} undefined at "
-                    f"position {pos}"
-                )
-            key = (obs, sigma)
-            gamma, obs = self.decisions[key]
-            taken.append(gamma)
-        return StructureRun(key, obs, tuple(taken))
+            key = self.advance(key, sigma, pos)
+            taken.append(self.decisions[key][0])
+        return StructureRun(key, self.decisions[key][1], tuple(taken))
+
+    def advance(self, key: DecisionKey, sigma: int, pos: int) -> DecisionKey:
+        """The decision state reached from decision state ``key`` by the
+        observation ``sigma``, at position ``pos`` of a string.  Raises
+        :class:`StructureError` naming the position when it is not
+        defined."""
+        obs = self.decisions[key][1]
+        if sigma not in self.observations[obs]:
+            raise StructureError(
+                f"observation {self.model.events[sigma]!r} undefined at position {pos}"
+            )
+        return obs, sigma
 
     def decoded(self) -> "DecodedSupervisor":
         return DecodedSupervisor(self)
@@ -533,13 +615,26 @@ class DecodedSupervisor(Supervisor):
 
     def __init__(self, structure: ControlStructure):
         self.structure = structure
-        self._cache: dict[tuple[int, ...], tuple[int, DecisionKey]] = {}
+        self._cache: dict[tuple[int, ...], tuple[int, DecisionKey]] = {
+            (): (structure.initial_decision, INITIAL_KEY)
+        }
 
     def _run(self, obs: tuple[int, ...]) -> tuple[int, DecisionKey]:
-        hit = self._cache.get(obs)
+        """The decision and decision state of ``obs``, as
+        :meth:`ControlStructure.run` gives them: found by extending the
+        longest prefix already decided, one event at a time, caching every
+        prefix on the way."""
+        cache = self._cache
+        hit = cache.get(obs)
         if hit is None:
-            run = self.structure.run(obs)
-            hit = self._cache[obs] = (run.decisions[-1], run.decision_state)
+            n = len(obs) - 1
+            while obs[:n] not in cache:
+                n -= 1
+            key = cache[obs[:n]][1]
+            decisions, advance = self.structure.decisions, self.structure.advance
+            for pos in range(n, len(obs)):
+                key = advance(key, obs[pos], pos)
+                hit = cache[obs[: pos + 1]] = (decisions[key][0], key)
         return hit
 
     def decision(self, obs: tuple[int, ...]) -> int:

@@ -221,20 +221,35 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     :class:`Successors`), on which the safety test is one mask test, since
     safety reads the estimates only; it is made once per class.  A safe
     target gets its observation state id when it is first reached under its
-    decision; no ``InfoState`` is built."""
+    decision; no ``InfoState`` is built.
+
+    The edges of a decision state are memoised on
+    :meth:`Successors.targets_key`, which fixes its targets and layout, and
+    so its safety tests and its decision loop.  The first decision state
+    with a key numbers every safe target it reaches, so a later one with the
+    same key reaches no new state and takes the same edges: ids, orders and
+    the size-guard trip point are those of expanding every state."""
     successor = Successors(model, cfg.mode)
     expansion = _Expansion(successor)
     decision_of, cores_of, events_of = expansion.decision, expansion.cores, expansion.events
     base, owner = expansion.base, expansion.owner
     decisions = successor.decisions
     is_safe, feasible_events = successor.is_safe, successor.feasible_events
+    targets_key = successor.targets_key
     edges: list[tuple[tuple[int, int], ...] | None] = [None]
+    # Edges by targets key; the initial decision state's under None.
+    known: dict[tuple[int, int, int] | None, tuple[tuple[int, int], ...]] = {}
     reached: dict[tuple[int, int], int] = {}
     # Each entry is a decision state, the decision and core set of its
     # observation state and its event (all None for the initial one).
     stack: list[tuple[int, int | None, int | None, int | None]] = [(0, None, None, None)]
     while stack:
         d, old, cores, sigma = stack.pop()
+        key = None if cores is None else targets_key(old, cores, sigma)
+        out = known.get(key)
+        if out is not None:
+            edges[d] = out
+            continue
         row = [t if is_safe(t) else None for t in successor.targets(old, cores, sigma)]
         out = []
         for gamma, column in zip(decisions, successor.layout(old)[1]):
@@ -256,7 +271,7 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
                 if len(edges) + len(cores_of) > cfg.size_guard:
                     raise SizeGuardExceeded(cfg.size_guard, len(edges), len(cores_of))
             out.append((gamma, o))
-        edges[d] = tuple(out)
+        edges[d] = known[key] = tuple(out)
     return Arena(expansion, edges, events_of, (len(edges), len(events_of)))
 
 

@@ -562,7 +562,9 @@ def _replaced(doc, path, value):
 
 # (document, path of the entry, a value where the document wants a list).
 # On the model and the table, each string used to be read as the list of
-# its characters, which here names the entry's own members.
+# its characters, which here names the entry's own members.  A table entry
+# or default given as a JSON number or boolean used to be taken as a raw
+# event bitmask.
 NON_LISTS = [
     ("model", ("controllable",), 3),
     ("model", ("observable_intruder",), "ab"),
@@ -571,6 +573,10 @@ NON_LISTS = [
     ("model", ("states",), "01234567"),
     ("supervisor", ("table", "u1"), "ab"),
     ("supervisor", ("default",), "ab"),
+    ("supervisor", ("table", "u1"), 1048575),
+    ("supervisor", ("table", "u1"), True),
+    ("supervisor", ("default",), 1048575),
+    ("supervisor", ("default",), True),
     ("structure", ("observation_states", 0, "members", 0), "0ab"),
     ("structure", ("observation_states", 0, "members", 0, 1), "0"),
     ("structure", ("observation_states", 0, "members", 0, 2), "ab"),
@@ -602,6 +608,42 @@ def test_cli_refuses_a_non_list_for_a_list(
     captured = capsys.readouterr()
     assert captured.err.startswith("error: invalid ")
     assert f"expected a list, got {value!r}" in captured.err
+
+
+# (document, path of the entry, its malformed value, the error line).
+MALFORMED_POLICIES = [
+    ("supervisor", ("table",), ["u1"],
+     "invalid supervisor table: expected an object, got ['u1']"),
+    ("structure", ("mode",), "bogus",
+     "invalid mode: expected one of 'observation', 'decision', got 'bogus'"),
+    ("structure", ("mode",), ["observation"],
+     "invalid mode: expected one of 'observation', 'decision', got ['observation']"),
+]
+
+
+@pytest.mark.parametrize(
+    "document, path, value, message",
+    MALFORMED_POLICIES,
+    ids=[
+        "-".join(map(str, (doc, *path, value)))
+        for doc, path, value, _ in MALFORMED_POLICIES
+    ],
+)
+def test_cli_refuses_a_malformed_policy_document(
+    document, path, value, message, tmp_path, run_model, srun, capsys
+):
+    """A decision table that is not an object, or a structure in a mode
+    that does not exist, is invalid input, not an internal error."""
+    docs = {
+        "supervisor": srun.to_dict(),
+        "structure": structure_to_dict(structure_from_policy(run_model, srun, OBS)),
+    }
+    model_path = tmp_path / "model.json"
+    model_path.write_text(dump_json(run_model.to_dict()))
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(dump_json(_replaced(docs[document], path, value)))
+    assert main(["verify", str(model_path), "--supervisor", str(policy_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Per read of an input file: the argv, where "M" stands for the running

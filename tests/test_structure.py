@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import DEC, OBS, closed_loop_strings, feasible_observations
 from opactrl import (
+    INITIAL_KEY,
     ConstantSupervisor,
     EstimatorState,
     PlantModel,
@@ -441,6 +442,55 @@ def test_structure_walks_agree_with_the_policy_and_the_string_search(seed):
                     assert opaque == (witness is None)
                     leaks |= not opaque
     assert leaks or seed not in CROSS_MODE_LEAKS
+
+
+def _random_history(rng, structure, observable):
+    """Up to 5 supervisor-observable events, mostly ones the structure
+    defines where it is, sometimes any: undefined ones included."""
+    obs, alpha = structure.decisions[INITIAL_KEY][1], []
+    for _ in range(rng.randint(0, 5)):
+        defined = structure.observations.get(obs, ())
+        sigma = rng.choice(defined if defined and rng.random() < 0.8 else observable)
+        alpha.append(sigma)
+        obs = structure.decisions[obs, sigma][1] if sigma in defined else None
+    return tuple(alpha)
+
+
+@given(
+    st.one_of(st.sampled_from(CROSS_MODE_LEAKS), model_seeds),
+    st.sampled_from([OBS, DEC]),
+)
+@settings(max_examples=40, deadline=None)
+def test_decoded_supervisor_answers_as_the_structure_runs(seed, mode):
+    """A decoded supervisor decides a history by extending the longest
+    prefix it has already decided.  Asked about random histories in random
+    order, defined or not, it must answer as a run of the structure from
+    its initial decision state: the same decision and decision state, or
+    the same error, position included."""
+    rng = random.Random(seed)
+    model = random_model(rng, CLOSED_LOOP_CONFIG)
+    observable = list(iter_bits(model.supervisor_observable))
+    for policy in ("first_feasible", "locally_maximal"):
+        cfg = SynthesisConfig(mode=mode, extraction_policy=policy, size_guard=20_000)
+        for structure in synthesize(model, cfg).structures:
+            decoded = structure.decoded()
+            histories = [()]
+            if observable:
+                histories += [
+                    _random_history(rng, structure, observable) for _ in range(60)
+                ]
+            rng.shuffle(histories)
+            for alpha in histories:
+                try:
+                    run = structure.run(alpha)
+                    expected = (run.decisions[-1], run.decision_state)
+                except StructureError as exc:
+                    expected = str(exc)
+                try:
+                    got = decoded.decision(alpha), decoded.observation_signature(alpha)
+                except StructureError as exc:
+                    got = str(exc)
+                assert got == expected
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]))

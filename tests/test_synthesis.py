@@ -33,7 +33,7 @@ from opactrl.estimator import AugmentedEvent, estimator_step
 from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model
 from opactrl.serialize import structure_to_json
-from opactrl.structure import decision_key_order, feasible_events
+from opactrl.structure import Successors, decision_key_order, feasible_events
 from opactrl.synthesis import extract_matching
 
 SIGMA = "a u1 u2 u3 b"
@@ -510,6 +510,63 @@ def test_size_guard_trips_where_the_tuple_expansion_does(run_model, mode):
     assert tripped == 40  # both arenas have more than 40 states
 
 
+@given(model_seeds, st.sampled_from([OBS, DEC]))
+@settings(max_examples=40, deadline=None)
+def test_memoised_edges_match_the_single_decision_targets(seed, mode):
+    """Expansion reuses the edges of an earlier decision state with the same
+    (old-decision key, moved cores, event).  Every decision state's edges
+    must still be the safe ones of its own single-decision targets, in
+    decision order, mapped to the expansion's ids by (decision, core set).
+    A fresh kernel answers, so its step and row memos are filled in another
+    order than the expansion's."""
+    model = random_model(
+        random.Random(seed),
+        RandomModelConfig(min_states=5, max_states=6, min_events=4, max_events=5),
+    )
+    try:
+        arena = expand_arena(model, SynthesisConfig(mode=mode, size_guard=3_000))
+    except SizeGuardExceeded:
+        return
+    expansion = arena._expansion
+    kernel = Successors(model, mode)
+    cores = [kernel.intern(expansion.info(o)) for o in range(len(expansion.cores))]
+    ids = {(gamma, t): o for o, (gamma, t) in enumerate(zip(expansion.decision, cores))}
+    assert len(ids) == len(cores)
+    for d, out in enumerate(arena._edges):
+        if d:
+            o = expansion.owner[d]
+            sigma = expansion.events[o][d - expansion.base[o]]
+            at = (expansion.decision[o], cores[o], sigma)
+        else:
+            at = (None, None, None)
+        expected = []
+        for gamma in kernel.decisions:
+            t = kernel.target(*at, gamma)
+            if kernel.is_safe(t):
+                expected.append((gamma, ids[gamma, t]))
+        assert out == tuple(expected)
+
+
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_expansion_reuses_the_edges_of_a_decision_state_class(mode, monkeypatch):
+    """Seed-10 draw 3 has decision states that share (old-decision key,
+    moved cores, event) in both modes, so expansion asks the kernel for
+    fewer targets than it has decision states."""
+    rng = random.Random(10)
+    config = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
+    model = [random_model(rng, config) for _ in range(4)][3]
+    calls = []
+    targets = Successors.targets
+
+    def counting(self, old, cores, sigma):
+        calls.append((old, cores, sigma))
+        return targets(self, old, cores, sigma)
+
+    monkeypatch.setattr(Successors, "targets", counting)
+    arena = expand_arena(model, SynthesisConfig(mode=mode))
+    assert len(calls) < arena._counts[0]
+
+
 # Attractor pruning against the round-based fixpoint -------------------------
 
 
@@ -768,7 +825,6 @@ def test_synthesize_builds_only_what_it_outputs(monkeypatch):
     structure.  Information states are built for the structure only, and
     no arena view is read."""
     from opactrl import synthesis
-    from opactrl.structure import Successors
 
     rng = random.Random(10)
     config = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
