@@ -8,6 +8,7 @@ parse, resource or internal errors, 3 synthesize: no solution exists.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 from pathlib import Path
@@ -150,7 +151,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser.  When ``command`` names a subcommand, only
     that subcommand's parser is added, so a call parses no more than it
     runs; otherwise (``-h``, no arguments, an unknown command) all of them
-    are.  Either way it prints the same help, usage and error lines."""
+    are.  Either way it prints the same help, usage and error lines.
+
+    Each parser is built once per process and shared by later calls: every
+    command that is not a subcommand maps to the full parser, so at most
+    five exist.  Parsing leaves no state on a parser, and argparse reads
+    ``COLUMNS`` when it prints, not when it builds.  Callers must not add
+    to the parser returned: every later call would see the change."""
+    return _build_parser(command if command in SUBCOMMANDS else None)
+
+
+@functools.cache
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opactrl",
         description=(

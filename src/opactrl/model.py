@@ -44,6 +44,19 @@ def list_field(value, what: str):
     return value
 
 
+def name_field(value, what: str) -> str:
+    """``value``, which a document gives as a name.  Anything else is
+    refused; a list or an object would otherwise fail as a dict key."""
+    if not isinstance(value, str):
+        raise ModelFormatError(f"invalid {what}: expected a name, got {value!r}")
+    return value
+
+
+def names_field(value, what: str) -> list[str]:
+    """``value``, which a document gives as a list of names."""
+    return [name_field(name, what) for name in list_field(value, what)]
+
+
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -276,10 +289,13 @@ class PlantModel:
         def listed(key: str) -> list:
             return list_field(doc.get(key, ()), repr(key))
 
+        def named(key: str) -> frozenset[str]:
+            return frozenset(names_field(doc.get(key, ()), repr(key)))
+
         parts = EventPartitions(
-            supervisor_observable=frozenset(listed("observable_supervisor")),
-            intruder_observable=frozenset(listed("observable_intruder")),
-            controllable=frozenset(listed("controllable")),
+            supervisor_observable=named("observable_supervisor"),
+            intruder_observable=named("observable_intruder"),
+            controllable=named("controllable"),
         )
         events = listed("events")
         for name in (
@@ -289,9 +305,10 @@ class PlantModel:
                 raise ModelFormatError(f"unknown event {name!r} in partition")
         transitions = []
         for entry in listed("transitions"):
-            if len(list_field(entry, "transition")) != 3:
+            names = names_field(entry, "transition")
+            if len(names) != 3:
                 raise ModelFormatError(f"malformed transition {entry!r}")
-            transitions.append(tuple(entry))
+            transitions.append(tuple(names))
         return cls(
             states=[str(s) for s in listed("states")],
             events=[str(e) for e in events],

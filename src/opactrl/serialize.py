@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .estimator import IssuanceMode, ObservationPair
-from .model import ModelFormatError, PlantModel, list_field
+from .model import ModelFormatError, PlantModel, list_field, name_field, names_field
 from .structure import (
     INITIAL_KEY,
     ControlStructure,
@@ -89,10 +89,10 @@ def parse_supervisor(model: PlantModel, doc: dict) -> Supervisor | ControlStruct
                 f"invalid supervisor table: expected an object, got {table!r}"
             )
         for key, value in table.items():
-            list_field(value, f"supervisor table entry {key!r}")
+            names_field(value, f"supervisor table entry {key!r}")
         default = doc.get("default")
         if default is not None:
-            list_field(default, "supervisor default")
+            names_field(default, "supervisor default")
         return TabularSupervisor(model, table, default)
     if kind == "control-structure":
         return structure_from_dict(model, doc)
@@ -125,9 +125,9 @@ def _member_from_list(model: PlantModel, entry) -> EstimatorState:
         raise ModelFormatError(f"malformed estimator state {entry!r}")
     state, estimate, decision = entry
     return EstimatorState(
-        model.state(state),
-        model.state_mask(list_field(estimate, "estimate")),
-        model.control_decision(list_field(decision, "decision")),
+        model.state(name_field(state, "plant state")),
+        model.state_mask(names_field(estimate, "estimate")),
+        model.control_decision(names_field(decision, "decision")),
     )
 
 
@@ -198,19 +198,22 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
             key = (
                 INITIAL_KEY
                 if source is None
-                else (obs_by_id[source], model.event(event))
+                else (obs_by_id[source], model.event(name_field(event, "event")))
             )
             decisions[key] = (
-                model.control_decision(list_field(entry["decision"], "decision")),
+                model.control_decision(names_field(entry["decision"], "decision")),
                 obs_by_id[entry["target"]],
             )
             dec_by_id[entry["id"]] = key
         observations: dict[InfoState, list[int]] = {
             info: [] for info in obs_by_id.values()
         }
-        for obs_ref, event, dec_ref in doc["observation_transitions"]:
+        for entry in doc["observation_transitions"]:
+            if len(list_field(entry, "observation transition")) != 3:
+                raise ModelFormatError(f"malformed observation transition {entry!r}")
+            obs_ref, event, dec_ref = entry
             info = obs_by_id[obs_ref]
-            sigma = model.event(event)
+            sigma = model.event(name_field(event, "event"))
             if dec_by_id[dec_ref] != (info, sigma):
                 raise ModelFormatError(
                     "observation transition inconsistent with decision state identity"

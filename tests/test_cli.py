@@ -1,10 +1,14 @@
 """Serialization round-trips, DOT rendering, the command-line surface, and
 its exit-code contract."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -540,14 +544,57 @@ PARSE_ONLY_ARGVS = [
 
 @pytest.mark.parametrize("argv", PARSE_ONLY_ARGVS, ids=lambda a: " ".join(a) or "-")
 def test_cli_parses_as_the_full_parser_does(argv, monkeypatch, capsys):
-    """Building only the invoked subcommand's parser changes no exit code,
-    help text, usage or error line."""
+    """Building only the invoked subcommand's parser, once, changes no exit
+    code, help text, usage or error line: two calls in a row on the reused
+    parser print as a freshly built full parser does."""
     argv = [RUN if arg == "M" else arg for arg in argv]
     monkeypatch.setenv("COLUMNS", "80")
     got = (main(argv), *capsys.readouterr())
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
     assert got == (main(argv), *capsys.readouterr())
+    fresh_parser = cli._build_parser.__wrapped__
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: fresh_parser(None))
+    assert got == (main(argv), *capsys.readouterr())
+
+
+def test_cli_holds_at_most_five_parsers(capsys):
+    """Every command that is not a subcommand shares the full parser, so
+    distinct unknown commands add none."""
+    for i in range(40):
+        assert main([f"bogus-{i}"]) == 2
+    for argv in ([], ["-h"], ["--nope"], *([command, "-h"] for command in cli.SUBCOMMANDS)):
+        main(argv)
+    capsys.readouterr()
+    assert cli._build_parser.cache_info().currsize == len(cli.SUBCOMMANDS) + 1
+    assert cli.build_parser("bogus-0") is cli.build_parser() is cli.build_parser("-h")
+    assert cli.build_parser("verify") is cli.build_parser("verify")
+
+
+def test_cli_reused_parser_keeps_no_values_between_parses():
+    parser = cli.build_parser("verify")
+    parser.parse_args(
+        ["verify", RUN, "--supervisor", SRUN, "--bound", "3", "--mode", "decision",
+         "--size-guard", "7"]
+    )
+    args = parser.parse_args(["verify", RUN, "--open-loop"])
+    assert (args.open_loop, args.supervisor, args.bound, args.mode, args.size_guard) == (
+        True, None, None, "observation", 10**6,
+    )
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"]], ids=" ".join)
+def test_cli_help_wraps_to_the_columns_of_each_call(argv, monkeypatch, capsys):
+    """argparse reads ``COLUMNS`` when it prints, so a reused parser wraps
+    its help as a fresh one does at each call's width."""
+    helps = []
+    for columns in ("40", "120", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(argv) == 0
+        helps.append(capsys.readouterr().out)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            assert main(argv) == 0
+        assert capsys.readouterr().out == helps[-1]
+    assert helps[0] == helps[2] != helps[1]
 
 
 def _replaced(doc, path, value):
@@ -618,6 +665,12 @@ MALFORMED_POLICIES = [
      "invalid mode: expected one of 'observation', 'decision', got 'bogus'"),
     ("structure", ("mode",), ["observation"],
      "invalid mode: expected one of 'observation', 'decision', got ['observation']"),
+    ("supervisor", ("table", "u1"), [["a"]],
+     "invalid supervisor table entry 'u1': expected a name, got ['a']"),
+    ("structure", ("observation_transitions", 0), [0, "u1"],
+     "malformed observation transition [0, 'u1']"),
+    ("structure", ("observation_transitions", 0), [0, "u1", 1, 2],
+     "malformed observation transition [0, 'u1', 1, 2]"),
 ]
 
 
@@ -632,8 +685,10 @@ MALFORMED_POLICIES = [
 def test_cli_refuses_a_malformed_policy_document(
     document, path, value, message, tmp_path, run_model, srun, capsys
 ):
-    """A decision table that is not an object, or a structure in a mode
-    that does not exist, is invalid input, not an internal error."""
+    """A decision table that is not an object or lists a non-name, and a
+    structure in a mode that does not exist or with an observation
+    transition that is not a triple, are invalid input, not an internal
+    error."""
     docs = {
         "supervisor": srun.to_dict(),
         "structure": structure_to_dict(structure_from_policy(run_model, srun, OBS)),
@@ -644,6 +699,74 @@ def test_cli_refuses_a_malformed_policy_document(
     policy_path.write_text(dump_json(_replaced(docs[document], path, value)))
     assert main(["verify", str(model_path), "--supervisor", str(policy_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# (path of the model entry, a value with a list where a name belongs, the
+# error).  Each used to fail as an unhashable dict key.
+NON_NAMES_IN_MODEL = [
+    (("transitions", 0), [["x"], "a", "s1"], "invalid transition: expected a name, got ['x']"),
+    (("controllable",), [["a"]], "invalid 'controllable': expected a name, got ['a']"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    NON_NAMES_IN_MODEL,
+    ids=["-".join(map(str, (*path, value))) for path, value, _ in NON_NAMES_IN_MODEL],
+)
+def test_cli_refuses_a_non_name_in_a_model(path, value, message, tmp_path, run_model, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(dump_json(_replaced(run_model.to_dict(), path, value)))
+    assert main(["verify", str(model_path), "--open-loop"]) == 2
+    assert capsys.readouterr().err == f"error: invalid model {model_path}: {message}\n"
+
+
+def _paths(node, prefix=()):
+    """The path of every node below the root of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+# Values put where a document wants something else.
+MUTANTS = [None, True, 0, "", ["u1"], [0, "u1"], [["a"]], [], {}]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_cli_reads_or_refuses_any_single_node_mutation(data, run_model, srun):
+    """One node of the model, a decision table or a synthesized structure
+    replaced: ``verify`` (and ``synthesize`` on the model) gives a verdict
+    or refuses the input, and never reports an internal error."""
+    docs = {
+        "model": run_model.to_dict(),
+        "table": srun.to_dict(),
+        "structure": structure_to_dict(structure_from_policy(run_model, srun, OBS)),
+    }
+    name = data.draw(st.sampled_from(sorted(docs)))
+    path = data.draw(st.sampled_from(list(_paths(docs[name]))))
+    docs[name] = _replaced(docs[name], path, data.draw(st.sampled_from(MUTANTS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for key, doc in docs.items():
+            files[key] = str(Path(tmp) / f"{key}.json")
+            Path(files[key]).write_text(dump_json(doc))
+        if name == "model":
+            argvs = [["verify", files["model"], "--open-loop"], ["synthesize", files["model"]]]
+        else:
+            argvs = [["verify", files["model"], "--supervisor", files[name]]]
+        for argv in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3)
+            assert "internal error" not in err.getvalue(), (argv[0], path, err.getvalue())
 
 
 # Per read of an input file: the argv, where "M" stands for the running
