@@ -671,10 +671,7 @@ def supervisor_estimate(
 
 
 def structure_from_policy(
-    model: PlantModel,
-    sup: Supervisor,
-    mode: IssuanceMode,
-    size_guard: int | None = None,
+    model: PlantModel, sup: Supervisor, mode: IssuanceMode
 ) -> ControlStructure:
     """Materialize the control structure induced by a policy whose decisions
     depend only on the information state (true for any finite tabular policy
@@ -683,9 +680,7 @@ def structure_from_policy(
     Each decision state is expanded once, but its decision is re-checked on
     every arrival, so a policy disagreeing with itself across any traversed
     edge is rejected.  The walk runs on the kernel's (decision, core set)
-    pairs; information states are built for the structure returned.  It
-    raises ``SizeGuardExceeded`` once it has visited more than
-    ``size_guard`` decision states."""
+    pairs; information states are built for the structure returned."""
     kernel = Successors(model, mode)
     # A decision state is (decision, core set, event) of its observation
     # state and observation, all None for the initial one; an observation
@@ -709,7 +704,6 @@ def structure_from_policy(
         cores = kernel.target(*key, gamma)
         target = (gamma, cores)
         decided[key] = (gamma, target)
-        _guard_visits(decided, size_guard, "policy walk")
         if target not in events:
             events[target] = kernel.feasible_events(gamma, cores)
         queue.extend(
@@ -738,7 +732,7 @@ class ClosedLoopVerdict:
         return self.opaque
 
 
-def _guard_visits(seen: set | dict, size_guard: int | None, search: str) -> None:
+def _guard_visits(seen: set, size_guard: int | None, search: str) -> None:
     if size_guard is not None and len(seen) > size_guard:
         raise SizeGuardExceeded(size_guard, None, len(seen), search)
 

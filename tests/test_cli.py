@@ -607,6 +607,41 @@ def _replaced(doc, path, value):
     return doc
 
 
+def _example_documents(run_model, srun):
+    """The running example's model, the table ``srun`` and its structure."""
+    return {
+        "model": run_model.to_dict(),
+        "supervisor": srun.to_dict(),
+        "structure": structure_to_dict(structure_from_policy(run_model, srun, OBS)),
+    }
+
+
+def _write_documents(directory, docs):
+    """Write each document to ``<directory>/<name>.json``; return the paths."""
+    paths = {name: Path(directory) / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        paths[name].write_text(dump_json(doc))
+    return paths
+
+
+def _verify_argv(paths, document):
+    """``verify`` of the model, open loop when the model is ``document``,
+    else under the policy ``document``."""
+    argv = ["verify", str(paths["model"])]
+    if document == "model":
+        return argv + ["--open-loop"]
+    return argv + ["--supervisor", str(paths[document])]
+
+
+def _verify_replaced(tmp_path, run_model, srun, document, path, value):
+    """Run ``verify`` on the example documents with the entry at ``path`` of
+    ``document`` replaced; return the exit code and the model's path."""
+    docs = _example_documents(run_model, srun)
+    docs[document] = _replaced(docs[document], path, value)
+    paths = _write_documents(tmp_path, docs)
+    return main(_verify_argv(paths, document)), paths["model"]
+
+
 # (document, path of the entry, a value where the document wants a list).
 # On the model and the table, each string used to be read as the list of
 # its characters, which here names the entry's own members.  A table entry
@@ -639,26 +674,18 @@ NON_LISTS = [
 def test_cli_refuses_a_non_list_for_a_list(
     document, path, value, tmp_path, run_model, srun, capsys
 ):
-    docs = {
-        "model": run_model.to_dict(),
-        "supervisor": srun.to_dict(),
-        "structure": structure_to_dict(structure_from_policy(run_model, srun, OBS)),
-    }
-    docs[document] = _replaced(docs[document], path, value)
-    paths = {}
-    for name, doc in docs.items():
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(dump_json(doc))
-    argv = ["verify", str(paths["model"])]
-    argv += ["--open-loop"] if document == "model" else ["--supervisor", str(paths[document])]
-    assert main(argv) == 2
+    code, _ = _verify_replaced(tmp_path, run_model, srun, document, path, value)
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: invalid ")
     assert f"expected a list, got {value!r}" in captured.err
 
 
-# (document, path of the entry, its malformed value, the error line).
-MALFORMED_POLICIES = [
+# (document, path of the entry, its malformed value, the error line, where
+# {model} stands for the model's path).  The non-names used to fail as
+# unhashable dict keys, and the observation transitions that are not
+# triples as a failed unpacking.
+MALFORMED_DOCUMENTS = [
     ("supervisor", ("table",), ["u1"],
      "invalid supervisor table: expected an object, got ['u1']"),
     ("structure", ("mode",), "bogus",
@@ -671,54 +698,31 @@ MALFORMED_POLICIES = [
      "malformed observation transition [0, 'u1']"),
     ("structure", ("observation_transitions", 0), [0, "u1", 1, 2],
      "malformed observation transition [0, 'u1', 1, 2]"),
+    ("model", ("transitions", 0), [["x"], "a", "s1"],
+     "invalid model {model}: invalid transition: expected a name, got ['x']"),
+    ("model", ("controllable",), [["a"]],
+     "invalid model {model}: invalid 'controllable': expected a name, got ['a']"),
 ]
 
 
 @pytest.mark.parametrize(
     "document, path, value, message",
-    MALFORMED_POLICIES,
+    MALFORMED_DOCUMENTS,
     ids=[
         "-".join(map(str, (doc, *path, value)))
-        for doc, path, value, _ in MALFORMED_POLICIES
+        for doc, path, value, _ in MALFORMED_DOCUMENTS
     ],
 )
 def test_cli_refuses_a_malformed_policy_document(
     document, path, value, message, tmp_path, run_model, srun, capsys
 ):
-    """A decision table that is not an object or lists a non-name, and a
-    structure in a mode that does not exist or with an observation
-    transition that is not a triple, are invalid input, not an internal
-    error."""
-    docs = {
-        "supervisor": srun.to_dict(),
-        "structure": structure_to_dict(structure_from_policy(run_model, srun, OBS)),
-    }
-    model_path = tmp_path / "model.json"
-    model_path.write_text(dump_json(run_model.to_dict()))
-    policy_path = tmp_path / "policy.json"
-    policy_path.write_text(dump_json(_replaced(docs[document], path, value)))
-    assert main(["verify", str(model_path), "--supervisor", str(policy_path)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-# (path of the model entry, a value with a list where a name belongs, the
-# error).  Each used to fail as an unhashable dict key.
-NON_NAMES_IN_MODEL = [
-    (("transitions", 0), [["x"], "a", "s1"], "invalid transition: expected a name, got ['x']"),
-    (("controllable",), [["a"]], "invalid 'controllable': expected a name, got ['a']"),
-]
-
-
-@pytest.mark.parametrize(
-    "path, value, message",
-    NON_NAMES_IN_MODEL,
-    ids=["-".join(map(str, (*path, value))) for path, value, _ in NON_NAMES_IN_MODEL],
-)
-def test_cli_refuses_a_non_name_in_a_model(path, value, message, tmp_path, run_model, capsys):
-    model_path = tmp_path / "model.json"
-    model_path.write_text(dump_json(_replaced(run_model.to_dict(), path, value)))
-    assert main(["verify", str(model_path), "--open-loop"]) == 2
-    assert capsys.readouterr().err == f"error: invalid model {model_path}: {message}\n"
+    """A decision table that is not an object, a structure in a mode that
+    does not exist or with an observation transition that is not a triple,
+    and a list where a model, table or structure wants a name, are invalid
+    input, not an internal error."""
+    code, model_path = _verify_replaced(tmp_path, run_model, srun, document, path, value)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message.format(model=model_path)}\n"
 
 
 def _paths(node, prefix=()):
@@ -744,23 +748,15 @@ def test_cli_reads_or_refuses_any_single_node_mutation(data, run_model, srun):
     """One node of the model, a decision table or a synthesized structure
     replaced: ``verify`` (and ``synthesize`` on the model) gives a verdict
     or refuses the input, and never reports an internal error."""
-    docs = {
-        "model": run_model.to_dict(),
-        "table": srun.to_dict(),
-        "structure": structure_to_dict(structure_from_policy(run_model, srun, OBS)),
-    }
+    docs = _example_documents(run_model, srun)
     name = data.draw(st.sampled_from(sorted(docs)))
     path = data.draw(st.sampled_from(list(_paths(docs[name]))))
     docs[name] = _replaced(docs[name], path, data.draw(st.sampled_from(MUTANTS)))
     with tempfile.TemporaryDirectory() as tmp:
-        files = {}
-        for key, doc in docs.items():
-            files[key] = str(Path(tmp) / f"{key}.json")
-            Path(files[key]).write_text(dump_json(doc))
+        files = _write_documents(tmp, docs)
+        argvs = [_verify_argv(files, name)]
         if name == "model":
-            argvs = [["verify", files["model"], "--open-loop"], ["synthesize", files["model"]]]
-        else:
-            argvs = [["verify", files["model"], "--supervisor", files[name]]]
+            argvs.append(["synthesize", str(files["model"])])
         for argv in argvs:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -176,24 +176,6 @@ def test_structure_from_policy_rejects_history_dependent_policy():
         structure_from_policy(model, sup, OBS)
 
 
-@pytest.mark.parametrize("mode", [OBS, DEC])
-def test_structure_from_policy_honours_its_size_guard(mode, run_model, srun, sprime):
-    """The policy walk stops once it has visited more decision states than
-    its guard; a guard it stays within, or none, gives the same structure."""
-    for sup in (srun, sprime):
-        structure = structure_from_policy(run_model, sup, mode)
-        visited = len(structure.decisions)
-        assert structure_from_policy(run_model, sup, mode, visited) == structure
-        with pytest.raises(SizeGuardExceeded) as excinfo:
-            structure_from_policy(run_model, sup, mode, visited - 1)
-        assert str(excinfo.value) == (
-            f"policy walk exceeded size guard of {visited - 1} states "
-            f"({visited} visited so far)"
-        )
-    with pytest.raises(SizeGuardExceeded, match="policy walk exceeded size guard of 1 "):
-        structure_from_policy(run_model, srun, mode, 1)
-
-
 def test_closed_loop_simulate(run_model, srun):
     m = run_model
     ok = closed_loop_simulate(m, srun, m.word("a u1 u2 u2"))
