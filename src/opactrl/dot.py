@@ -126,7 +126,7 @@ def estimator_slice_to_dot(
     more than ``size_guard`` states."""
     nodes: dict = {}
     edges: dict = {}  # used as an insertion-ordered set
-    for parent, sigma, (m, _, _), _ in closed_loop_search(
+    for parent, sigma, (m, *_), _ in closed_loop_search(
         model, sup, mode, depth, size_guard, search="estimator slice"
     ):
         src = "m0" if parent is None else f"n{nodes[parent[0]]}"

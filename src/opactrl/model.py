@@ -52,6 +52,18 @@ def name_field(value, what: str) -> str:
     return value
 
 
+def declared_name(value, what: str) -> str:
+    """``value``, which a document gives as the name of a state or an event
+    where it declares them: a string, or a number read as its decimal text.
+    A list, an object, null or a boolean is refused; ``str()`` would
+    otherwise make a name of it."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"invalid {what}: expected a name, got {value!r}")
+    return str(value)
+
+
 def names_field(value, what: str) -> list[str]:
     """``value``, which a document gives as a list of names."""
     return [name_field(name, what) for name in list_field(value, what)]
@@ -292,12 +304,15 @@ class PlantModel:
         def named(key: str) -> frozenset[str]:
             return frozenset(names_field(doc.get(key, ()), repr(key)))
 
+        def declared(key: str) -> list[str]:
+            return [declared_name(name, repr(key)) for name in listed(key)]
+
         parts = EventPartitions(
             supervisor_observable=named("observable_supervisor"),
             intruder_observable=named("observable_intruder"),
             controllable=named("controllable"),
         )
-        events = listed("events")
+        events = declared("events")
         for name in (
             parts.supervisor_observable | parts.intruder_observable | parts.controllable
         ):
@@ -310,11 +325,11 @@ class PlantModel:
                 raise ModelFormatError(f"malformed transition {entry!r}")
             transitions.append(tuple(names))
         return cls(
-            states=[str(s) for s in listed("states")],
-            events=[str(e) for e in events],
+            states=declared("states"),
+            events=events,
             transitions=transitions,
-            initial=str(doc["initial"]),
-            secret=[str(s) for s in listed("secret")],
+            initial=declared_name(doc["initial"], "'initial'"),
+            secret=declared("secret"),
             partitions=parts,
         )
 

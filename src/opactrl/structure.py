@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 
 from .estimator import (
     AugmentedEvent,
+    EstimatorError,
     EstimatorState,
     IssuanceMode,
     estimator_step,
@@ -132,9 +133,10 @@ class Successors:
     asks about again and again, each keyed on exactly what its answer
     reads:
 
-    - estimator steps (see :meth:`_step`);
     - the intruder's estimate update, and under it the plant's reach
-      operators (see :meth:`_update`);
+      operators (see :meth:`_update`).  An estimator step is the plant
+      successor plus this update, so steps keep no memo of their own (see
+      :meth:`_step`);
     - the closure of each single core under unobservable events, keyed by
       (core id, class of the decision).  The closure of an information
       state is the union of its members' closures, because every member
@@ -165,6 +167,7 @@ class Successors:
         self._supervisor_sees = model.supervisor_observable
         self._intruder_sees = model.intruder_observable
         self._intruder_hidden = model.intruder_unobservable
+        self._plant_step = model.step
         self._reach = _ReachMemo(model)
         self._cores: list[tuple[int, int]] = []
         self._core_ids: dict[tuple[int, int], int] = {}
@@ -174,7 +177,6 @@ class Successors:
         self._active_at: list[int] = [0] * len(model.events)
         # The set of cores whose estimate lies inside the secret.
         self._revealing = 0
-        self._steps: dict[tuple, int] = {}
         self._updates: dict[tuple, int] = {}
         self._closures: dict[tuple[int, int], int] = {}
         self._layouts: dict[int | None, tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -269,40 +271,28 @@ class Successors:
         ``sigma``, committing ``gamma``; ``c`` and ``old`` are None for the
         initial marker.  Answers the core id reached.
 
-        Memoised on what :func:`estimator_step` reads of its inputs for the
-        core it answers: (core, event, whether the step releases, the old
-        decision's intruder-unobservable events when the intruder does not
-        see the event, the intruder-unobservable events of the decision the
-        estimate closes under: the new one if released, else the old one).
-        The plant successor reads the core and the event only, and the
-        estimate update reads nothing more (see :meth:`_update`).  The
-        initial marker's key is (None, the new decision's
-        intruder-unobservable events), which is all its estimate reads."""
-        hidden = self._intruder_hidden
+        A step is the plant successor plus the estimate update, which
+        :meth:`_update` memoises on what it reads; ``seen`` and ``release``
+        are derived as :func:`estimator_step` derives them, and an event
+        that is not active at the core or not enabled by ``old`` raises
+        :class:`EstimatorError` as it does there.  The initial marker goes
+        through :func:`estimator_step`."""
         if c is None:
-            key = (None, gamma & hidden)
-        else:
-            if self._decision_mode:
-                release = gamma != old
-            else:
-                release = bool((self._supervisor_sees >> sigma) & 1)
-            key = (
-                c,
-                sigma,
-                release,
-                None if (self._intruder_sees >> sigma) & 1 else old & hidden,
-                (gamma if release else old) & hidden,
-            )
-        nxt = self._steps.get(key)
-        if nxt is None:
-            m = None if c is None else EstimatorState(*self._cores[c], old)
-            # Looked up at call time, so that a wrapper installed on this
-            # module's ``estimator_step`` sees every miss.
             out = estimator_step(
-                self.model, m, AugmentedEvent(sigma, gamma), self.mode, self._update
+                self.model, None, AugmentedEvent(None, gamma), self.mode, self._update
             )
-            nxt = self._steps[key] = self._intern(out[:2])
-        return nxt
+            return self._intern(out[:2])
+        if not (self._active[c] & old) >> sigma & 1:
+            raise EstimatorError("event not enabled at estimator state")
+        x, q = self._cores[c]
+        if self._decision_mode:
+            release = gamma if gamma != old else None
+        else:
+            release = gamma if (self._supervisor_sees >> sigma) & 1 else None
+        seen = sigma if (self._intruder_sees >> sigma) & 1 else None
+        return self._intern(
+            (self._plant_step(x, sigma), self._update(self.model, q, old, seen, release))
+        )
 
     def _closure(self, c: int, gamma: int) -> int:
         """The set of cores reached from core ``c`` along events the
@@ -737,7 +727,20 @@ def _guard_visits(seen: set, size_guard: int | None, search: str) -> None:
         raise SizeGuardExceeded(size_guard, None, len(seen), search)
 
 
-LoopNode = tuple[EstimatorState, tuple[int, ...], tuple[int, ...]]
+# A node of the closed-loop search: (estimator state, supervisor observation,
+# depth, parent node, event from the parent); the root has depth 0 and no
+# parent.  The event string is kept as the parent links, not per node.
+LoopNode = tuple[EstimatorState, tuple[int, ...], int, "LoopNode | None", int | None]
+
+
+def loop_string(node: LoopNode) -> tuple[int, ...]:
+    """The event string of a closed-loop search node, read back along its
+    parent links."""
+    events = []
+    while node[3] is not None:
+        events.append(node[4])
+        node = node[3]
+    return tuple(reversed(events))
 
 
 def closed_loop_search(
@@ -751,11 +754,13 @@ def closed_loop_search(
 ) -> Iterator[tuple[LoopNode | None, int | None, LoopNode, bool]]:
     """Breadth-first search over the closed loop of ``sup``.
 
-    A node is (estimator state, supervisor observation, string).  Yields
-    every move ``(parent, sigma, node, new)`` in breadth-first order, where
-    ``new`` says whether the node is met for the first time; the first yield
-    is the estimator's first step, with ``parent`` and ``sigma`` None.  Nodes
-    are told apart by their estimator state and the observation's
+    A node is a :data:`LoopNode`: estimator state, supervisor observation,
+    the length of its string, and a link to its parent, from which
+    :func:`loop_string` reads the string back.  Yields every move ``(parent,
+    sigma, node, new)`` in breadth-first order, where ``new`` says whether
+    the node is met for the first time; the first yield is the estimator's
+    first step, with ``parent`` and ``sigma`` None.  Nodes are told apart by
+    their estimator state and the observation's
     :meth:`Supervisor.observation_signature`.  With ``alpha`` given, only
     moves whose observation stays a prefix of ``alpha`` are made, and nodes
     are told apart by estimator state and observation length.  Nodes whose
@@ -776,15 +781,15 @@ def closed_loop_search(
         return nxt
 
     signature = sup.observation_signature if alpha is None else len
-    root: LoopNode = (step(None, None, sup.decision(())), (), ())
+    root: LoopNode = (step(None, None, sup.decision(())), (), 0, None, None)
     seen = {(root[0], signature(()))}
     yield None, None, root, True
     observable = model.supervisor_observable
     queue = deque([root])
     while queue:
         parent = queue.popleft()
-        m, obs, s = parent
-        if bound is not None and len(s) >= bound:
+        m, obs, depth, _, _ = parent
+        if bound is not None and depth >= bound:
             continue
         for sigma in iter_bits(model.active(m.plant_state) & m.decision):
             if (observable >> sigma) & 1:
@@ -796,7 +801,7 @@ def closed_loop_search(
                 gamma = sup.decision(new_obs)
             else:
                 new_obs, gamma = obs, m.decision
-            node = (step(m, sigma, gamma), new_obs, s + (sigma,))
+            node = (step(m, sigma, gamma), new_obs, depth + 1, parent, sigma)
             key = (node[0], signature(new_obs))
             new = key not in seen
             if new:
@@ -819,12 +824,12 @@ def _find_revealing_string(
     :class:`SizeGuardExceeded` once it has visited more than ``size_guard``
     states."""
     complete = True
-    for _, _, (m, _, s), new in closed_loop_search(model, sup, mode, bound, size_guard):
+    for _, _, node, new in closed_loop_search(model, sup, mode, bound, size_guard):
         if not new:
             continue
-        if not (m.estimate & ~model.secret_mask):
-            return s, True
-        if len(s) == bound:
+        if not (node[0].estimate & ~model.secret_mask):
+            return loop_string(node), True
+        if node[2] == bound:
             complete = False
     return None, complete
 
@@ -915,7 +920,7 @@ def brute_estimate_set(
     the information-state operators."""
     return frozenset(
         m.estimate
-        for _, _, (m, obs, _), new in closed_loop_search(
+        for _, _, (m, obs, *_), new in closed_loop_search(
             model, sup, mode, bound, alpha=alpha
         )
         if new and len(obs) == len(alpha)

@@ -223,12 +223,18 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     target gets its observation state id when it is first reached under its
     decision; no ``InfoState`` is built.
 
-    The edges of a decision state are memoised on
-    :meth:`Successors.targets_key`, which fixes its targets and layout, and
-    so its safety tests and its decision loop.  The first decision state
-    with a key numbers every safe target it reaches, so a later one with the
-    same key reaches no new state and takes the same edges: ids, orders and
-    the size-guard trip point are those of expanding every state."""
+    The edges of a decision state are memoised twice.  The first memo is
+    keyed on :meth:`Successors.targets_key`, which fixes its targets and
+    layout, and so its safety tests and its decision loop.  On a miss the
+    targets are worked out, and the second memo is keyed on the layout (the
+    old decision under the decision-triggered mechanism, else nothing) and
+    the *safe row*: the targets with each unsafe one set to None.  That is
+    all the loop over :attr:`Successors.decisions` reads, so it runs once
+    per distinct (layout, safe row), where many targets keys share one row.
+    The first decision state with a key or a row numbers every safe target
+    it reaches, so a later one with the same key or row reaches no new state
+    and takes the same edges: ids, orders and the size-guard trip point are
+    those of expanding every state."""
     successor = Successors(model, cfg.mode)
     expansion = _Expansion(successor)
     decision_of, cores_of, events_of = expansion.decision, expansion.cores, expansion.events
@@ -236,9 +242,12 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     decisions = successor.decisions
     is_safe, feasible_events = successor.is_safe, successor.feasible_events
     targets_key = successor.targets_key
+    decision_mode = cfg.mode is IssuanceMode.DECISION
     edges: list[tuple[tuple[int, int], ...] | None] = [None]
     # Edges by targets key; the initial decision state's under None.
     known: dict[tuple[int, int, int] | None, tuple[tuple[int, int], ...]] = {}
+    # Edges by layout key and safe row.
+    by_row: dict[tuple[int | None, tuple], tuple[tuple[int, int], ...]] = {}
     reached: dict[tuple[int, int], int] = {}
     # Each entry is a decision state, the decision and core set of its
     # observation state and its event (all None for the initial one).
@@ -250,7 +259,13 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
         if out is not None:
             edges[d] = out
             continue
-        row = [t if is_safe(t) else None for t in successor.targets(old, cores, sigma)]
+        targets = successor.targets(old, cores, sigma)
+        row = tuple(t if is_safe(t) else None for t in targets)
+        row_key = (old if decision_mode else None, row)
+        out = by_row.get(row_key)
+        if out is not None:
+            edges[d] = known[key] = out
+            continue
         out = []
         for gamma, column in zip(decisions, successor.layout(old)[1]):
             t = row[column]
@@ -271,7 +286,7 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
                 if len(edges) + len(cores_of) > cfg.size_guard:
                     raise SizeGuardExceeded(cfg.size_guard, len(edges), len(cores_of))
             out.append((gamma, o))
-        edges[d] = known[key] = tuple(out)
+        edges[d] = known[key] = by_row[row_key] = tuple(out)
     return Arena(expansion, edges, events_of, (len(edges), len(events_of)))
 
 

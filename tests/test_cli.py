@@ -702,6 +702,16 @@ MALFORMED_DOCUMENTS = [
      "invalid model {model}: invalid transition: expected a name, got ['x']"),
     ("model", ("controllable",), [["a"]],
      "invalid model {model}: invalid 'controllable': expected a name, got ['a']"),
+    ("model", ("states", 7), ["7"],
+     "invalid model {model}: invalid 'states': expected a name, got ['7']"),
+    ("model", ("events", 0), ["a"],
+     "invalid model {model}: invalid 'events': expected a name, got ['a']"),
+    ("model", ("secret", 0), {"7": "7"},
+     "invalid model {model}: invalid 'secret': expected a name, got {{'7': '7'}}"),
+    ("model", ("initial",), None,
+     "invalid model {model}: invalid 'initial': expected a name, got None"),
+    ("model", ("states", 0), True,
+     "invalid model {model}: invalid 'states': expected a name, got True"),
 ]
 
 
@@ -723,6 +733,39 @@ def test_cli_refuses_a_malformed_policy_document(
     code, model_path = _verify_replaced(tmp_path, run_model, srun, document, path, value)
     assert code == 2
     assert capsys.readouterr().err == f"error: {message.format(model=model_path)}\n"
+
+
+def test_cli_refuses_a_list_declared_as_a_state(tmp_path, run_model, srun, capsys):
+    """State 7 declared as ``["7"]`` in ``states`` and ``secret``, with the
+    transitions into 7 dropped, used to verify open loop with exit 0 and to
+    draw a state named ``['7']``."""
+    doc = run_model.to_dict()
+    doc["states"][7] = doc["secret"][0] = ["7"]
+    doc["transitions"] = [t for t in doc["transitions"] if t[2] != "7"]
+    paths = _write_documents(tmp_path, {"model": doc})
+    for argv in (_verify_argv(paths, "model"), ["export-dot", str(paths["model"])]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid model")
+        assert err.endswith(": invalid 'states': expected a name, got ['7']\n")
+
+
+def test_cli_reads_numbers_declared_as_names_as_their_decimal_text(
+    tmp_path, run_model, capsys
+):
+    """States, ``initial`` and ``secret`` given as JSON numbers name the
+    states of their decimal text, as they always have."""
+    doc = run_model.to_dict()
+    doc["states"] = [int(name) for name in doc["states"]]
+    doc["initial"] = int(doc["initial"])
+    doc["secret"] = [int(name) for name in doc["secret"]]
+    outputs = []
+    for name, model in (("numbers", doc), ("names", run_model.to_dict())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_json(model))
+        assert main(["export-dot", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def _paths(node, prefix=()):

@@ -38,8 +38,9 @@ from opactrl import (
 )
 from opactrl import structure as structure_module
 from opactrl.dot import estimator_slice_to_dot
-from opactrl.estimator import AugmentedEvent, update_estimate
+from opactrl.estimator import AugmentedEvent, EstimatorError, update_estimate
 from opactrl.model import iter_bits
+from opactrl.structure import closed_loop_search, loop_string
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
 from opactrl.supervisors import TabularSupervisor
 
@@ -645,6 +646,78 @@ def test_kernel_answers_states_it_never_produced(seed, mode):
             assert nx_is(model, state, sigma, gamma_new, mode) == _reference_nx(
                 model, state, sigma, gamma_new, mode
             )
+
+
+@given(model_seeds, st.sampled_from([OBS, DEC]))
+@settings(max_examples=60, deadline=None)
+def test_kernel_step_is_the_estimator_step(seed, mode):
+    """A kernel step is the plant successor plus the memoised estimate
+    update, with no call to estimator_step past the initial marker.  From
+    any core and old decision, on each event active at the core and enabled
+    by the old decision, under any new decision (the unchanged one
+    included), it reaches the core of estimator_step; on any other event it
+    raises EstimatorError as estimator_step does."""
+    rng = random.Random(seed)
+    model = random_model(rng, RandomModelConfig(max_states=5, max_events=4))
+    succ = Successors(model, mode)
+    decisions = list(model.iter_decisions())
+    kernel_steps_from = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            structure_module,
+            "estimator_step",
+            lambda model, m, *rest: kernel_steps_from.append(m)
+            or estimator_step(model, m, *rest),
+        )
+        _check_kernel_steps(rng, model, mode, succ, decisions)
+    assert kernel_steps_from == [None] * len(decisions)
+
+
+def _check_kernel_steps(rng, model, mode, succ, decisions):
+    for gamma in decisions:
+        c = succ._step(None, None, None, gamma)
+        initial = estimator_step(model, None, AugmentedEvent(None, gamma), mode)
+        assert succ._cores[c] == initial[:2]
+    n = len(model.states)
+    for _ in range(8):
+        x = rng.randrange(n)
+        q = rng.getrandbits(n) | 1 << x
+        c = succ._intern((x, q))
+        old = rng.choice(decisions)
+        for sigma in range(len(model.events)):
+            gamma = old if rng.random() < 0.3 else rng.choice(decisions)
+            m, event = EstimatorState(x, q, old), AugmentedEvent(sigma, gamma)
+            if (model.active(x) & old) >> sigma & 1:
+                stepped = estimator_step(model, m, event, mode)
+                assert succ._cores[succ._step(c, old, sigma, gamma)] == stepped[:2]
+            else:
+                for step in (
+                    lambda: succ._step(c, old, sigma, gamma),
+                    lambda: estimator_step(model, m, event, mode),
+                ):
+                    with pytest.raises(EstimatorError, match="not enabled"):
+                        step()
+
+
+@given(model_seeds, st.sampled_from([OBS, DEC]))
+@settings(max_examples=30, deadline=None)
+def test_loop_nodes_link_back_to_their_strings(seed, mode):
+    """A closed-loop search node keeps its depth and a link to its parent,
+    not its string.  Read back along the links, the string of every node
+    met runs in the closed loop to the node's estimator state and
+    supervisor observation, and extends its parent's by the move's event."""
+    rng = random.Random(seed)
+    model = random_model(rng, CLOSED_LOOP_CONFIG)
+    sup = random_supervisor(rng, model)
+    for parent, sigma, node, _ in closed_loop_search(model, sup, mode, 5):
+        m, obs, depth, link, event = node
+        s = loop_string(node)
+        assert len(s) == depth
+        assert (link, event) == (parent, sigma)
+        if parent is not None:
+            assert s == loop_string(parent) + (sigma,)
+        assert run_estimator(model, augment(model, s, sup), mode) == m
+        assert obs == tuple(e for e in s if (model.supervisor_observable >> e) & 1)
 
 
 def _record_updates(monkeypatch):

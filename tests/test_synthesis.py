@@ -51,6 +51,13 @@ def info(model, *members):
     return make_info([est(model, *m) for m in members])
 
 
+def _seed10_draw(i):
+    """Draw ``i`` of the randgen seed-10 corpus."""
+    rng = random.Random(10)
+    config = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
+    return [random_model(rng, config) for _ in range(i + 1)][i]
+
+
 @pytest.fixture(scope="module")
 def run_arena(run_model):
     return expand_arena(run_model, SynthesisConfig(mode=OBS))
@@ -406,6 +413,61 @@ def test_prune_idempotent_on_random_arenas(seed, mode):
     assert not find_incomplete(pruned)
 
 
+def _monotone_pairs(arena, pruned):
+    """Check, on every pair of observation states of ``arena`` with one
+    decision and core sets ``A`` strictly inside ``B``, that pruning removes
+    ``A`` only when it removes ``B``; return the number of pairs in which
+    pruning removes a state."""
+    removed = {
+        item
+        for rank in pruned.pruning_trace
+        for item in rank
+        if isinstance(item[0], EstimatorState)  # an observation state
+    }
+    by_decision: dict[int, list[tuple[frozenset, bool]]] = {}
+    for state in arena.observation_events:
+        cores = frozenset(m[:2] for m in state)
+        by_decision.setdefault(state[0].decision, []).append((cores, state in removed))
+    pairs = 0
+    for states in by_decision.values():
+        for a, a_removed in states:
+            for b, b_removed in states:
+                if a < b:
+                    assert b_removed or not a_removed
+                    pairs += a_removed or b_removed
+    return pairs
+
+
+def _check_monotone(model, mode):
+    """:func:`_monotone_pairs` on the arena of ``model`` (0 when it outgrows
+    its guard)."""
+    try:
+        arena = expand_arena(model, SynthesisConfig(mode=mode, size_guard=20_000))
+    except SizeGuardExceeded:
+        return 0
+    return _monotone_pairs(arena, prune_incomplete(arena))
+
+
+@pytest.mark.parametrize("mode", [OBS, DEC])
+@pytest.mark.parametrize("draw", [13, 19])
+def test_a_subset_of_a_kept_core_set_is_kept_where_pruning_removes_states(draw, mode):
+    """Seed-10 draws 13 and 19 have, in both modes, same-decision subset
+    pairs in which pruning removes a state: see :func:`_monotone_pairs`."""
+    assert _check_monotone(_seed10_draw(draw), mode)
+
+
+@given(model_seeds, st.sampled_from([OBS, DEC]))
+@settings(max_examples=60, deadline=None)
+def test_a_subset_of_a_kept_core_set_is_kept(seed, mode):
+    """For a fixed decision, targets are unions of per-core rows, feasible
+    events grow with the core set and safety shrinks with it, so an
+    observation state whose core set lies inside that of a state pruning
+    keeps is kept too.  Removal is what is compared: a kept state can still
+    be dropped as unreachable."""
+    rng = random.Random(seed)
+    _check_monotone(random_model(rng, RandomModelConfig(max_states=5, max_events=4)), mode)
+
+
 # Interned expansion against a tuple-based one --------------------------------
 
 
@@ -552,9 +614,7 @@ def test_expansion_reuses_the_edges_of_a_decision_state_class(mode, monkeypatch)
     """Seed-10 draw 3 has decision states that share (old-decision key,
     moved cores, event) in both modes, so expansion asks the kernel for
     fewer targets than it has decision states."""
-    rng = random.Random(10)
-    config = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
-    model = [random_model(rng, config) for _ in range(4)][3]
+    model = _seed10_draw(3)
     calls = []
     targets = Successors.targets
 
@@ -565,6 +625,36 @@ def test_expansion_reuses_the_edges_of_a_decision_state_class(mode, monkeypatch)
     monkeypatch.setattr(Successors, "targets", counting)
     arena = expand_arena(model, SynthesisConfig(mode=mode))
     assert len(calls) < arena._counts[0]
+
+
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_expansion_loops_over_decisions_once_per_safe_row(mode, monkeypatch):
+    """Seed-10 draw 11 has targets keys that differ but share their layout
+    and safe row (the targets with unsafe ones set to None), in both modes.
+    Outside the kernel, expansion reads the layout once per loop over the
+    decisions, and must do so once per distinct (layout, safe row), not once
+    per key."""
+    model = _seed10_draw(11)
+    rows, loops, in_targets = [], [], []
+    targets, layout = Successors.targets, Successors.layout
+
+    def counting_targets(self, old, cores, sigma):
+        in_targets.append(True)
+        out = targets(self, old, cores, sigma)
+        in_targets.pop()
+        key = old if mode is DEC else None
+        rows.append((key, tuple(t if self.is_safe(t) else None for t in out)))
+        return out
+
+    def counting_layout(self, old):
+        if not in_targets:
+            loops.append(old)
+        return layout(self, old)
+
+    monkeypatch.setattr(Successors, "targets", counting_targets)
+    monkeypatch.setattr(Successors, "layout", counting_layout)
+    expand_arena(model, SynthesisConfig(mode=mode))
+    assert len(loops) == len(set(rows)) < len(rows)
 
 
 # Attractor pruning against the round-based fixpoint -------------------------
@@ -826,9 +916,7 @@ def test_synthesize_builds_only_what_it_outputs(monkeypatch):
     no arena view is read."""
     from opactrl import synthesis
 
-    rng = random.Random(10)
-    config = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
-    model = [random_model(rng, config) for _ in range(3)][2]
+    model = _seed10_draw(2)
     built = []
     info_of = Successors.info_of
 
