@@ -729,7 +729,7 @@ def _guard_visits(seen: set, size_guard: int | None, search: str) -> None:
 
 # A node of the closed-loop search: (estimator state, supervisor observation,
 # depth, parent node, event from the parent); the root has depth 0 and no
-# parent.  The event string is kept as the parent links, not per node.
+# parent.  A node holds no event string: its parent links spell it.
 LoopNode = tuple[EstimatorState, tuple[int, ...], int, "LoopNode | None", int | None]
 
 
@@ -754,13 +754,12 @@ def closed_loop_search(
 ) -> Iterator[tuple[LoopNode | None, int | None, LoopNode, bool]]:
     """Breadth-first search over the closed loop of ``sup``.
 
-    A node is a :data:`LoopNode`: estimator state, supervisor observation,
-    the length of its string, and a link to its parent, from which
-    :func:`loop_string` reads the string back.  Yields every move ``(parent,
-    sigma, node, new)`` in breadth-first order, where ``new`` says whether
-    the node is met for the first time; the first yield is the estimator's
-    first step, with ``parent`` and ``sigma`` None.  Nodes are told apart by
-    their estimator state and the observation's
+    A node is a :data:`LoopNode`; :func:`loop_string` reads its string
+    back.  Yields every move ``(parent, sigma, node, new)`` in breadth-first
+    order, where ``new`` says whether the node is met for the first time;
+    the first yield is the estimator's first step, with ``parent`` and
+    ``sigma`` None.  Nodes are told apart by their estimator state and the
+    observation's
     :meth:`Supervisor.observation_signature`.  With ``alpha`` given, only
     moves whose observation stays a prefix of ``alpha`` are made, and nodes
     are told apart by estimator state and observation length.  Nodes whose

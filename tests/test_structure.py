@@ -40,8 +40,8 @@ from opactrl import structure as structure_module
 from opactrl.dot import estimator_slice_to_dot
 from opactrl.estimator import AugmentedEvent, EstimatorError, update_estimate
 from opactrl.model import iter_bits
-from opactrl.structure import closed_loop_search, loop_string
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
+from opactrl.structure import closed_loop_search, loop_string
 from opactrl.supervisors import TabularSupervisor
 
 SIGMA = "a u1 u2 u3 b"
@@ -669,34 +669,28 @@ def test_kernel_step_is_the_estimator_step(seed, mode):
             lambda model, m, *rest: kernel_steps_from.append(m)
             or estimator_step(model, m, *rest),
         )
-        _check_kernel_steps(rng, model, mode, succ, decisions)
+        for gamma in decisions:
+            c = succ._step(None, None, None, gamma)
+            initial = estimator_step(model, None, AugmentedEvent(None, gamma), mode)
+            assert succ._cores[c] == initial[:2]
+        n = len(model.states)
+        for _ in range(8):
+            x = rng.randrange(n)
+            q = rng.getrandbits(n) | 1 << x
+            c = succ._intern((x, q))
+            old = rng.choice(decisions)
+            for sigma in range(len(model.events)):
+                gamma = old if rng.random() < 0.3 else rng.choice(decisions)
+                m, event = EstimatorState(x, q, old), AugmentedEvent(sigma, gamma)
+                if (model.active(x) & old) >> sigma & 1:
+                    stepped = estimator_step(model, m, event, mode)
+                    assert succ._cores[succ._step(c, old, sigma, gamma)] == stepped[:2]
+                    continue
+                with pytest.raises(EstimatorError, match="not enabled"):
+                    succ._step(c, old, sigma, gamma)
+                with pytest.raises(EstimatorError, match="not enabled"):
+                    estimator_step(model, m, event, mode)
     assert kernel_steps_from == [None] * len(decisions)
-
-
-def _check_kernel_steps(rng, model, mode, succ, decisions):
-    for gamma in decisions:
-        c = succ._step(None, None, None, gamma)
-        initial = estimator_step(model, None, AugmentedEvent(None, gamma), mode)
-        assert succ._cores[c] == initial[:2]
-    n = len(model.states)
-    for _ in range(8):
-        x = rng.randrange(n)
-        q = rng.getrandbits(n) | 1 << x
-        c = succ._intern((x, q))
-        old = rng.choice(decisions)
-        for sigma in range(len(model.events)):
-            gamma = old if rng.random() < 0.3 else rng.choice(decisions)
-            m, event = EstimatorState(x, q, old), AugmentedEvent(sigma, gamma)
-            if (model.active(x) & old) >> sigma & 1:
-                stepped = estimator_step(model, m, event, mode)
-                assert succ._cores[succ._step(c, old, sigma, gamma)] == stepped[:2]
-            else:
-                for step in (
-                    lambda: succ._step(c, old, sigma, gamma),
-                    lambda: estimator_step(model, m, event, mode),
-                ):
-                    with pytest.raises(EstimatorError, match="not enabled"):
-                        step()
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]))
