@@ -53,7 +53,6 @@ from .structure import (
 from .supervisors import ConstantSupervisor, Supervisor, TabularSupervisor
 from .synthesis import (
     Arena,
-    IncompleteStates,
     SizeGuardExceeded,
     SynthesisConfig,
     SynthesisOutcome,
@@ -61,7 +60,6 @@ from .synthesis import (
     exhaustive_solution_exists,
     expand_arena,
     extract_structure,
-    find_incomplete,
     prune_incomplete,
     synthesize,
 )

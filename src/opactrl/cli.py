@@ -16,7 +16,7 @@ from pathlib import Path
 from . import dot as dotmod
 from . import serialize
 from .estimator import FlowFormatError, IssuanceMode, estimate_from_flow
-from .model import ModelFormatError, PlantModel, verify_open_loop_opacity
+from .model import ModelFormatError, PlantModel, json_object, verify_open_loop_opacity
 from .structure import (
     ControlStructure,
     SizeGuardExceeded,
@@ -286,13 +286,13 @@ def _cmd_export_dot(args) -> int:
         except SizeGuardExceeded as exc:
             raise CliError(str(exc)) from exc
     else:
-        import json
-
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-        if isinstance(doc, dict) and doc.get("type") == "control-structure":
+            doc = json_object(text, "model")
+            is_structure = doc.get("type") == "control-structure"
+            model = None if is_structure else PlantModel.from_dict(doc)
+        except ModelFormatError as exc:
+            raise CliError(f"invalid model {args.input}: {exc}") from exc
+        if is_structure:
             if not args.model_path:
                 raise CliError("structure input requires --model")
             model, _ = _load_model(args.model_path)
@@ -302,10 +302,6 @@ def _cmd_export_dot(args) -> int:
                 raise CliError(f"invalid structure: {exc}") from exc
             output = dotmod.structure_to_dot(structure)
         else:
-            try:
-                model = PlantModel.from_dict(doc)
-            except (ModelFormatError, AttributeError) as exc:
-                raise CliError(f"invalid model: {exc}") from exc
             output = dotmod.model_to_dot(model)
     if args.out:
         manifest = serialize.manifest_for(

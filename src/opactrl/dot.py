@@ -1,7 +1,7 @@
 """Deterministic DOT rendering.
 
 Visual convention: decision states are rounded boxes, observation states
-plain boxes; unsafe states are filled red, pruned states outlined red.
+plain boxes; unsafe states are filled red.
 Plants render as circles with secret states filled red.
 """
 
@@ -9,15 +9,8 @@ from __future__ import annotations
 
 from .estimator import IssuanceMode
 from .model import PlantModel
-from .structure import (
-    INITIAL_KEY,
-    ControlStructure,
-    canonical_ids,
-    closed_loop_search,
-    is_safe,
-)
+from .structure import ControlStructure, canonical_ids, closed_loop_search, is_safe
 from .supervisors import Supervisor
-from .synthesis import Arena
 
 
 def _quote(text: str) -> str:
@@ -48,69 +41,35 @@ def _info_label(model: PlantModel, info) -> str:
     return "{" + members + "}, " + gamma
 
 
-def _graph_to_dot(
-    name: str, model: PlantModel, decision_edges, observation_events, pruned=frozenset()
-) -> str:
-    """Render a decision/observation graph under its canonical numbering.
-    A graph without the initial decision state renders header-only."""
-    if INITIAL_KEY not in decision_edges:
-        return f"digraph {name} {{\n}}\n"
-    obs_id, dec_id = canonical_ids(observation_events, decision_edges)
-    lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    for key, i in dec_id.items():
-        info, sigma = key
+def structure_to_dot(structure: ControlStructure) -> str:
+    """Render a control structure under its canonical numbering."""
+    model, decisions = structure.model, structure.decisions
+    obs_id, dec_id = canonical_ids(structure.observations, decisions)
+    lines = ["digraph structure {", "  rankdir=TB;"]
+    for (info, sigma), i in dec_id.items():
         label = (
             "{m0}, -"
             if info is None
             else _info_label(model, info) + ", " + model.events[sigma]
         )
-        attrs = ["shape=box", "style=rounded", f"label={_quote(label)}"]
-        if key in pruned:
-            attrs.append("color=red")
-        lines.append(f"  d{i} [{', '.join(attrs)}];")
+        lines.append(f"  d{i} [shape=box, style=rounded, label={_quote(label)}];")
     for info, i in obs_id.items():
         attrs = ["shape=box"]
         if not is_safe(info, model.secret_mask):
             attrs.append("style=filled")
             attrs.append("fillcolor=red")
-        if info in pruned:
-            attrs.append("color=red")
         attrs.append(f"label={_quote(_info_label(model, info))}")
         lines.append(f"  o{i} [{', '.join(attrs)}];")
     for key, i in dec_id.items():
-        for gamma, target in decision_edges[key]:
-            lines.append(
-                f"  d{i} -> o{obs_id[target]} "
-                f"[label={_quote(model.format_decision(gamma))}];"
-            )
+        gamma, target = decisions[key]
+        label = _quote(model.format_decision(gamma))
+        lines.append(f"  d{i} -> o{obs_id[target]} [label={label}];")
     for info, i in obs_id.items():
-        for sigma in observation_events[info]:
-            key = (info, sigma)
-            if key in dec_id:
-                lines.append(
-                    f"  o{i} -> d{dec_id[key]} "
-                    f"[label={_quote(model.events[sigma])}];"
-                )
+        for sigma in structure.observations[info]:
+            label = _quote(model.events[sigma])
+            lines.append(f"  o{i} -> d{dec_id[(info, sigma)]} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def structure_to_dot(structure: ControlStructure) -> str:
-    """Render a control structure: an arena with one edge per decision state."""
-    edges = {key: (edge,) for key, edge in structure.decisions.items()}
-    return _graph_to_dot("structure", structure.model, edges, structure.observations)
-
-
-def arena_to_dot(arena: Arena, pruned_states=()) -> str:
-    """Render an arena; states in ``pruned_states`` get a red outline.  An
-    empty arena renders as a header-only graph."""
-    return _graph_to_dot(
-        "arena",
-        arena.model,
-        arena.decision_edges,
-        arena.observation_events,
-        set(pruned_states),
-    )
 
 
 def estimator_slice_to_dot(

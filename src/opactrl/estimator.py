@@ -161,7 +161,6 @@ def estimator_step(
     m: EstimatorState | None,
     event: AugmentedEvent,
     mode: IssuanceMode,
-    update=update_estimate,
 ) -> EstimatorState:
     """One transition of the intruder state estimator.
 
@@ -170,9 +169,7 @@ def estimator_step(
     Otherwise the event must be enabled at the true plant state by the
     decision in force, and the estimate is updated on what the intruder
     sees: the event if it observes it, and the new decision if the issuance
-    mechanism releases it (see :func:`released`).  ``update`` computes that
-    estimate; it must agree with :func:`update_estimate`, which a caller may
-    replace with a memoised copy.
+    mechanism releases it (see :func:`released`).
     """
     sigma, new_gamma = event
     if m is None:
@@ -191,7 +188,7 @@ def estimator_step(
     assert y is not None
     seen = sigma if (model.intruder_observable >> sigma) & 1 else None
     release = new_gamma if released(model, sigma, gamma, new_gamma, mode) else None
-    return EstimatorState(y, update(model, q, gamma, seen, release), new_gamma)
+    return EstimatorState(y, update_estimate(model, q, gamma, seen, release), new_gamma)
 
 
 def estimator_trace(

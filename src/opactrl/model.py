@@ -35,6 +35,18 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def json_object(text: str, what: str) -> dict:
+    """The JSON object that the text of a ``what`` document holds.  Text
+    that is not JSON, or JSON that is not an object, is refused."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{what} document must be a JSON object")
+    return doc
+
+
 def list_field(value, what: str):
     """``value``, which a document gives as a list (of names, or of
     transitions).  Anything else is refused; a string would otherwise be
@@ -335,13 +347,7 @@ class PlantModel:
 
     @classmethod
     def from_json(cls, text: str) -> "PlantModel":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-        if not isinstance(doc, dict):
-            raise ModelFormatError("model document must be a JSON object")
-        return cls.from_dict(doc)
+        return cls.from_dict(json_object(text, "model"))
 
     def to_dict(self) -> dict:
         return {

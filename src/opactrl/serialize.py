@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .estimator import IssuanceMode, ObservationPair
-from .model import ModelFormatError, PlantModel, list_field, name_field, names_field
+from .model import (
+    ModelFormatError,
+    PlantModel,
+    json_object,
+    list_field,
+    name_field,
+    names_field,
+)
 from .structure import (
     INITIAL_KEY,
     ControlStructure,
@@ -100,13 +107,7 @@ def parse_supervisor(model: PlantModel, doc: dict) -> Supervisor | ControlStruct
 
 
 def parse_supervisor_text(model: PlantModel, text: str) -> Supervisor | ControlStructure:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError("supervisor document must be a JSON object")
-    return parse_supervisor(model, doc)
+    return parse_supervisor(model, json_object(text, "supervisor"))
 
 
 # Control structures --------------------------------------------------------

@@ -189,9 +189,7 @@ class Successors:
         decision."""
         return tuple(self.model.iter_decisions())
 
-    def _update(
-        self, model: PlantModel, q: int, gamma: int, seen: int | None, release: int | None
-    ) -> int:
+    def _update(self, q: int, gamma: int, seen: int | None, release: int | None) -> int:
         """:func:`update_estimate`, memoised on the inputs it reads.  The
         decisions enter only through their intruder-unobservable events: the
         old one when the event is hidden, the released one (else the old
@@ -275,13 +273,13 @@ class Successors:
         :meth:`_update` memoises on what it reads; ``seen`` and ``release``
         are derived as :func:`estimator_step` derives them, and an event
         that is not active at the core or not enabled by ``old`` raises
-        :class:`EstimatorError` as it does there.  The initial marker goes
-        through :func:`estimator_step`."""
+        :class:`EstimatorError` as it does there.  From the initial marker
+        the estimate is the initial state's closure under ``gamma``, read
+        through the memoised reach operators."""
         if c is None:
-            out = estimator_step(
-                self.model, None, AugmentedEvent(None, gamma), self.mode, self._update
-            )
-            return self._intern(out[:2])
+            x0 = self.model.initial
+            q0 = self._reach.unobservable_reach(1 << x0, gamma, self._intruder_hidden)
+            return self._intern((x0, q0))
         if not (self._active[c] & old) >> sigma & 1:
             raise EstimatorError("event not enabled at estimator state")
         x, q = self._cores[c]
@@ -290,9 +288,8 @@ class Successors:
         else:
             release = gamma if (self._supervisor_sees >> sigma) & 1 else None
         seen = sigma if (self._intruder_sees >> sigma) & 1 else None
-        return self._intern(
-            (self._plant_step(x, sigma), self._update(self.model, q, old, seen, release))
-        )
+        y = self._plant_step(x, sigma)
+        return self._intern((y, self._update(q, old, seen, release)))
 
     def _closure(self, c: int, gamma: int) -> int:
         """The set of cores reached from core ``c`` along events the
@@ -501,16 +498,6 @@ def canonical_ids(
     return obs_id, dec_id
 
 
-def graph_canonical_form(mode: IssuanceMode, decisions: dict, observations: dict):
-    """Order-independent content of a decision/observation graph, for
-    equality checks and hashing."""
-    return (
-        mode.value,
-        tuple(sorted(decisions.items(), key=lambda kv: decision_key_order(kv[0]))),
-        tuple(sorted(observations.items())),
-    )
-
-
 @dataclass
 class StructureRun:
     decision_state: DecisionKey
@@ -579,7 +566,11 @@ class ControlStructure:
         return DecodedSupervisor(self)
 
     def canonical_form(self):
-        return graph_canonical_form(self.mode, self.decisions, self.observations)
+        """Order-independent content of the structure, for equality checks
+        and hashing."""
+        decisions = sorted(self.decisions.items(), key=lambda kv: decision_key_order(kv[0]))
+        observations = sorted(self.observations.items())
+        return self.mode.value, tuple(decisions), tuple(observations)
 
     def __eq__(self, other):
         return (

@@ -15,7 +15,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping
 
 from .estimator import IssuanceMode
 from .model import PlantModel
@@ -28,7 +28,6 @@ from .structure import (
     Successors,
     canonical_ids,
     decision_key_order,
-    graph_canonical_form,
 )
 
 # Not called here any more, but the layer tracer in perfbench/spans.py patches
@@ -51,14 +50,6 @@ class SynthesisConfig:
             raise ValueError(f"unknown extraction policy {self.extraction_policy!r}")
         if self.size_guard <= 0:
             raise ValueError("size_guard must be positive")
-
-
-class IncompleteStates(NamedTuple):
-    decision_states: frozenset[DecisionKey]
-    observation_states: frozenset[InfoState]
-
-    def __bool__(self):
-        return bool(self.decision_states or self.observation_states)
 
 
 class _Expansion:
@@ -195,14 +186,6 @@ class Arena:
             )
         return self._trace
 
-    def canonical_form(self):
-        return graph_canonical_form(
-            self.mode, self.decision_edges, self.observation_events
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Arena) and self.canonical_form() == other.canonical_form()
-
     def __repr__(self):
         return (
             f"Arena({self._counts[0]} decision states, "
@@ -288,20 +271,6 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
             out.append((gamma, o))
         edges[d] = known[key] = by_row[row_key] = tuple(out)
     return Arena(expansion, edges, events_of, (len(edges), len(events_of)))
-
-
-def find_incomplete(arena: Arena) -> IncompleteStates:
-    """Decision states with no decision left, and observation states where
-    some feasible observation (by the :class:`Arena` invariant, each of its
-    events) has no decision state."""
-    decision_edges = arena.decision_edges
-    bad_d = frozenset(key for key, edges in decision_edges.items() if not edges)
-    bad_o = frozenset(
-        info
-        for info, events in arena.observation_events.items()
-        if any((info, sigma) not in decision_edges for sigma in events)
-    )
-    return IncompleteStates(bad_d, bad_o)
 
 
 def prune_incomplete(arena: Arena) -> Arena:
@@ -419,42 +388,6 @@ def exhaustive_solution_exists(arena: Arena) -> bool:
     return next(iter(enumerate_structures(arena)), None) is not None
 
 
-def extract_matching(arena: Arena, sup) -> ControlStructure | None:
-    """The member of the arena's structure family whose decisions agree with
-    ``sup`` at every reachable decision state, or None when some required
-    decision is not available.  Decision states are matched through a
-    representative observation history; the policy must not distinguish
-    histories reaching the same state."""
-    assigned: dict[DecisionKey, tuple[int, InfoState]] = {}
-    known_obs: dict[InfoState, tuple[int, ...]] = {}
-    history: dict[DecisionKey, tuple[int, ...]] = {INITIAL_KEY: ()}
-    pending: deque[DecisionKey] = deque([INITIAL_KEY])
-    while pending:
-        key = pending.popleft()
-        if key in assigned:
-            continue
-        wanted = sup.decision(history[key])
-        match = next(
-            (edge for edge in arena.decision_edges[key] if edge[0] == wanted), None
-        )
-        if match is None:
-            return None
-        assigned[key] = match
-        target = match[1]
-        if target not in known_obs:
-            known_obs[target] = arena.observation_events[target]
-            alpha = history[key]
-            for sigma in known_obs[target]:
-                child = (target, sigma)
-                if child in history and sup.decision(history[child]) != sup.decision(
-                    alpha + (sigma,)
-                ):
-                    return None
-                history.setdefault(child, alpha + (sigma,))
-                pending.append(child)
-    return ControlStructure(arena.model, arena.mode, assigned, known_obs)
-
-
 def _walk_assignment(arena: Arena, choose) -> ControlStructure:
     """Commit ``choose(edges)`` at every decision state reached from the
     initial one, breadth first, over ids; only the ``InfoState``s of the
@@ -507,11 +440,6 @@ class SynthesisOutcome:
     elapsed: float = 0.0
     # The pruned arena the structures were extracted from.
     arena: Arena | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def pruning_trace(self) -> tuple[tuple, ...]:
-        """The pruned arena's trace, built when first read."""
-        return () if self.arena is None else self.arena.pruning_trace
 
     @property
     def solved(self) -> bool:

@@ -28,6 +28,7 @@ from opactrl import (
     oracle_controlled_estimate,
     prune_incomplete,
     run_estimator,
+    structure_from_policy,
     supervisor_estimate,
     synthesize,
     verify_closed_loop_opacity,
@@ -36,7 +37,6 @@ from opactrl.model import PlantModel
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
 from opactrl.serialize import format_flow
 from opactrl.structure import info_estimates, info_plant_states
-from opactrl.synthesis import extract_matching
 
 SIGMA = "a u1 u2 u3 b"
 
@@ -145,12 +145,11 @@ def test_criterion_5_synthesis_on_running_example(run_model, sprime):
         assert trap_key not in pruned.decision_edges
         assert trap not in pruned.observation_events
 
-        # the exhaustive extraction family contains a structure decoding to
-        # the repaired reference policy (located by directed choice search;
-        # every chosen edge is one of the arena's alternatives, which is
-        # exactly the membership condition of the enumerate_all family)
-        match = extract_matching(pruned, sprime)
-        assert match is not None
+        # the exhaustive extraction family contains the structure of the
+        # repaired reference policy (every edge of it is one of the arena's
+        # alternatives, which is exactly the membership condition of the
+        # enumerate_all family)
+        match = structure_from_policy(m, sprime, OBS)
         for key, edge in match.decisions.items():
             assert edge in pruned.decision_edges[key]
         for obs, events in match.observations.items():

@@ -15,18 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEC, MODELS, OBS
-from opactrl import (
-    PlantModel,
-    SynthesisConfig,
-    expand_arena,
-    information_flow,
-    prune_incomplete,
-    structure_from_policy,
-    synthesize,
-)
+from opactrl import PlantModel, information_flow, structure_from_policy
 from opactrl import cli, structure
 from opactrl.cli import main
-from opactrl.dot import arena_to_dot, estimator_slice_to_dot, model_to_dot, structure_to_dot
+from opactrl.dot import estimator_slice_to_dot, model_to_dot, structure_to_dot
 from opactrl.estimator import closed_loop_simulate, estimator_trace
 from opactrl.model import ModelFormatError
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
@@ -99,39 +91,13 @@ def test_structure_dot_golden_shape(run_model, srun):
 
 
 def test_extracted_structure_dot_golden_counts(run_model, sprime):
-    """Frozen shape of the reference extraction: 7 decision and 7 observation
-    states, 13 edges (7 decisions plus 6 observation transitions)."""
-    from opactrl import SynthesisConfig, expand_arena, prune_incomplete
-    from opactrl.synthesis import extract_matching
-
-    arena = prune_incomplete(expand_arena(run_model, SynthesisConfig(mode=OBS)))
-    structure = extract_matching(arena, sprime)
-    dot = structure_to_dot(structure)
+    """Frozen shape of the structure of the reference policy: 7 decision and
+    7 observation states, 13 edges (7 decisions plus 6 observation
+    transitions)."""
+    dot = structure_to_dot(structure_from_policy(run_model, sprime, OBS))
     assert len(re.findall(r"style=rounded", dot)) == 7
     assert len(re.findall(r"shape=box", dot)) == 14
     assert len([l for l in dot.splitlines() if "->" in l]) == 13
-
-
-def test_empty_arena_dot_is_header_only(run_model):
-    model = PlantModel.from_dict(
-        {
-            "states": ["s"],
-            "events": [],
-            "initial": "s",
-            "secret": ["s"],
-            "transitions": [],
-        }
-    )
-    pruned = prune_incomplete(expand_arena(model, SynthesisConfig()))
-    assert arena_to_dot(pruned) == "digraph arena {\n}\n"
-
-
-def test_arena_dot_marks_pruned_states(run_model):
-    arena = expand_arena(run_model, SynthesisConfig())
-    pruned = prune_incomplete(arena)
-    removed = [s for batch in pruned.pruning_trace for s in batch]
-    dot = arena_to_dot(arena, pruned_states=removed)
-    assert dot.count("color=red") == len(removed)
 
 
 def test_estimator_slice_dot(run_model, srun):
@@ -598,7 +564,10 @@ def test_cli_help_wraps_to_the_columns_of_each_call(argv, monkeypatch, capsys):
 
 
 def _replaced(doc, path, value):
-    """A deep copy of ``doc`` with the entry at ``path`` replaced."""
+    """A deep copy of ``doc`` with the entry at ``path`` replaced; the empty
+    path replaces the whole document."""
+    if not path:
+        return value
     doc = json.loads(json.dumps(doc))
     node = doc
     for key in path[:-1]:
@@ -769,7 +738,8 @@ def test_cli_reads_numbers_declared_as_names_as_their_decimal_text(
 
 
 def _paths(node, prefix=()):
-    """The path of every node below the root of a JSON document."""
+    """The path of every node of a JSON document, the root's () first."""
+    yield prefix
     if isinstance(node, dict):
         children = node.items()
     elif isinstance(node, list):
@@ -777,7 +747,6 @@ def _paths(node, prefix=()):
     else:
         return
     for key, child in children:
-        yield prefix + (key,)
         yield from _paths(child, prefix + (key,))
 
 
@@ -789,8 +758,10 @@ MUTANTS = [None, True, 0, "", ["u1"], [0, "u1"], [["a"]], [], {}]
 @settings(max_examples=200, deadline=None)
 def test_cli_reads_or_refuses_any_single_node_mutation(data, run_model, srun):
     """One node of the model, a decision table or a synthesized structure
-    replaced: ``verify`` (and ``synthesize`` on the model) gives a verdict
-    or refuses the input, and never reports an internal error."""
+    replaced, the root included: ``verify``, ``synthesize`` and
+    ``export-dot`` on the model, and ``export-dot`` on the structure, give a
+    verdict or an output or refuse the input, and never report an internal
+    error."""
     docs = _example_documents(run_model, srun)
     name = data.draw(st.sampled_from(sorted(docs)))
     path = data.draw(st.sampled_from(list(_paths(docs[name]))))
@@ -800,12 +771,27 @@ def test_cli_reads_or_refuses_any_single_node_mutation(data, run_model, srun):
         argvs = [_verify_argv(files, name)]
         if name == "model":
             argvs.append(["synthesize", str(files["model"])])
+            argvs.append(["export-dot", str(files["model"])])
+        if name in ("model", "structure"):
+            argvs.append(
+                ["export-dot", str(files["structure"]), "--model", str(files["model"])]
+            )
         for argv in argvs:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 1, 2, 3)
             assert "internal error" not in err.getvalue(), (argv[0], path, err.getvalue())
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1]"])
+def test_cli_export_dot_refuses_a_document_that_is_not_an_object(text, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["export-dot", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid model {path}: model document must be a JSON object\n"
+    )
 
 
 # Per read of an input file: the argv, where "M" stands for the running

@@ -1,15 +1,21 @@
 """Byte-identity regression: SHA-256 digests of the artifacts produced for
 the running example, recorded before the closed-loop walker, estimate update,
-decision successor, numbering and DOT writers were each merged into one, and
-of raw randgen arenas, recorded before the successor kernel was memoised.
+decision successor, numbering and DOT writers were each merged into one.
 Any change to these bytes is a change to the artifact format or to the
 arena that expansion builds.  The estimator-slice digests were recorded
 when the slice became one breadth-first search, which numbers its nodes in
 discovery order.  The randgen pruning pins were recorded on the round-based
 pruning fixpoint, before pruning became one attractor pass.  The
-arena-digest lines were recorded before the arena moved to ids, and the
-closed-loop digest line before structure_from_policy and the structure walk
-of verify moved to the successor kernel's ids."""
+corpus-slice arena-digest lines were recorded before the arena moved to
+ids, and the closed-loop digest line before structure_from_policy and the
+structure walk of verify moved to the successor kernel's ids.
+
+The arenas of the running example and of randgen seed-10 draws 2 and 17
+were pinned by the DOT renderings of an arena writer, which was later
+deleted as no command used it.  They are pinned instead by their
+arena-digest lines and, for the randgen draws, a digest of the raw arena's
+views; both were recorded on the last code that had the writer, whose DOT
+pins still held."""
 
 import contextlib
 import hashlib
@@ -31,7 +37,6 @@ from opactrl import (
     prune_incomplete,
 )
 from opactrl.cli import main
-from opactrl.dot import arena_to_dot
 from opactrl.randgen import RandomModelConfig, random_model
 
 RUN = str(MODELS / "run.json")
@@ -65,62 +70,45 @@ SYNTHESIZE_DIGESTS = {
     ),
 }
 
-# mode -> (sha256 of the raw arena with pruned states marked, of the pruned
-# arena).  The decision-mode arena of the running example prunes nothing.
-ARENA_DIGESTS = {
-    "observation": (
-        "054c875076fb7844c8b0e9b72f4384f10409ab28fe54c8413cee25ddd9192ae4",
-        "2cab289a146291795f3102541b40412c8e9a81ae2963603f1e26a161d4a6a01f",
-    ),
-    "decision": (
-        "3dc638174db0a8b52b2c058a235e6227c8a851a02c83fdedde3ed0e8643fbc67",
-        "3dc638174db0a8b52b2c058a235e6227c8a851a02c83fdedde3ed0e8643fbc67",
-    ),
-}
-
-
-# (draw, mode) -> (arena states, sha256 of the raw arena's DOT), for the
+# (draw, mode) -> (arena states, sha256 of the repr of the raw arena's
+# decision_edges and observation_events items, in insertion order), for the
 # models drawn in sequence from random.Random(10) with RANDGEN_CONFIG.
 RANDGEN_CONFIG = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
 RANDGEN_ARENA_DIGESTS = {
     (2, "observation"): (
-        2065, "6927be34dd8988bcd524513e4169fd5128d0affb57dabd314fd54440d7b14f65"
+        2065, "8313e2342cf5b4a29c4309b77c32307787f938e67319c856dfb9cc20da49d5b9"
     ),
     (2, "decision"): (
-        4910, "09b94cf7e46c4426e16c6c5d1ac76a7ed5d8cb062c00a33584b305f4f263a1b5"
+        4910, "b0e0b69b23c17ed0b6ab8edc263c368c39095f61ae359aa6819a827269d1934d"
     ),
     (17, "observation"): (
-        681, "cf17564d37a124b1eb6df84284db7dafc1ae6dfb87254f7213bb4a04fd2d094d"
+        681, "21dda336a902d29581b851e78589bf196e20040e8bdda8a1d0df94a8090eaee2"
     ),
     (17, "decision"): (
-        1561, "88c729d1b8706a6cafcb7537fd363dc006c65df3c4381ff7c496f9b5801e1ab6"
+        1561, "14ea04c3e03d6676b97fb05eaf90c524cb77d22502dc9b314166e36c0ff8e131"
     ),
 }
 
 
 # (draw, mode) -> (states removed in each pruning round, sha256 of the
-# pruning trace's repr, sha256 of the pruned arena's DOT), for the same
-# randgen draws.  Draw 24 prunes to the empty arena.
+# pruning trace's repr), for the same randgen draws.  Draw 24 prunes to the
+# empty arena.
 RANDGEN_PRUNING_DIGESTS = {
     (19, "observation"): (
         (12, 10),
         "cc45e04136c9061d080add533e90ccb372c044702809a1402f1c3307e4345156",
-        "38586c28c72909bf9ba26296ace08dabc3fb158d9f35c589890ece062cff283c",
     ),
     (19, "decision"): (
         (18, 15),
         "7371546807e4ddde9007f21cf1aac720dbdedd73d55e5b1f72f0a4f2d1d4326e",
-        "b0a0e008d41eca80a78e9c8f8b7968da34d3c31efed6ea7bc16a93bf3131bb29",
     ),
     (24, "observation"): (
         (4, 4, 1),
         "d2d36f62eb3ab19021e62ca036732cc2bb6540280bc3a9b509d5d613085eb2a3",
-        "7301c6a12b2b763110d652515adc097572d7e30413b56d0d3107893472db3ee8",
     ),
     (24, "decision"): (
         (4, 4, 1),
         "d2d36f62eb3ab19021e62ca036732cc2bb6540280bc3a9b509d5d613085eb2a3",
-        "7301c6a12b2b763110d652515adc097572d7e30413b56d0d3107893472db3ee8",
     ),
 }
 
@@ -146,6 +134,12 @@ ARENA_DIGEST_LINES = [
 CLOSED_LOOP_DIGEST_LINE = (
     "closed-loop: 6a7dced68cff564bbacc0235ca903b0188274b167aa25fa25c640122a838877d"
 )
+# The lines of scripts/arena_digest.py for the running example followed by
+# randgen seed-10 draws 2 and 17.
+DOT_PINNED_ARENA_DIGEST_LINES = [
+    "observation: d957339beb4b2b7dcaa4cc6a4abee9ecd5ed10d0a06af2db97fcba349de28caf",
+    "decision: 996e4cfdbc0beeadeefd5e42dba74b62d88edc1c14d15fce6edd3e45aa9a98f4",
+]
 
 
 def sha256(data: bytes) -> str:
@@ -171,21 +165,11 @@ def test_synthesize_artifacts_are_byte_identical(tmp_path, mode, policy):
     assert manifest["config"] == {"mode": mode, "policy": policy, "size_guard": 10**6}
 
 
-@pytest.mark.parametrize("mode", sorted(ARENA_DIGESTS))
-def test_arena_dot_is_byte_identical(run_model, mode):
-    arena = expand_arena(run_model, SynthesisConfig(mode=IssuanceMode(mode)))
-    pruned = prune_incomplete(arena)
-    removed = [s for batch in pruned.pruning_trace for s in batch]
-    raw_dot = arena_to_dot(arena, pruned_states=removed)
-    assert (sha256(raw_dot.encode()), sha256(arena_to_dot(pruned).encode())) == (
-        ARENA_DIGESTS[mode]
-    )
-
-
 @pytest.mark.parametrize("draw, mode", sorted(RANDGEN_ARENA_DIGESTS))
 def test_randgen_raw_arena_is_byte_identical(draw, mode):
     arena = expand_arena(_randgen_model(draw), SynthesisConfig(mode=IssuanceMode(mode)))
-    assert (arena.n_states, sha256(arena_to_dot(arena).encode())) == (
+    views = (list(arena.decision_edges.items()), list(arena.observation_events.items()))
+    assert (arena.n_states, sha256(repr(views).encode())) == (
         RANDGEN_ARENA_DIGESTS[(draw, mode)]
     )
 
@@ -198,18 +182,31 @@ def test_randgen_pruned_arena_and_trace_are_byte_identical(draw, mode):
     assert (
         tuple(len(batch) for batch in trace),
         sha256(repr(trace).encode()),
-        sha256(arena_to_dot(pruned).encode()),
     ) == RANDGEN_PRUNING_DIGESTS[(draw, mode)]
 
 
 @pytest.fixture(scope="module")
-def corpus_slice():
-    """``scripts/arena_digest.py`` as a module, and the corpus slice its
-    pins cover: seed-10 draws 19 and 24 and the first 60 small models."""
+def arena_digest():
+    """``scripts/arena_digest.py`` as a module."""
     path = REPO_ROOT / "scripts" / "arena_digest.py"
     spec = importlib.util.spec_from_file_location("arena_digest", path)
-    arena_digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(arena_digest)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_arena_digest_of_the_dot_pinned_arenas_is_unchanged(arena_digest, run_model):
+    """The running example and seed-10 draws 2 and 17, once pinned by their
+    arena DOT: raw and pruned arenas with their dict orders, pruning traces,
+    the structures of all three policies and size-guard trip points."""
+    models = [run_model, _randgen_model(2), _randgen_model(17)]
+    assert arena_digest.digest(models) == DOT_PINNED_ARENA_DIGEST_LINES
+
+
+@pytest.fixture(scope="module")
+def corpus_slice(arena_digest):
+    """The corpus slice that the pins of ``scripts/arena_digest.py`` cover:
+    seed-10 draws 19 and 24 and the first 60 small models."""
     small = random.Random(7)
     models = [_randgen_model(19), _randgen_model(24)] + [
         random_model(small, arena_digest.SMALL_CONFIG) for _ in range(60)

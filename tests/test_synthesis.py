@@ -21,11 +21,11 @@ from opactrl import (
     exhaustive_solution_exists,
     expand_arena,
     extract_structure,
-    find_incomplete,
     information_flow,
     is_safe,
     make_info,
     prune_incomplete,
+    structure_from_policy,
     synthesize,
     verify_closed_loop_opacity,
 )
@@ -34,7 +34,6 @@ from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model
 from opactrl.serialize import structure_to_json
 from opactrl.structure import Successors, decision_key_order, feasible_events
-from opactrl.synthesis import extract_matching
 
 SIGMA = "a u1 u2 u3 b"
 
@@ -101,23 +100,7 @@ def test_expand_decision_mode_keeps_revealing_state_safe(run_model):
     assert info(run_model, ("7", "5 6 7", SIGMA)) in arena.observation_events
 
 
-def test_find_incomplete_running_example(run_model, run_arena):
-    m = run_model
-    bad = find_incomplete(run_arena)
-    trap = info(m, ("5", "5 7", "a b u2"))
-    assert (trap, m.event("u2")) in bad.decision_states
-    # the observation state only becomes incomplete after its decision
-    # state is gone
-    assert trap not in bad.observation_states
-    once = prune_incomplete(run_arena)
-    assert trap not in once.observation_events
-
-
-def test_find_incomplete_empty_on_pruned(run_pruned):
-    assert not find_incomplete(run_pruned)
-
-
-def test_find_incomplete_self_loop_arena():
+def test_self_loop_arena_is_complete():
     model = PlantModel.from_dict(
         {
             "states": ["0"],
@@ -131,7 +114,7 @@ def test_find_incomplete_self_loop_arena():
     )
     arena = expand_arena(model, SynthesisConfig())
     assert len(arena.decision_edges) == 2  # the initial state and one loop state
-    assert not find_incomplete(arena)
+    _assert_complete(arena)
 
 
 def test_prune_removes_named_chain_in_order(run_model, run_arena, run_pruned):
@@ -151,8 +134,17 @@ def test_prune_removes_named_chain_in_order(run_model, run_arena, run_pruned):
     assert (trap2, m.event("u2")) in trace[0]
 
 
+def _assert_complete(arena):
+    """The arena has no incomplete state: every decision state has an edge,
+    and pruning removes nothing."""
+    assert all(arena.decision_edges.values())
+    again = prune_incomplete(arena)
+    assert _views(again) == _views(arena)
+    assert again.pruning_iterations == 0
+
+
 def test_prune_is_idempotent(run_pruned):
-    assert prune_incomplete(run_pruned) == run_pruned
+    _assert_complete(run_pruned)
 
 
 def test_running_example_arena_sizes_golden(run_model, run_arena, run_pruned):
@@ -220,18 +212,17 @@ def test_extract_no_solution_marker():
     )
     outcome = synthesize(model, SynthesisConfig())
     assert not outcome.solved
-    assert outcome.pruning_trace  # the initial decision state was dropped
+    assert outcome.arena.pruning_trace  # the initial decision state was dropped
     with pytest.raises(ValueError, match="no solution"):
         outcome.structure
     assert "no solution exists" in outcome.report()
 
 
 def test_extract_matching_reference_policy(run_model, run_pruned, sprime):
-    """The arena family contains a structure decoding to the reference
-    repaired policy; its flows hide the secret-reaching string."""
+    """The arena family contains the structure of the reference repaired
+    policy; its flows hide the secret-reaching string."""
     m = run_model
-    match = extract_matching(run_pruned, sprime)
-    assert match is not None
+    match = structure_from_policy(m, sprime, OBS)
     for key, edge in match.decisions.items():
         assert edge in run_pruned.decision_edges[key]
     decoded = match.decoded()
@@ -408,9 +399,7 @@ def test_prune_idempotent_on_random_arenas(seed, mode):
         arena = expand_arena(model, SynthesisConfig(mode=mode, size_guard=5_000))
     except SizeGuardExceeded:
         return
-    pruned = prune_incomplete(arena)
-    assert prune_incomplete(pruned) == pruned
-    assert not find_incomplete(pruned)
+    _assert_complete(prune_incomplete(arena))
 
 
 def _monotone_pairs(arena, pruned):
