@@ -23,7 +23,7 @@ from .structure import (
     StructureError,
     verify_closed_loop_opacity,
 )
-from .synthesis import SynthesisConfig, synthesize
+from .synthesis import EXTRACTION_POLICIES, SynthesisConfig, synthesize
 
 EXIT_OK = 0
 EXIT_NOT_OPAQUE = 1
@@ -47,17 +47,20 @@ def _read_input(path: str, what: str) -> tuple[bytes, str]:
         raise CliError(f"cannot read {what}: {exc}") from exc
 
 
-def _parse_model(path: str, text: str) -> PlantModel:
+def _load(path: str, what: str, parse):
+    """``parse`` of the text of the file at ``path``, read once, and the
+    file's bytes."""
+    data, text = _read_input(path, what)
+    return _parsed(path, what, parse, text), data
+
+
+def _parsed(path: str, what: str, parse, source):
+    """``parse(source)``, where ``source`` came from ``path``.  A document
+    that ``parse`` refuses is reported as an invalid ``what`` at ``path``."""
     try:
-        return PlantModel.from_json(text)
-    except ModelFormatError as exc:
-        raise CliError(f"invalid model {path}: {exc}") from exc
-
-
-def _load_model(path: str) -> tuple[PlantModel, bytes]:
-    """The model in a file, and the file's bytes."""
-    data, text = _read_input(path, "model")
-    return _parse_model(path, text), data
+        return parse(source)
+    except (ModelFormatError, FlowFormatError) as exc:
+        raise CliError(f"invalid {what} {path}: {exc}") from exc
 
 
 def _mode(args) -> IssuanceMode:
@@ -77,15 +80,19 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser, guard: str) -> None:
-    """Add ``--mode`` and ``--size-guard``; ``guard`` says what the guard
-    bounds for this subcommand."""
+def _add_mode(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode",
         choices=[m.value for m in IssuanceMode],
         default=IssuanceMode.OBSERVATION.value,
         help="decision-issuance mechanism (default: observation)",
     )
+
+
+def _add_mode_and_guard(parser: argparse.ArgumentParser, guard: str) -> None:
+    """Add ``--mode`` and ``--size-guard``; ``guard`` says what the guard
+    bounds for this subcommand."""
+    _add_mode(parser)
     parser.add_argument(
         "--size-guard",
         type=_int_at_least(1),
@@ -94,39 +101,34 @@ def _add_common(parser: argparse.ArgumentParser, guard: str) -> None:
     )
 
 
-def _add_verify(sub) -> None:
-    p = sub.add_parser("verify", help="check opacity of a plant or a closed loop")
+def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("model", help="model document (JSON)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--open-loop", action="store_true", help="uncontrolled plant")
     group.add_argument("--supervisor", metavar="PATH", help="policy file")
     p.add_argument("--bound", type=_int_at_least(0), default=None,
                    help="search depth for tabular policies")
-    _add_common(p, "maximum closed-loop states visited with --supervisor")
+    _add_mode_and_guard(p, "maximum closed-loop states visited with --supervisor")
+    p.set_defaults(run=_cmd_verify)
 
 
-def _add_synthesize(sub) -> None:
-    p = sub.add_parser("synthesize", help="synthesize an opacity-enforcing supervisor")
+def _add_synthesize(p: argparse.ArgumentParser) -> None:
     p.add_argument("model")
-    p.add_argument(
-        "--policy",
-        choices=["first_feasible", "locally_maximal", "enumerate_all"],
-        default="first_feasible",
-    )
+    p.add_argument("--policy", choices=EXTRACTION_POLICIES, default="first_feasible")
     p.add_argument("--out", metavar="PATH", help="write the control structure here")
     p.add_argument("--dot", metavar="PATH", help="write a DOT rendering here")
-    _add_common(p, "maximum arena state count")
+    _add_mode_and_guard(p, "maximum arena state count")
+    p.set_defaults(run=_cmd_synthesize)
 
 
-def _add_estimate(sub) -> None:
-    p = sub.add_parser("estimate", help="intruder state estimate of a flow trace")
+def _add_estimate(p: argparse.ArgumentParser) -> None:
     p.add_argument("model")
     p.add_argument("--flow", required=True, metavar="PATH", help="flow trace file")
-    _add_common(p, "ignored: estimate makes one pass over the flow")
+    _add_mode(p)
+    p.set_defaults(run=_cmd_estimate)
 
 
-def _add_export_dot(sub) -> None:
-    p = sub.add_parser("export-dot", help="render a model or structure as DOT")
+def _add_export_dot(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="model or control-structure document")
     p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     p.add_argument("--model", dest="model_path", metavar="PATH",
@@ -136,33 +138,25 @@ def _add_export_dot(sub) -> None:
     p.add_argument("--supervisor", metavar="PATH", help="policy for --estimator")
     p.add_argument("--depth", type=_int_at_least(0), default=6,
                    help="depth for --estimator")
-    _add_common(p, "maximum closed-loop states the --estimator slice visits")
+    _add_mode_and_guard(p, "maximum closed-loop states the --estimator slice visits")
+    p.set_defaults(run=_cmd_export_dot)
 
 
+# Each subcommand's name, its one-line help, and what adds its arguments.
 SUBCOMMANDS = {
-    "verify": _add_verify,
-    "synthesize": _add_synthesize,
-    "estimate": _add_estimate,
-    "export-dot": _add_export_dot,
+    "verify": ("check opacity of a plant or a closed loop", _add_verify),
+    "synthesize": ("synthesize an opacity-enforcing supervisor", _add_synthesize),
+    "estimate": ("intruder state estimate of a flow trace", _add_estimate),
+    "export-dot": ("render a model or structure as DOT", _add_export_dot),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  When ``command`` names a subcommand, only
-    that subcommand's parser is added, so a call parses no more than it
-    runs; otherwise (``-h``, no arguments, an unknown command) all of them
-    are.  Either way it prints the same help, usage and error lines.
-
-    Each parser is built once per process and shared by later calls: every
-    command that is not a subcommand maps to the full parser, so at most
-    five exist.  Parsing leaves no state on a parser, and argparse reads
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    later call.  Parsing leaves no state on it, and argparse reads
     ``COLUMNS`` when it prints, not when it builds.  Callers must not add
     to the parser returned: every later call would see the change."""
-    return _build_parser(command if command in SUBCOMMANDS else None)
-
-
-@functools.cache
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opactrl",
         description=(
@@ -171,20 +165,14 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
             "online control decisions."
         ),
     )
-    adders = list(SUBCOMMANDS.values())
-    metavar = None  # argparse lists the subcommands it has
-    if command in SUBCOMMANDS:
-        adders = [SUBCOMMANDS[command]]
-        # The top-level usage line still lists every subcommand.
-        metavar = "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for add in adders:
-        add(sub)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add) in SUBCOMMANDS.items():
+        add(sub.add_parser(name, help=help_line))
     return parser
 
 
 def _cmd_verify(args) -> int:
-    model, _ = _load_model(args.model)
+    model, _ = _load(args.model, "model", PlantModel.from_json)
     if not model.is_live:
         print("note: model is not live (some reachable state is terminal)")
     if args.open_loop:
@@ -194,8 +182,8 @@ def _cmd_verify(args) -> int:
             return EXIT_OK
         print("not opaque (open loop); witness observation: " + " ".join(verdict.witness))
         return EXIT_NOT_OPAQUE
-    _, text = _read_input(args.supervisor, "supervisor")
-    sup = serialize.parse_supervisor_text(model, text)
+    sup, _ = _load(args.supervisor, "supervisor",
+                   functools.partial(serialize.parse_supervisor_text, model))
     try:
         result = verify_closed_loop_opacity(
             model, sup, _mode(args), args.bound, args.size_guard
@@ -214,7 +202,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    model, data = _load_model(args.model)
+    model, data = _load(args.model, "model", PlantModel.from_json)
     cfg = SynthesisConfig(
         mode=_mode(args),
         extraction_policy=args.policy,
@@ -258,25 +246,35 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    model, _ = _load_model(args.model)
-    _, text = _read_input(args.flow, "flow")
-    try:
-        flow = serialize.parse_flow(model, text)
-        estimate = estimate_from_flow(model, flow, _mode(args))
-    except (ModelFormatError, FlowFormatError) as exc:
-        raise CliError(f"invalid flow: {exc}") from exc
+    model, _ = _load(args.model, "model", PlantModel.from_json)
+    mode = _mode(args)
+    estimate, _ = _load(
+        args.flow,
+        "flow",
+        lambda text: estimate_from_flow(model, serialize.parse_flow(model, text), mode),
+    )
     print(model.format_state_set(estimate))
     return EXIT_OK
 
 
+def _model_or_structure(text: str) -> PlantModel | dict:
+    """The model in an ``export-dot`` input, or the document of the
+    control structure it holds instead."""
+    doc = json_object(text, "model")
+    if doc.get("type") == "control-structure":
+        return doc
+    return PlantModel.from_dict(doc)
+
+
 def _cmd_export_dot(args) -> int:
+    # The input is a model or a structure, so a read error calls it "input".
     data, text = _read_input(args.input, "input")
     if args.estimator:
-        model = _parse_model(args.input, text)
+        model = _parsed(args.input, "model", PlantModel.from_json, text)
         if not args.supervisor:
             raise CliError("--estimator requires --supervisor")
-        _, sup_text = _read_input(args.supervisor, "supervisor")
-        sup = serialize.parse_supervisor_text(model, sup_text)
+        sup, _ = _load(args.supervisor, "supervisor",
+                       functools.partial(serialize.parse_supervisor_text, model))
         if isinstance(sup, ControlStructure):
             sup = sup.decoded()
         try:
@@ -286,23 +284,17 @@ def _cmd_export_dot(args) -> int:
         except SizeGuardExceeded as exc:
             raise CliError(str(exc)) from exc
     else:
-        try:
-            doc = json_object(text, "model")
-            is_structure = doc.get("type") == "control-structure"
-            model = None if is_structure else PlantModel.from_dict(doc)
-        except ModelFormatError as exc:
-            raise CliError(f"invalid model {args.input}: {exc}") from exc
-        if is_structure:
+        loaded = _parsed(args.input, "model", _model_or_structure, text)
+        if isinstance(loaded, PlantModel):
+            output = dotmod.model_to_dot(loaded)
+        else:
             if not args.model_path:
                 raise CliError("structure input requires --model")
-            model, _ = _load_model(args.model_path)
-            try:
-                structure = serialize.structure_from_dict(model, doc)
-            except ModelFormatError as exc:
-                raise CliError(f"invalid structure: {exc}") from exc
+            model, _ = _load(args.model_path, "model", PlantModel.from_json)
+            structure = _parsed(args.input, "structure",
+                                functools.partial(serialize.structure_from_dict, model),
+                                loaded)
             output = dotmod.structure_to_dot(structure)
-        else:
-            output = dotmod.model_to_dot(model)
     if args.out:
         manifest = serialize.manifest_for(
             "export-dot", {args.input: data}, {"estimator": args.estimator}, {}
@@ -314,22 +306,12 @@ def _cmd_export_dot(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "synthesize":
-            return _cmd_synthesize(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "export-dot":
-            return _cmd_export_dot(args)
-        raise CliError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (CliError, ModelFormatError, StructureError, FlowFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -510,33 +510,30 @@ PARSE_ONLY_ARGVS = [
 
 @pytest.mark.parametrize("argv", PARSE_ONLY_ARGVS, ids=lambda a: " ".join(a) or "-")
 def test_cli_parses_as_the_full_parser_does(argv, monkeypatch, capsys):
-    """Building only the invoked subcommand's parser, once, changes no exit
-    code, help text, usage or error line: two calls in a row on the reused
-    parser print as a freshly built full parser does."""
+    """Building the parser once and reusing it changes no exit code, help
+    text, usage or error line: two calls in a row on the reused parser
+    print as a freshly built parser does."""
     argv = [RUN if arg == "M" else arg for arg in argv]
     monkeypatch.setenv("COLUMNS", "80")
     got = (main(argv), *capsys.readouterr())
     assert got == (main(argv), *capsys.readouterr())
-    fresh_parser = cli._build_parser.__wrapped__
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: fresh_parser(None))
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert got == (main(argv), *capsys.readouterr())
 
 
-def test_cli_holds_at_most_five_parsers(capsys):
-    """Every command that is not a subcommand shares the full parser, so
-    distinct unknown commands add none."""
+def test_cli_holds_one_parser(capsys):
+    """Every call, whatever its command, shares the one parser."""
     for i in range(40):
         assert main([f"bogus-{i}"]) == 2
     for argv in ([], ["-h"], ["--nope"], *([command, "-h"] for command in cli.SUBCOMMANDS)):
         main(argv)
     capsys.readouterr()
-    assert cli._build_parser.cache_info().currsize == len(cli.SUBCOMMANDS) + 1
-    assert cli.build_parser("bogus-0") is cli.build_parser() is cli.build_parser("-h")
-    assert cli.build_parser("verify") is cli.build_parser("verify")
+    assert cli.build_parser.cache_info().currsize == 1
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_cli_reused_parser_keeps_no_values_between_parses():
-    parser = cli.build_parser("verify")
+    parser = cli.build_parser()
     parser.parse_args(
         ["verify", RUN, "--supervisor", SRUN, "--bound", "3", "--mode", "decision",
          "--size-guard", "7"]
@@ -557,7 +554,7 @@ def test_cli_help_wraps_to_the_columns_of_each_call(argv, monkeypatch, capsys):
         assert main(argv) == 0
         helps.append(capsys.readouterr().out)
         with monkeypatch.context() as fresh:
-            fresh.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
             assert main(argv) == 0
         assert capsys.readouterr().out == helps[-1]
     assert helps[0] == helps[2] != helps[1]
@@ -604,11 +601,12 @@ def _verify_argv(paths, document):
 
 def _verify_replaced(tmp_path, run_model, srun, document, path, value):
     """Run ``verify`` on the example documents with the entry at ``path`` of
-    ``document`` replaced; return the exit code and the model's path."""
+    ``document`` replaced; return the exit code and the path of each
+    document."""
     docs = _example_documents(run_model, srun)
     docs[document] = _replaced(docs[document], path, value)
     paths = _write_documents(tmp_path, docs)
-    return main(_verify_argv(paths, document)), paths["model"]
+    return main(_verify_argv(paths, document)), paths
 
 
 # (document, path of the entry, a value where the document wants a list).
@@ -651,22 +649,27 @@ def test_cli_refuses_a_non_list_for_a_list(
 
 
 # (document, path of the entry, its malformed value, the error line, where
-# {model} stands for the model's path).  The non-names used to fail as
-# unhashable dict keys, and the observation transitions that are not
-# triples as a failed unpacking.
+# {model}, {supervisor} and {structure} stand for the documents' paths;
+# ``verify`` reads the structure as its policy).  The non-names used to
+# fail as unhashable dict keys, and the observation transitions that are
+# not triples as a failed unpacking.
 MALFORMED_DOCUMENTS = [
     ("supervisor", ("table",), ["u1"],
-     "invalid supervisor table: expected an object, got ['u1']"),
+     "invalid supervisor {supervisor}: invalid supervisor table: expected an object, "
+     "got ['u1']"),
     ("structure", ("mode",), "bogus",
-     "invalid mode: expected one of 'observation', 'decision', got 'bogus'"),
+     "invalid supervisor {structure}: invalid mode: expected one of 'observation', "
+     "'decision', got 'bogus'"),
     ("structure", ("mode",), ["observation"],
-     "invalid mode: expected one of 'observation', 'decision', got ['observation']"),
+     "invalid supervisor {structure}: invalid mode: expected one of 'observation', "
+     "'decision', got ['observation']"),
     ("supervisor", ("table", "u1"), [["a"]],
-     "invalid supervisor table entry 'u1': expected a name, got ['a']"),
+     "invalid supervisor {supervisor}: invalid supervisor table entry 'u1': expected a "
+     "name, got ['a']"),
     ("structure", ("observation_transitions", 0), [0, "u1"],
-     "malformed observation transition [0, 'u1']"),
+     "invalid supervisor {structure}: malformed observation transition [0, 'u1']"),
     ("structure", ("observation_transitions", 0), [0, "u1", 1, 2],
-     "malformed observation transition [0, 'u1', 1, 2]"),
+     "invalid supervisor {structure}: malformed observation transition [0, 'u1', 1, 2]"),
     ("model", ("transitions", 0), [["x"], "a", "s1"],
      "invalid model {model}: invalid transition: expected a name, got ['x']"),
     ("model", ("controllable",), [["a"]],
@@ -699,9 +702,52 @@ def test_cli_refuses_a_malformed_policy_document(
     does not exist or with an observation transition that is not a triple,
     and a list where a model, table or structure wants a name, are invalid
     input, not an internal error."""
-    code, model_path = _verify_replaced(tmp_path, run_model, srun, document, path, value)
+    code, paths = _verify_replaced(tmp_path, run_model, srun, document, path, value)
     assert code == 2
-    assert capsys.readouterr().err == f"error: {message.format(model=model_path)}\n"
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+
+
+# Per invalid input file: the argv, where "M" stands for the running
+# example's model and F for the file; the file's text, where BOGUS_MODE
+# stands for the example's structure in a mode that does not exist; and the
+# error line, where {F} stands for the file's path.
+INVALID_FILES = [
+    (["verify", "M", "--supervisor", "F"], "5",
+     "invalid supervisor {F}: supervisor document must be a JSON object"),
+    (["verify", "M", "--supervisor", "F"], "BOGUS_MODE",
+     "invalid supervisor {F}: invalid mode: expected one of 'observation', 'decision', "
+     "got 'bogus'"),
+    (["export-dot", "F", "--model", "M"], "BOGUS_MODE",
+     "invalid structure {F}: invalid mode: expected one of 'observation', 'decision', "
+     "got 'bogus'"),
+    (["export-dot", "M", "--estimator", "--supervisor", "F"], "5",
+     "invalid supervisor {F}: supervisor document must be a JSON object"),
+    (["estimate", "M", "--flow", "F"], "event=a decision=oops\n",
+     "invalid flow {F}: malformed flow line 1: 'event=a decision=oops'"),
+    (["estimate", "M", "--flow", "F"],
+     "event=-, decision={a,u1,u2,u3,b}\nevent=u1, decision=-\n",
+     "invalid flow {F}: event 'u1' is not visible to the intruder"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    INVALID_FILES,
+    ids=[f"{' '.join(argv)} {text.splitlines()[-1]}" for argv, text, _ in INVALID_FILES],
+)
+def test_cli_names_the_file_of_an_invalid_document(
+    argv, text, message, tmp_path, run_model, srun, capsys
+):
+    """An invalid policy, structure or flow is reported with its path, as
+    an invalid model is."""
+    if text == "BOGUS_MODE":
+        doc = _example_documents(run_model, srun)["structure"]
+        text = dump_json(_replaced(doc, ("mode",), "bogus"))
+    path = tmp_path / "input"
+    path.write_text(text)
+    files = {"M": RUN, "F": str(path)}
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(F=path)}\n"
 
 
 def test_cli_refuses_a_list_declared_as_a_state(tmp_path, run_model, srun, capsys):
@@ -802,6 +848,7 @@ UNDECODABLE_READS = [
     (["verify", "M", "--supervisor", "BAD"], "supervisor"),
     (["estimate", "M", "--flow", "BAD"], "flow"),
     (["export-dot", "M", "--estimator", "--supervisor", "BAD"], "supervisor"),
+    (["export-dot", "BAD"], "input"),
 ]
 
 
