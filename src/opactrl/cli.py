@@ -128,6 +128,15 @@ def _add_estimate(p: argparse.ArgumentParser) -> None:
     p.set_defaults(run=_cmd_estimate)
 
 
+# The defaults of the export-dot options read only with --estimator, as their
+# help text states them.
+ESTIMATOR_DEFAULTS = {
+    "depth": 6,
+    "mode": IssuanceMode.OBSERVATION.value,
+    "size_guard": 10**6,
+}
+
+
 def _add_export_dot(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="model or control-structure document")
     p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
@@ -136,10 +145,11 @@ def _add_export_dot(p: argparse.ArgumentParser) -> None:
     p.add_argument("--estimator", action="store_true",
                    help="render the estimator slice of a supervisor instead")
     p.add_argument("--supervisor", metavar="PATH", help="policy for --estimator")
-    p.add_argument("--depth", type=_int_at_least(0), default=6,
-                   help="depth for --estimator")
+    p.add_argument("--depth", type=_int_at_least(0), help="depth for --estimator")
     _add_mode_and_guard(p, "maximum closed-loop states the --estimator slice visits")
-    p.set_defaults(run=_cmd_export_dot)
+    # None marks an option not given, so that one given without --estimator
+    # can be refused; ESTIMATOR_DEFAULTS fills them in under --estimator.
+    p.set_defaults(run=_cmd_export_dot, **dict.fromkeys(ESTIMATOR_DEFAULTS))
 
 
 # Each subcommand's name, its one-line help, and what adds its arguments.
@@ -267,6 +277,17 @@ def _model_or_structure(text: str) -> PlantModel | dict:
 
 
 def _cmd_export_dot(args) -> int:
+    if args.estimator:
+        if args.model_path is not None:
+            raise CliError("--model is read only with a structure input")
+        for dest, default in ESTIMATOR_DEFAULTS.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+    else:
+        for dest in ("supervisor", *ESTIMATOR_DEFAULTS):
+            if getattr(args, dest) is not None:
+                option = "--" + dest.replace("_", "-")
+                raise CliError(f"{option} is read only with --estimator")
     # The input is a model or a structure, so a read error calls it "input".
     data, text = _read_input(args.input, "input")
     if args.estimator:
@@ -286,6 +307,8 @@ def _cmd_export_dot(args) -> int:
     else:
         loaded = _parsed(args.input, "model", _model_or_structure, text)
         if isinstance(loaded, PlantModel):
+            if args.model_path is not None:
+                raise CliError("--model is read only with a structure input")
             output = dotmod.model_to_dot(loaded)
         else:
             if not args.model_path:

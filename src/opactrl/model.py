@@ -313,23 +313,22 @@ class PlantModel:
         def listed(key: str) -> list:
             return list_field(doc.get(key, ()), repr(key))
 
-        def named(key: str) -> frozenset[str]:
-            return frozenset(names_field(doc.get(key, ()), repr(key)))
-
         def declared(key: str) -> list[str]:
             return [declared_name(name, repr(key)) for name in listed(key)]
 
-        parts = EventPartitions(
-            supervisor_observable=named("observable_supervisor"),
-            intruder_observable=named("observable_intruder"),
-            controllable=named("controllable"),
-        )
+        # In EventPartitions field order.
+        partitions = [
+            names_field(doc.get(key, ()), repr(key))
+            for key in ("observable_supervisor", "observable_intruder", "controllable")
+        ]
         events = declared("events")
-        for name in (
-            parts.supervisor_observable | parts.intruder_observable | parts.controllable
-        ):
-            if name not in events:
-                raise ModelFormatError(f"unknown event {name!r} in partition")
+        # Checked in list order, not as a set, so that the error names the
+        # first unknown entry whatever the process's string hash seed.
+        for names in partitions:
+            for name in names:
+                if name not in events:
+                    raise ModelFormatError(f"unknown event {name!r} in partition")
+        parts = EventPartitions(*map(frozenset, partitions))
         transitions = []
         for entry in listed("transitions"):
             names = names_field(entry, "transition")

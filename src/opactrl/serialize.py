@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .estimator import IssuanceMode, ObservationPair
@@ -244,38 +243,25 @@ def sha256_of(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """Provenance emitted alongside every artifact: what command produced
-    it, from which exact input bytes, under which configuration."""
-
-    command: str
-    inputs: dict[str, str]
-    config: dict
-    outcome: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": TOOL_NAME,
-            "version": TOOL_VERSION,
-            "command": self.command,
-            "inputs": self.inputs,
-            "config": self.config,
-            "outcome": self.outcome,
-        }
-
-
 def manifest_for(
     command: str, inputs: dict[str, bytes], config: dict, outcome: dict
-) -> RunManifest:
+) -> dict:
     """The manifest of a run that read ``inputs``, each path with the bytes
-    the run parsed from it."""
-    digests = {str(Path(path)): sha256_of(data) for path, data in inputs.items()}
-    return RunManifest(command, digests, config, outcome)
+    the run parsed from it: provenance emitted alongside every artifact,
+    saying what command produced it, from which exact input bytes, under
+    which configuration."""
+    return {
+        "tool": TOOL_NAME,
+        "version": TOOL_VERSION,
+        "command": command,
+        "inputs": {str(Path(path)): sha256_of(data) for path, data in inputs.items()},
+        "config": config,
+        "outcome": outcome,
+    }
 
 
-def write_artifact(path: str | Path, text: str, manifest: RunManifest) -> None:
+def write_artifact(path: str | Path, text: str, manifest: dict) -> None:
     """Write an artifact plus its ``<name>.manifest.json`` sidecar."""
     p = Path(path)
     p.write_text(text)
-    Path(str(p) + ".manifest.json").write_text(dump_json(manifest.to_dict()))
+    Path(str(p) + ".manifest.json").write_text(dump_json(manifest))

@@ -133,8 +133,8 @@ class Successors:
     asks about again and again, each keyed on exactly what its answer
     reads:
 
-    - the intruder's estimate update, and under it the plant's reach
-      operators (see :meth:`_update`).  An estimator step is the plant
+    - the plant's reach operators, which the intruder's estimate update
+      calls (see :class:`_ReachMemo`).  An estimator step is the plant
       successor plus this update, so steps keep no memo of their own (see
       :meth:`_step`);
     - the closure of each single core under unobservable events, keyed by
@@ -162,12 +162,6 @@ class Successors:
         self._decision_mode = mode is IssuanceMode.DECISION
         # The events of a decision that steps and closures read.
         self._hidden = model.supervisor_unobservable | model.intruder_unobservable
-        # What a step reads of the model's partitions, read once per kernel
-        # rather than once per step.
-        self._supervisor_sees = model.supervisor_observable
-        self._intruder_sees = model.intruder_observable
-        self._intruder_hidden = model.intruder_unobservable
-        self._plant_step = model.step
         self._reach = _ReachMemo(model)
         self._cores: list[tuple[int, int]] = []
         self._core_ids: dict[tuple[int, int], int] = {}
@@ -177,7 +171,6 @@ class Successors:
         self._active_at: list[int] = [0] * len(model.events)
         # The set of cores whose estimate lies inside the secret.
         self._revealing = 0
-        self._updates: dict[tuple, int] = {}
         self._closures: dict[tuple[int, int], int] = {}
         self._layouts: dict[int | None, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._rows: dict[tuple, tuple[int, ...]] = {}
@@ -188,30 +181,6 @@ class Successors:
         Listed on first use, because only expansion asks about every
         decision."""
         return tuple(self.model.iter_decisions())
-
-    def _update(self, q: int, gamma: int, seen: int | None, release: int | None) -> int:
-        """:func:`update_estimate`, memoised on the inputs it reads.  The
-        decisions enter only through their intruder-unobservable events: the
-        old one when the event is hidden, the released one (else the old
-        one) in the closure.  Whether anything was released is part of the
-        key, because a step showing nothing keeps ``q`` where a release with
-        the same masked events would close it.  A miss runs
-        :func:`update_estimate` on this kernel's memoised view of the
-        model's reach operators (see :class:`_ReachMemo`)."""
-        hidden = self._intruder_hidden
-        key = (
-            q,
-            seen,
-            gamma & hidden if seen is None else None,
-            (gamma if release is None else release) & hidden,
-            release is None,
-        )
-        out = self._updates.get(key)
-        if out is None:
-            out = self._updates[key] = update_estimate(
-                self._reach, q, gamma, seen, release
-            )
-        return out
 
     # Cores ----------------------------------------------------------------
 
@@ -269,16 +238,18 @@ class Successors:
         ``sigma``, committing ``gamma``; ``c`` and ``old`` are None for the
         initial marker.  Answers the core id reached.
 
-        A step is the plant successor plus the estimate update, which
-        :meth:`_update` memoises on what it reads; ``seen`` and ``release``
-        are derived as :func:`estimator_step` derives them, and an event
-        that is not active at the core or not enabled by ``old`` raises
+        A step is the plant successor plus :func:`update_estimate` on this
+        kernel's memoised reach operators; ``seen`` and ``release`` are
+        derived as :func:`estimator_step` derives them, and an event that is
+        not active at the core or not enabled by ``old`` raises
         :class:`EstimatorError` as it does there.  From the initial marker
-        the estimate is the initial state's closure under ``gamma``, read
-        through the memoised reach operators."""
+        the estimate is the initial state's closure under ``gamma``."""
+        model = self.model
         if c is None:
-            x0 = self.model.initial
-            q0 = self._reach.unobservable_reach(1 << x0, gamma, self._intruder_hidden)
+            x0 = model.initial
+            q0 = self._reach.unobservable_reach(
+                1 << x0, gamma, model.intruder_unobservable
+            )
             return self._intern((x0, q0))
         if not (self._active[c] & old) >> sigma & 1:
             raise EstimatorError("event not enabled at estimator state")
@@ -286,10 +257,10 @@ class Successors:
         if self._decision_mode:
             release = gamma if gamma != old else None
         else:
-            release = gamma if (self._supervisor_sees >> sigma) & 1 else None
-        seen = sigma if (self._intruder_sees >> sigma) & 1 else None
-        y = self._plant_step(x, sigma)
-        return self._intern((y, self._update(q, old, seen, release)))
+            release = gamma if (model.supervisor_observable >> sigma) & 1 else None
+        seen = sigma if (model.intruder_observable >> sigma) & 1 else None
+        q = update_estimate(self._reach, q, old, seen, release)
+        return self._intern((model.step(x, sigma), q))
 
     def _closure(self, c: int, gamma: int) -> int:
         """The set of cores reached from core ``c`` along events the
@@ -446,29 +417,39 @@ def nx_is(
     """Image of an information state under an observed event and the newly
     committed decision, one estimator step per member.  Members at which
     the event is not enabled are dropped; an empty result marks the
-    observation infeasible."""
-    kernel = Successors(model, mode)
-    image = 0
-    for x, q, old in info:
-        if (model.active(x) & old) >> sigma & 1:
-            image |= 1 << kernel._step(kernel._intern((x, q)), old, sigma, gamma)
-    return kernel.info_of(gamma, image)
+    observation infeasible.  With :func:`ur_is`, the paper's set-level
+    operators, and the reference :class:`Successors` is checked against."""
+    event = AugmentedEvent(sigma, gamma)
+    return make_info(
+        [
+            estimator_step(model, m, event, mode)
+            for m in info
+            if (model.active(m.plant_state) & m.decision) >> sigma & 1
+        ]
+    )
 
 
 def ur_is(
     model: PlantModel, info: InfoState, gamma: int, mode: IssuanceMode
 ) -> InfoState:
     """Closure of an information state under events the supervisor cannot
-    observe, all carrying the unchanged decision ``gamma``.  This composes
-    over intruder-visible but supervisor-silent events as well, so the
-    intruder's estimate keeps evolving inside the closure."""
+    observe, all carrying the unchanged decision ``gamma``: one frontier
+    over estimator states.  This composes over intruder-visible but
+    supervisor-silent events as well, so the intruder's estimate keeps
+    evolving inside the closure."""
     if any(m.decision != gamma for m in info):
         raise StructureError("closure requires the shared decision")
-    kernel = Successors(model, mode)
-    closed = 0
-    for c in iter_bits(kernel.intern(info)):
-        closed |= kernel._closure(c, gamma)
-    return kernel.info_of(gamma, closed)
+    hidden = model.supervisor_unobservable & gamma
+    seen = set(info)
+    frontier = list(info)
+    while frontier:
+        m = frontier.pop()
+        for sigma in iter_bits(model.active(m.plant_state) & hidden):
+            nxt = estimator_step(model, m, AugmentedEvent(sigma, gamma), mode)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return make_info(seen)
 
 
 def feasible_events(model: PlantModel, info: InfoState) -> tuple[int, ...]:

@@ -2,15 +2,27 @@
 
 Each test prints a single PASS line with its wall time when (and only when)
 every assertion in it held.  Run with ``pytest tests/test_acceptance.py -v -s``
-to see the lines as they complete.
+to see the lines as they complete.  The last test runs the walkthrough in
+``scripts/run_example.py``, which no criterion covers.
 """
 
+import importlib.util
 import random
+import shutil
+import sys
 import time
 
 import pytest
 
-from conftest import DEC, OBS, closed_loop_strings, feasible_observations, pair
+from conftest import (
+    DEC,
+    MODELS,
+    OBS,
+    REPO_ROOT,
+    closed_loop_strings,
+    feasible_observations,
+    pair,
+)
 from opactrl import (
     EstimatorState,
     SizeGuardExceeded,
@@ -305,3 +317,26 @@ def test_criterion_10_resource_guard_and_growth():
                     expand_arena(model, SynthesisConfig(size_guard=3))
                 assert exc.value.decision_states + exc.value.observation_states > 3
         assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
+
+
+def test_run_example_script(tmp_path, monkeypatch, capsys):
+    """``scripts/run_example.py`` runs on a copy of the bundled models,
+    writes its renderings under that copy's ``build/`` and finds the
+    baseline policy not opaque under the observation-triggered mechanism."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    path = REPO_ROOT / "scripts" / "run_example.py"
+    spec = importlib.util.spec_from_file_location("run_example", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    shutil.copytree(MODELS, tmp_path / "models")
+    module.ROOT = tmp_path
+    module.main()
+    assert (
+        "closed loop, baseline policy, observation-triggered: NOT opaque "
+        "(counterexample: a u1 u2 u2)"
+    ) in capsys.readouterr().out.splitlines()
+    assert sorted(p.name for p in (tmp_path / "build").iterdir()) == [
+        "plant.dot",
+        "structure_decision.dot",
+        "structure_observation.dot",
+    ]

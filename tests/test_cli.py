@@ -5,8 +5,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEC, MODELS, OBS
+from conftest import DEC, MODELS, OBS, REPO_ROOT
 from opactrl import PlantModel, information_flow, structure_from_policy
 from opactrl import cli, structure
 from opactrl.cli import main
@@ -417,6 +420,35 @@ def test_cli_export_dot_estimator_missing_supervisor(capsys):
     assert "cannot read supervisor" in capsys.readouterr().err
 
 
+# Options that export-dot reads only for the other kind of input, with the
+# error line each one gives; S stands for the example policy.
+UNREAD_EXPORT_DOT_OPTIONS = [
+    (["--supervisor", "missing.json"], "--supervisor is read only with --estimator"),
+    (["--depth", "3"], "--depth is read only with --estimator"),
+    (["--mode", "observation"], "--mode is read only with --estimator"),
+    (["--size-guard", "5"], "--size-guard is read only with --estimator"),
+    (["--model", "missing-model.json"], "--model is read only with a structure input"),
+    (
+        ["--estimator", "--supervisor", "S", "--model", "missing-model.json"],
+        "--model is read only with a structure input",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    UNREAD_EXPORT_DOT_OPTIONS,
+    ids=[" ".join(options) for options, _ in UNREAD_EXPORT_DOT_OPTIONS],
+)
+def test_cli_export_dot_refuses_an_option_it_would_not_read(options, message, capsys):
+    """An option that ``export-dot`` reads only for the other kind of input
+    is refused, not silently ignored."""
+    assert main(["export-dot", RUN, *(SRUN if o == "S" else o for o in options)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -763,6 +795,31 @@ def test_cli_refuses_a_list_declared_as_a_state(tmp_path, run_model, srun, capsy
         err = capsys.readouterr().err
         assert err.startswith("error: invalid model")
         assert err.endswith(": invalid 'states': expected a name, got ['7']\n")
+
+
+def test_cli_names_the_first_unknown_partition_event_under_any_hash_seed(tmp_path):
+    """With only ``u1`` declared, the first unknown partition entry in
+    document order is ``u2`` in ``observable_supervisor``; the error line
+    must not depend on the process's string hash seed."""
+    doc = json.loads(Path(RUN).read_text())
+    doc["events"] = ["u1"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    lines = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "opactrl.cli", "verify", str(path), "--open-loop"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2
+        lines.add(done.stderr)
+    assert lines == {f"error: invalid model {path}: unknown event 'u2' in partition\n"}
 
 
 def test_cli_reads_numbers_declared_as_names_as_their_decimal_text(

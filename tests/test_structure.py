@@ -14,14 +14,12 @@ from opactrl import (
     EstimatorState,
     PlantModel,
     StructureError,
-    SizeGuardExceeded,
     Successors,
     SynthesisConfig,
     brute_estimate_set,
     closed_loop_simulate,
     augment,
     estimator_step,
-    expand_arena,
     info_decision,
     info_estimates,
     info_plant_states,
@@ -38,7 +36,7 @@ from opactrl import (
 )
 from opactrl import structure as structure_module
 from opactrl.dot import estimator_slice_to_dot
-from opactrl.estimator import AugmentedEvent, EstimatorError, update_estimate
+from opactrl.estimator import AugmentedEvent, EstimatorError
 from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
 from opactrl.structure import closed_loop_search, loop_string
@@ -510,34 +508,6 @@ def test_estimator_matches_brute_set_membership(seed, mode):
         assert final.estimate in brute_estimate_set(model, sup, alpha, mode)
 
 
-def _reference_nx(model, info, sigma, gamma, mode):
-    """Set-level image under an observation, one estimator step per member."""
-    out = []
-    for m in info:
-        if (model.active(m.plant_state) >> sigma) & 1 and (m.decision >> sigma) & 1:
-            out.append(estimator_step(model, m, AugmentedEvent(sigma, gamma), mode))
-    return make_info(out)
-
-
-def _reference_ur(model, info, gamma, mode):
-    """Set-level closure under supervisor-unobservable events, one frontier
-    for the whole state."""
-    for m in info:
-        if m.decision != gamma:
-            raise StructureError("closure requires the shared decision")
-    hidden = model.supervisor_unobservable & gamma
-    seen = set(info)
-    frontier = list(info)
-    while frontier:
-        m = frontier.pop()
-        for sigma in iter_bits(model.active(m.plant_state) & hidden):
-            nxt = estimator_step(model, m, AugmentedEvent(sigma, gamma), mode)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return make_info(list(seen))
-
-
 def _check_kernel_answers(model, mode, succ, state, rng):
     """Every answer ``succ`` gives about ``state`` and its observations is
     the set-level one: its core set, safety, feasible events, the target of
@@ -551,18 +521,16 @@ def _check_kernel_answers(model, mode, succ, state, rng):
     assert feasible == structure_module.feasible_events(model, state)
     for sigma in range(len(model.events)):
         gamma_new = rng.choice(decisions)
-        image = _reference_nx(model, state, sigma, gamma_new, mode)
+        image = nx_is(model, state, sigma, gamma_new, mode)
         target = succ.target(gamma, cores, sigma, gamma_new)
-        assert succ.info_of(gamma_new, target) == _reference_ur(
-            model, image, gamma_new, mode
-        )
+        assert succ.info_of(gamma_new, target) == ur_is(model, image, gamma_new, mode)
         if sigma in feasible:
             row = succ.targets(gamma, cores, sigma)
             assert [
                 succ.info_of(d, row[column])
                 for d, column in zip(decisions, succ.layout(gamma)[1])
             ] == [
-                _reference_ur(model, _reference_nx(model, state, sigma, d, mode), d, mode)
+                ur_is(model, nx_is(model, state, sigma, d, mode), d, mode)
                 for d in decisions
             ]
 
@@ -571,16 +539,15 @@ def _check_kernel_answers(model, mode, succ, state, rng):
 @settings(max_examples=40, deadline=None)
 def test_memoised_successors_match_the_set_level_reference(seed, mode):
     """One kernel answers every query of a run, so later queries are served
-    from steps, closures and rows cached by earlier ones; each answer must
-    still be the one the uncached set-level loops give.  ``nx_is`` and
-    ``ur_is`` give them too."""
+    from closures and rows cached by earlier ones; each answer must still
+    be the one the set-level operators ``nx_is`` and ``ur_is`` give."""
     rng = random.Random(seed)
     model = random_model(rng, RandomModelConfig(max_states=5, max_events=4))
     sup = random_supervisor(rng, model)
     succ = Successors(model, mode)
     decisions = list(model.iter_decisions())
     initial = [
-        _reference_ur(
+        ur_is(
             model, (estimator_step(model, None, AugmentedEvent(None, d), mode),), d, mode
         )
         for d in decisions
@@ -593,24 +560,14 @@ def test_memoised_successors_match_the_set_level_reference(seed, mode):
     for state in _sample_info_states(rng, model, sup, mode, max_len=3):
         gamma = info_decision(state)
         _check_kernel_answers(model, mode, succ, state, rng)
-        assert ur_is(model, state, gamma, mode) == _reference_ur(model, state, gamma, mode)
-        for sigma in range(len(model.events)):
-            gamma_new = rng.choice(decisions)
-            assert nx_is(model, state, sigma, gamma_new, mode) == _reference_nx(
-                model, state, sigma, gamma_new, mode
-            )
         # A state mixing in a member under another decision is refused,
         # under either decision.
         other = next((d for d in decisions if d != gamma), None)
         if other is not None:
             mixed = make_info(state + (state[0]._replace(decision=other),))
-            for closure in (
-                lambda i, g: ur_is(model, i, g, mode),
-                lambda i, g: _reference_ur(model, i, g, mode),
-            ):
-                for shared in (gamma, other):
-                    with pytest.raises(StructureError, match="shared decision"):
-                        closure(mixed, shared)
+            for shared in (gamma, other):
+                with pytest.raises(StructureError, match="shared decision"):
+                    ur_is(model, mixed, shared, mode)
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]))
@@ -640,20 +597,14 @@ def test_kernel_answers_states_it_never_produced(seed, mode):
         if all((m.plant_state, m.estimate) in succ._core_ids for m in state):
             continue  # only states with a core the kernel has not met
         _check_kernel_answers(model, mode, succ, state, rng)
-        assert ur_is(model, state, gamma, mode) == _reference_ur(model, state, gamma, mode)
-        for sigma in range(len(model.events)):
-            gamma_new = rng.choice(decisions)
-            assert nx_is(model, state, sigma, gamma_new, mode) == _reference_nx(
-                model, state, sigma, gamma_new, mode
-            )
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]))
 @settings(max_examples=60, deadline=None)
 def test_kernel_step_is_the_estimator_step(seed, mode):
-    """A kernel step is the plant successor plus the memoised estimate
-    update, and a step from the initial marker the memoised closure of the
-    initial state; neither calls estimator_step.  From the initial marker,
+    """A kernel step is the plant successor plus the estimate update on
+    memoised reach operators, and a step from the initial marker the
+    memoised closure of the initial state; neither calls estimator_step.  From the initial marker,
     and from any core and old decision on each event active at the core and
     enabled by the old decision, under any new decision (the unchanged one
     included), it reaches the core of estimator_step; on any other event it
@@ -715,38 +666,6 @@ def test_loop_nodes_link_back_to_their_strings(seed, mode):
         assert obs == tuple(e for e in s if (model.supervisor_observable >> e) & 1)
 
 
-def _record_updates(monkeypatch):
-    """Record every estimate update the kernel answers, with its answer."""
-    calls = []
-    memoised = Successors._update
-
-    def recording(self, q, gamma, seen, release):
-        out = memoised(self, q, gamma, seen, release)
-        calls.append(((q, gamma, seen, release), out))
-        return out
-
-    monkeypatch.setattr(Successors, "_update", recording)
-    return calls
-
-
-@given(model_seeds, st.sampled_from([OBS, DEC]))
-@settings(max_examples=40, deadline=None)
-def test_memoised_update_matches_update_estimate(seed, mode):
-    """Every estimate update an expansion asks for, served from the kernel's
-    memo, is the one update_estimate computes."""
-    model = random_model(
-        random.Random(seed), RandomModelConfig(max_states=5, max_events=4)
-    )
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _record_updates(mp)
-        try:
-            expand_arena(model, SynthesisConfig(mode=mode, size_guard=20_000))
-        except SizeGuardExceeded:
-            pass
-    for inputs, out in calls:
-        assert out == update_estimate(model, *inputs)
-
-
 # u is hidden from both parties, s from the intruder only, and the
 # controllable c is seen by both; nothing is secret.
 SILENT_AND_RELEASED = {
@@ -762,22 +681,27 @@ SILENT_AND_RELEASED = {
 
 
 @pytest.mark.parametrize("mode", [OBS, DEC])
-def test_memoised_update_keeps_a_silent_step_apart_from_a_release(mode, monkeypatch):
-    """Expanding this plant asks for the silent step on u, which keeps the
-    estimate, and for a release on s from the same estimate with the same
-    intruder-unobservable events in both decisions, which closes it.  Only
-    whether a decision was released tells the two updates apart."""
+def test_kernel_step_keeps_a_silent_step_apart_from_a_release(mode):
+    """From the core (0, {0}) both steps below are hidden from the intruder
+    and leave the decision's intruder-unobservable events as they were.
+    The step on u releases nothing and keeps the estimate; the step on s
+    releases a decision and closes it.  Each reaches the core of
+    estimator_step."""
     model = PlantModel.from_dict(SILENT_AND_RELEASED)
-    calls = _record_updates(monkeypatch)
-    expand_arena(model, SynthesisConfig(mode=mode))
-    hidden = model.intruder_unobservable
-    answers: dict[tuple, set[int]] = {}
-    for (q, gamma, seen, release), out in calls:
-        assert out == update_estimate(model, q, gamma, seen, release)
-        if seen is None:
-            masked = (gamma if release is None else release) & hidden
-            answers.setdefault((q, gamma & hidden, masked), set()).add(out)
-    assert any(len(outs) > 1 for outs in answers.values())
+    succ = Successors(model, mode)
+    q = model.state_mask(["0"])
+    c = succ._intern((0, q))
+    old = model.control_decision(["u", "s", "c"])
+    release = model.control_decision(["u", "s"])
+    for name, gamma, expected in (
+        ("u", old, (model.state("1"), q)),
+        ("s", release, (model.state("2"), model.state_mask(["1", "2"]))),
+    ):
+        sigma = model.event(name)
+        stepped = estimator_step(
+            model, EstimatorState(0, q, old), AugmentedEvent(sigma, gamma), mode
+        )
+        assert succ._cores[succ._step(c, old, sigma, gamma)] == stepped[:2] == expected
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]), st.integers(0, 4))

@@ -568,7 +568,7 @@ def test_memoised_edges_match_the_single_decision_targets(seed, mode):
     (old-decision key, moved cores, event).  Every decision state's edges
     must still be the safe ones of its own single-decision targets, in
     decision order, mapped to the expansion's ids by (decision, core set).
-    A fresh kernel answers, so its step and row memos are filled in another
+    A fresh kernel answers, so its closure and row memos are filled in another
     order than the expansion's."""
     model = random_model(
         random.Random(seed),
