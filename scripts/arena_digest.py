@@ -18,14 +18,17 @@ digest covers:
 A third line digests the closed-loop side: for every structure above, in
 both modes, the structure ``structure_from_policy`` re-derives from its
 decoded policy (or the error it raises) and the ``verify_closed_loop_opacity``
-verdict with its counterexample (or the error it raises).
+verdict with its counterexample (or the error it raises).  A fourth line
+digests the open loop: the ``verify_open_loop_opacity`` verdict of every
+model, with its witness observation.
 
 Run ``python3 scripts/arena_digest.py``; it imports ``opactrl`` from the
 ``src`` directory of its own checkout and takes about half a minute on a
 2-vCPU machine, most of it for the third line.  Equal output
-from two checkouts means equal results on this corpus.  ``digest(models)``
-and ``closed_loop_digest(models)`` give the same lines for any list of
-models; ``tests/test_golden.py`` pins them for a slice of the corpus.
+from two checkouts means equal results on this corpus.  ``digest(models)``,
+``closed_loop_digest(models)`` and ``open_loop_digest(models)`` give the
+same lines for any list of models; ``tests/test_golden.py`` pins them for a
+slice of the corpus.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from opactrl import (  # noqa: E402
     SynthesisConfig,
     structure_from_policy,
     verify_closed_loop_opacity,
+    verify_open_loop_opacity,
 )
 from opactrl.randgen import RandomModelConfig, random_model  # noqa: E402
 from opactrl.synthesis import (  # noqa: E402
@@ -158,9 +162,20 @@ def closed_loop_digest(models) -> str:
     return f"closed-loop: {h.hexdigest()}"
 
 
+def open_loop_digest(models) -> str:
+    """The fourth printed line for ``models``: each model's open-loop
+    verdict and witness observation."""
+    h = hashlib.sha256()
+    for n, model in enumerate(models):
+        verdict = verify_open_loop_opacity(model)
+        _feed(h, f"model {n}", [(verdict.opaque, verdict.counterexample)])
+    return f"open-loop: {h.hexdigest()}"
+
+
 def main() -> None:
     models = corpus()
-    print("\n".join(digest(models) + [closed_loop_digest(models)]))
+    lines = digest(models) + [closed_loop_digest(models), open_loop_digest(models)]
+    print("\n".join(lines))
 
 
 if __name__ == "__main__":

@@ -21,20 +21,18 @@ from .estimator import (
 from .model import (
     EventPartitions,
     ModelFormatError,
-    OpenLoopVerdict,
     PlantModel,
     UnreachableObservationError,
     open_loop_estimate,
     parse_model,
     project,
-    verify_open_loop_opacity,
 )
 from .structure import (
     INITIAL_KEY,
-    ClosedLoopVerdict,
     ControlStructure,
     DecodedSupervisor,
     InfoState,
+    OpacityVerdict,
     StructureError,
     Successors,
     brute_estimate_set,
@@ -49,6 +47,7 @@ from .structure import (
     supervisor_estimate,
     ur_is,
     verify_closed_loop_opacity,
+    verify_open_loop_opacity,
 )
 from .supervisors import ConstantSupervisor, Supervisor, TabularSupervisor
 from .synthesis import (

@@ -16,12 +16,13 @@ from pathlib import Path
 from . import dot as dotmod
 from . import serialize
 from .estimator import FlowFormatError, IssuanceMode, estimate_from_flow
-from .model import ModelFormatError, PlantModel, json_object, verify_open_loop_opacity
+from .model import ModelFormatError, PlantModel, json_object
 from .structure import (
     ControlStructure,
     SizeGuardExceeded,
     StructureError,
     verify_closed_loop_opacity,
+    verify_open_loop_opacity,
 )
 from .synthesis import EXTRACTION_POLICIES, SynthesisConfig, synthesize
 
@@ -104,11 +105,13 @@ def _add_mode_and_guard(parser: argparse.ArgumentParser, guard: str) -> None:
 def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("model", help="model document (JSON)")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--open-loop", action="store_true", help="uncontrolled plant")
+    group.add_argument("--open-loop", action="store_true",
+                       help="uncontrolled plant, which releases no decisions: "
+                       "--mode is not read")
     group.add_argument("--supervisor", metavar="PATH", help="policy file")
     p.add_argument("--bound", type=_int_at_least(0), default=None,
                    help="search depth for tabular policies")
-    _add_mode_and_guard(p, "maximum closed-loop states visited with --supervisor")
+    _add_mode_and_guard(p, "maximum states the open-loop or closed-loop search visits")
     p.set_defaults(run=_cmd_verify)
 
 
@@ -182,32 +185,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    if args.open_loop and args.bound is not None:
+        raise CliError("--bound is read only with --supervisor")
     model, _ = _load(args.model, "model", PlantModel.from_json)
     if not model.is_live:
         print("note: model is not live (some reachable state is terminal)")
     if args.open_loop:
-        verdict = verify_open_loop_opacity(model)
-        if verdict.opaque:
-            print("opaque (open loop)")
-            return EXIT_OK
-        print("not opaque (open loop); witness observation: " + " ".join(verdict.witness))
-        return EXIT_NOT_OPAQUE
-    sup, _ = _load(args.supervisor, "supervisor",
-                   functools.partial(serialize.parse_supervisor_text, model))
+        loop, exposed = "open loop", "witness observation"
+        check = functools.partial(verify_open_loop_opacity, model, args.size_guard)
+    else:
+        loop, exposed = f"{args.mode} mode", "counterexample string"
+        sup, _ = _load(args.supervisor, "supervisor",
+                       functools.partial(serialize.parse_supervisor_text, model))
+        check = functools.partial(verify_closed_loop_opacity, model, sup, _mode(args),
+                                  args.bound, args.size_guard)
     try:
-        result = verify_closed_loop_opacity(
-            model, sup, _mode(args), args.bound, args.size_guard
-        )
+        result = check()
     except SizeGuardExceeded as exc:
         raise CliError(str(exc)) from exc
     if result.opaque:
         qualifier = "" if result.complete else f" up to bound {result.bound}"
-        print(f"opaque{qualifier} ({args.mode} mode)")
+        print(f"opaque{qualifier} ({loop})")
         return EXIT_OK
-    print(
-        f"not opaque ({args.mode} mode); counterexample string: "
-        + " ".join(result.counterexample)
-    )
+    print(f"not opaque ({loop}); {exposed}: " + " ".join(result.counterexample))
     return EXIT_NOT_OPAQUE
 
 

@@ -101,12 +101,6 @@ class EventPartitions:
     controllable: frozenset[str]
 
 
-@dataclass(frozen=True)
-class OpenLoopVerdict:
-    opaque: bool
-    witness: tuple[str, ...] | None = None
-
-
 class PlantModel:
     """A deterministic finite-state plant with secret states.
 
@@ -400,27 +394,3 @@ def open_loop_estimate(model: PlantModel, alpha: Sequence[int], obs: int) -> int
         q = model.unobservable_reach(q, gamma, hidden)
     return q
 
-
-def verify_open_loop_opacity(model: PlantModel) -> OpenLoopVerdict:
-    """Check current-state opacity of the uncontrolled plant against the
-    intruder's projection.  Returns a shortest witness observation when the
-    secret is exposed."""
-    hidden = model.intruder_unobservable
-    gamma = model.all_events_mask
-    start = model.unobservable_reach(1 << model.initial, gamma, hidden)
-    queue: list[tuple[int, tuple[int, ...]]] = [(start, ())]
-    seen = {start}
-    while queue:
-        next_queue: list[tuple[int, tuple[int, ...]]] = []
-        for q, path in queue:
-            if q and not (q & ~model.secret_mask):
-                return OpenLoopVerdict(False, tuple(model.events[e] for e in path))
-            for sigma in iter_bits(model.active_events(q) & model.intruder_observable):
-                nxt = model.unobservable_reach(
-                    model.observable_reach(q, sigma), gamma, hidden
-                )
-                if nxt and nxt not in seen:
-                    seen.add(nxt)
-                    next_queue.append((nxt, path + (sigma,)))
-        queue = next_queue
-    return OpenLoopVerdict(True, None)

@@ -684,7 +684,12 @@ def structure_from_policy(
 
 
 @dataclass
-class ClosedLoopVerdict:
+class OpacityVerdict:
+    """The answer of an opacity check.  ``counterexample`` holds the events
+    that expose the secret: a plant string of the closed loop, or an
+    observation of the open loop.  ``complete`` says whether a bounded
+    search exhausted the loop, and ``bound`` is its depth bound."""
+
     opaque: bool
     counterexample: tuple[str, ...] | None = None
     complete: bool = True
@@ -701,13 +706,17 @@ def _guard_visits(seen: set, size_guard: int | None, search: str) -> None:
 
 # A node of the closed-loop search: (estimator state, supervisor observation,
 # depth, parent node, event from the parent); the root has depth 0 and no
-# parent.  A node holds no event string: its parent links spell it.
-LoopNode = tuple[EstimatorState, tuple[int, ...], int, "LoopNode | None", int | None]
+# parent.  A node holds no event string: its parent links spell it.  The
+# open-loop search has nodes of the same shape, with the intruder's estimate
+# in place of the estimator state and () as the observation.
+LoopNode = tuple[
+    EstimatorState | int, tuple[int, ...], int, "LoopNode | None", int | None
+]
 
 
 def loop_string(node: LoopNode) -> tuple[int, ...]:
-    """The event string of a closed-loop search node, read back along its
-    parent links."""
+    """The event string of a search node, read back along its parent
+    links."""
     events = []
     while node[3] is not None:
         events.append(node[4])
@@ -782,27 +791,58 @@ def closed_loop_search(
             yield parent, sigma, node, new
 
 
-def _find_revealing_string(
+def verify_open_loop_opacity(
+    model: PlantModel, size_guard: int | None = None
+) -> OpacityVerdict:
+    """Decide current-state opacity of the uncontrolled plant against the
+    intruder's projection, by a breadth-first search over the intruder's
+    estimates.  The counterexample is a shortest observation whose estimate
+    lies inside the secret.  Raises :class:`SizeGuardExceeded` once more
+    than ``size_guard`` estimates are known."""
+    hidden = model.intruder_unobservable
+    everything = model.all_events_mask
+    start = model.unobservable_reach(1 << model.initial, everything, hidden)
+    seen = {start}
+    queue: deque[LoopNode] = deque([(start, (), 0, None, None)])
+    while queue:
+        node = queue.popleft()
+        q = node[0]
+        if not (q & ~model.secret_mask):
+            witness = tuple(model.events[e] for e in loop_string(node))
+            return OpacityVerdict(False, witness)
+        # An event active somewhere in q leads to a non-empty estimate.
+        for sigma in iter_bits(model.active_events(q) & model.intruder_observable):
+            nxt = model.unobservable_reach(
+                model.observable_reach(q, sigma), everything, hidden
+            )
+            if nxt not in seen:
+                seen.add(nxt)
+                _guard_visits(seen, size_guard, "open-loop search")
+                queue.append((nxt, (), node[2] + 1, node, sigma))
+    return OpacityVerdict(True)
+
+
+def _search_verdict(
     model: PlantModel,
     sup: Supervisor,
     mode: IssuanceMode,
     bound: int | None,
     size_guard: int | None = None,
-) -> tuple[tuple[int, ...] | None, bool]:
-    """The shortest closed-loop string whose controlled state estimate is
-    contained in the secret set (None if none), and whether the search
-    exhausted the closed loop rather than hitting the bound.  Raises
-    :class:`SizeGuardExceeded` once it has visited more than ``size_guard``
-    states."""
+) -> OpacityVerdict:
+    """The verdict of a search of the closed loop up to ``bound``: its
+    counterexample is the shortest string whose controlled state estimate
+    is contained in the secret set.  Raises :class:`SizeGuardExceeded` once
+    it has visited more than ``size_guard`` states."""
     complete = True
     for _, _, node, new in closed_loop_search(model, sup, mode, bound, size_guard):
         if not new:
             continue
         if not (node[0].estimate & ~model.secret_mask):
-            return loop_string(node), True
+            witness = tuple(model.events[e] for e in loop_string(node))
+            return OpacityVerdict(False, witness, True, bound)
         if node[2] == bound:
             complete = False
-    return None, complete
+    return OpacityVerdict(True, None, complete, bound)
 
 
 def verify_closed_loop_opacity(
@@ -811,7 +851,7 @@ def verify_closed_loop_opacity(
     mode: IssuanceMode,
     depth_bound: int | None = None,
     size_guard: int | None = None,
-) -> ClosedLoopVerdict:
+) -> OpacityVerdict:
     """Decide whether the closed loop keeps the secret from an intruder that
     eavesdrops on released decisions.
 
@@ -830,31 +870,26 @@ def verify_closed_loop_opacity(
 
     if structure is None:
         assert isinstance(sup, Supervisor)
-        witness, complete = _find_revealing_string(
-            model, sup, mode, depth_bound, size_guard
-        )
-        if witness is not None:
-            return ClosedLoopVerdict(
-                False, tuple(model.events[e] for e in witness), True, depth_bound
-            )
-        return ClosedLoopVerdict(True, None, complete, depth_bound)
+        return _search_verdict(model, sup, mode, depth_bound, size_guard)
 
     # Re-derive the observation states induced by the structure's decisions
     # under the requested mechanism, as the kernel's (decision, core set)
     # pairs.  The pairing with the structure's own states keeps decoding
     # aligned even when `mode` differs from the one the structure was built
-    # for.
+    # for.  An unsafe one is reported with the search's shortest witness.
     kernel = Successors(model, mode)
     gamma, struct_obs = structure.decisions[INITIAL_KEY]
     start = (struct_obs, gamma, kernel.target(None, None, None, gamma))
     stack = [start]
     seen = {start}
-    unsafe = False
     while stack:
         struct_obs, old, cores = stack.pop()
         if not kernel.is_safe(cores):
-            unsafe = True
-            break
+            verdict = _search_verdict(
+                model, DecodedSupervisor(structure), mode, None, size_guard
+            )
+            assert not verdict.opaque
+            return verdict
         for sigma in kernel.feasible_events(old, cores):
             if sigma not in structure.observations[struct_obs]:
                 raise StructureError(
@@ -867,15 +902,7 @@ def verify_closed_loop_opacity(
                 seen.add(node)
                 _guard_visits(seen, size_guard, "closed-loop walk")
                 stack.append(node)
-    if not unsafe:
-        return ClosedLoopVerdict(True, None, True, None)
-    witness, _ = _find_revealing_string(
-        model, DecodedSupervisor(structure), mode, None, size_guard
-    )
-    assert witness is not None
-    return ClosedLoopVerdict(
-        False, tuple(model.events[e] for e in witness), True, None
-    )
+    return OpacityVerdict(True)
 
 
 def brute_estimate_set(

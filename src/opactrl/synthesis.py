@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -488,10 +488,12 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
     ``first_feasible`` takes the canonically first surviving decision;
     ``locally_maximal`` takes one whose decision is set-maximal among the
     state's alternatives; ``enumerate_all`` yields every combination up to
-    the configured cap.  An empty arena yields the no-solution marker."""
+    the configured cap.  An empty arena yields the no-solution marker.
+    The outcome's arena sizes and pruning iterations are read from ``arena``;
+    its size before pruning is that of the expansion it was pruned from."""
     if arena.is_empty:
-        return SynthesisOutcome((), cfg.extraction_policy, cfg.mode, arena=arena)
-    if cfg.extraction_policy == "first_feasible":
+        structures = ()
+    elif cfg.extraction_policy == "first_feasible":
         structures = (_walk_assignment(arena, _first_feasible),)
     elif cfg.extraction_policy == "locally_maximal":
         structures = (_walk_assignment(arena, _locally_maximal),)
@@ -502,21 +504,22 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
             if len(out) >= cfg.max_structures:
                 break
         structures = tuple(out)
-    return SynthesisOutcome(structures, cfg.extraction_policy, cfg.mode, arena=arena)
+    expansion = arena._expansion
+    return SynthesisOutcome(
+        structures,
+        cfg.extraction_policy,
+        cfg.mode,
+        arena_states_before=len(expansion.owner) + len(expansion.cores),
+        arena_states_after=arena.n_states,
+        pruning_iterations=arena.pruning_iterations,
+        arena=arena,
+    )
 
 
 def synthesize(model: PlantModel, cfg: SynthesisConfig) -> SynthesisOutcome:
     """Expansion, pruning, extraction.  Every returned structure is safe,
     complete, and reachable, so its decoded supervisor enforces opacity."""
     start = time.perf_counter()
-    arena = expand_arena(model, cfg)
-    before = arena.n_states
-    pruned = prune_incomplete(arena)
-    outcome = extract_structure(pruned, cfg)
-    return replace(
-        outcome,
-        arena_states_before=before,
-        arena_states_after=pruned.n_states,
-        pruning_iterations=pruned.pruning_iterations,
-        elapsed=time.perf_counter() - start,
-    )
+    outcome = extract_structure(prune_incomplete(expand_arena(model, cfg)), cfg)
+    outcome.elapsed = time.perf_counter() - start
+    return outcome

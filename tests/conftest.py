@@ -1,5 +1,6 @@
-"""Shared fixtures: the running example, its two reference policies, and
-string-enumeration helpers used by several suites."""
+"""Shared fixtures: the running example, its two reference policies,
+string-enumeration helpers used by several suites, and a plant family whose
+intruder observer grows exponentially."""
 
 from __future__ import annotations
 
@@ -86,3 +87,21 @@ def feasible_observations(model: PlantModel, sup: Supervisor, max_len: int):
             out.add(alpha2)
             stack.append(node)
     return out
+
+
+def observer_blowup_model(n: int) -> PlantModel:
+    """A plant whose intruder observer reaches every subset of the states
+    1..n: states 0, g and 1..n; 0 loops on a and b, the hidden u leads from
+    0 to g, g -b-> 1 and i -a,b-> i+1.  Both observers see a and b, and
+    there is no secret."""
+    chain = [str(i) for i in range(1, n + 1)]
+    transitions = [["0", "a", "0"], ["0", "b", "0"], ["0", "u", "g"], ["g", "b", "1"]]
+    transitions += [[x, e, y] for x, y in zip(chain, chain[1:]) for e in "ab"]
+    return PlantModel.from_dict({
+        "states": ["0", "g", *chain],
+        "events": ["a", "b", "u"],
+        "initial": "0",
+        "transitions": transitions,
+        "observable_supervisor": ["a", "b"],
+        "observable_intruder": ["a", "b"],
+    })

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEC, MODELS, OBS, REPO_ROOT
+from conftest import DEC, MODELS, OBS, REPO_ROOT, observer_blowup_model
 from opactrl import PlantModel, information_flow, structure_from_policy
 from opactrl import cli, structure
 from opactrl.cli import main
@@ -204,6 +204,29 @@ def test_cli_verify_open_loop_witness(tmp_path, capsys, run_model):
     path.write_text(dump_json(doc))
     assert main(["verify", str(path), "--open-loop"]) == 1
     assert "a b" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bound", ["0", "3"])
+def test_cli_verify_open_loop_refuses_bound(bound, capsys):
+    """The open loop has no depth bound to read.  The option is refused
+    before the model is read: no note says that the model is not live."""
+    assert main(["verify", RUN, "--open-loop", "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --bound is read only with --supervisor\n"
+    assert captured.out == ""
+
+
+def test_cli_verify_open_loop_size_guard(tmp_path, capsys):
+    """The guard bounds the open-loop search, whose observer reaches every
+    subset of this plant's chain: a trip exits 2 with no verdict."""
+    path = tmp_path / "blowup.json"
+    path.write_text(dump_json(observer_blowup_model(12).to_dict()))
+    assert main(["verify", str(path), "--open-loop", "--size-guard", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: open-loop search exceeded size guard of 10 states (11 visited so far)\n"
+    )
+    assert "opaque" not in captured.out
 
 
 def test_cli_verify_supervisor_observation(capsys):

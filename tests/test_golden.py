@@ -134,6 +134,11 @@ ARENA_DIGEST_LINES = [
 CLOSED_LOOP_DIGEST_LINE = (
     "closed-loop: 6a7dced68cff564bbacc0235ca903b0188274b167aa25fa25c640122a838877d"
 )
+# Recorded before the open-loop check moved from the model module onto the
+# closed-loop search's nodes and verdict type.
+OPEN_LOOP_DIGEST_LINE = (
+    "open-loop: e590b3df050b8286f30b2d4ec59154e6d6cc9e77e0b74755c30b5b89694178a9"
+)
 # The lines of scripts/arena_digest.py for the running example followed by
 # randgen seed-10 draws 2 and 17.
 DOT_PINNED_ARENA_DIGEST_LINES = [
@@ -226,6 +231,12 @@ def test_closed_loop_digest_of_a_corpus_slice_is_unchanged(corpus_slice):
     verified, in both modes, with counterexamples and error texts."""
     arena_digest, models = corpus_slice
     assert arena_digest.closed_loop_digest(models) == CLOSED_LOOP_DIGEST_LINE
+
+
+def test_open_loop_digest_of_a_corpus_slice_is_unchanged(corpus_slice):
+    """Each model's open-loop verdict with its witness observation."""
+    arena_digest, models = corpus_slice
+    assert arena_digest.open_loop_digest(models) == OPEN_LOOP_DIGEST_LINE
 
 
 @pytest.mark.parametrize("mode, depth", sorted(SLICE_DIGESTS))

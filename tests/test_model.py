@@ -1,4 +1,7 @@
-"""Plant model parsing, projections, reach operators, open-loop opacity."""
+"""Plant model parsing, projections, reach operators and open-loop
+estimates, and the open-loop opacity check built on them, which lives in
+``opactrl.structure`` next to the closed-loop one and returns the same
+verdict type."""
 
 import random
 
@@ -6,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import observer_blowup_model
 from opactrl import (
     ModelFormatError,
     PlantModel,
+    SizeGuardExceeded,
     UnreachableObservationError,
     open_loop_estimate,
     parse_model,
@@ -173,10 +178,19 @@ def test_verify_open_loop_opacity(run_model):
     leaky = PlantModel.from_dict(doc)
     verdict = verify_open_loop_opacity(leaky)
     assert not verdict.opaque
-    assert verdict.witness == ("a", "b")
+    assert verdict.counterexample == ("a", "b")
 
     doc["secret"] = []
     assert verify_open_loop_opacity(PlantModel.from_dict(doc)).opaque
+
+
+def test_open_loop_search_has_a_size_guard():
+    """The observer of this plant reaches every subset of its chain, so only
+    the guard stops the search early."""
+    model = observer_blowup_model(12)
+    with pytest.raises(SizeGuardExceeded, match=r"open-loop search .* \(11 visited"):
+        verify_open_loop_opacity(model, size_guard=10)
+    assert verify_open_loop_opacity(model, size_guard=None).opaque
 
 
 # Properties over random models -------------------------------------------
@@ -250,14 +264,9 @@ def _brute_open_loop(model, alpha, obs, bound):
     return out
 
 
-@given(model_seeds)
-@settings(max_examples=100, deadline=None)
-def test_open_loop_estimate_matches_enumeration_on_acyclic(seed):
-    rng = random.Random(seed)
-    model = random_model(rng, RandomModelConfig(acyclic=True, transition_density=0.6))
-    bound = len(model.states)
-    obs = model.intruder_observable
-    # every feasible observation of the (finite) language
+def _feasible_observations(model, obs):
+    """Every observation through ``obs`` of a string of the (finite)
+    language of an acyclic model."""
     alphas = set()
     stack = [(model.initial, ())]
     while stack:
@@ -267,7 +276,38 @@ def test_open_loop_estimate_matches_enumeration_on_acyclic(seed):
             y = model.step(x, e)
             alphas_next = alpha + (e,) if (obs >> e) & 1 else alpha
             stack.append((y, alphas_next))
-    for alpha in alphas:
+    return alphas
+
+
+@given(model_seeds)
+@settings(max_examples=100, deadline=None)
+def test_open_loop_estimate_matches_enumeration_on_acyclic(seed):
+    rng = random.Random(seed)
+    model = random_model(rng, RandomModelConfig(acyclic=True, transition_density=0.6))
+    bound = len(model.states)
+    obs = model.intruder_observable
+    for alpha in _feasible_observations(model, obs):
         assert open_loop_estimate(model, alpha, obs) == _brute_open_loop(
             model, alpha, obs, bound
         )
+
+
+@given(model_seeds)
+@settings(max_examples=100, deadline=None)
+def test_open_loop_verdict_and_witness_match_enumeration_on_acyclic(seed):
+    """Not opaque exactly when the estimate of some feasible observation
+    lies inside the secret, with a shortest such observation as witness."""
+    rng = random.Random(seed)
+    model = random_model(rng, RandomModelConfig(
+        acyclic=True, transition_density=0.6, secret_probability=0.5))
+    obs = model.intruder_observable
+    revealing = [
+        alpha for alpha in _feasible_observations(model, obs)
+        if not open_loop_estimate(model, alpha, obs) & ~model.secret_mask
+    ]
+    verdict = verify_open_loop_opacity(model)
+    assert verdict.opaque == (not revealing)
+    if revealing:
+        witness = model.word(verdict.counterexample)
+        assert witness in revealing
+        assert len(witness) == min(map(len, revealing))

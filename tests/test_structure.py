@@ -434,11 +434,9 @@ def test_structure_walks_agree_with_the_policy_and_the_string_search(seed):
                 decoded = structure.decoded()
                 assert structure_from_policy(model, decoded, built) == structure
                 for mode in (OBS, DEC):
-                    witness, _ = structure_module._find_revealing_string(
-                        model, decoded, mode, None
-                    )
+                    searched = structure_module._search_verdict(model, decoded, mode, None)
                     opaque = verify_closed_loop_opacity(model, structure, mode).opaque
-                    assert opaque == (witness is None)
+                    assert opaque == searched.opaque
                     leaks |= not opaque
     assert leaks or seed not in CROSS_MODE_LEAKS
 

@@ -288,6 +288,24 @@ def test_size_guard_raises_with_partial_statistics(run_model):
     assert err.decision_states + err.observation_states > 5
 
 
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_extract_structure_reports_the_sizes_of_its_arena(run_model, mode):
+    """A standalone extraction reports the arena sizes and the pruning
+    iterations of the arena it is given, as ``synthesize`` does; the size
+    before pruning is that of the expansion the arena was pruned from.
+    Seed-10 draw 4 loses states to pruning in both modes, and draw 24 loses
+    all of them."""
+    cfg = SynthesisConfig(mode=mode)
+    for model in (run_model, _seed10_draw(4), _seed10_draw(24)):
+        arena = expand_arena(model, cfg)
+        pruned = prune_incomplete(arena)
+        expected = (arena.n_states, pruned.n_states, pruned.pruning_iterations)
+        for out in (extract_structure(pruned, cfg), synthesize(model, cfg)):
+            assert (
+                out.arena_states_before, out.arena_states_after, out.pruning_iterations
+            ) == expected
+
+
 def test_synthesize_is_deterministic(run_model):
     cfg = SynthesisConfig(mode=OBS, extraction_policy="locally_maximal")
     a = synthesize(run_model, cfg)
