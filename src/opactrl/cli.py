@@ -197,6 +197,8 @@ def _cmd_verify(args) -> int:
         loop, exposed = f"{args.mode} mode", "counterexample string"
         sup, _ = _load(args.supervisor, "supervisor",
                        functools.partial(serialize.parse_supervisor_text, model))
+        if isinstance(sup, ControlStructure) and args.bound is not None:
+            raise CliError("--bound is read only with a supervisor table")
         check = functools.partial(verify_closed_loop_opacity, model, sup, _mode(args),
                                   args.bound, args.size_guard)
     try:

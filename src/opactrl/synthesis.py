@@ -12,8 +12,8 @@ arena's dict views when those are read.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -48,8 +48,9 @@ class SynthesisConfig:
     def __post_init__(self):
         if self.extraction_policy not in EXTRACTION_POLICIES:
             raise ValueError(f"unknown extraction policy {self.extraction_policy!r}")
-        if self.size_guard <= 0:
-            raise ValueError("size_guard must be positive")
+        for name in ("size_guard", "max_structures"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 class _Expansion:
@@ -273,6 +274,12 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     return Arena(expansion, edges, events_of, (len(edges), len(events_of)))
 
 
+def _undecided(arena: Arena) -> list[int]:
+    """The decision states of ``arena`` left with no decision: the states
+    that make an arena incomplete."""
+    return [d for d, out in enumerate(arena._edges) if out is not None and not out]
+
+
 def prune_incomplete(arena: Arena) -> Arena:
     """Remove the incomplete states and every state their removal makes
     incomplete, then drop states unreachable from the initial decision
@@ -291,7 +298,7 @@ def prune_incomplete(arena: Arena) -> Arena:
     incomplete the arena's lists are shared, not rebuilt."""
     expansion = arena._expansion
     edges, events = arena._edges, arena._events
-    level_d = [d for d, out in enumerate(edges) if out is not None and not out]
+    level_d = _undecided(arena)
     if not level_d:
         return Arena(expansion, edges, events, arena._counts)
     predecessors: list[list[int]] = [[] for _ in events]
@@ -343,87 +350,71 @@ def prune_incomplete(arena: Arena) -> Arena:
     )
 
 
+def _structures(arena: Arena, maximal: bool) -> Iterator[ControlStructure]:
+    """Every control structure embedded in the arena, by backtracking over
+    ids.  Decision states are committed breadth first from the initial one,
+    each to one of its edges in order (only to a set-maximal one when
+    ``maximal``), and a commit is undone on backtrack.  A branch that
+    reaches a decision state with no edge to offer is abandoned, so only
+    complete structures come out; on a pruned arena the first comes out
+    without backtracking.  Decisions are listed in commit order, observation
+    states in first-reach order, and only the ``InfoState``s of the
+    structures yielded are built."""
+    expansion, edges, events = arena._expansion, arena._edges, arena._events
+    base, info, key = expansion.base, expansion.info, expansion.key
+    queue = [0]  # decision ids; the first len(commits) are committed
+    # Per commit: the edges offered, the one taken, and whether it reached
+    # its observation state first.
+    commits: list[tuple[tuple[tuple[int, int], ...], int, bool]] = []
+    known: dict[int, tuple[int, ...]] = {}  # observation ids, first-reach order
+    k = 0  # the next edge to try at queue[len(commits)]
+    while True:
+        if len(commits) == len(queue):
+            taken = (offer[i] for offer, i, _ in commits)
+            yield ControlStructure(
+                arena.model,
+                arena.mode,
+                {key(d): (gamma, info(o)) for d, (gamma, o) in zip(queue, taken)},
+                {info(o): evs for o, evs in known.items()},
+            )
+            out = ()
+        else:
+            out = edges[queue[len(commits)]] or ()
+            if maximal:
+                out = tuple(
+                    e for e in out if not any(g != e[0] and g | e[0] == g for g, _ in out)
+                )
+        if k < len(out):
+            o = out[k][1]
+            fresh = o not in known
+            commits.append((out, k, fresh))
+            if fresh:
+                known[o] = events[o]
+                queue.extend(range(base[o], base[o] + len(events[o])))
+            k = 0
+        elif commits:
+            out, k, fresh = commits.pop()
+            if fresh:
+                known.popitem()
+                del queue[len(queue) - len(events[out[k][1]]):]
+            k += 1
+        else:
+            return
+
+
 def enumerate_structures(arena: Arena) -> Iterator[ControlStructure]:
     """Lazily yield every control structure embedded in the arena: one
     decision per reachable decision state, all observation transitions kept.
     On an unpruned arena, branches that reach a decision state with no safe
     decision are abandoned, so only complete structures come out."""
-    if arena.is_empty:
-        return
-
-    def branches(assigned, pending, known_obs):
-        # Every way to commit the first pending decision state.
-        key, rest = pending[0], pending[1:]
-        for gamma, target in arena.decision_edges.get(key, ()):
-            extra: tuple[DecisionKey, ...] = ()
-            if target not in known_obs:
-                extra = tuple((target, s) for s in arena.observation_events[target])
-            yield {**assigned, key: (gamma, target)}, rest + extra, known_obs | {target}
-
-    # Depth-first over partial assignments, with an explicit stack of branch
-    # iterators: the depth grows with the number of decision states, so
-    # recursion would overflow on long arenas.
-    stack = [iter((({}, (INITIAL_KEY,), frozenset()),))]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        assigned, pending, known_obs = node
-        if pending:
-            stack.append(branches(assigned, pending, known_obs))
-        else:
-            yield ControlStructure(
-                arena.model,
-                arena.mode,
-                assigned,
-                {info: arena.observation_events[info] for info in known_obs},
-            )
+    return _structures(arena, maximal=False)
 
 
 def exhaustive_solution_exists(arena: Arena) -> bool:
     """Brute-force existence check used as the independent cross-check for
     pruning-based synthesis: search directly for any complete structure in
     the (raw) arena, without running the pruning fixpoint."""
-    return next(iter(enumerate_structures(arena)), None) is not None
-
-
-def _walk_assignment(arena: Arena, choose) -> ControlStructure:
-    """Commit ``choose(edges)`` at every decision state reached from the
-    initial one, breadth first, over ids; only the ``InfoState``s of the
-    structure are built."""
-    expansion = arena._expansion
-    edges, events, base = arena._edges, arena._events, expansion.base
-    assigned: dict[int, tuple[int, int]] = {}
-    known: dict[int, tuple[int, ...]] = {}
-    pending: deque[int] = deque([0])
-    while pending:
-        d = pending.popleft()
-        edge = assigned[d] = choose(edges[d])
-        o = edge[1]
-        if o not in known:
-            known[o] = events[o]
-            pending.extend(range(base[o], base[o] + len(events[o])))
-    info = expansion.info
-    return ControlStructure(
-        arena.model,
-        arena.mode,
-        {expansion.key(d): (gamma, info(o)) for d, (gamma, o) in assigned.items()},
-        {info(o): evs for o, evs in known.items()},
-    )
-
-
-def _first_feasible(edges):
-    return edges[0]
-
-
-def _locally_maximal(edges):
-    maximal = [
-        (gamma, target)
-        for gamma, target in edges
-        if not any(other != gamma and other | gamma == other for other, _ in edges)
-    ]
-    return maximal[0]
+    return next(_structures(arena, maximal=False), None) is not None
 
 
 @dataclass
@@ -488,26 +479,20 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
     ``first_feasible`` takes the canonically first surviving decision;
     ``locally_maximal`` takes one whose decision is set-maximal among the
     state's alternatives; ``enumerate_all`` yields every combination up to
-    the configured cap.  An empty arena yields the no-solution marker.
+    the configured cap.  An empty arena yields the no-solution marker, and
+    an arena with a decision state left with no decision, which pruning
+    would remove, raises ValueError.
     The outcome's arena sizes and pruning iterations are read from ``arena``;
     its size before pruning is that of the expansion it was pruned from."""
-    if arena.is_empty:
-        structures = ()
-    elif cfg.extraction_policy == "first_feasible":
-        structures = (_walk_assignment(arena, _first_feasible),)
-    elif cfg.extraction_policy == "locally_maximal":
-        structures = (_walk_assignment(arena, _locally_maximal),)
-    else:
-        out = []
-        for structure in enumerate_structures(arena):
-            out.append(structure)
-            if len(out) >= cfg.max_structures:
-                break
-        structures = tuple(out)
+    if undecided := _undecided(arena):
+        raise ValueError(f"arena not pruned: {len(undecided)} decision states undecided")
+    policy = cfg.extraction_policy
+    count = cfg.max_structures if policy == "enumerate_all" else 1
+    structures = tuple(islice(_structures(arena, policy == "locally_maximal"), count))
     expansion = arena._expansion
     return SynthesisOutcome(
         structures,
-        cfg.extraction_policy,
+        policy,
         cfg.mode,
         arena_states_before=len(expansion.owner) + len(expansion.cores),
         arena_states_after=arena.n_states,

@@ -216,6 +216,20 @@ def test_cli_verify_open_loop_refuses_bound(bound, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("bound", ["0", "3"])
+def test_cli_verify_structure_refuses_bound(tmp_path, bound, capsys):
+    """A control structure is verified exactly, with no depth bound to read.
+    The bound is read only for a supervisor table, where it still works."""
+    out = tmp_path / "structure.json"
+    assert main(["synthesize", RUN, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", RUN, "--supervisor", str(out), "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --bound is read only with a supervisor table\n"
+    assert "opaque" not in captured.out
+    assert main(["verify", RUN, "--supervisor", SRUN, "--bound", bound]) in (0, 1)
+
+
 def test_cli_verify_open_loop_size_guard(tmp_path, capsys):
     """The guard bounds the open-loop search, whose observer reaches every
     subset of this plant's chain: a trip exits 2 with no verdict."""

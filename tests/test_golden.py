@@ -7,15 +7,19 @@ when the slice became one breadth-first search, which numbers its nodes in
 discovery order.  The randgen pruning pins were recorded on the round-based
 pruning fixpoint, before pruning became one attractor pass.  The
 corpus-slice arena-digest lines were recorded before the arena moved to
-ids, and the closed-loop digest line before structure_from_policy and the
-structure walk of verify moved to the successor kernel's ids.
+ids, and re-recorded when the three extraction policies came to share one
+enumeration over ids, which changed only the order in which enumerate_all
+lists a structure's observation states.  The closed-loop digest line was
+recorded before structure_from_policy and the structure walk of verify
+moved to the successor kernel's ids.
 
 The arenas of the running example and of randgen seed-10 draws 2 and 17
 were pinned by the DOT renderings of an arena writer, which was later
 deleted as no command used it.  They are pinned instead by their
 arena-digest lines and, for the randgen draws, a digest of the raw arena's
 views; both were recorded on the last code that had the writer, whose DOT
-pins still held."""
+pins still held.  The arena-digest lines were re-recorded with those of
+the corpus slice."""
 
 import contextlib
 import hashlib
@@ -124,12 +128,14 @@ SLICE_DIGESTS = {
 
 
 # The lines of scripts/arena_digest.py for randgen seed-10 draws 19 and 24
-# followed by the first 60 small seed-7 models of its corpus, recorded
-# before expansion, pruning and extraction moved from dicts of information
-# states to ids.
+# followed by the first 60 small seed-7 models of its corpus.  Re-recorded
+# when enumerate_all came to list a structure's observation states in
+# first-reach order, as the other two policies do, instead of frozenset
+# order; with those observations sorted, the digest is the same before and
+# after that change.
 ARENA_DIGEST_LINES = [
-    "observation: 86d61ed0ea1fb10d79da0d4cbb87e201fa877754e50ad3778c2d1b4469873908",
-    "decision: ad9cd3d6e73465a6da093a1e3c30d703904824576e2405cfe357c159be1e9499",
+    "observation: d76e1501fe98a94dfd8818baa3dec30152d4f286bed5c0fb5dbe6bd1091df301",
+    "decision: d79241be346a7400be31369e7b42161cd6784f9e8ffd99b9583f1084aa880879",
 ]
 CLOSED_LOOP_DIGEST_LINE = (
     "closed-loop: 6a7dced68cff564bbacc0235ca903b0188274b167aa25fa25c640122a838877d"
@@ -140,10 +146,11 @@ OPEN_LOOP_DIGEST_LINE = (
     "open-loop: e590b3df050b8286f30b2d4ec59154e6d6cc9e77e0b74755c30b5b89694178a9"
 )
 # The lines of scripts/arena_digest.py for the running example followed by
-# randgen seed-10 draws 2 and 17.
+# randgen seed-10 draws 2 and 17, re-recorded for the same observation order
+# as ARENA_DIGEST_LINES.
 DOT_PINNED_ARENA_DIGEST_LINES = [
-    "observation: d957339beb4b2b7dcaa4cc6a4abee9ecd5ed10d0a06af2db97fcba349de28caf",
-    "decision: 996e4cfdbc0beeadeefd5e42dba74b62d88edc1c14d15fce6edd3e45aa9a98f4",
+    "observation: a72064e2ad08e65f3cd779974ef2fd841a7d1f0c8291f8ecb0058f41dcd1fe34",
+    "decision: ac545f44fab7cd9bfd54d78cea8f07cfe40cc7b9c0e5d53f8e4580d0274c495d",
 ]
 
 

@@ -306,6 +306,30 @@ def test_extract_structure_reports_the_sizes_of_its_arena(run_model, mode):
             ) == expected
 
 
+@pytest.mark.parametrize("policy", ["first_feasible", "locally_maximal", "enumerate_all"])
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_extract_structure_refuses_an_unpruned_arena(mode, policy):
+    """The raw arenas of seed-10 draws 4 and 24 have decision states with no
+    decision left.  Extraction refuses them rather than walk into one: on
+    draw 4 the set-maximal edges of the raw arena lead only to losing
+    states, in both modes, while the pruned arena has a locally maximal
+    structure."""
+    cfg = SynthesisConfig(mode=mode, extraction_policy=policy)
+    for draw in (4, 24):
+        with pytest.raises(ValueError, match="arena not pruned"):
+            extract_structure(expand_arena(_seed10_draw(draw), cfg), cfg)
+    assert synthesize(_seed10_draw(4), cfg).solved
+
+
+@pytest.mark.parametrize(
+    "bad", [{"max_structures": 0}, {"max_structures": -1}, {"size_guard": 0}]
+)
+def test_synthesis_config_refuses_empty_caps(bad):
+    """A cap of 0 structures would report no solution for a solvable plant."""
+    with pytest.raises(ValueError, match="must be positive"):
+        SynthesisConfig(extraction_policy="enumerate_all", **bad)
+
+
 def test_synthesize_is_deterministic(run_model):
     cfg = SynthesisConfig(mode=OBS, extraction_policy="locally_maximal")
     a = synthesize(run_model, cfg)
@@ -840,7 +864,8 @@ def test_expansion_and_pruning_keep_the_arena_invariants(plant, mode):
 
 def _dict_walk(decision_edges, observation_events, policy):
     """Extraction over the dicts: breadth first from the initial decision
-    state, committing the first edge or the first locally maximal one."""
+    state, committing the first locally maximal edge under
+    ``locally_maximal`` and the first edge under the other policies."""
     assigned, known = {}, {}
     pending = deque([INITIAL_KEY])
     while pending:
@@ -848,7 +873,7 @@ def _dict_walk(decision_edges, observation_events, policy):
         if key in assigned:
             continue
         edges = decision_edges[key]
-        if policy == "first_feasible":
+        if policy != "locally_maximal":
             edge = edges[0]
         else:
             edge = next(
@@ -889,17 +914,17 @@ def _id_pipeline(model, cfg):
 
 
 def test_synthesis_in_ids_matches_the_dict_pipeline():
-    """Arena figures, pruning iterations and the extracted structure, with
-    its insertion orders, equal those of tuple expansion, round-based
-    pruning and a walk over the dicts, in both modes and under both walk
-    policies.  Some drawn examples must prune something and some must have
-    no solution."""
+    """Arena figures, pruning iterations and the (first) extracted
+    structure, with its insertion orders, equal those of tuple expansion,
+    round-based pruning and a walk over the dicts, in both modes and under
+    every policy.  Some drawn examples must prune something and some must
+    have no solution."""
     seen = set()
 
     @given(
         plants,
         st.sampled_from([OBS, DEC]),
-        st.sampled_from(["first_feasible", "locally_maximal"]),
+        st.sampled_from(["first_feasible", "locally_maximal", "enumerate_all"]),
     )
     @settings(max_examples=80, deadline=None)
     def check(plant, mode, policy):
@@ -918,9 +943,11 @@ def test_synthesis_in_ids_matches_the_dict_pipeline():
 
 
 def test_synthesize_builds_only_what_it_outputs(monkeypatch):
-    """Seed-10 draw 2 in decision mode: a 4,910-state arena and a one-state
-    structure.  Information states are built for the structure only, and
-    no arena view is read."""
+    """Seed-10 draw 2 in decision mode: a 4,910-state arena, from which
+    first_feasible (and enumerate_all, first) takes a one-state structure
+    and locally_maximal a 23-state one.  Under every policy, information
+    states are built only for the observation states of the structures
+    returned, once each, and no arena view is read."""
     from opactrl import synthesis
 
     model = _seed10_draw(2)
@@ -928,8 +955,8 @@ def test_synthesize_builds_only_what_it_outputs(monkeypatch):
     info_of = Successors.info_of
 
     def counting_info_of(self, gamma, cores):
-        built.append((gamma, cores))
-        return info_of(self, gamma, cores)
+        built.append(info_of(self, gamma, cores))
+        return built[-1]
 
     arenas = []
 
@@ -943,10 +970,14 @@ def test_synthesize_builds_only_what_it_outputs(monkeypatch):
     monkeypatch.setattr(Successors, "info_of", counting_info_of)
     monkeypatch.setattr(synthesis, "expand_arena", keeping(synthesis.expand_arena))
     monkeypatch.setattr(synthesis, "prune_incomplete", keeping(synthesis.prune_incomplete))
-    out = synthesize(model, SynthesisConfig(mode=DEC))
-    assert out.arena_states_before == 4_910
-    assert len(out.structure.observations) == 1
-    assert len(built) <= len(out.structure.observations)
-    assert len(arenas) == 2
-    for arena in arenas:
-        assert arena._dicts is None and arena._trace is None
+    for policy, size in (("first_feasible", 1), ("locally_maximal", 23), ("enumerate_all", 1)):
+        built.clear()
+        arenas.clear()
+        out = synthesize(model, SynthesisConfig(mode=DEC, extraction_policy=policy))
+        assert out.arena_states_before == 4_910
+        assert len(out.structure.observations) == size
+        observations = {o for structure in out.structures for o in structure.observations}
+        assert len(built) == len(set(built)) and set(built) == observations
+        assert len(arenas) == 2
+        for arena in arenas:
+            assert arena._dicts is None and arena._trace is None
