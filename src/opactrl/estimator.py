@@ -111,16 +111,14 @@ def augment(
     return result.trace
 
 
-def released(
-    model: PlantModel, sigma: int, gamma: int, new_gamma: int, mode: IssuanceMode
-) -> bool:
-    """Whether the step on ``sigma`` from decision ``gamma`` to ``new_gamma``
-    releases a decision: the supervisor sees ``sigma`` under the
-    observation-triggered mechanism, the decision changes under the
-    decision-triggered one."""
+def released(model: PlantModel, sigma: int, changed: bool, mode: IssuanceMode) -> bool:
+    """Whether the step on ``sigma`` releases the decision in force after
+    it, where ``changed`` says whether that decision differs from the one
+    before: the supervisor sees ``sigma`` under the observation-triggered
+    mechanism, the decision changes under the decision-triggered one."""
     if mode is IssuanceMode.OBSERVATION:
         return bool((model.supervisor_observable >> sigma) & 1)
-    return new_gamma != gamma
+    return changed
 
 
 def information_flow(
@@ -132,7 +130,7 @@ def information_flow(
     out = [ObservationPair(None, trace[0].decision)]
     for (_, gamma), (sigma, new_gamma) in zip(trace, trace[1:]):
         seen = sigma if (model.intruder_observable >> sigma) & 1 else None
-        release = new_gamma if released(model, sigma, gamma, new_gamma, mode) else None
+        release = new_gamma if released(model, sigma, new_gamma != gamma, mode) else None
         if seen is not None or release is not None:
             out.append(ObservationPair(seen, release))
     return tuple(out)
@@ -187,7 +185,7 @@ def estimator_step(
     y = model.step(x, sigma)
     assert y is not None
     seen = sigma if (model.intruder_observable >> sigma) & 1 else None
-    release = new_gamma if released(model, sigma, gamma, new_gamma, mode) else None
+    release = new_gamma if released(model, sigma, new_gamma != gamma, mode) else None
     return EstimatorState(y, update_estimate(model, q, gamma, seen, release), new_gamma)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import or_
 from typing import Iterator, Sequence
 
@@ -22,6 +22,7 @@ from .estimator import (
     EstimatorState,
     IssuanceMode,
     estimator_step,
+    released,
     update_estimate,
 )
 
@@ -124,10 +125,11 @@ class Successors:
 
     A step and a closure read of a decision only its events hidden from the
     supervisor or the intruder, ``gamma & (Σ_uo,S | Σ_uo,I)``, so decisions
-    that agree there fall in one *class* and get one answer.  Under the
-    decision-triggered mechanism a step releases the new decision iff it
-    differs from the old one, so there a new decision's class also records
-    whether it equals the old decision.
+    that agree there fall in one *class* and get one answer.  Whether a step
+    releases the new decision is :func:`released`, read once per event into
+    a table, for a new decision that differs from the old one and for the
+    old one kept.  Under the decision-triggered mechanism only a change is
+    released, so there the unchanged decision gets a column of its own.
 
     It memoises, for its own lifetime, the pure functions that expansion
     asks about again and again, each keyed on exactly what its answer
@@ -141,11 +143,13 @@ class Successors:
       (core id, class of the decision).  The closure of an information
       state is the union of its members' closures, because every member
       steps on its own;
-    - one row per (core id, event, :meth:`old_key` of the old decision):
-      the core's image under the event, closed, under one representative
-      of each class of new decision (see :meth:`layout`).  The targets of a
-      decision state are the rows of the cores the event moves, merged
-      position by position (see :meth:`targets`).
+    - one row table per (event, :meth:`old_key` of the old decision),
+      holding per core id the core's image under the event, closed, under
+      one representative of each class of new decision, and last, under
+      the decision-triggered mechanism, under the old decision kept (see
+      :meth:`layout` and :meth:`_row`).  The targets of a decision state
+      are the rows of the cores the event moves, merged position by
+      position (see :meth:`targets`).
 
     It takes and answers core sets only; :meth:`intern` and :meth:`info_of`
     convert between an information state and its decision and core set.
@@ -162,6 +166,12 @@ class Successors:
         self._decision_mode = mode is IssuanceMode.DECISION
         # The events of a decision that steps and closures read.
         self._hidden = model.supervisor_unobservable | model.intruder_unobservable
+        # Per event: whether a step on it releases the new decision, indexed
+        # by whether the new decision is the old one.
+        self._release = tuple(
+            (released(model, sigma, True, mode), released(model, sigma, False, mode))
+            for sigma in range(len(model.events))
+        )
         self._reach = _ReachMemo(model)
         self._cores: list[tuple[int, int]] = []
         self._core_ids: dict[tuple[int, int], int] = {}
@@ -172,8 +182,8 @@ class Successors:
         # The set of cores whose estimate lies inside the secret.
         self._revealing = 0
         self._closures: dict[tuple[int, int], int] = {}
-        self._layouts: dict[int | None, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._rows: dict[tuple, tuple[int, ...]] = {}
+        self._layouts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._tables: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 
     @cached_property
     def decisions(self) -> tuple[int, ...]:
@@ -181,6 +191,23 @@ class Successors:
         Listed on first use, because only expansion asks about every
         decision."""
         return tuple(self.model.iter_decisions())
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """One representative of each class of decision, in order of first
+        appearance in :attr:`decisions`, and each decision's position among
+        them."""
+        hidden = self._hidden
+        representatives: list[int] = []
+        position: dict[int, int] = {}
+        columns = []
+        for gamma in self.decisions:
+            cls = gamma & hidden
+            if cls not in position:
+                position[cls] = len(representatives)
+                representatives.append(gamma)
+            columns.append(position[cls])
+        return tuple(representatives), tuple(columns)
 
     # Cores ----------------------------------------------------------------
 
@@ -223,11 +250,15 @@ class Successors:
         """:func:`feasible_events` of the information state with this
         decision and this set of cores."""
         active_at = self._active_at
-        return tuple(
-            sigma
-            for sigma in iter_bits(self.model.supervisor_observable & gamma)
-            if cores & active_at[sigma]
-        )
+        events = self.model.supervisor_observable & gamma
+        feasible = []
+        while events:
+            low = events & -events
+            events ^= low
+            sigma = low.bit_length() - 1
+            if cores & active_at[sigma]:
+                feasible.append(sigma)
+        return tuple(feasible)
 
     # The kernel -----------------------------------------------------------
 
@@ -254,10 +285,7 @@ class Successors:
         if not (self._active[c] & old) >> sigma & 1:
             raise EstimatorError("event not enabled at estimator state")
         x, q = self._cores[c]
-        if self._decision_mode:
-            release = gamma if gamma != old else None
-        else:
-            release = gamma if (model.supervisor_observable >> sigma) & 1 else None
+        release = gamma if self._release[sigma][gamma == old] else None
         seen = sigma if (model.intruder_observable >> sigma) & 1 else None
         q = update_estimate(self._reach, q, old, seen, release)
         return self._intern((model.step(x, sigma), q))
@@ -268,14 +296,17 @@ class Successors:
         key = (c, gamma & self._hidden)
         closed = self._closures.get(key)
         if closed is None:
-            active = self._active
+            active, step = self._active, self._step
             hidden = self.model.supervisor_unobservable & gamma
             seen = 1 << c
             frontier = [c]
             while frontier:
                 x = frontier.pop()
-                for sigma in iter_bits(active[x] & hidden):
-                    nxt = self._step(x, gamma, sigma, gamma)
+                events = active[x] & hidden
+                while events:
+                    low = events & -events
+                    events ^= low
+                    nxt = step(x, gamma, low.bit_length() - 1, gamma)
                     if not (seen >> nxt) & 1:
                         seen |= 1 << nxt
                         frontier.append(nxt)
@@ -290,71 +321,103 @@ class Successors:
         return self._closure(self._step(c, old, sigma, gamma), gamma)
 
     def layout(self, old: int | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The classes of the new decisions after ``old`` (None at the
-        initial decision state): one representative of each class, in order
-        of first appearance in :attr:`decisions`, and each decision's
-        position among them.  Only the decision-triggered mechanism makes
-        the classes depend on ``old``."""
-        key = old if self._decision_mode else None
-        layout = self._layouts.get(key)
+        """The columns of the targets after ``old`` (None at the initial
+        decision state): one representative decision per column, and each
+        decision's column, in :attr:`decisions` order.  There is one column
+        per class of decision, in order of first appearance.  Under the
+        decision-triggered mechanism ``old`` itself releases nothing, so it
+        has a last column of its own."""
+        if old is None or not self._decision_mode:
+            return self._classes
+        layout = self._layouts.get(old)
         if layout is None:
-            hidden, decision_mode = self._hidden, self._decision_mode
-            representatives: list[int] = []
-            position: dict[tuple[int, bool], int] = {}
-            columns = []
-            for gamma in self.decisions:
-                cls = (gamma & hidden, decision_mode and gamma == old)
-                if cls not in position:
-                    position[cls] = len(representatives)
-                    representatives.append(gamma)
-                columns.append(position[cls])
-            layout = self._layouts[key] = (tuple(representatives), tuple(columns))
+            representatives, columns = self._classes
+            unchanged = len(representatives)
+            layout = self._layouts[old] = (
+                representatives + (old,),
+                tuple(
+                    unchanged if gamma == old else column
+                    for gamma, column in zip(self.decisions, columns)
+                ),
+            )
         return layout
 
     def old_key(self, old: int | None) -> int | None:
         """What a row, and so a decision state's targets, read of the old
-        decision ``old``: its class, except under the decision-triggered
-        mechanism, where the layout depends on all of it.  None at the
-        initial decision state."""
-        if old is None or self._decision_mode:
-            return old
-        return old & self._hidden
+        decision ``old``: its class.  None at the initial decision state."""
+        return None if old is None else old & self._hidden
 
-    def _row(self, c: int | None, old: int | None, sigma: int | None) -> tuple[int, ...]:
+    def _row(self, c: int, old: int, sigma: int) -> tuple[int, ...]:
         """The closed images of core ``c`` under ``sigma`` after decision
-        ``old``, one per representative of :meth:`layout`."""
-        key = (c, sigma, self.old_key(old))
-        row = self._rows.get(key)
-        if row is None:
-            closed_step = self._closed_step
-            row = self._rows[key] = tuple(
-                closed_step(c, old, sigma, gamma) for gamma in self.layout(old)[0]
-            )
-        return row
+        ``old``, one per column of :meth:`layout`.  The plant step, and the
+        intruder's estimate before it closes under a released decision, are
+        worked out once; each column then closes them under its decision.
+        Every entry reads only the class of ``old``."""
+        model, reach = self.model, self._reach
+        closure, intern = self._closure, self._intern
+        x, q = self._cores[c]
+        y = model.step(x, sigma)
+        seen = sigma if (model.intruder_observable >> sigma) & 1 else None
+        changed, unchanged = self._release[sigma]
+        representatives = self._classes[0]
+        if changed:
+            if seen is None:
+                base = reach.unobservable_reach_plus(q, old)
+            else:
+                base = reach.observable_reach(q, seen)
+            close, hidden = reach.unobservable_reach, model.intruder_unobservable
+            row = [
+                closure(intern((y, close(base, gamma, hidden))), gamma)
+                for gamma in representatives
+            ]
+        else:
+            kept = intern((y, update_estimate(reach, q, old, seen, None)))
+            row = [closure(kept, gamma) for gamma in representatives]
+        if self._decision_mode:
+            release = old if unchanged else None
+            q = update_estimate(reach, q, old, seen, release)
+            row.append(closure(intern((y, q)), old))
+        return tuple(row)
+
+    @cached_property
+    def _initial_row(self) -> tuple[int, ...]:
+        """The targets of the initial decision state."""
+        return tuple(
+            self._closed_step(None, None, None, gamma) for gamma in self._classes[0]
+        )
 
     def targets_key(self, old: int, cores: int, sigma: int) -> tuple[int, int, int]:
-        """A key that fixes :meth:`targets` and :meth:`layout` at a
-        non-initial decision state: (:meth:`old_key` of ``old``, the cores
-        ``sigma`` moves, ``sigma``).  The targets merge the rows of the
-        moved cores only, each row is keyed on the same old-decision key,
-        and so is the layout."""
+        """A key that fixes :meth:`targets` at a non-initial decision state:
+        (:meth:`old_key` of ``old``, the cores ``sigma`` moves, ``sigma``).
+        The targets merge the rows of the moved cores only, and each row is
+        keyed on the same old-decision key.  The layout is not fixed by it
+        under the decision-triggered mechanism, where it reads ``old``."""
         return self.old_key(old), cores & self._active_at[sigma], sigma
 
     def targets(self, old: int | None, cores: int | None, sigma: int | None) -> Sequence[int]:
         """The core sets of the observation states reached from decision
-        state (observation state, ``sigma``), one per class of new decision
-        in :meth:`layout` order, where the observation state has decision
-        ``old`` and core set ``cores``; both are None at the initial
-        decision state.  ``sigma`` must move some core, as every feasible
-        observation does."""
+        state (observation state, ``sigma``), one per column of
+        :meth:`layout`, where the observation state has decision ``old``
+        and core set ``cores``; both are None at the initial decision
+        state.  ``sigma`` must be enabled by ``old`` and move some core, as
+        every feasible observation does."""
         if cores is None:
-            return self._row(None, None, None)
-        rows = [
-            self._row(c, old, sigma) for c in iter_bits(cores & self._active_at[sigma])
-        ]
-        if len(rows) == 1:
-            return rows[0]
-        return [reduce(or_, column) for column in zip(*rows)]
+            return self._initial_row
+        key = (sigma, self.old_key(old))
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = {}
+        merged = None
+        moved = cores & self._active_at[sigma]
+        while moved:
+            low = moved & -moved
+            moved ^= low
+            c = low.bit_length() - 1
+            row = table.get(c)
+            if row is None:
+                row = table[c] = self._row(c, old, sigma)
+            merged = row if merged is None else list(map(or_, merged, row))
+        return merged
 
     def target(
         self, old: int | None, cores: int | None, sigma: int | None, gamma: int

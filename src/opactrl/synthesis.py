@@ -201,35 +201,35 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     observation.  Unsafe targets are computed, tested, and discarded without
     ever entering the arena.
 
-    The kernel answers with one set of core ids per class of decision (see
-    :class:`Successors`), on which the safety test is one mask test, since
-    safety reads the estimates only; it is made once per class.  A safe
-    target gets its observation state id when it is first reached under its
-    decision; no ``InfoState`` is built.
+    The kernel answers with one set of core ids per column of its layout:
+    one per class of decision, and under the decision-triggered mechanism
+    one more for the old decision kept (see :class:`Successors`).  Safety
+    reads the estimates only, so it is one mask test per column, against
+    the kernel's set of revealing cores.  A safe target gets its
+    observation state id when it is first reached under its decision; no
+    ``InfoState`` is built.
 
-    The edges of a decision state are memoised twice.  The first memo is
-    keyed on :meth:`Successors.targets_key`, which fixes its targets and
-    layout, and so its safety tests and its decision loop.  On a miss the
-    targets are worked out, and the second memo is keyed on the layout (the
-    old decision under the decision-triggered mechanism, else nothing) and
-    the *safe row*: the targets with each unsafe one set to None.  That is
-    all the loop over :attr:`Successors.decisions` reads, so it runs once
-    per distinct (layout, safe row), where many targets keys share one row.
-    The first decision state with a key or a row numbers every safe target
-    it reaches, so a later one with the same key or row reaches no new state
-    and takes the same edges: ids, orders and the size-guard trip point are
+    The edges of a decision state are memoised twice.  The first memo maps
+    :meth:`Successors.targets_key`, which fixes its targets, to its *safe
+    row*: the targets with each unsafe one set to None.  The second maps
+    the layout key (the old decision under the decision-triggered
+    mechanism, else nothing) and the safe row to the edges: that is all the
+    loop over :attr:`Successors.decisions` reads, so it runs once per
+    distinct (layout, safe row), where many targets keys share one row.
+    The first decision state with a row numbers every safe target it
+    reaches, so a later one with the same row reaches no new state and
+    takes the same edges: ids, orders and the size-guard trip point are
     those of expanding every state."""
     successor = Successors(model, cfg.mode)
     expansion = _Expansion(successor)
     decision_of, cores_of, events_of = expansion.decision, expansion.cores, expansion.events
     base, owner = expansion.base, expansion.owner
     decisions = successor.decisions
-    is_safe, feasible_events = successor.is_safe, successor.feasible_events
-    targets_key = successor.targets_key
+    feasible_events, targets_key = successor.feasible_events, successor.targets_key
     decision_mode = cfg.mode is IssuanceMode.DECISION
     edges: list[tuple[tuple[int, int], ...] | None] = [None]
-    # Edges by targets key; the initial decision state's under None.
-    known: dict[tuple[int, int, int] | None, tuple[tuple[int, int], ...]] = {}
+    # Safe rows by targets key; the initial decision state's under None.
+    known: dict[tuple[int, int, int] | None, tuple[int | None, ...]] = {}
     # Edges by layout key and safe row.
     by_row: dict[tuple[int | None, tuple], tuple[tuple[int, int], ...]] = {}
     reached: dict[tuple[int, int], int] = {}
@@ -239,16 +239,16 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     while stack:
         d, old, cores, sigma = stack.pop()
         key = None if cores is None else targets_key(old, cores, sigma)
-        out = known.get(key)
-        if out is not None:
-            edges[d] = out
-            continue
-        targets = successor.targets(old, cores, sigma)
-        row = tuple(t if is_safe(t) else None for t in targets)
+        row = known.get(key)
+        if row is None:
+            targets = successor.targets(old, cores, sigma)
+            # Read after the targets: answering them interns their cores.
+            revealing = successor._revealing
+            row = known[key] = tuple(None if t & revealing else t for t in targets)
         row_key = (old if decision_mode else None, row)
         out = by_row.get(row_key)
         if out is not None:
-            edges[d] = known[key] = out
+            edges[d] = out
             continue
         out = []
         for gamma, column in zip(decisions, successor.layout(old)[1]):
@@ -270,7 +270,7 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
                 if len(edges) + len(cores_of) > cfg.size_guard:
                     raise SizeGuardExceeded(cfg.size_guard, len(edges), len(cores_of))
             out.append((gamma, o))
-        edges[d] = known[key] = by_row[row_key] = tuple(out)
+        edges[d] = by_row[row_key] = tuple(out)
     return Arena(expansion, edges, events_of, (len(edges), len(events_of)))
 
 

@@ -509,7 +509,10 @@ def test_estimator_matches_brute_set_membership(seed, mode):
 def _check_kernel_answers(model, mode, succ, state, rng):
     """Every answer ``succ`` gives about ``state`` and its observations is
     the set-level one: its core set, safety, feasible events, the target of
-    one new decision and the targets of every decision class."""
+    one new decision and the targets of every decision class.  Targets are
+    asked on every event the decision enables and some member can take,
+    supervisor-unobservable ones included, where the observation-triggered
+    mechanism releases nothing."""
     decisions = list(model.iter_decisions())
     gamma = info_decision(state)
     cores = succ.intern(state)
@@ -522,7 +525,7 @@ def _check_kernel_answers(model, mode, succ, state, rng):
         image = nx_is(model, state, sigma, gamma_new, mode)
         target = succ.target(gamma, cores, sigma, gamma_new)
         assert succ.info_of(gamma_new, target) == ur_is(model, image, gamma_new, mode)
-        if sigma in feasible:
+        if (gamma >> sigma) & 1 and cores & succ._active_at[sigma]:
             row = succ.targets(gamma, cores, sigma)
             assert [
                 succ.info_of(d, row[column])
@@ -595,6 +598,51 @@ def test_kernel_answers_states_it_never_produced(seed, mode):
         if all((m.plant_state, m.estimate) in succ._core_ids for m in state):
             continue  # only states with a core the kernel has not met
         _check_kernel_answers(model, mode, succ, state, rng)
+
+
+@given(model_seeds, st.sampled_from([OBS, DEC]))
+@settings(max_examples=40, deadline=None)
+def test_old_decisions_of_one_class_share_their_rows(seed, mode):
+    """Rows are keyed on the class of the old decision, so two old
+    decisions that agree on their hidden events read the same rows: the
+    kernel answers the second's targets from the rows the first's filled,
+    computing none.  Every column is still the set-level one under both
+    old decisions, the unchanged decision's column included.  Models are
+    drawn until one has two decisions of one class."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        model = random_model(rng, RandomModelConfig(max_states=5, max_events=4))
+        hidden = model.supervisor_unobservable | model.intruder_unobservable
+        decisions = list(model.iter_decisions())
+        pairs = [(a, b) for a in decisions for b in decisions if a != b and not (a ^ b) & hidden]
+        if pairs:
+            break
+    else:
+        return
+    succ = Successors(model, mode)
+    n = len(model.states)
+    computed = []
+    row = Successors._row
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            Successors, "_row", lambda self, *args: computed.append(args) or row(self, *args)
+        )
+        for _ in range(4):
+            a, b = rng.choice(pairs)
+            plant = rng.sample(range(n), rng.randint(1, n))
+            members = [(x, rng.getrandbits(n) | 1 << x) for x in plant]
+            moved = model.active_events(sum(1 << x for x in plant))
+            for sigma in iter_bits(model.supervisor_observable & a & b & moved):
+                for old in (a, b):
+                    state = make_info([EstimatorState(x, q, old) for x, q in members])
+                    cores = succ.intern(state)
+                    before = len(computed)
+                    targets = succ.targets(old, cores, sigma)
+                    assert [
+                        succ.info_of(d, targets[column])
+                        for d, column in zip(decisions, succ.layout(old)[1])
+                    ] == [ur_is(model, nx_is(model, state, sigma, d, mode), d, mode) for d in decisions]
+                assert len(computed) == before
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]))

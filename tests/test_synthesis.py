@@ -606,12 +606,13 @@ def test_size_guard_trips_where_the_tuple_expansion_does(run_model, mode):
 @given(model_seeds, st.sampled_from([OBS, DEC]))
 @settings(max_examples=40, deadline=None)
 def test_memoised_edges_match_the_single_decision_targets(seed, mode):
-    """Expansion reuses the edges of an earlier decision state with the same
-    (old-decision key, moved cores, event).  Every decision state's edges
-    must still be the safe ones of its own single-decision targets, in
-    decision order, mapped to the expansion's ids by (decision, core set).
-    A fresh kernel answers, so its closure and row memos are filled in another
-    order than the expansion's."""
+    """Expansion reuses the safe row of an earlier decision state with the
+    same (class of the old decision, moved cores, event), and the edges of
+    one with the same layout key and safe row.  Every decision state's
+    edges must still be the safe ones of its own single-decision targets,
+    in decision order, mapped to the expansion's ids by (decision, core
+    set).  A fresh kernel answers, so its closure and row memos are filled
+    in another order than the expansion's."""
     model = random_model(
         random.Random(seed),
         RandomModelConfig(min_states=5, max_states=6, min_events=4, max_events=5),
@@ -658,34 +659,83 @@ def test_expansion_reuses_the_edges_of_a_decision_state_class(mode, monkeypatch)
     assert len(calls) < arena._counts[0]
 
 
-@pytest.mark.parametrize("mode", [OBS, DEC])
-def test_expansion_loops_over_decisions_once_per_safe_row(mode, monkeypatch):
-    """Seed-10 draw 11 has targets keys that differ but share their layout
-    and safe row (the targets with unsafe ones set to None), in both modes.
-    Outside the kernel, expansion reads the layout once per loop over the
-    decisions, and must do so once per distinct (layout, safe row), not once
-    per key."""
-    model = _seed10_draw(11)
-    rows, loops, in_targets = [], [], []
-    targets, layout = Successors.targets, Successors.layout
+def _count_expansion(model, mode, monkeypatch):
+    """Expand ``model`` counting the kernel's work: the key of every
+    :meth:`Successors.targets` call (None for the initial decision state),
+    every read of the layout (expansion reads it once per loop over the
+    decisions), every row computed and every (core, event, old decision)
+    whose row a targets call merges.  Answers the arena and the four
+    lists."""
+    asked, loops, computed, merged = [], [], [], []
+    targets, layout, row = Successors.targets, Successors.layout, Successors._row
 
     def counting_targets(self, old, cores, sigma):
-        in_targets.append(True)
-        out = targets(self, old, cores, sigma)
-        in_targets.pop()
-        key = old if mode is DEC else None
-        rows.append((key, tuple(t if self.is_safe(t) else None for t in out)))
-        return out
+        if cores is None:
+            asked.append(None)
+        else:
+            asked.append(self.targets_key(old, cores, sigma))
+            moved = cores & self._active_at[sigma]
+            merged.extend((c, sigma, old) for c in iter_bits(moved))
+        return targets(self, old, cores, sigma)
 
     def counting_layout(self, old):
-        if not in_targets:
-            loops.append(old)
+        loops.append(old)
         return layout(self, old)
 
-    monkeypatch.setattr(Successors, "targets", counting_targets)
-    monkeypatch.setattr(Successors, "layout", counting_layout)
-    expand_arena(model, SynthesisConfig(mode=mode))
-    assert len(loops) == len(set(rows)) < len(rows)
+    def counting_row(self, c, old, sigma):
+        computed.append((c, sigma, self.old_key(old)))
+        return row(self, c, old, sigma)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Successors, "targets", counting_targets)
+        patched.setattr(Successors, "layout", counting_layout)
+        patched.setattr(Successors, "_row", counting_row)
+        arena = expand_arena(model, SynthesisConfig(mode=mode))
+    return arena, asked, loops, computed, merged
+
+
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_expansion_loops_over_decisions_once_per_safe_row(mode, monkeypatch):
+    """Seed-10 draw 11 has decision states that share their targets key
+    (old decision's class, moved cores, event), and states that share
+    their layout key and safe row (the targets with unsafe ones set to
+    None), in both modes.  Expansion asks the kernel for targets once per
+    distinct key and loops over the decisions once per distinct (layout
+    key, safe row), and both happen fewer times than there are decision
+    states."""
+    arena, asked, loops, _, _ = _count_expansion(_seed10_draw(11), mode, monkeypatch)
+    expansion = arena._expansion
+    kernel = expansion.kernel
+    keys, rows = set(), set()
+    for d in range(arena._counts[0]):
+        old = cores = sigma = key = None
+        if d:
+            o = expansion.owner[d]
+            old, cores = expansion.decision[o], expansion.cores[o]
+            sigma = expansion.events[o][d - expansion.base[o]]
+            key = kernel.targets_key(old, cores, sigma)
+        keys.add(key)
+        row = tuple(t if kernel.is_safe(t) else None for t in kernel.targets(old, cores, sigma))
+        rows.add((old if mode is DEC else None, row))
+    assert len(asked) == len(set(asked)) == len(keys) < arena._counts[0]
+    assert len(loops) == len(rows) < arena._counts[0]
+
+
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_the_kernel_computes_one_row_per_old_decision_class(mode, monkeypatch):
+    """Rows are keyed on the old decision's class in both mechanisms: the
+    kernel computes each (core, event, class of the old decision) row
+    once.  On seed-10 draw 11 under the decision-triggered mechanism, old
+    decisions of one class move the same core on the same event, so it
+    computes fewer rows than there are distinct (core, event, old
+    decision) triples to merge."""
+    model = _seed10_draw(11)
+    _, _, _, computed, merged = _count_expansion(model, mode, monkeypatch)
+    hidden = model.supervisor_unobservable | model.intruder_unobservable
+    assert len(computed) == len(set(computed))
+    assert set(computed) == {(c, sigma, old & hidden) for c, sigma, old in merged}
+    if mode is DEC:
+        assert len(computed) < len(set(merged))
 
 
 # Attractor pruning against the round-based fixpoint -------------------------
