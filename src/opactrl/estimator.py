@@ -82,10 +82,10 @@ def closed_loop_simulate(
     after it, preceded by the initial decision.  Rejection is a verdict, not
     an error; a step both undefined in the plant and disabled by the
     supervisor is reported as undefined."""
-    decision = sup.decision(())
+    state = sup.start()
+    decision = sup.decide(state)
     trace = [AugmentedEvent(None, decision)]
     x = model.initial
-    obs: list[int] = []
     for pos, sigma in enumerate(s):
         y = model.step(x, sigma)
         if y is None:
@@ -94,8 +94,8 @@ def closed_loop_simulate(
             return SimulationResult(False, pos, "event disabled by supervisor")
         x = y
         if (model.supervisor_observable >> sigma) & 1:
-            obs.append(sigma)
-            decision = sup.decision(tuple(obs))
+            state = sup.advance(state, sigma)
+            decision = sup.decide(state)
         trace.append(AugmentedEvent(sigma, decision))
     return SimulationResult(True, trace=tuple(trace))
 

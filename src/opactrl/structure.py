@@ -542,16 +542,10 @@ def canonical_ids(
     return obs_id, dec_id
 
 
-@dataclass
-class StructureRun:
-    decision_state: DecisionKey
-    observation_state: InfoState
-    decisions: tuple[int, ...]
-
-
 class ControlStructure:
     """A decision/observation graph committing one decision per decision
-    state.  Immutable once built."""
+    state, into an observation state whose members carry that decision.
+    Immutable once built."""
 
     def __init__(
         self,
@@ -563,16 +557,22 @@ class ControlStructure:
         if INITIAL_KEY not in decisions:
             raise StructureError("missing initial decision state")
         for info, events in observations.items():
+            if not info:
+                raise StructureError("empty observation state")
             if not is_consistent(info):
                 raise StructureError("inconsistent observation state")
             for sigma in events:
                 if (info, sigma) not in decisions:
                     raise StructureError("dangling observation transition")
-        for (info, sigma), (_, target) in decisions.items():
+        for (info, sigma), (gamma, target) in decisions.items():
             if info is not None and sigma is None:
                 raise StructureError("non-initial decision state missing its event")
             if target not in observations:
                 raise StructureError("decision transition into unknown state")
+            if target[0].decision != gamma:
+                raise StructureError(
+                    "decision transition into a state of another decision"
+                )
         self.model = model
         self.mode = mode
         self.decisions = decisions
@@ -581,30 +581,6 @@ class ControlStructure:
     @property
     def initial_decision(self) -> int:
         return self.decisions[INITIAL_KEY][0]
-
-    def run(self, alpha: Sequence[int]) -> StructureRun:
-        """Follow an observation string, collecting the committed decisions.
-
-        Raises :class:`StructureError` naming the failing position when some
-        observation is not defined."""
-        key: DecisionKey = INITIAL_KEY
-        taken = [self.decisions[key][0]]
-        for pos, sigma in enumerate(alpha):
-            key = self.advance(key, sigma, pos)
-            taken.append(self.decisions[key][0])
-        return StructureRun(key, self.decisions[key][1], tuple(taken))
-
-    def advance(self, key: DecisionKey, sigma: int, pos: int) -> DecisionKey:
-        """The decision state reached from decision state ``key`` by the
-        observation ``sigma``, at position ``pos`` of a string.  Raises
-        :class:`StructureError` naming the position when it is not
-        defined."""
-        obs = self.decisions[key][1]
-        if sigma not in self.observations[obs]:
-            raise StructureError(
-                f"observation {self.model.events[sigma]!r} undefined at position {pos}"
-            )
-        return obs, sigma
 
     def decoded(self) -> "DecodedSupervisor":
         return DecodedSupervisor(self)
@@ -633,40 +609,30 @@ class ControlStructure:
 
 
 class DecodedSupervisor(Supervisor):
-    """The policy read off a control structure: the decision committed at
-    the decision state reached by the observation history.  Histories that
-    reach the same decision state have the same future, so that decision
-    state is the history's :meth:`observation_signature`."""
+    """The policy read off a control structure.  Its state is the
+    observation state that the history reaches: the decision state of each
+    observation leads to one, and histories reaching the same one have the
+    same future.  The decision is the one that state's members carry."""
 
     def __init__(self, structure: ControlStructure):
         self.structure = structure
-        self._cache: dict[tuple[int, ...], tuple[int, DecisionKey]] = {
-            (): (structure.initial_decision, INITIAL_KEY)
-        }
 
-    def _run(self, obs: tuple[int, ...]) -> tuple[int, DecisionKey]:
-        """The decision and decision state of ``obs``, as
-        :meth:`ControlStructure.run` gives them: found by extending the
-        longest prefix already decided, one event at a time, caching every
-        prefix on the way."""
-        cache = self._cache
-        hit = cache.get(obs)
-        if hit is None:
-            n = len(obs) - 1
-            while obs[:n] not in cache:
-                n -= 1
-            key = cache[obs[:n]][1]
-            decisions, advance = self.structure.decisions, self.structure.advance
-            for pos in range(n, len(obs)):
-                key = advance(key, obs[pos], pos)
-                hit = cache[obs[: pos + 1]] = (decisions[key][0], key)
-        return hit
+    def start(self) -> InfoState:
+        return self.structure.decisions[INITIAL_KEY][1]
 
-    def decision(self, obs: tuple[int, ...]) -> int:
-        return self._run(obs)[0]
+    def advance(self, obs: InfoState, sigma: int) -> InfoState:
+        """Raises :class:`StructureError` when the structure does not define
+        ``sigma`` at ``obs``."""
+        structure = self.structure
+        if sigma not in structure.observations[obs]:
+            raise StructureError(
+                f"structure is incomplete: observation "
+                f"{structure.model.events[sigma]!r} undefined"
+            )
+        return structure.decisions[obs, sigma][1]
 
-    def observation_signature(self, obs: tuple[int, ...]) -> DecisionKey:
-        return self._run(obs)[1]
+    def decide(self, obs: InfoState) -> int:
+        return obs[0].decision
 
 
 def supervisor_estimate(
@@ -709,30 +675,34 @@ def structure_from_policy(
     kernel = Successors(model, mode)
     # A decision state is (decision, core set, event) of its observation
     # state and observation, all None for the initial one; an observation
-    # state is (decision, core set).
+    # state is (decision, core set).  A queue entry is (decision state,
+    # policy state, parent entry, event from the parent), so that
+    # :func:`loop_string` reads its history back.
     decided: dict[tuple, tuple[int, tuple[int, int]]] = {}
     events: dict[tuple[int, int], tuple[int, ...]] = {}
-    first_seen: dict[tuple, tuple[int, ...]] = {}
-    queue: deque[tuple[tuple, tuple[int, ...]]] = deque([((None, None, None), ())])
+    first_seen: dict[tuple, tuple] = {}
+    queue = deque([((None, None, None), sup.start(), None, None)])
     while queue:
-        key, alpha = queue.popleft()
-        gamma = sup.decision(alpha)
+        entry = queue.popleft()
+        key, state = entry[0], entry[1]
+        gamma = sup.decide(state)
         if key in decided:
             if decided[key][0] != gamma:
                 raise StructureError(
                     "policy is not information-state based: decision state "
-                    f"reached by {first_seen[key]} and {alpha} with different "
-                    "decisions"
+                    f"reached by {loop_string(first_seen[key])} and "
+                    f"{loop_string(entry)} with different decisions"
                 )
             continue
-        first_seen[key] = alpha
+        first_seen[key] = entry
         cores = kernel.target(*key, gamma)
         target = (gamma, cores)
         decided[key] = (gamma, target)
         if target not in events:
             events[target] = kernel.feasible_events(gamma, cores)
         queue.extend(
-            ((gamma, cores, nxt), alpha + (nxt,)) for nxt in events[target]
+            ((gamma, cores, nxt), sup.advance(state, nxt), entry, nxt)
+            for nxt in events[target]
         )
     info = {obs: kernel.info_of(*obs) for obs in events}
     return ControlStructure(
@@ -767,23 +737,22 @@ def _guard_visits(seen: set, size_guard: int | None, search: str) -> None:
         raise SizeGuardExceeded(size_guard, None, len(seen), search)
 
 
-# A node of the closed-loop search: (estimator state, supervisor observation,
-# depth, parent node, event from the parent); the root has depth 0 and no
-# parent.  A node holds no event string: its parent links spell it.  The
-# open-loop search has nodes of the same shape, with the intruder's estimate
-# in place of the estimator state and () as the observation.
-LoopNode = tuple[
-    EstimatorState | int, tuple[int, ...], int, "LoopNode | None", int | None
-]
+# A node of the closed-loop search: (estimator state, policy state, depth,
+# parent node, event from the parent); the root has depth 0 and no parent.
+# A node holds no event string: its parent links spell it.  The open-loop
+# search has nodes of the same shape, with the intruder's estimate in place
+# of the estimator state and () as the policy state.
+LoopNode = tuple[EstimatorState | int, object, int, "LoopNode | None", int | None]
 
 
-def loop_string(node: LoopNode) -> tuple[int, ...]:
-    """The event string of a search node, read back along its parent
+def loop_string(node: tuple) -> tuple[int, ...]:
+    """The event string of a search node, or of any tuple whose last two
+    slots are its parent and the event from it, read back along its parent
     links."""
     events = []
-    while node[3] is not None:
-        events.append(node[4])
-        node = node[3]
+    while node[-2] is not None:
+        events.append(node[-1])
+        node = node[-2]
     return tuple(reversed(events))
 
 
@@ -802,13 +771,13 @@ def closed_loop_search(
     back.  Yields every move ``(parent, sigma, node, new)`` in breadth-first
     order, where ``new`` says whether the node is met for the first time;
     the first yield is the estimator's first step, with ``parent`` and
-    ``sigma`` None.  Nodes are told apart by their estimator state and the
-    observation's
-    :meth:`Supervisor.observation_signature`.  With ``alpha`` given, only
-    moves whose observation stays a prefix of ``alpha`` are made, and nodes
-    are told apart by estimator state and observation length.  Nodes whose
-    string is ``bound`` long are not expanded.  Raises
-    :class:`SizeGuardExceeded`, named ``search``, once more than
+    ``sigma`` None.  A node's policy state is the one ``sup`` advances to
+    along the node's observation, and nodes are told apart by their
+    estimator state and policy state.  With ``alpha`` given, only moves
+    whose observation stays a prefix of ``alpha`` are made, the policy
+    state is the length of that prefix, and the policy is asked about the
+    prefix itself.  Nodes whose string is ``bound`` long are not expanded.
+    Raises :class:`SizeGuardExceeded`, named ``search``, once more than
     ``size_guard`` nodes are known."""
     steps: dict[tuple[EstimatorState | None, int | None, int], EstimatorState] = {}
 
@@ -823,29 +792,34 @@ def closed_loop_search(
             )
         return nxt
 
-    signature = sup.observation_signature if alpha is None else len
-    root: LoopNode = (step(None, None, sup.decision(())), (), 0, None, None)
-    seen = {(root[0], signature(()))}
+    if alpha is None:
+        decide, state = sup.decide, sup.start()
+    else:
+        alpha = tuple(alpha)
+        decide, state = (lambda k: sup.decision(alpha[:k])), 0
+    root: LoopNode = (step(None, None, decide(state)), state, 0, None, None)
+    seen = {root[:2]}
     yield None, None, root, True
     observable = model.supervisor_observable
     queue = deque([root])
     while queue:
         parent = queue.popleft()
-        m, obs, depth, _, _ = parent
+        m, state, depth, _, _ = parent
         if bound is not None and depth >= bound:
             continue
         for sigma in iter_bits(model.active(m.plant_state) & m.decision):
             if (observable >> sigma) & 1:
-                if alpha is not None and (
-                    len(obs) == len(alpha) or alpha[len(obs)] != sigma
-                ):
+                if alpha is None:
+                    nxt = sup.advance(state, sigma)
+                elif state < len(alpha) and alpha[state] == sigma:
+                    nxt = state + 1
+                else:
                     continue
-                new_obs = obs + (sigma,)
-                gamma = sup.decision(new_obs)
+                gamma = decide(nxt)
             else:
-                new_obs, gamma = obs, m.decision
-            node = (step(m, sigma, gamma), new_obs, depth + 1, parent, sigma)
-            key = (node[0], signature(new_obs))
+                nxt, gamma = state, m.decision
+            node = (step(m, sigma, gamma), nxt, depth + 1, parent, sigma)
+            key = node[:2]
             new = key not in seen
             if new:
                 seen.add(key)
@@ -925,42 +899,33 @@ def verify_closed_loop_opacity(
     exhaustive.  Either search raises :class:`SizeGuardExceeded` once it has
     visited more than ``size_guard`` states.
     """
-    structure = None
     if isinstance(sup, ControlStructure):
-        structure = sup
-    elif isinstance(sup, DecodedSupervisor):
-        structure = sup.structure
-
-    if structure is None:
-        assert isinstance(sup, Supervisor)
+        sup = sup.decoded()
+    if not isinstance(sup, DecodedSupervisor):
         return _search_verdict(model, sup, mode, depth_bound, size_guard)
 
     # Re-derive the observation states induced by the structure's decisions
     # under the requested mechanism, as the kernel's (decision, core set)
-    # pairs.  The pairing with the structure's own states keeps decoding
-    # aligned even when `mode` differs from the one the structure was built
-    # for.  An unsafe one is reported with the search's shortest witness.
+    # pairs, each next to the decoded supervisor's state.  Stepping that
+    # state keeps decoding aligned even when `mode` differs from the one the
+    # structure was built for.  An unsafe one is reported with the search's
+    # shortest witness.
     kernel = Successors(model, mode)
-    gamma, struct_obs = structure.decisions[INITIAL_KEY]
-    start = (struct_obs, gamma, kernel.target(None, None, None, gamma))
+    state = sup.start()
+    gamma = sup.decide(state)
+    start = (state, gamma, kernel.target(None, None, None, gamma))
     stack = [start]
     seen = {start}
     while stack:
-        struct_obs, old, cores = stack.pop()
+        state, old, cores = stack.pop()
         if not kernel.is_safe(cores):
-            verdict = _search_verdict(
-                model, DecodedSupervisor(structure), mode, None, size_guard
-            )
+            verdict = _search_verdict(model, sup, mode, None, size_guard)
             assert not verdict.opaque
             return verdict
         for sigma in kernel.feasible_events(old, cores):
-            if sigma not in structure.observations[struct_obs]:
-                raise StructureError(
-                    f"structure is incomplete: observation "
-                    f"{model.events[sigma]!r} undefined"
-                )
-            gamma, struct_next = structure.decisions[(struct_obs, sigma)]
-            node = (struct_next, gamma, kernel.target(old, cores, sigma, gamma))
+            nxt = sup.advance(state, sigma)
+            gamma = sup.decide(nxt)
+            node = (nxt, gamma, kernel.target(old, cores, sigma, gamma))
             if node not in seen:
                 seen.add(node)
                 _guard_visits(seen, size_guard, "closed-loop walk")
@@ -981,8 +946,8 @@ def brute_estimate_set(
     the information-state operators."""
     return frozenset(
         m.estimate
-        for _, _, (m, obs, *_), new in closed_loop_search(
+        for _, _, (m, k, *_), new in closed_loop_search(
             model, sup, mode, bound, alpha=alpha
         )
-        if new and len(obs) == len(alpha)
+        if new and k == len(alpha)
     )

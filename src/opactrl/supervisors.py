@@ -1,10 +1,11 @@
 """Supervisor policies as behavioral objects.
 
-A policy maps the supervisor's observation history (a tuple of event
-indices) to a control decision mask.  Both tabular test policies and
-supervisors decoded from control structures implement the same interface,
-so estimation, simulation, and verification code is agnostic to the
-representation.
+A policy is read through its realization: a state that it starts in and
+advances on each observed event (an event index), and the control decision
+mask that each state fixes.  Both tabular test policies and supervisors
+decoded from control structures implement the same interface, so
+estimation, simulation, and verification code steps one state along every
+walk and is agnostic to the representation.
 """
 
 from __future__ import annotations
@@ -13,28 +14,42 @@ from .model import ModelFormatError, PlantModel, list_field
 
 
 class Supervisor:
-    """Base interface: a function from observations to control decisions."""
+    """Base interface: a state advanced on observations, and the decision
+    each state fixes.  The default state is the whole observation history
+    (no collapsing); policies with finite memory should collapse it, since
+    searches tell their nodes apart by it and terminate only if it takes
+    finitely many values."""
 
-    def decision(self, obs: tuple[int, ...]) -> int:
+    def start(self):
+        return ()
+
+    def advance(self, state, sigma: int):
+        return state + (sigma,)
+
+    def decide(self, state) -> int:
         raise NotImplementedError
 
     def observation_signature(self, obs: tuple[int, ...]):
-        """Abstraction of the observation sufficient to determine every
-        future decision.  Searches deduplicate on it; policies with finite
-        memory should collapse it so exploration terminates.  The default is
-        the full history (no collapsing)."""
-        return obs
+        """The state that the history ``obs`` reaches: enough to determine
+        every future decision."""
+        state = self.start()
+        for sigma in obs:
+            state = self.advance(state, sigma)
+        return state
+
+    def decision(self, obs: tuple[int, ...]) -> int:
+        return self.decide(self.observation_signature(obs))
 
 
 class ConstantSupervisor(Supervisor):
     def __init__(self, decision_mask: int):
         self._decision = decision_mask
 
-    def decision(self, obs: tuple[int, ...]) -> int:
-        return self._decision
+    def advance(self, state, sigma: int):
+        return state
 
-    def observation_signature(self, obs: tuple[int, ...]):
-        return ()
+    def decide(self, state) -> int:
+        return self._decision
 
 
 class TabularSupervisor(Supervisor):
@@ -73,13 +88,15 @@ class TabularSupervisor(Supervisor):
         if self.model.uncontrollable & ~mask:
             raise ModelFormatError("uncontrollable event disabled in supervisor table")
 
-    def decision(self, obs: tuple[int, ...]) -> int:
-        return self._table.get(obs, self.default)
-
-    def observation_signature(self, obs: tuple[int, ...]):
+    def advance(self, state, sigma: int):
         # Past the longest table key, every extension falls to the default,
-        # so all such histories behave alike.
-        return obs if len(obs) <= self._horizon else None
+        # so all such histories behave alike: they share the state None.
+        if state is None or len(state) == self._horizon:
+            return None
+        return state + (sigma,)
+
+    def decide(self, state) -> int:
+        return self._table.get(state, self.default)
 
     def to_dict(self) -> dict:
         return {

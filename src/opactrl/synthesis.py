@@ -37,20 +37,21 @@ from .structure import nx_is, ur_is  # noqa: F401
 
 EXTRACTION_POLICIES = ("first_feasible", "locally_maximal", "enumerate_all")
 
+# The most structures ``enumerate_all`` yields.
+MAX_STRUCTURES = 64
+
 
 @dataclass(frozen=True)
 class SynthesisConfig:
     mode: IssuanceMode = IssuanceMode.OBSERVATION
     extraction_policy: str = "first_feasible"
     size_guard: int = 10**6
-    max_structures: int = 64  # cap on enumerate_all results
 
     def __post_init__(self):
         if self.extraction_policy not in EXTRACTION_POLICIES:
             raise ValueError(f"unknown extraction policy {self.extraction_policy!r}")
-        for name in ("size_guard", "max_structures"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        if self.size_guard < 1:
+            raise ValueError("size_guard must be positive")
 
 
 class _Expansion:
@@ -479,7 +480,7 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
     ``first_feasible`` takes the canonically first surviving decision;
     ``locally_maximal`` takes one whose decision is set-maximal among the
     state's alternatives; ``enumerate_all`` yields every combination up to
-    the configured cap.  An empty arena yields the no-solution marker, and
+    :data:`MAX_STRUCTURES`.  An empty arena yields the no-solution marker, and
     an arena with a decision state left with no decision, which pruning
     would remove, raises ValueError.
     The outcome's arena sizes and pruning iterations are read from ``arena``;
@@ -487,7 +488,7 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
     if undecided := _undecided(arena):
         raise ValueError(f"arena not pruned: {len(undecided)} decision states undecided")
     policy = cfg.extraction_policy
-    count = cfg.max_structures if policy == "enumerate_all" else 1
+    count = MAX_STRUCTURES if policy == "enumerate_all" else 1
     structures = tuple(islice(_structures(arena, policy == "locally_maximal"), count))
     expansion = arena._expansion
     return SynthesisOutcome(

@@ -49,6 +49,7 @@ from opactrl.model import PlantModel
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
 from opactrl.serialize import format_flow
 from opactrl.structure import info_estimates, info_plant_states
+from opactrl.synthesis import MAX_STRUCTURES
 
 SIGMA = "a u1 u2 u3 b"
 
@@ -174,9 +175,9 @@ def test_criterion_5_synthesis_on_running_example(run_model, sprime):
 
         # enumerate_all itself yields distinct members of the same family
         sample = extract_structure(
-            pruned, SynthesisConfig(extraction_policy="enumerate_all", max_structures=16)
+            pruned, SynthesisConfig(extraction_policy="enumerate_all")
         )
-        assert len(set(sample.structures)) == 16
+        assert len(set(sample.structures)) == MAX_STRUCTURES
         for structure in sample.structures:
             for key, edge in structure.decisions.items():
                 assert edge in pruned.decision_edges[key]
@@ -235,7 +236,7 @@ def test_criterion_7_observation_state_consistency():
             structure = out.structure
             decoded = structure.decoded()
             for alpha in sorted(feasible_observations(model, decoded, 4)):
-                state = structure.run(alpha).observation_state
+                state = decoded.observation_signature(alpha)
                 assert info_plant_states(state) == supervisor_estimate(
                     model, decoded, alpha
                 )

@@ -819,6 +819,80 @@ def test_cli_names_the_file_of_an_invalid_document(
     assert capsys.readouterr().err == f"error: {message.format(F=path)}\n"
 
 
+def _sprime_structure(run_model, sprime):
+    """The document of the structure of the repaired policy, in which
+    observation state 1 is the target of decision {a,u2,b} and the initial
+    observation state 0 has the observations u1 (transition 0) and u2."""
+    return structure_to_dict(structure_from_policy(run_model, sprime, OBS))
+
+
+def _carry_every_event(state):
+    for member in state["members"]:
+        member[2] = ["a", "u1", "u2", "u3", "b"]
+
+
+def _drop_members(state):
+    state["members"] = []
+
+
+# A change to observation state 1 of that document, and the error line it
+# gives: its members carry every event while the decision into it is
+# {a,u2,b}, or it has no members.
+MALFORMED_STATES = {
+    "members carry another decision": (
+        _carry_every_event, "decision transition into a state of another decision"
+    ),
+    "no members": (_drop_members, "empty observation state"),
+}
+
+
+@pytest.mark.parametrize(
+    "change, message", MALFORMED_STATES.values(), ids=MALFORMED_STATES.keys()
+)
+def test_cli_refuses_an_observation_state_without_the_decision_into_it(
+    change, message, tmp_path, run_model, sprime, capsys
+):
+    """A decoded supervisor reads its decision off the members of the
+    observation state it is in, so every structure command refuses a
+    state whose members do not carry the decision committed into it.
+    ``verify`` used to find both documents opaque, and ``export-dot`` drew
+    the decision {a,u2,b} into a state labelled {a,u1,u2,u3,b}."""
+    doc = _sprime_structure(run_model, sprime)
+    change(doc["observation_states"][1])
+    path = tmp_path / "structure.json"
+    path.write_text(dump_json(doc))
+    for argv, what in (
+        (["verify", RUN, "--supervisor", str(path)], "supervisor"),
+        (["export-dot", str(path), "--model", RUN], "structure"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid {what} {path}: {message}\n"
+        assert "opaque" not in captured.out and "digraph" not in captured.out
+
+
+def test_cli_names_the_observation_an_incomplete_structure_lacks(
+    tmp_path, run_model, sprime, capsys
+):
+    """Without the transition on u1 out of the initial observation state,
+    the structure decides nothing after u1, which the plant can produce
+    there: verify, in either mode, and the estimator slice under it stop
+    with the observation named."""
+    doc = _sprime_structure(run_model, sprime)
+    assert doc["observation_transitions"].pop(0) == [0, "u1", 1]
+    path = tmp_path / "structure.json"
+    path.write_text(dump_json(doc))
+    for mode in ("observation", "decision"):
+        assert main(["verify", RUN, "--supervisor", str(path), "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: structure is incomplete: observation 'u1' undefined\n"
+        assert "opaque" not in captured.out
+    assert main(["export-dot", RUN, "--estimator", "--supervisor", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "observation 'u1' undefined" in captured.err
+    assert "digraph" not in captured.out
+
+
 def test_cli_refuses_a_list_declared_as_a_state(tmp_path, run_model, srun, capsys):
     """State 7 declared as ``["7"]`` in ``states`` and ``secret``, with the
     transitions into 7 dropped, used to verify open loop with exit 0 and to

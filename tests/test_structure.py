@@ -2,6 +2,7 @@
 closed-loop simulation, and closed-loop opacity verification."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,7 @@ from opactrl.estimator import AugmentedEvent, EstimatorError
 from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
 from opactrl.structure import closed_loop_search, loop_string
-from opactrl.supervisors import TabularSupervisor
+from opactrl.supervisors import Supervisor, TabularSupervisor
 
 SIGMA = "a u1 u2 u3 b"
 
@@ -121,25 +122,29 @@ def test_structure_from_policy_shape(run_model, fig4):
 
 def test_run_structure_empty_observation(run_model, fig4):
     m = run_model
-    result = fig4.run(())
-    assert result.decisions == (m.all_events_mask,)
-    assert result.observation_state == info(
+    decoded = fig4.decoded()
+    assert decoded.start() == decoded.observation_signature(()) == info(
         m, ("0", "0", SIGMA), ("1", "1 2 3 4 5 6 7", SIGMA)
     )
+    assert decoded.decision(()) == m.all_events_mask
 
 
 def test_run_structure_decodes_decision(run_model, fig4):
-    result = fig4.run(run_model.word("u2"))
-    assert result.decisions[-1] == run_model.control_decision("a b u1".split())
+    """Stepping the decoded supervisor's state by hand reaches the state and
+    decision that it answers for the history."""
     decoded = fig4.decoded()
-    assert decoded.decision(run_model.word("u2")) == run_model.control_decision(
+    u2 = run_model.word("u2")
+    state = decoded.advance(decoded.start(), *u2)
+    assert state == decoded.observation_signature(u2)
+    assert decoded.decide(state) == decoded.decision(u2) == run_model.control_decision(
         "a b u1".split()
     )
 
 
 def test_run_structure_infeasible_observation(run_model, fig4):
-    with pytest.raises(StructureError, match="position 1"):
-        fig4.run(run_model.word("u1 u1"))
+    undefined = "^structure is incomplete: observation 'u1' undefined$"
+    with pytest.raises(StructureError, match=undefined):
+        fig4.decoded().decision(run_model.word("u1 u1"))
 
 
 def self_loop_model():
@@ -245,11 +250,11 @@ def test_verify_structure_route_matches_string_route(run_model, fig4, sprime):
 
 
 def test_decoded_structure_slice_stops_growing_with_depth(monkeypatch):
-    """A decoded structure's observation signature is the decision state its
-    history reaches, so the closed-loop search merges histories that reach
-    the same one.  On randgen seed-10 draw 5 the estimator slice is whole by
-    depth 8: depth 30 renders the same graph, stays far inside the size
-    guard, and takes no more estimator steps."""
+    """A decoded structure's observation signature is the observation state
+    its history reaches, so the closed-loop search merges histories that
+    reach the same one.  On randgen seed-10 draw 5 the estimator slice is
+    whole by depth 8: depth 30 renders the same graph, stays far inside the
+    size guard, and takes no more estimator steps."""
     rng = random.Random(10)
     config = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
     model = [random_model(rng, config) for _ in range(6)][5]
@@ -274,18 +279,12 @@ def test_decoded_structure_slice_stops_growing_with_depth(monkeypatch):
 def test_verify_bounded_verdict_on_infinite_memory_policy():
     model = self_loop_model()
 
-    class CountingPolicy(TabularSupervisor):
-        # decision depends on the whole history length: no finite signature
-        def __init__(self, model):
-            super().__init__(model, {})
-
-        def decision(self, obs):
+    class CountingPolicy(Supervisor):
+        # the state is the whole history, as by default: no finite signature
+        def decide(self, state):
             return model.all_events_mask
 
-        def observation_signature(self, obs):
-            return obs
-
-    verdict = verify_closed_loop_opacity(model, CountingPolicy(model), OBS, depth_bound=5)
+    verdict = verify_closed_loop_opacity(model, CountingPolicy(), OBS, depth_bound=5)
     assert verdict.opaque and not verdict.complete and verdict.bound == 5
 
 
@@ -295,6 +294,44 @@ def test_verify_terminates_on_cyclic_model_with_tabular_policy():
     verdict = verify_closed_loop_opacity(model, sup, OBS)
     assert verdict.opaque and verdict.complete
 
+
+
+def u_chain(n, secret):
+    """States s0..s(n-1) joined by the uncontrollable u, which both parties
+    observe; the last state is secret when ``secret`` is set."""
+    states = [f"s{i}" for i in range(n)]
+    return PlantModel.from_dict(
+        {
+            "states": states,
+            "events": ["u"],
+            "initial": "s0",
+            "secret": states[-1:] if secret else [],
+            "transitions": [[x, "u", y] for x, y in zip(states, states[1:])],
+            "observable_supervisor": ["u"],
+            "observable_intruder": ["u"],
+            "controllable": [],
+        }
+    )
+
+
+def test_a_deep_witness_is_found_in_linear_memory():
+    """A structure synthesized with nothing secret leaks once the chain's
+    last state is: the witness is the whole chain, 2,999 events.  Search
+    nodes hold the policy's state and a parent link, not their observation,
+    so the search to it stays linear in memory; nodes that each held their
+    observation string took about 43 MB here."""
+    n = 3_000
+    structure = synthesize(u_chain(n, False), SynthesisConfig()).structure
+    model = u_chain(n, True)
+    tracemalloc.start()
+    try:
+        verdict = verify_closed_loop_opacity(model, structure, OBS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.opaque
+    assert verdict.counterexample == ("u",) * (n - 1)
+    assert peak < 15_000_000
 
 # Properties ---------------------------------------------------------------
 
@@ -390,11 +427,10 @@ def test_decoded_supervisor_states_match_string_side(seed, mode):
     structure = out.structure
     decoded = structure.decoded()
     for alpha in sorted(feasible_observations(model, decoded, 3)):
-        state = structure.run(alpha).observation_state
+        state = decoded.observation_signature(alpha)
+        assert state in structure.observations
         assert info_plant_states(state) == supervisor_estimate(model, decoded, alpha)
         assert info_estimates(state) == brute_estimate_set(model, decoded, alpha, mode)
-        again = structure.run(alpha)
-        assert again.observation_state == state and again.decisions == structure.run(alpha).decisions
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]))
@@ -424,7 +460,10 @@ def test_structure_walks_agree_with_the_policy_and_the_string_search(seed):
     """Every structure synthesized in either mode, by either walk policy, is
     re-derived from its decoded policy in its own mode, and in both modes
     the structure walk of verify finds it opaque exactly when the unbounded
-    search over closed-loop strings finds no revealing one."""
+    search over closed-loop strings finds no revealing one.  In the other
+    mode the policy may tell apart histories that the kernel merges, which
+    ``structure_from_policy`` refuses; when it does not, the structure it
+    derives there is all safe exactly when verify finds it opaque."""
     model = random_model(random.Random(seed), CLOSED_LOOP_CONFIG)
     leaks = False
     for built in (OBS, DEC):
@@ -438,6 +477,15 @@ def test_structure_walks_agree_with_the_policy_and_the_string_search(seed):
                     opaque = verify_closed_loop_opacity(model, structure, mode).opaque
                     assert opaque == searched.opaque
                     leaks |= not opaque
+                    if mode is built:
+                        continue
+                    try:
+                        again = structure_from_policy(model, decoded, mode)
+                    except StructureError as exc:
+                        assert "not information-state based" in str(exc)
+                        continue
+                    safe = all(is_safe(i, model.secret_mask) for i in again.observations)
+                    assert safe == opaque
     assert leaks or seed not in CROSS_MODE_LEAKS
 
 
@@ -459,11 +507,12 @@ def _random_history(rng, structure, observable):
 )
 @settings(max_examples=40, deadline=None)
 def test_decoded_supervisor_answers_as_the_structure_runs(seed, mode):
-    """A decoded supervisor decides a history by extending the longest
-    prefix it has already decided.  Asked about random histories in random
-    order, defined or not, it must answer as a run of the structure from
-    its initial decision state: the same decision and decision state, or
-    the same error, position included."""
+    """A decoded supervisor decides a history by stepping its state, the
+    observation state reached, one event at a time.  Asked about random
+    histories in random order, defined or not, it must answer as a replay
+    over the structure's decision states from the initial one: the
+    decision and observation state of the last one reached, or the error
+    naming the first observation that leads to none."""
     rng = random.Random(seed)
     model = random_model(rng, CLOSED_LOOP_CONFIG)
     observable = list(iter_bits(model.supervisor_observable))
@@ -478,11 +527,17 @@ def test_decoded_supervisor_answers_as_the_structure_runs(seed, mode):
                 ]
             rng.shuffle(histories)
             for alpha in histories:
-                try:
-                    run = structure.run(alpha)
-                    expected = (run.decisions[-1], run.decision_state)
-                except StructureError as exc:
-                    expected = str(exc)
+                key = INITIAL_KEY
+                for sigma in alpha:
+                    key = structure.decisions[key][1], sigma
+                    if key not in structure.decisions:
+                        expected = (
+                            "structure is incomplete: observation "
+                            f"{model.events[sigma]!r} undefined"
+                        )
+                        break
+                else:
+                    expected = structure.decisions[key]
                 try:
                     got = decoded.decision(alpha), decoded.observation_signature(alpha)
                 except StructureError as exc:
@@ -694,22 +749,24 @@ def test_kernel_step_is_the_estimator_step(seed, mode):
 @given(model_seeds, st.sampled_from([OBS, DEC]))
 @settings(max_examples=30, deadline=None)
 def test_loop_nodes_link_back_to_their_strings(seed, mode):
-    """A closed-loop search node keeps its depth and a link to its parent,
-    not its string.  Read back along the links, the string of every node
-    met runs in the closed loop to the node's estimator state and
-    supervisor observation, and extends its parent's by the move's event."""
+    """A closed-loop search node keeps its depth, the policy's state and a
+    link to its parent, not its string.  Read back along the links, the
+    string of every node met runs in the closed loop to the node's
+    estimator state, its observation reaches the node's policy state, and
+    it extends its parent's by the move's event."""
     rng = random.Random(seed)
     model = random_model(rng, CLOSED_LOOP_CONFIG)
     sup = random_supervisor(rng, model)
     for parent, sigma, node, _ in closed_loop_search(model, sup, mode, 5):
-        m, obs, depth, link, event = node
+        m, state, depth, link, event = node
         s = loop_string(node)
         assert len(s) == depth
         assert (link, event) == (parent, sigma)
         if parent is not None:
             assert s == loop_string(parent) + (sigma,)
         assert run_estimator(model, augment(model, s, sup), mode) == m
-        assert obs == tuple(e for e in s if (model.supervisor_observable >> e) & 1)
+        obs = tuple(e for e in s if (model.supervisor_observable >> e) & 1)
+        assert state == sup.observation_signature(obs)
 
 
 # u is hidden from both parties, s from the intruder only, and the

@@ -34,6 +34,7 @@ from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model
 from opactrl.serialize import structure_to_json
 from opactrl.structure import Successors, decision_key_order, feasible_events
+from opactrl.synthesis import MAX_STRUCTURES
 
 SIGMA = "a u1 u2 u3 b"
 
@@ -194,10 +195,10 @@ def test_extract_locally_maximal_postcondition(run_model, run_pruned):
 def test_extract_enumerate_all_yields_distinct_structures(run_pruned):
     out = extract_structure(
         run_pruned,
-        SynthesisConfig(extraction_policy="enumerate_all", max_structures=8),
+        SynthesisConfig(extraction_policy="enumerate_all"),
     )
-    assert len(out.structures) == 8
-    assert len(set(out.structures)) == 8
+    assert len(out.structures) == MAX_STRUCTURES
+    assert len(set(out.structures)) == MAX_STRUCTURES
 
 
 def test_extract_no_solution_marker():
@@ -322,10 +323,10 @@ def test_extract_structure_refuses_an_unpruned_arena(mode, policy):
 
 
 @pytest.mark.parametrize(
-    "bad", [{"max_structures": 0}, {"max_structures": -1}, {"size_guard": 0}]
+    "bad", [{"size_guard": -1}, {"size_guard": -(10**6)}, {"size_guard": 0}]
 )
 def test_synthesis_config_refuses_empty_caps(bad):
-    """A cap of 0 structures would report no solution for a solvable plant."""
+    """A guard below one state would trip on every plant."""
     with pytest.raises(ValueError, match="must be positive"):
         SynthesisConfig(extraction_policy="enumerate_all", **bad)
 
