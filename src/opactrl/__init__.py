@@ -24,7 +24,6 @@ from .model import (
     PlantModel,
     UnreachableObservationError,
     open_loop_estimate,
-    parse_model,
     project,
 )
 from .structure import (

@@ -154,7 +154,6 @@ class PlantModel:
             self._succ[x][e] = y
             self._active[x] |= 1 << e
 
-        self.partitions = partitions
         self.supervisor_observable = self.event_mask(partitions.supervisor_observable)
         self.intruder_observable = self.event_mask(partitions.intruder_observable)
         self.controllable = self.event_mask(partitions.controllable)
@@ -359,11 +358,6 @@ class PlantModel:
             f"PlantModel({len(self.states)} states, {len(self.events)} events, "
             f"{self.n_transitions} transitions)"
         )
-
-
-def parse_model(text: str) -> PlantModel:
-    """Parse a model document (JSON syntax) into a validated plant model."""
-    return PlantModel.from_json(text)
 
 
 def project(s: Sequence[int], obs: int) -> tuple[int, ...]:

@@ -179,6 +179,14 @@ def _mode_of(value) -> IssuanceMode:
         ) from None
 
 
+def _put_once(table: dict, key, value, what: str) -> None:
+    """Enter ``key`` in ``table``, refusing a key that is there already: a
+    structure keeps one entry per key, so a second would be dropped."""
+    if key in table:
+        raise ModelFormatError(f"{what} given twice")
+    table[key] = value
+
+
 def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
     try:
         mode = _mode_of(doc["mode"])
@@ -187,7 +195,9 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
             members = tuple(
                 sorted(_member_from_list(model, m) for m in entry["members"])
             )
-            obs_by_id[entry["id"]] = members
+            _put_once(obs_by_id, entry["id"], members, f"observation state {entry['id']!r}")
+        if len(set(obs_by_id.values())) != len(obs_by_id):
+            raise ModelFormatError("two observation states have the same members")
         decisions = {}
         dec_by_id = {}
         for entry in doc["decision_states"]:
@@ -200,13 +210,16 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
                 if source is None
                 else (obs_by_id[source], model.event(name_field(event, "event")))
             )
-            decisions[key] = (
+            decision = (
                 model.control_decision(names_field(entry["decision"], "decision")),
                 obs_by_id[entry["target"]],
             )
-            dec_by_id[entry["id"]] = key
-        observations: dict[InfoState, list[int]] = {
-            info: [] for info in obs_by_id.values()
+            what = f"decision state of source {source!r} and event {event!r}"
+            _put_once(decisions, key, decision, what)
+            _put_once(dec_by_id, entry["id"], key, f"decision state {entry['id']!r}")
+        # Per observation state, its observed events, each entered once.
+        observations: dict[InfoState, dict[int, None]] = {
+            info: {} for info in obs_by_id.values()
         }
         for entry in doc["observation_transitions"]:
             if len(list_field(entry, "observation transition")) != 3:
@@ -218,7 +231,7 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
                 raise ModelFormatError(
                     "observation transition inconsistent with decision state identity"
                 )
-            observations[info].append(sigma)
+            _put_once(observations[info], sigma, None, f"observation transition {entry!r}")
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"malformed control structure document: {exc}") from exc
     try:

@@ -18,7 +18,6 @@ from typing import Iterator, Sequence
 
 from .estimator import (
     AugmentedEvent,
-    EstimatorError,
     EstimatorState,
     IssuanceMode,
     estimator_step,
@@ -137,8 +136,9 @@ class Successors:
 
     - the plant's reach operators, which the intruder's estimate update
       calls (see :class:`_ReachMemo`).  An estimator step is the plant
-      successor plus this update, so steps keep no memo of their own (see
-      :meth:`_step`);
+      successor plus this update, so steps keep no memo of their own:
+      :meth:`_images` takes every observed step, and :meth:`_closure` the
+      silent ones;
     - the closure of each single core under unobservable events, keyed by
       (core id, class of the decision).  The closure of an information
       state is the union of its members' closures, because every member
@@ -155,7 +155,7 @@ class Successors:
     convert between an information state and its decision and core set.
     Expansion asks :meth:`targets` for every decision class at once, and a
     walk of one structure asks :meth:`target` for the one decision it
-    commits.
+    commits; both, and the initial decision state, read :meth:`_images`.
 
     Build one per computation and drop it after: nothing here outlives the
     object."""
@@ -262,63 +262,76 @@ class Successors:
 
     # The kernel -----------------------------------------------------------
 
-    def _step(
-        self, c: int | None, old: int | None, sigma: int | None, gamma: int
-    ) -> int:
-        """Estimator step from core ``c`` under decision ``old`` on
-        ``sigma``, committing ``gamma``; ``c`` and ``old`` are None for the
-        initial marker.  Answers the core id reached.
-
-        A step is the plant successor plus :func:`update_estimate` on this
-        kernel's memoised reach operators; ``seen`` and ``release`` are
-        derived as :func:`estimator_step` derives them, and an event that is
-        not active at the core or not enabled by ``old`` raises
-        :class:`EstimatorError` as it does there.  From the initial marker
-        the estimate is the initial state's closure under ``gamma``."""
-        model = self.model
+    def _images(
+        self,
+        c: int | None,
+        old: int | None,
+        sigma: int | None,
+        gammas: Sequence[int],
+        changed: bool = True,
+    ) -> list[int]:
+        """The closed images of core ``c`` under ``sigma`` after decision
+        ``old``, one per new decision in ``gammas``, where ``changed`` says
+        whether those decisions differ from ``old``; ``c``, ``old`` and
+        ``sigma`` are None for the initial marker.  Every observed step of
+        the kernel is taken here: the plant step, and the intruder's
+        estimate before a released decision closes it, are worked out once,
+        as :func:`estimator_step` works them out.  ``sigma`` must be active
+        at the core and enabled by ``old``."""
+        model, reach = self.model, self._reach
+        closure, intern = self._closure, self._intern
+        kept = None
         if c is None:
-            x0 = model.initial
-            q0 = self._reach.unobservable_reach(
-                1 << x0, gamma, model.intruder_unobservable
-            )
-            return self._intern((x0, q0))
-        if not (self._active[c] & old) >> sigma & 1:
-            raise EstimatorError("event not enabled at estimator state")
-        x, q = self._cores[c]
-        release = gamma if self._release[sigma][gamma == old] else None
-        seen = sigma if (model.intruder_observable >> sigma) & 1 else None
-        q = update_estimate(self._reach, q, old, seen, release)
-        return self._intern((model.step(x, sigma), q))
+            y, base = model.initial, 1 << model.initial
+        else:
+            x, q = self._cores[c]
+            y = model.step(x, sigma)
+            seen = sigma if (model.intruder_observable >> sigma) & 1 else None
+            if not self._release[sigma][not changed]:
+                kept = intern((y, update_estimate(reach, q, old, seen, None)))
+            elif seen is None:
+                base = reach.unobservable_reach_plus(q, old)
+            else:
+                base = reach.observable_reach(q, seen)
+        close, hidden = reach.unobservable_reach, model.intruder_unobservable
+        # A loop rather than a comprehension, which would turn these locals
+        # into closure cells and slow the one-decision calls of target.
+        images = []
+        for gamma in gammas:
+            core = kept if kept is not None else intern((y, close(base, gamma, hidden)))
+            images.append(closure(core, gamma))
+        return images
 
     def _closure(self, c: int, gamma: int) -> int:
         """The set of cores reached from core ``c`` along events the
-        supervisor cannot observe and ``gamma`` enables."""
+        supervisor cannot observe and ``gamma`` enables.  Such a step keeps
+        ``gamma`` and is not seen by the supervisor, so it releases nothing
+        under either mechanism."""
         key = (c, gamma & self._hidden)
         closed = self._closures.get(key)
         if closed is None:
-            active, step = self._active, self._step
-            hidden = self.model.supervisor_unobservable & gamma
+            model, reach = self.model, self._reach
+            cores, active, intern = self._cores, self._active, self._intern
+            hidden = model.supervisor_unobservable & gamma
+            visible = model.intruder_observable
             seen = 1 << c
             frontier = [c]
             while frontier:
-                x = frontier.pop()
-                events = active[x] & hidden
+                d = frontier.pop()
+                x, q = cores[d]
+                events = active[d] & hidden
                 while events:
                     low = events & -events
                     events ^= low
-                    nxt = step(x, gamma, low.bit_length() - 1, gamma)
+                    sigma = low.bit_length() - 1
+                    seen_by_intruder = sigma if visible & low else None
+                    estimate = update_estimate(reach, q, gamma, seen_by_intruder, None)
+                    nxt = intern((model.step(x, sigma), estimate))
                     if not (seen >> nxt) & 1:
                         seen |= 1 << nxt
                         frontier.append(nxt)
             closed = self._closures[key] = seen
         return closed
-
-    def _closed_step(
-        self, c: int | None, old: int | None, sigma: int | None, gamma: int
-    ) -> int:
-        """The image of core ``c`` under ``sigma`` and the new decision
-        ``gamma``, closed under unobservable events."""
-        return self._closure(self._step(c, old, sigma, gamma), gamma)
 
     def layout(self, old: int | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The columns of the targets after ``old`` (None at the initial
@@ -349,42 +362,17 @@ class Successors:
 
     def _row(self, c: int, old: int, sigma: int) -> tuple[int, ...]:
         """The closed images of core ``c`` under ``sigma`` after decision
-        ``old``, one per column of :meth:`layout`.  The plant step, and the
-        intruder's estimate before it closes under a released decision, are
-        worked out once; each column then closes them under its decision.
-        Every entry reads only the class of ``old``."""
-        model, reach = self.model, self._reach
-        closure, intern = self._closure, self._intern
-        x, q = self._cores[c]
-        y = model.step(x, sigma)
-        seen = sigma if (model.intruder_observable >> sigma) & 1 else None
-        changed, unchanged = self._release[sigma]
-        representatives = self._classes[0]
-        if changed:
-            if seen is None:
-                base = reach.unobservable_reach_plus(q, old)
-            else:
-                base = reach.observable_reach(q, seen)
-            close, hidden = reach.unobservable_reach, model.intruder_unobservable
-            row = [
-                closure(intern((y, close(base, gamma, hidden))), gamma)
-                for gamma in representatives
-            ]
-        else:
-            kept = intern((y, update_estimate(reach, q, old, seen, None)))
-            row = [closure(kept, gamma) for gamma in representatives]
+        ``old``, one per column of :meth:`layout`.  Every entry reads only
+        the class of ``old``."""
+        row = self._images(c, old, sigma, self._classes[0])
         if self._decision_mode:
-            release = old if unchanged else None
-            q = update_estimate(reach, q, old, seen, release)
-            row.append(closure(intern((y, q)), old))
+            row += self._images(c, old, sigma, (old,), False)
         return tuple(row)
 
     @cached_property
     def _initial_row(self) -> tuple[int, ...]:
         """The targets of the initial decision state."""
-        return tuple(
-            self._closed_step(None, None, None, gamma) for gamma in self._classes[0]
-        )
+        return tuple(self._images(None, None, None, self._classes[0]))
 
     def targets_key(self, old: int, cores: int, sigma: int) -> tuple[int, int, int]:
         """A key that fixes :meth:`targets` at a non-initial decision state:
@@ -427,11 +415,12 @@ class Successors:
         ``gamma``, worked out for that one decision.  Empty when ``old``
         disables ``sigma`` or no core moves."""
         if cores is None:
-            return self._closed_step(None, None, None, gamma)
+            return self._images(None, None, None, (gamma,))[0]
         out = 0
         if (old >> sigma) & 1:
+            gammas, changed = (gamma,), gamma != old
             for c in iter_bits(cores & self._active_at[sigma]):
-                out |= self._closed_step(c, old, sigma, gamma)
+                out |= self._images(c, old, sigma, gammas, changed)[0]
         return out
 
 
@@ -565,8 +554,8 @@ class ControlStructure:
                 if (info, sigma) not in decisions:
                     raise StructureError("dangling observation transition")
         for (info, sigma), (gamma, target) in decisions.items():
-            if info is not None and sigma is None:
-                raise StructureError("non-initial decision state missing its event")
+            if info is not None and sigma not in observations.get(info, ()):
+                raise StructureError("decision state without its observation transition")
             if target not in observations:
                 raise StructureError("decision transition into unknown state")
             if target[0].decision != gamma:

@@ -846,6 +846,21 @@ MALFORMED_STATES = {
 }
 
 
+def _assert_structure_refused(doc, message, tmp_path, capsys):
+    """Every structure command refuses the structure document ``doc`` with
+    the error line ``message`` and writes no verdict and no graph."""
+    path = tmp_path / "structure.json"
+    path.write_text(dump_json(doc))
+    for argv, what in (
+        (["verify", RUN, "--supervisor", str(path)], "supervisor"),
+        (["export-dot", str(path), "--model", RUN], "structure"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid {what} {path}: {message}\n"
+        assert "opaque" not in captured.out and "digraph" not in captured.out
+
+
 @pytest.mark.parametrize(
     "change, message", MALFORMED_STATES.values(), ids=MALFORMED_STATES.keys()
 )
@@ -859,27 +874,90 @@ def test_cli_refuses_an_observation_state_without_the_decision_into_it(
     the decision {a,u2,b} into a state labelled {a,u1,u2,u3,b}."""
     doc = _sprime_structure(run_model, sprime)
     change(doc["observation_states"][1])
-    path = tmp_path / "structure.json"
-    path.write_text(dump_json(doc))
-    for argv, what in (
-        (["verify", RUN, "--supervisor", str(path)], "supervisor"),
-        (["export-dot", str(path), "--model", RUN], "structure"),
-    ):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: invalid {what} {path}: {message}\n"
-        assert "opaque" not in captured.out and "digraph" not in captured.out
+    _assert_structure_refused(doc, message, tmp_path, capsys)
+
+
+def _second_decision_state(doc):
+    """Decision state 7 on u1 out of observation state 0, which decision
+    state 1 already resolves, committing the initial decision."""
+    doc["decision_states"].append(
+        {**doc["decision_states"][0], "id": 7, "source": 0, "event": "u1"}
+    )
+
+
+def _second_observation_state_4(doc):
+    doc["observation_states"].append({"id": 4, "members": [["7", ["7"], ["a", "u1", "b"]]]})
+
+
+def _second_copy_of_observation_state_1(doc):
+    doc["observation_states"].append({**doc["observation_states"][1], "id": 7})
+
+
+def _second_decision_state_1(doc):
+    doc["decision_states"].append({**doc["decision_states"][6], "id": 1, "source": 4})
+
+
+def _second_transition_on_u1(doc):
+    doc["observation_transitions"].append([0, "u1", 1])
+
+
+def _no_transition_on_u1(doc):
+    assert doc["observation_transitions"].pop(0) == [0, "u1", 1]
+
+
+# A change to the whole document of that structure, and the error line it
+# gives.  The document keeps one entry per id and per (source, event), and
+# one observation transition per decision state.  Before these were
+# refused, the second decision state made verify judge its decision and
+# not decision state 1's, the second observation state 4 was drawn unsafe
+# while verify found the structure opaque, the repeated transition was
+# drawn twice, and the decision state without its transition was drawn
+# with no edge into it.
+MALFORMED_STRUCTURES = {
+    "second decision state on u1": (
+        _second_decision_state, "decision state of source 0 and event 'u1' given twice"
+    ),
+    "second observation state 4": (
+        _second_observation_state_4, "observation state 4 given twice"
+    ),
+    "second copy of observation state 1": (
+        _second_copy_of_observation_state_1, "two observation states have the same members"
+    ),
+    "second decision state 1": (_second_decision_state_1, "decision state 1 given twice"),
+    "second transition on u1": (
+        _second_transition_on_u1, "observation transition [0, 'u1', 1] given twice"
+    ),
+    "no transition on u1": (
+        _no_transition_on_u1, "decision state without its observation transition"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "change, message", MALFORMED_STRUCTURES.values(), ids=MALFORMED_STRUCTURES.keys()
+)
+def test_cli_refuses_a_structure_document_with_an_entry_twice_or_missing(
+    change, message, tmp_path, run_model, sprime, capsys
+):
+    """A structure keeps one entry per key, so a document that gives an id,
+    a decision state or an observation transition twice would lose one of
+    them; every structure command refuses it, and a decision state whose
+    observation transition is missing."""
+    doc = _sprime_structure(run_model, sprime)
+    change(doc)
+    _assert_structure_refused(doc, message, tmp_path, capsys)
 
 
 def test_cli_names_the_observation_an_incomplete_structure_lacks(
     tmp_path, run_model, sprime, capsys
 ):
     """Without the transition on u1 out of the initial observation state,
-    the structure decides nothing after u1, which the plant can produce
-    there: verify, in either mode, and the estimator slice under it stop
-    with the observation named."""
+    and the decision state it leads to, the structure decides nothing after
+    u1, which the plant can produce there: verify, in either mode, and the
+    estimator slice under it stop with the observation named."""
     doc = _sprime_structure(run_model, sprime)
-    assert doc["observation_transitions"].pop(0) == [0, "u1", 1]
+    _no_transition_on_u1(doc)
+    assert doc["decision_states"].pop(1)["id"] == 1
     path = tmp_path / "structure.json"
     path.write_text(dump_json(doc))
     for mode in ("observation", "decision"):

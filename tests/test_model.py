@@ -16,7 +16,6 @@ from opactrl import (
     SizeGuardExceeded,
     UnreachableObservationError,
     open_loop_estimate,
-    parse_model,
     project,
     verify_open_loop_opacity,
 )
@@ -85,7 +84,7 @@ def test_parse_semantic_errors(doc, message):
 
 def test_parse_syntax_error_has_line_info():
     with pytest.raises(ModelFormatError, match="line"):
-        parse_model('{"states": [,]}')
+        PlantModel.from_json('{"states": [,]}')
 
 
 def test_stored_decision_rejects_uncontrollable(run_model):

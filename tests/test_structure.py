@@ -37,7 +37,7 @@ from opactrl import (
 )
 from opactrl import structure as structure_module
 from opactrl.dot import estimator_slice_to_dot
-from opactrl.estimator import AugmentedEvent, EstimatorError
+from opactrl.estimator import AugmentedEvent
 from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
 from opactrl.structure import closed_loop_search, loop_string
@@ -703,17 +703,29 @@ def test_old_decisions_of_one_class_share_their_rows(seed, mode):
 @given(model_seeds, st.sampled_from([OBS, DEC]))
 @settings(max_examples=60, deadline=None)
 def test_kernel_step_is_the_estimator_step(seed, mode):
-    """A kernel step is the plant successor plus the estimate update on
-    memoised reach operators, and a step from the initial marker the
-    memoised closure of the initial state; neither calls estimator_step.  From the initial marker,
-    and from any core and old decision on each event active at the core and
-    enabled by the old decision, under any new decision (the unchanged one
-    included), it reaches the core of estimator_step; on any other event it
-    raises EstimatorError as estimator_step does."""
+    """The kernel steps the plant and updates the estimate on memoised
+    reach operators, and no kernel answer calls estimator_step; yet its
+    answers are estimator_step's, closed by ur_is.  So is target from the
+    initial marker, and from any single core and old decision on each
+    event, under any new decision (the unchanged one included): empty on
+    an event not active at the core or not enabled by the old decision.
+    So is the closure of any core under any decision."""
     rng = random.Random(seed)
     model = random_model(rng, RandomModelConfig(max_states=5, max_events=4))
     succ = Successors(model, mode)
     decisions = list(model.iter_decisions())
+    n = len(model.states)
+    # (estimator state or None, event or None, new decision) per step asked
+    # of target, and (estimator state, decision) per closure.
+    steps = [(None, None, gamma) for gamma in decisions]
+    closures = []
+    for _ in range(8):
+        x = rng.randrange(n)
+        m = EstimatorState(x, rng.getrandbits(n) | 1 << x, rng.choice(decisions))
+        closures.append(m._replace(decision=rng.choice(decisions)))
+        for sigma in range(len(model.events)):
+            gamma = m.decision if rng.random() < 0.3 else rng.choice(decisions)
+            steps.append((m, sigma, gamma))
     kernel_steps_from = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
@@ -722,28 +734,28 @@ def test_kernel_step_is_the_estimator_step(seed, mode):
             lambda model, m, *rest: kernel_steps_from.append(m)
             or estimator_step(model, m, *rest),
         )
-        for gamma in decisions:
-            c = succ._step(None, None, None, gamma)
-            initial = estimator_step(model, None, AugmentedEvent(None, gamma), mode)
-            assert succ._cores[c] == initial[:2]
-        n = len(model.states)
-        for _ in range(8):
-            x = rng.randrange(n)
-            q = rng.getrandbits(n) | 1 << x
-            c = succ._intern((x, q))
-            old = rng.choice(decisions)
-            for sigma in range(len(model.events)):
-                gamma = old if rng.random() < 0.3 else rng.choice(decisions)
-                m, event = EstimatorState(x, q, old), AugmentedEvent(sigma, gamma)
-                if (model.active(x) & old) >> sigma & 1:
-                    stepped = estimator_step(model, m, event, mode)
-                    assert succ._cores[succ._step(c, old, sigma, gamma)] == stepped[:2]
-                    continue
-                with pytest.raises(EstimatorError, match="not enabled"):
-                    succ._step(c, old, sigma, gamma)
-                with pytest.raises(EstimatorError, match="not enabled"):
-                    estimator_step(model, m, event, mode)
+        stepped = [
+            succ.info_of(
+                gamma,
+                succ.target(None, None, None, gamma)
+                if m is None
+                else succ.target(m.decision, succ.intern((m,)), sigma, gamma),
+            )
+            for m, sigma, gamma in steps
+        ]
+        closed = [
+            succ.info_of(m.decision, succ._closure(succ._intern(m[:2]), m.decision))
+            for m in closures
+        ]
     assert kernel_steps_from == []
+    for (m, sigma, gamma), got in zip(steps, stepped):
+        if m is None:
+            before = (estimator_step(model, None, AugmentedEvent(None, gamma), mode),)
+        else:
+            before = nx_is(model, (m,), sigma, gamma, mode)
+        assert got == ur_is(model, before, gamma, mode)
+    for m, got in zip(closures, closed):
+        assert got == ur_is(model, (m,), m.decision, mode)
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]))
@@ -787,24 +799,23 @@ SILENT_AND_RELEASED = {
 def test_kernel_step_keeps_a_silent_step_apart_from_a_release(mode):
     """From the core (0, {0}) both steps below are hidden from the intruder
     and leave the decision's intruder-unobservable events as they were.
-    The step on u releases nothing and keeps the estimate; the step on s
-    releases a decision and closes it.  Each reaches the core of
-    estimator_step."""
+    The closure takes the step on u, which releases nothing and keeps the
+    estimate; target takes the step on s, which releases a decision and
+    closes it.  Each reaches the core of estimator_step."""
     model = PlantModel.from_dict(SILENT_AND_RELEASED)
     succ = Successors(model, mode)
     q = model.state_mask(["0"])
     c = succ._intern((0, q))
     old = model.control_decision(["u", "s", "c"])
     release = model.control_decision(["u", "s"])
-    for name, gamma, expected in (
-        ("u", old, (model.state("1"), q)),
-        ("s", release, (model.state("2"), model.state_mask(["1", "2"]))),
-    ):
-        sigma = model.event(name)
-        stepped = estimator_step(
-            model, EstimatorState(0, q, old), AugmentedEvent(sigma, gamma), mode
-        )
-        assert succ._cores[succ._step(c, old, sigma, gamma)] == stepped[:2] == expected
+    m = EstimatorState(0, q, old)
+    silent = estimator_step(model, m, AugmentedEvent(model.event("u"), old), mode)
+    assert silent[:2] == (model.state("1"), q)
+    assert succ.info_of(old, succ._closure(c, old)) == make_info([m, silent])
+    sigma = model.event("s")
+    stepped = estimator_step(model, m, AugmentedEvent(sigma, release), mode)
+    assert stepped[:2] == (model.state("2"), model.state_mask(["1", "2"]))
+    assert succ.info_of(release, succ.target(old, 1 << c, sigma, release)) == (stepped,)
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]), st.integers(0, 4))
