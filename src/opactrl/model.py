@@ -239,23 +239,34 @@ class PlantModel:
 
     def observable_reach(self, q: int, sigma: int) -> int:
         """One-step successors of ``q`` under event ``sigma``, where defined."""
+        succ = self._succ
         out = 0
-        for x in iter_bits(q):
-            y = self._succ[x].get(sigma)
+        while q:
+            low = q & -q
+            q ^= low
+            y = succ[low.bit_length() - 1].get(sigma)
             if y is not None:
                 out |= 1 << y
         return out
 
     def unobservable_reach(self, q: int, gamma: int, hidden: int) -> int:
         """Closure of ``q`` under enabled hidden events (zero or more steps)."""
+        succ, active = self._succ, self._active
         evs = gamma & hidden
         reach = q
         frontier = q
         while frontier:
             new = 0
-            for x in iter_bits(frontier):
-                for e in iter_bits(self._active[x] & evs):
-                    new |= 1 << self._succ[x][e]
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                x = low.bit_length() - 1
+                row = succ[x]
+                events = active[x] & evs
+                while events:
+                    bit = events & -events
+                    events ^= bit
+                    new |= 1 << row[bit.bit_length() - 1]
             frontier = new & ~reach
             reach |= new
         return reach

@@ -232,6 +232,12 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
                     "observation transition inconsistent with decision state identity"
                 )
             _put_once(observations[info], sigma, None, f"observation transition {entry!r}")
+        for i, key in dec_by_id.items():
+            if key == INITIAL_KEY and doc["initial"] != i:
+                raise ModelFormatError(
+                    f"initial {doc['initial']!r} is not the id of the initial "
+                    f"decision state, {i!r}"
+                )
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"malformed control structure document: {exc}") from exc
     try:

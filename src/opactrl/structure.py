@@ -143,13 +143,18 @@ class Successors:
       (core id, class of the decision).  The closure of an information
       state is the union of its members' closures, because every member
       steps on its own;
+    - the closed images of each *pre-image*, the plant state stepped to
+      and the intruder's estimate before the new decision is released (or
+      the core kept when nothing is released), under the decisions asked
+      (see :meth:`_images`);
     - one row table per (event, :meth:`old_key` of the old decision),
-      holding per core id the core's image under the event, closed, under
+      holding per core the core's image under the event, closed, under
       one representative of each class of new decision, and last, under
       the decision-triggered mechanism, under the old decision kept (see
       :meth:`layout` and :meth:`_row`).  The targets of a decision state
       are the rows of the cores the event moves, merged position by
-      position (see :meth:`targets`).
+      position, and the table keeps those merges too (see
+      :meth:`targets`).
 
     It takes and answers core sets only; :meth:`intern` and :meth:`info_of`
     convert between an information state and its decision and core set.
@@ -183,7 +188,10 @@ class Successors:
         self._revealing = 0
         self._closures: dict[tuple[int, int], int] = {}
         self._layouts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        # Per (event, class of the old decision): rows and their merges,
+        # by set of cores.
         self._tables: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
+        self._preimages: dict[tuple, tuple[int, ...]] = {}
 
     @cached_property
     def decisions(self) -> tuple[int, ...]:
@@ -269,17 +277,20 @@ class Successors:
         sigma: int | None,
         gammas: Sequence[int],
         changed: bool = True,
-    ) -> list[int]:
+    ) -> tuple[int, ...]:
         """The closed images of core ``c`` under ``sigma`` after decision
         ``old``, one per new decision in ``gammas``, where ``changed`` says
         whether those decisions differ from ``old``; ``c``, ``old`` and
         ``sigma`` are None for the initial marker.  Every observed step of
         the kernel is taken here: the plant step, and the intruder's
-        estimate before a released decision closes it, are worked out once,
-        as :func:`estimator_step` works them out.  ``sigma`` must be active
+        estimate before a released decision closes it, are worked out
+        once, as :func:`estimator_step` works them out.  The images are
+        memoised on that *pre-image* (the plant state stepped to and the
+        estimate before the release, or the core kept when nothing is
+        released) and ``gammas``, so cores, events and old decisions that
+        step to one pre-image share one answer.  ``sigma`` must be active
         at the core and enabled by ``old``."""
-        model, reach = self.model, self._reach
-        closure, intern = self._closure, self._intern
+        model, reach, intern = self.model, self._reach, self._intern
         kept = None
         if c is None:
             y, base = model.initial, 1 << model.initial
@@ -293,13 +304,19 @@ class Successors:
                 base = reach.unobservable_reach_plus(q, old)
             else:
                 base = reach.observable_reach(q, seen)
+        key = (kept, gammas) if kept is not None else (y, base, gammas)
+        images = self._preimages.get(key)
+        if images is not None:
+            return images
+        closure = self._closure
         close, hidden = reach.unobservable_reach, model.intruder_unobservable
         # A loop rather than a comprehension, which would turn these locals
-        # into closure cells and slow the one-decision calls of target.
-        images = []
+        # into closure cells.
+        out = []
         for gamma in gammas:
             core = kept if kept is not None else intern((y, close(base, gamma, hidden)))
-            images.append(closure(core, gamma))
+            out.append(closure(core, gamma))
+        images = self._preimages[key] = tuple(out)
         return images
 
     def _closure(self, c: int, gamma: int) -> int:
@@ -367,12 +384,12 @@ class Successors:
         row = self._images(c, old, sigma, self._classes[0])
         if self._decision_mode:
             row += self._images(c, old, sigma, (old,), False)
-        return tuple(row)
+        return row
 
     @cached_property
     def _initial_row(self) -> tuple[int, ...]:
         """The targets of the initial decision state."""
-        return tuple(self._images(None, None, None, self._classes[0]))
+        return self._images(None, None, None, self._classes[0])
 
     def targets_key(self, old: int, cores: int, sigma: int) -> tuple[int, int, int]:
         """A key that fixes :meth:`targets` at a non-initial decision state:
@@ -388,23 +405,37 @@ class Successors:
         :meth:`layout`, where the observation state has decision ``old``
         and core set ``cores``; both are None at the initial decision
         state.  ``sigma`` must be enabled by ``old`` and move some core, as
-        every feasible observation does."""
+        every feasible observation does.
+
+        The targets are the rows of the moved cores, merged position by
+        position.  The table of (``sigma``, class of ``old``) holds each
+        row under the set of its one core, and each merge under its set of
+        cores: a merge is the merge of its set without its highest core,
+        merged with that core's row, so sets of moved cores that share
+        their lower cores share those merges."""
         if cores is None:
             return self._initial_row
-        key = (sigma, self.old_key(old))
+        key = (sigma, old & self._hidden)
         table = self._tables.get(key)
         if table is None:
             table = self._tables[key] = {}
-        merged = None
-        moved = cores & self._active_at[sigma]
-        while moved:
-            low = moved & -moved
-            moved ^= low
-            c = low.bit_length() - 1
-            row = table.get(c)
+        # Drop the highest core until the set is known or is one core.
+        pending = []
+        rest = cores & self._active_at[sigma]
+        merged = table.get(rest)
+        while merged is None:
+            high = 1 << (rest.bit_length() - 1)
+            if rest == high:
+                merged = table[rest] = self._row(rest.bit_length() - 1, old, sigma)
+            else:
+                pending.append((rest, high))
+                rest ^= high
+                merged = table.get(rest)
+        for subset, high in reversed(pending):
+            row = table.get(high)
             if row is None:
-                row = table[c] = self._row(c, old, sigma)
-            merged = row if merged is None else list(map(or_, merged, row))
+                row = table[high] = self._row(high.bit_length() - 1, old, sigma)
+            merged = table[subset] = tuple(map(or_, merged, row))
         return merged
 
     def target(
@@ -562,6 +593,21 @@ class ControlStructure:
                 raise StructureError(
                     "decision transition into a state of another decision"
                 )
+        # Every decision state but the initial one leaves an observation
+        # state on one of its events, so it is reached when that state is.
+        reached = {decisions[INITIAL_KEY][1]}
+        frontier = list(reached)
+        while frontier:
+            info = frontier.pop()
+            for sigma in observations[info]:
+                target = decisions[info, sigma][1]
+                if target not in reached:
+                    reached.add(target)
+                    frontier.append(target)
+        if len(reached) != len(observations):
+            raise StructureError(
+                "observation state unreachable from the initial decision state"
+            )
         self.model = model
         self.mode = mode
         self.decisions = decisions

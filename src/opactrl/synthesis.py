@@ -210,68 +210,100 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     observation state id when it is first reached under its decision; no
     ``InfoState`` is built.
 
-    The edges of a decision state are memoised twice.  The first memo maps
-    :meth:`Successors.targets_key`, which fixes its targets, to its *safe
-    row*: the targets with each unsafe one set to None.  The second maps
-    the layout key (the old decision under the decision-triggered
-    mechanism, else nothing) and the safe row to the edges: that is all the
-    loop over :attr:`Successors.decisions` reads, so it runs once per
-    distinct (layout, safe row), where many targets keys share one row.
-    The first decision state with a row numbers every safe target it
-    reaches, so a later one with the same row reaches no new state and
-    takes the same edges: ids, orders and the size-guard trip point are
-    those of expanding every state."""
+    The edges of a decision state are memoised three times.  The first
+    memo maps the targets key (:meth:`Successors.targets_key`: the class of
+    the old decision, the cores the event moves and the event), which fixes
+    the targets, to the *safe row*: the targets with each unsafe one set
+    to None.  The second maps the layout key (the old decision under the
+    decision-triggered mechanism, else nothing) and the safe row to the
+    edges: that is all the loop over :attr:`Successors.decisions` reads, so
+    it runs once per distinct (layout, safe row), where many targets keys
+    share one row.  The third maps what fixes both keys, the targets key
+    with the old decision itself in place of its class under the
+    decision-triggered mechanism, to the edges, so that a decision state
+    met again under it takes its edges in one probe.  The first decision
+    state with a row numbers every safe target it reaches, so a later one
+    with the same row reaches no new state and takes the same edges: ids,
+    orders and the size-guard trip point are those of expanding every
+    state."""
     successor = Successors(model, cfg.mode)
     expansion = _Expansion(successor)
     decision_of, cores_of, events_of = expansion.decision, expansion.cores, expansion.events
     base, owner = expansion.base, expansion.owner
     decisions = successor.decisions
-    feasible_events, targets_key = successor.feasible_events, successor.targets_key
+    hidden, active_at = successor._hidden, successor._active_at
+    observable = model.supervisor_observable
     decision_mode = cfg.mode is IssuanceMode.DECISION
+    size_guard = cfg.size_guard
     edges: list[tuple[tuple[int, int], ...] | None] = [None]
+    n_decision, n_observation = 1, 0
     # Safe rows by targets key; the initial decision state's under None.
     known: dict[tuple[int, int, int] | None, tuple[int | None, ...]] = {}
     # Edges by layout key and safe row.
     by_row: dict[tuple[int | None, tuple], tuple[tuple[int, int], ...]] = {}
+    # Edges by targets key, with the old decision for its class under the
+    # decision-triggered mechanism.
+    settled: dict[tuple[int, int, int] | None, tuple[tuple[int, int], ...]] = {}
     reached: dict[tuple[int, int], int] = {}
-    # Each entry is a decision state, the decision and core set of its
-    # observation state and its event (all None for the initial one).
-    stack: list[tuple[int, int | None, int | None, int | None]] = [(0, None, None, None)]
+    # Decision states to expand; each reads its observation state's
+    # decision and core set, and its event, back from the lists above.
+    stack = [0]
     while stack:
-        d, old, cores, sigma = stack.pop()
-        key = None if cores is None else targets_key(old, cores, sigma)
+        d = stack.pop()
+        o = owner[d]
+        if o < 0:
+            old = cores = sigma = key = probe = None
+        else:
+            old, cores = decision_of[o], cores_of[o]
+            sigma = events_of[o][d - base[o]]
+            moved = cores & active_at[sigma]
+            key = (old & hidden, moved, sigma)
+            probe = (old, moved, sigma) if decision_mode else key
+            out = settled.get(probe)
+            if out is not None:
+                edges[d] = out
+                continue
         row = known.get(key)
         if row is None:
             targets = successor.targets(old, cores, sigma)
             # Read after the targets: answering them interns their cores.
             revealing = successor._revealing
-            row = known[key] = tuple(None if t & revealing else t for t in targets)
+            row = known[key] = tuple([None if t & revealing else t for t in targets])
         row_key = (old if decision_mode else None, row)
         out = by_row.get(row_key)
-        if out is not None:
-            edges[d] = out
-            continue
-        out = []
-        for gamma, column in zip(decisions, successor.layout(old)[1]):
-            t = row[column]
-            if t is None:
-                continue
-            o = reached.get((gamma, t))
-            if o is None:
-                o = reached[(gamma, t)] = len(cores_of)
-                feasible = feasible_events(gamma, t)
-                decision_of.append(gamma)
-                cores_of.append(t)
-                events_of.append(feasible)
-                base.append(len(edges))
-                for s in feasible:
-                    stack.append((len(edges), gamma, t, s))
-                    edges.append(None)
-                    owner.append(o)
-                if len(edges) + len(cores_of) > cfg.size_guard:
-                    raise SizeGuardExceeded(cfg.size_guard, len(edges), len(cores_of))
-            out.append((gamma, o))
-        edges[d] = by_row[row_key] = tuple(out)
+        if out is None:
+            out = []
+            for gamma, column in zip(decisions, successor.layout(old)[1]):
+                t = row[column]
+                if t is None:
+                    continue
+                o = reached.get((gamma, t))
+                if o is None:
+                    o = reached[(gamma, t)] = n_observation
+                    n_observation += 1
+                    # The feasible events: observable, enabled and active
+                    # at some core.
+                    feasible = []
+                    events = observable & gamma
+                    while events:
+                        low = events & -events
+                        events ^= low
+                        s = low.bit_length() - 1
+                        if t & active_at[s]:
+                            feasible.append(s)
+                    first, n_decision = n_decision, n_decision + len(feasible)
+                    decision_of.append(gamma)
+                    cores_of.append(t)
+                    events_of.append(tuple(feasible))
+                    base.append(first)
+                    edges.extend([None] * (n_decision - first))
+                    owner.extend([o] * (n_decision - first))
+                    stack.extend(range(first, n_decision))
+                    if n_decision + n_observation > size_guard:
+                        raise SizeGuardExceeded(size_guard, n_decision, n_observation)
+                out.append((gamma, o))
+            out = by_row[row_key] = tuple(out)
+        edges[d] = settled[probe] = out
     return Arena(expansion, edges, events_of, (len(edges), len(events_of)))
 
 
@@ -336,6 +368,8 @@ def prune_incomplete(arena: Arena) -> Arena:
     # decision state, or the observation state would have gone.
     base = expansion.base
     n_decision = n_observation = 0
+    # Decision states to expand; each reads its observation state's
+    # decision and core set, and its event, back from the lists above.
     stack = [0]
     while stack:
         d = stack.pop()

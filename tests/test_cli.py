@@ -948,16 +948,72 @@ def test_cli_refuses_a_structure_document_with_an_entry_twice_or_missing(
     _assert_structure_refused(doc, message, tmp_path, capsys)
 
 
+def _initial_5(doc):
+    doc["initial"] = 5
+
+
+def _initial_bogus(doc):
+    doc["initial"] = "bogus"
+
+
+def _no_decision_state_on_u1(doc):
+    """Without the transition on u1 and decision state 1, nothing leads
+    into observation state 1 and the states past it."""
+    _no_transition_on_u1(doc)
+    assert doc["decision_states"].pop(1)["id"] == 1
+
+
+# A change to the whole document of that structure that breaks it off its
+# initial decision state, and the error line it gives: its ``initial``
+# names another id, or an observation state is not reached from it.
+# Before these were refused, verify found the first two opaque, reading
+# the initial decision state off its null source, and export-dot drew the
+# third with observation state 1 and the states past it unreached.
+DISCONNECTED_STRUCTURES = {
+    "initial 5": (_initial_5, "initial 5 is not the id of the initial decision state, 0"),
+    "initial bogus": (
+        _initial_bogus, "initial 'bogus' is not the id of the initial decision state, 0"
+    ),
+    "no decision state on u1": (
+        _no_decision_state_on_u1,
+        "observation state unreachable from the initial decision state",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "change, message", DISCONNECTED_STRUCTURES.values(), ids=DISCONNECTED_STRUCTURES.keys()
+)
+def test_cli_refuses_a_structure_document_with_a_wrong_initial_or_an_unreached_state(
+    change, message, tmp_path, run_model, sprime, capsys
+):
+    """A structure is read from its initial decision state: every structure
+    command refuses a document whose ``initial`` names another id, or with
+    an observation state that the initial decision state does not reach."""
+    doc = _sprime_structure(run_model, sprime)
+    change(doc)
+    _assert_structure_refused(doc, message, tmp_path, capsys)
+
+
+def _reached_from_observation_state_2(doc):
+    """Only the initial decision state, observation states 0, 2 and 4, the
+    decision states into them and the transitions between them: the states
+    that the initial decision state reaches once the transition on u1 out
+    of observation state 0 is gone."""
+    doc["observation_states"] = [s for s in doc["observation_states"] if s["id"] in (0, 2, 4)]
+    doc["decision_states"] = [s for s in doc["decision_states"] if s["target"] in (0, 2, 4)]
+    doc["observation_transitions"] = [[0, "u2", 2], [2, "u1", 4]]
+
+
 def test_cli_names_the_observation_an_incomplete_structure_lacks(
     tmp_path, run_model, sprime, capsys
 ):
     """Without the transition on u1 out of the initial observation state,
-    and the decision state it leads to, the structure decides nothing after
-    u1, which the plant can produce there: verify, in either mode, and the
-    estimator slice under it stop with the observation named."""
+    and every state past it, the structure decides nothing after u1, which
+    the plant can produce there: verify, in either mode, and the estimator
+    slice under it stop with the observation named."""
     doc = _sprime_structure(run_model, sprime)
-    _no_transition_on_u1(doc)
-    assert doc["decision_states"].pop(1)["id"] == 1
+    _reached_from_observation_state_2(doc)
     path = tmp_path / "structure.json"
     path.write_text(dump_json(doc))
     for mode in ("observation", "decision"):

@@ -242,6 +242,40 @@ def test_reach_plus_decomposition(seed):
     )
 
 
+def _successors(model, x, events):
+    """The plant states one event of ``events`` leads to from state ``x``,
+    read off the model's transition list."""
+    return {
+        model.state(dst)
+        for src, ev, dst in model.transitions()
+        if model.state(src) == x and (events >> model.event(ev)) & 1
+    }
+
+
+@given(model_seeds, st.integers(0, 2**64), st.integers(0, 2**64))
+@settings(max_examples=100, deadline=None)
+def test_reach_operators_match_a_set_fixpoint(seed, q_bits, hidden_bits):
+    """The bit loops of the reach operators give what sets of states give:
+    one step on an event is the successors of each state, and the closure
+    under enabled hidden events adds successors until nothing is new."""
+    rng = random.Random(seed)
+    model = random_model(rng, RandomModelConfig())
+    q = q_bits & model.all_states_mask
+    gamma = model.uncontrollable | (rng.getrandbits(64) & model.controllable)
+    hidden = hidden_bits & model.all_events_mask
+    states = set(iter_bits(q))
+    for e in range(len(model.events)):
+        expected = set().union(*(_successors(model, x, 1 << e) for x in states))
+        assert set(iter_bits(model.observable_reach(q, e))) == expected
+    closure = set(states)
+    while True:
+        step = set().union(*(_successors(model, x, gamma & hidden) for x in closure))
+        if step <= closure:
+            break
+        closure |= step
+    assert set(iter_bits(model.unobservable_reach(q, gamma, hidden))) == closure
+
+
 def _brute_open_loop(model, alpha, obs, bound):
     """Independent oracle: enumerate plant strings up to `bound` and keep the
     end states of those projecting to alpha."""

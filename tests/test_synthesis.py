@@ -29,7 +29,7 @@ from opactrl import (
     synthesize,
     verify_closed_loop_opacity,
 )
-from opactrl.estimator import AugmentedEvent, estimator_step
+from opactrl.estimator import AugmentedEvent, estimator_step, released, update_estimate
 from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model
 from opactrl.serialize import structure_to_json
@@ -737,6 +737,53 @@ def test_the_kernel_computes_one_row_per_old_decision_class(mode, monkeypatch):
     assert set(computed) == {(c, sigma, old & hidden) for c, sigma, old in merged}
     if mode is DEC:
         assert len(computed) < len(set(merged))
+
+
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_the_kernel_works_out_each_pre_image_once(mode, monkeypatch):
+    """An image reads the plant state stepped to and the intruder's
+    estimate before the new decision is released (or, when nothing is
+    released, the core kept), and the decisions asked.  On seed-10 draw
+    11, rows of different cores, events and old decisions step to one such
+    pre-image, and the kernel closes each distinct pre-image under its
+    decisions once: one closure per decision asked per distinct pre-image,
+    whatever the number of calls.  The pre-images are worked out here on
+    the model's own reach operators."""
+    model = _seed10_draw(11)
+    calls, closed = [], []
+    images, closure = Successors._images, Successors._closure
+
+    def counting_images(self, c, old, sigma, gammas, changed=True):
+        calls.append((c, old, sigma, gammas, changed))
+        return images(self, c, old, sigma, gammas, changed)
+
+    def counting_closure(self, c, gamma):
+        closed.append(gamma)
+        return closure(self, c, gamma)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Successors, "_images", counting_images)
+        patched.setattr(Successors, "_closure", counting_closure)
+        arena = expand_arena(model, SynthesisConfig(mode=mode))
+    cores = arena._expansion.kernel._cores
+    pre_images = set()
+    for c, old, sigma, gammas, changed in calls:
+        if c is None:
+            pre_images.add((model.initial, 1 << model.initial, gammas))
+            continue
+        x, q = cores[c]
+        y = model.step(x, sigma)
+        seen = sigma if (model.intruder_observable >> sigma) & 1 else None
+        if not released(model, sigma, changed, mode):
+            kept = (y, update_estimate(model, q, old, seen, None))
+            pre_images.add((kept, gammas))
+        elif seen is None:
+            pre_images.add((y, model.unobservable_reach_plus(q, old), gammas))
+        else:
+            pre_images.add((y, model.observable_reach(q, seen), gammas))
+    asked = [gamma for *_, gammas in pre_images for gamma in gammas if gamma is not None]
+    assert len(closed) == len(asked)
+    assert len(pre_images) < len(calls)
 
 
 # Attractor pruning against the round-based fixpoint -------------------------
