@@ -28,6 +28,16 @@ as a ratio of the old tree's, and the number of rounds the new tree won.
 The metrics are the time of a round's ``synthesize`` calls, of its
 ``cli.main`` calls, and the median and 90th percentile of its
 ``cli.main`` latencies.
+
+A round also verifies the structures that the benchmark's verify-mixed
+workload synthesizes: ``locally_maximal`` in each own mode, for the
+running example and the first 8 corpus models whose arenas stay within
+500 states in both modes.  The old tree's structure documents are loaded
+with ``serialize.parse_supervisor_text`` and checked with
+``verify_closed_loop_opacity`` in both modes, the tree alternating per
+call; the last metric is the time of a round's verify calls.  Before
+timing, both trees must give the same verdicts and counterexamples, or
+the script stops with exit 1.
 """
 
 from __future__ import annotations
@@ -48,6 +58,11 @@ from time import perf_counter
 
 CORPUS_DRAWS = 25
 MODES = ("observation", "decision")
+RUN_MODEL = Path(__file__).resolve().parent.parent / "models" / "run.json"
+# verify-mixed verifies the structures of the first corpus models whose
+# arena stays within this size guard in both modes.
+STRUCTURE_MODELS = 8
+STRUCTURE_ARENA_LIMIT = 500
 
 
 def load_tree(tree: Path, name: str):
@@ -94,9 +109,50 @@ def synthesis_digest(pkg, docs: list[dict]) -> str:
                     )
                 ).encode()
             )
-            for structure in outcome.structures:
-                h.update(serialize.structure_to_json(structure).encode())
+            if outcome.solved:
+                h.update(serialize.structure_to_json(outcome.structure).encode())
     return h.hexdigest()
+
+
+def structure_texts(pkg, docs: list[dict]) -> list[tuple[dict, str]]:
+    """(model document, structure document) for every structure that
+    verify-mixed verifies, as ``pkg`` synthesizes them."""
+    serialize = sys.modules[f"{pkg.__name__}.serialize"]
+    out: list[tuple[dict, str]] = []
+
+    def add(doc: dict) -> bool:
+        """Add the structures of ``doc``; False when its arena exceeds the
+        limit in some mode."""
+        model = pkg.PlantModel.from_dict(doc)
+        try:
+            outcomes = [
+                pkg.synthesize(model, pkg.SynthesisConfig(
+                    pkg.IssuanceMode(own), "locally_maximal", STRUCTURE_ARENA_LIMIT))
+                for own in MODES
+            ]
+        except pkg.SizeGuardExceeded:
+            return False
+        out.extend((doc, serialize.structure_to_json(outcome.structure))
+                   for outcome in outcomes if outcome.solved)
+        return True
+
+    add(json.loads(RUN_MODEL.read_text()))
+    models = 0
+    for doc in docs:
+        if models == STRUCTURE_MODELS:
+            break
+        models += add(doc)
+    return out
+
+
+def verify_call(pkg, model, text: str, mode) -> tuple[float, tuple]:
+    """The latency of loading and verifying one structure document, and
+    the verdict with its counterexample."""
+    serialize = sys.modules[f"{pkg.__name__}.serialize"]
+    begin = perf_counter()
+    verdict = pkg.verify_closed_loop_opacity(
+        model, serialize.parse_supervisor_text(model, text), mode)
+    return perf_counter() - begin, (verdict.opaque, verdict.counterexample)
 
 
 def cli_call(pkg, argv: list[str]) -> tuple[float, int]:
@@ -158,8 +214,24 @@ def main(argv=None) -> int:
         ]
         for side, pkg in sides.items()
     }
+    # Per side, the verify calls: (model, structure document, mode).
+    texts = structure_texts(sides["old"], docs)
+    checks = {
+        side: [
+            (pkg.PlantModel.from_dict(doc), text, pkg.IssuanceMode(mode))
+            for doc, text in texts
+            for mode in MODES
+        ]
+        for side, pkg in sides.items()
+    }
+    verdicts = {side: [verify_call(sides[side], *check)[1] for check in checks[side]]
+                for side in sides}
+    if verdicts["old"] != verdicts["new"]:
+        print("error: the trees give different verdicts", file=sys.stderr)
+        return 1
+    print(f"{len(texts)} structures, {len(checks['old'])} verify calls per round")
     results: dict[str, dict[str, list[float]]] = {
-        side: {"synthesize": [], "cli.main": [], "cli p50": [], "cli p90": []}
+        side: {"synthesize": [], "cli.main": [], "cli p50": [], "cli p90": [], "verify": []}
         for side in sides
     }
     with tempfile.TemporaryDirectory() as work:
@@ -190,11 +262,17 @@ def main(argv=None) -> int:
                     synthesized[side] += synthesize_call(sides[side], *jobs[side][i])
                 for side in order:
                     latencies[side].append(cli_call(sides[side], argv)[0])
+            verified = {side: 0.0 for side in sides}
+            for j in range(len(checks["old"])):
+                order = ("old", "new") if (r + j) % 2 == 0 else ("new", "old")
+                for side in order:
+                    verified[side] += verify_call(sides[side], *checks[side][j])[0]
             for side in sides:
                 results[side]["synthesize"].append(1e3 * synthesized[side])
                 results[side]["cli.main"].append(1e3 * sum(latencies[side]))
                 results[side]["cli p50"].append(1e3 * statistics.median(latencies[side]))
                 results[side]["cli p90"].append(1e3 * percentile(latencies[side], 90))
+                results[side]["verify"].append(1e3 * verified[side])
     print(f"{args.rounds} alternating rounds; medians with [quartiles] over rounds")
     for metric in results["old"]:
         print(summary(metric, results["old"][metric], results["new"][metric]))

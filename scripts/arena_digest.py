@@ -10,8 +10,8 @@ digest covers:
 - the raw arena and the pruned arena, with the insertion order of both
   dicts;
 - the pruning trace;
-- the structures of all three extraction policies, with their insertion
-  orders;
+- the structure of each extraction policy, and the structures
+  ``enumerate_all`` counts, with their insertion orders;
 - where expansion stops under a few small size guards: the arena size, or
   the decision and observation counts at which the guard tripped.
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +54,8 @@ from opactrl import (  # noqa: E402
 from opactrl.randgen import RandomModelConfig, random_model  # noqa: E402
 from opactrl.synthesis import (  # noqa: E402
     EXTRACTION_POLICIES,
+    MAX_STRUCTURES,
+    enumerate_structures,
     expand_arena,
     extract_structure,
     prune_incomplete,
@@ -89,13 +92,18 @@ def _expand(model, cfg):
 
 
 def _structures(pruned, mode: IssuanceMode):
-    """(policy, structure) for every structure each extraction policy takes
-    from a pruned arena."""
+    """(policy, structure) for the structure each extraction policy takes
+    from a pruned arena, and for ``enumerate_all`` every structure it
+    counts."""
     for policy in EXTRACTION_POLICIES:
-        outcome = extract_structure(
-            pruned, SynthesisConfig(mode=mode, extraction_policy=policy)
-        )
-        for structure in outcome.structures:
+        if policy == "enumerate_all":
+            structures = islice(enumerate_structures(pruned), MAX_STRUCTURES)
+        else:
+            outcome = extract_structure(
+                pruned, SynthesisConfig(mode=mode, extraction_policy=policy)
+            )
+            structures = [outcome.structure] if outcome.solved else []
+        for structure in structures:
             yield policy, structure
 
 

@@ -236,7 +236,7 @@ def _cmd_synthesize(args) -> int:
     }
     outcome_doc = {
         "solved": True,
-        "structures": len(outcome.structures),
+        "structures": outcome.count,
         "arena_states_before": outcome.arena_states_before,
         "arena_states_after": outcome.arena_states_after,
         "pruning_iterations": outcome.pruning_iterations,
@@ -292,12 +292,16 @@ def _cmd_export_dot(args) -> int:
                 raise CliError(f"{option} is read only with --estimator")
     # The input is a model or a structure, so a read error calls it "input".
     data, text = _read_input(args.input, "input")
+    # The bytes of every file parsed, and every option read, for the manifest.
+    inputs = {args.input: data}
+    config = {"estimator": args.estimator}
     if args.estimator:
         model = _parsed(args.input, "model", PlantModel.from_json, text)
         if not args.supervisor:
             raise CliError("--estimator requires --supervisor")
-        sup, _ = _load(args.supervisor, "supervisor",
-                       functools.partial(serialize.parse_supervisor_text, model))
+        parse = functools.partial(serialize.parse_supervisor_text, model)
+        sup, inputs[args.supervisor] = _load(args.supervisor, "supervisor", parse)
+        config.update({dest: getattr(args, dest) for dest in ESTIMATOR_DEFAULTS})
         if isinstance(sup, ControlStructure):
             sup = sup.decoded()
         try:
@@ -315,15 +319,13 @@ def _cmd_export_dot(args) -> int:
         else:
             if not args.model_path:
                 raise CliError("structure input requires --model")
-            model, _ = _load(args.model_path, "model", PlantModel.from_json)
+            model, inputs[args.model_path] = _load(args.model_path, "model", PlantModel.from_json)
             structure = _parsed(args.input, "structure",
                                 functools.partial(serialize.structure_from_dict, model),
                                 loaded)
             output = dotmod.structure_to_dot(structure)
     if args.out:
-        manifest = serialize.manifest_for(
-            "export-dot", {args.input: data}, {"estimator": args.estimator}, {}
-        )
+        manifest = serialize.manifest_for("export-dot", inputs, config, {})
         serialize.write_artifact(args.out, output, manifest)
     else:
         print(output, end="")

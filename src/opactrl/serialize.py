@@ -187,6 +187,14 @@ def _put_once(table: dict, key, value, what: str) -> None:
     table[key] = value
 
 
+def _id(value, what: str) -> int:
+    """``value``, which a document gives as an id or a reference to one: an
+    integer.  As a dict key a float or a boolean would find its equal."""
+    if type(value) is not int:
+        raise ModelFormatError(f"invalid {what}: expected an integer, got {value!r}")
+    return value
+
+
 def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
     try:
         mode = _mode_of(doc["mode"])
@@ -195,7 +203,8 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
             members = tuple(
                 sorted(_member_from_list(model, m) for m in entry["members"])
             )
-            _put_once(obs_by_id, entry["id"], members, f"observation state {entry['id']!r}")
+            i = _id(entry["id"], "observation state id")
+            _put_once(obs_by_id, i, members, f"observation state {i!r}")
         if len(set(obs_by_id.values())) != len(obs_by_id):
             raise ModelFormatError("two observation states have the same members")
         decisions = {}
@@ -208,15 +217,16 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
             key = (
                 INITIAL_KEY
                 if source is None
-                else (obs_by_id[source], model.event(name_field(event, "event")))
+                else (obs_by_id[_id(source, "source")], model.event(name_field(event, "event")))
             )
             decision = (
                 model.control_decision(names_field(entry["decision"], "decision")),
-                obs_by_id[entry["target"]],
+                obs_by_id[_id(entry["target"], "target")],
             )
             what = f"decision state of source {source!r} and event {event!r}"
             _put_once(decisions, key, decision, what)
-            _put_once(dec_by_id, entry["id"], key, f"decision state {entry['id']!r}")
+            i = _id(entry["id"], "decision state id")
+            _put_once(dec_by_id, i, key, f"decision state {i!r}")
         # Per observation state, its observed events, each entered once.
         observations: dict[InfoState, dict[int, None]] = {
             info: {} for info in obs_by_id.values()
@@ -225,15 +235,16 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
             if len(list_field(entry, "observation transition")) != 3:
                 raise ModelFormatError(f"malformed observation transition {entry!r}")
             obs_ref, event, dec_ref = entry
-            info = obs_by_id[obs_ref]
+            what = f"observation transition {entry!r}"
+            info = obs_by_id[_id(obs_ref, what)]
             sigma = model.event(name_field(event, "event"))
-            if dec_by_id[dec_ref] != (info, sigma):
+            if dec_by_id[_id(dec_ref, what)] != (info, sigma):
                 raise ModelFormatError(
                     "observation transition inconsistent with decision state identity"
                 )
-            _put_once(observations[info], sigma, None, f"observation transition {entry!r}")
+            _put_once(observations[info], sigma, None, what)
         for i, key in dec_by_id.items():
-            if key == INITIAL_KEY and doc["initial"] != i:
+            if key == INITIAL_KEY and (type(doc["initial"]) is not int or doc["initial"] != i):
                 raise ModelFormatError(
                     f"initial {doc['initial']!r} is not the id of the initial "
                     f"decision state, {i!r}"

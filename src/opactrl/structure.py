@@ -147,7 +147,7 @@ class Successors:
       and the intruder's estimate before the new decision is released (or
       the core kept when nothing is released), under the decisions asked
       (see :meth:`_images`);
-    - one row table per (event, :meth:`old_key` of the old decision),
+    - one row table per (event, class of the old decision),
       holding per core the core's image under the event, closed, under
       one representative of each class of new decision, and last, under
       the decision-triggered mechanism, under the old decision kept (see
@@ -187,7 +187,7 @@ class Successors:
         # The set of cores whose estimate lies inside the secret.
         self._revealing = 0
         self._closures: dict[tuple[int, int], int] = {}
-        self._layouts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._layouts: dict[int, tuple[int, ...]] = {}
         # Per (event, class of the old decision): rows and their merges,
         # by set of cores.
         self._tables: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
@@ -350,32 +350,22 @@ class Successors:
             closed = self._closures[key] = seen
         return closed
 
-    def layout(self, old: int | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The columns of the targets after ``old`` (None at the initial
-        decision state): one representative decision per column, and each
-        decision's column, in :attr:`decisions` order.  There is one column
-        per class of decision, in order of first appearance.  Under the
-        decision-triggered mechanism ``old`` itself releases nothing, so it
-        has a last column of its own."""
+    def layout(self, old: int | None) -> tuple[int, ...]:
+        """Each decision's column of the targets after ``old`` (None at the
+        initial decision state), in :attr:`decisions` order.  There is one
+        column per class of decision, in order of first appearance.  Under
+        the decision-triggered mechanism ``old`` itself releases nothing, so
+        it has a last column of its own."""
         if old is None or not self._decision_mode:
-            return self._classes
+            return self._classes[1]
         layout = self._layouts.get(old)
         if layout is None:
-            representatives, columns = self._classes
-            unchanged = len(representatives)
-            layout = self._layouts[old] = (
-                representatives + (old,),
-                tuple(
-                    unchanged if gamma == old else column
-                    for gamma, column in zip(self.decisions, columns)
-                ),
+            unchanged = len(self._classes[0])
+            layout = self._layouts[old] = tuple(
+                unchanged if gamma == old else column
+                for gamma, column in zip(self.decisions, self._classes[1])
             )
         return layout
-
-    def old_key(self, old: int | None) -> int | None:
-        """What a row, and so a decision state's targets, read of the old
-        decision ``old``: its class.  None at the initial decision state."""
-        return None if old is None else old & self._hidden
 
     def _row(self, c: int, old: int, sigma: int) -> tuple[int, ...]:
         """The closed images of core ``c`` under ``sigma`` after decision
@@ -385,19 +375,6 @@ class Successors:
         if self._decision_mode:
             row += self._images(c, old, sigma, (old,), False)
         return row
-
-    @cached_property
-    def _initial_row(self) -> tuple[int, ...]:
-        """The targets of the initial decision state."""
-        return self._images(None, None, None, self._classes[0])
-
-    def targets_key(self, old: int, cores: int, sigma: int) -> tuple[int, int, int]:
-        """A key that fixes :meth:`targets` at a non-initial decision state:
-        (:meth:`old_key` of ``old``, the cores ``sigma`` moves, ``sigma``).
-        The targets merge the rows of the moved cores only, and each row is
-        keyed on the same old-decision key.  The layout is not fixed by it
-        under the decision-triggered mechanism, where it reads ``old``."""
-        return self.old_key(old), cores & self._active_at[sigma], sigma
 
     def targets(self, old: int | None, cores: int | None, sigma: int | None) -> Sequence[int]:
         """The core sets of the observation states reached from decision
@@ -414,7 +391,7 @@ class Successors:
         merged with that core's row, so sets of moved cores that share
         their lower cores share those merges."""
         if cores is None:
-            return self._initial_row
+            return self._images(None, None, None, self._classes[0])
         key = (sigma, old & self._hidden)
         table = self._tables.get(key)
         if table is None:

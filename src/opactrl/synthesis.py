@@ -5,7 +5,7 @@ state, keeping only safe observation states.  Pruning removes the attractor
 of the incomplete states: decision states left with no decision, and
 observation states missing a feasible observation.  Extraction then commits
 one decision per surviving decision state.  All three run on state ids;
-information states are built for the structures extracted, and for an
+information states are built for the structure extracted, and for an
 arena's dict views when those are read.
 """
 
@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .estimator import IssuanceMode
 from .model import PlantModel
@@ -211,10 +211,10 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     ``InfoState`` is built.
 
     The edges of a decision state are memoised three times.  The first
-    memo maps the targets key (:meth:`Successors.targets_key`: the class of
-    the old decision, the cores the event moves and the event), which fixes
-    the targets, to the *safe row*: the targets with each unsafe one set
-    to None.  The second maps the layout key (the old decision under the
+    memo maps the targets key (the class of the old decision, the cores the
+    event moves and the event), which fixes :meth:`Successors.targets`, to
+    the *safe row*: the targets with each unsafe one set to None.  The
+    second maps the layout key (the old decision under the
     decision-triggered mechanism, else nothing) and the safe row to the
     edges: that is all the loop over :attr:`Successors.decisions` reads, so
     it runs once per distinct (layout, safe row), where many targets keys
@@ -273,7 +273,7 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
         out = by_row.get(row_key)
         if out is None:
             out = []
-            for gamma, column in zip(decisions, successor.layout(old)[1]):
+            for gamma, column in zip(decisions, successor.layout(old)):
                 t = row[column]
                 if t is None:
                     continue
@@ -385,16 +385,16 @@ def prune_incomplete(arena: Arena) -> Arena:
     )
 
 
-def _structures(arena: Arena, maximal: bool) -> Iterator[ControlStructure]:
+def _structures(arena: Arena, maximal: bool) -> Iterator[Callable[[], ControlStructure]]:
     """Every control structure embedded in the arena, by backtracking over
     ids.  Decision states are committed breadth first from the initial one,
     each to one of its edges in order (only to a set-maximal one when
     ``maximal``), and a commit is undone on backtrack.  A branch that
     reaches a decision state with no edge to offer is abandoned, so only
     complete structures come out; on a pruned arena the first comes out
-    without backtracking.  Decisions are listed in commit order, observation
-    states in first-reach order, and only the ``InfoState``s of the
-    structures yielded are built."""
+    without backtracking.  Each comes out as a call that builds it, valid
+    until the generator resumes: decisions in commit order, observation
+    states in first-reach order, and ``InfoState``s for it alone."""
     expansion, edges, events = arena._expansion, arena._edges, arena._events
     base, info, key = expansion.base, expansion.info, expansion.key
     queue = [0]  # decision ids; the first len(commits) are committed
@@ -402,16 +402,20 @@ def _structures(arena: Arena, maximal: bool) -> Iterator[ControlStructure]:
     # its observation state first.
     commits: list[tuple[tuple[tuple[int, int], ...], int, bool]] = []
     known: dict[int, tuple[int, ...]] = {}  # observation ids, first-reach order
+
+    def build() -> ControlStructure:
+        taken = (offer[i] for offer, i, _ in commits)
+        return ControlStructure(
+            arena.model,
+            arena.mode,
+            {key(d): (gamma, info(o)) for d, (gamma, o) in zip(queue, taken)},
+            {info(o): evs for o, evs in known.items()},
+        )
+
     k = 0  # the next edge to try at queue[len(commits)]
     while True:
         if len(commits) == len(queue):
-            taken = (offer[i] for offer, i, _ in commits)
-            yield ControlStructure(
-                arena.model,
-                arena.mode,
-                {key(d): (gamma, info(o)) for d, (gamma, o) in zip(queue, taken)},
-                {info(o): evs for o, evs in known.items()},
-            )
+            yield build
             out = ()
         else:
             out = edges[queue[len(commits)]] or ()
@@ -442,7 +446,7 @@ def enumerate_structures(arena: Arena) -> Iterator[ControlStructure]:
     decision per reachable decision state, all observation transitions kept.
     On an unpruned arena, branches that reach a decision state with no safe
     decision are abandoned, so only complete structures come out."""
-    return _structures(arena, maximal=False)
+    return (build() for build in _structures(arena, maximal=False))
 
 
 def exhaustive_solution_exists(arena: Arena) -> bool:
@@ -454,28 +458,30 @@ def exhaustive_solution_exists(arena: Arena) -> bool:
 
 @dataclass
 class SynthesisOutcome:
-    """A synthesis result: extracted structures (empty means no solution
-    exists) plus the statistics that make a run reproducible and auditable."""
+    """A synthesis result: the extracted structure (None means no solution
+    exists), how many the policy counted, plus the statistics that make a
+    run reproducible and auditable."""
 
-    structures: tuple[ControlStructure, ...]
+    found: ControlStructure | None
+    count: int
     policy: str
     mode: IssuanceMode
     arena_states_before: int = 0
     arena_states_after: int = 0
     pruning_iterations: int = 0
     elapsed: float = 0.0
-    # The pruned arena the structures were extracted from.
+    # The pruned arena the structure was extracted from.
     arena: Arena | None = field(default=None, repr=False, compare=False)
 
     @property
     def solved(self) -> bool:
-        return bool(self.structures)
+        return self.found is not None
 
     @property
     def structure(self) -> ControlStructure:
-        if not self.structures:
+        if self.found is None:
             raise ValueError("no solution exists")
-        return self.structures[0]
+        return self.found
 
     def report(self) -> str:
         lines = [
@@ -487,11 +493,11 @@ class SynthesisOutcome:
             f"  pruning iterations: {self.pruning_iterations}",
             f"  wall time: {self.elapsed:.3f}s",
         ]
-        if not self.structures:
+        first = self.found
+        if first is None:
             lines.append("  outcome: no solution exists")
             return "\n".join(lines) + "\n"
-        lines.append(f"  outcome: {len(self.structures)} structure(s)")
-        first = self.structures[0]
+        lines.append(f"  outcome: {self.count} structure(s)")
         model = first.model
         obs_id, dec_id = canonical_ids(first.observations, first.decisions)
         for info, sigma in dec_id:
@@ -513,20 +519,23 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
 
     ``first_feasible`` takes the canonically first surviving decision;
     ``locally_maximal`` takes one whose decision is set-maximal among the
-    state's alternatives; ``enumerate_all`` yields every combination up to
-    :data:`MAX_STRUCTURES`.  An empty arena yields the no-solution marker, and
-    an arena with a decision state left with no decision, which pruning
-    would remove, raises ValueError.
+    state's alternatives; ``enumerate_all`` counts every combination up to
+    :data:`MAX_STRUCTURES` and builds the first.  An empty arena yields the
+    no-solution marker, and an arena with a decision state left with no
+    decision, which pruning would remove, raises ValueError.
     The outcome's arena sizes and pruning iterations are read from ``arena``;
     its size before pruning is that of the expansion it was pruned from."""
     if undecided := _undecided(arena):
         raise ValueError(f"arena not pruned: {len(undecided)} decision states undecided")
     policy = cfg.extraction_policy
-    count = MAX_STRUCTURES if policy == "enumerate_all" else 1
-    structures = tuple(islice(_structures(arena, policy == "locally_maximal"), count))
+    limit = MAX_STRUCTURES if policy == "enumerate_all" else 1
+    commitments = islice(_structures(arena, policy == "locally_maximal"), limit)
+    found = next((build() for build in commitments), None)
+    count = (found is not None) + sum(1 for _ in commitments)
     expansion = arena._expansion
     return SynthesisOutcome(
-        structures,
+        found,
+        count,
         policy,
         cfg.mode,
         arena_states_before=len(expansion.owner) + len(expansion.cores),
@@ -537,7 +546,7 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
 
 
 def synthesize(model: PlantModel, cfg: SynthesisConfig) -> SynthesisOutcome:
-    """Expansion, pruning, extraction.  Every returned structure is safe,
+    """Expansion, pruning, extraction.  The returned structure is safe,
     complete, and reachable, so its decoded supervisor enforces opacity."""
     start = time.perf_counter()
     outcome = extract_structure(prune_incomplete(expand_arena(model, cfg)), cfg)

@@ -11,6 +11,7 @@ import random
 import shutil
 import sys
 import time
+from itertools import islice
 
 import pytest
 
@@ -29,6 +30,7 @@ from opactrl import (
     SynthesisConfig,
     augment,
     brute_estimate_set,
+    enumerate_structures,
     estimate_from_flow,
     estimator_trace,
     exhaustive_solution_exists,
@@ -173,12 +175,11 @@ def test_criterion_5_synthesis_on_running_example(run_model, sprime):
         for alpha in sorted(alphas):
             assert decoded.decision(alpha) == sprime.decision(alpha)
 
-        # enumerate_all itself yields distinct members of the same family
-        sample = extract_structure(
-            pruned, SynthesisConfig(extraction_policy="enumerate_all")
-        )
-        assert len(set(sample.structures)) == MAX_STRUCTURES
-        for structure in sample.structures:
+        # enumerate_all itself counts distinct members of the same family
+        counted = extract_structure(pruned, SynthesisConfig(extraction_policy="enumerate_all"))
+        sample = list(islice(enumerate_structures(pruned), MAX_STRUCTURES))
+        assert counted.count == len(set(sample)) == MAX_STRUCTURES
+        for structure in sample:
             for key, edge in structure.decisions.items():
                 assert edge in pruned.decision_edges[key]
 

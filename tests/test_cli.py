@@ -353,6 +353,21 @@ def test_cli_enumerate_all_on_a_long_chain(tmp_path, capsys):
     assert "outcome: 1 structure(s)" in capsys.readouterr().out
 
 
+def test_cli_enumerate_all_counts_the_structures_it_does_not_write(tmp_path, capsys):
+    """On the running example enumerate_all counts 64 structures, on its
+    ``outcome:`` line and in the manifest, and writes the first, which is
+    first_feasible's."""
+    outs = {}
+    for policy in ("enumerate_all", "first_feasible"):
+        outs[policy] = tmp_path / f"{policy}.json"
+        argv = ["synthesize", RUN, "--policy", policy, "--out", str(outs[policy])]
+        assert main(argv) == 0
+    assert "  outcome: 64 structure(s)\n" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "enumerate_all.json.manifest.json").read_text())
+    assert manifest["outcome"]["structures"] == 64
+    assert outs["enumerate_all"].read_bytes() == outs["first_feasible"].read_bytes()
+
+
 def test_cli_synthesize_size_guard(capsys):
     assert main(["synthesize", RUN, "--size-guard", "4"]) == 2
     assert "size guard" in capsys.readouterr().err
@@ -554,7 +569,43 @@ def test_cli_export_dot_estimator_digests_the_bytes_it_parsed(tmp_path, monkeypa
     argv = ["export-dot", str(model), "--estimator", "--supervisor", SRUN, "--out", str(out)]
     assert main(argv) == 0
     manifest = json.loads((tmp_path / "slice.dot.manifest.json").read_text())
-    assert manifest["inputs"] == {str(model): hashlib.sha256(original).hexdigest()}
+    assert manifest["inputs"] == {
+        str(model): hashlib.sha256(original).hexdigest(),
+        SRUN: hashlib.sha256(Path(SRUN).read_bytes()).hexdigest(),
+    }
+
+
+def test_cli_export_dot_manifest_records_every_file_and_option_it_read(tmp_path):
+    """Two estimator slices under other supervisors, depths and modes get
+    other manifests, and a structure input records the model it was read
+    with.  The manifest used to hold the positional input and the
+    ``--estimator`` flag only."""
+    manifests = {}
+    for name, options in (
+        ("a", ["--supervisor", SRUN, "--depth", "2"]),
+        ("b", ["--supervisor", SPRIME, "--depth", "6", "--mode", "decision"]),
+    ):
+        out = tmp_path / f"{name}.dot"
+        assert main(["export-dot", RUN, "--estimator", *options, "--out", str(out)]) == 0
+        manifests[name] = json.loads((tmp_path / f"{name}.dot.manifest.json").read_text())
+    assert manifests["a"]["inputs"].keys() == {RUN, SRUN}
+    assert manifests["b"]["inputs"].keys() == {RUN, SPRIME}
+    assert manifests["a"]["config"] == {
+        "estimator": True, "depth": 2, "mode": "observation", "size_guard": 10**6
+    }
+    assert manifests["b"]["config"] == {
+        "estimator": True, "depth": 6, "mode": "decision", "size_guard": 10**6
+    }
+    structure = tmp_path / "s.json"
+    assert main(["synthesize", RUN, "--out", str(structure)]) == 0
+    out = tmp_path / "s.dot"
+    assert main(["export-dot", str(structure), "--model", RUN, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "s.dot.manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(structure): hashlib.sha256(structure.read_bytes()).hexdigest(),
+        RUN: hashlib.sha256(Path(RUN).read_bytes()).hexdigest(),
+    }
+    assert manifest["config"] == {"estimator": False}
 
 
 # Each argv stops at parse time; "M" stands for the running example's model.
@@ -720,8 +771,9 @@ def test_cli_refuses_a_non_list_for_a_list(
 # (document, path of the entry, its malformed value, the error line, where
 # {model}, {supervisor} and {structure} stand for the documents' paths;
 # ``verify`` reads the structure as its policy).  The non-names used to
-# fail as unhashable dict keys, and the observation transitions that are
-# not triples as a failed unpacking.
+# fail as unhashable dict keys, the observation transitions that are not
+# triples as a failed unpacking, and the ids that are not integers were
+# read as the integer they equal.
 MALFORMED_DOCUMENTS = [
     ("supervisor", ("table",), ["u1"],
      "invalid supervisor {supervisor}: invalid supervisor table: expected an object, "
@@ -739,6 +791,19 @@ MALFORMED_DOCUMENTS = [
      "invalid supervisor {structure}: malformed observation transition [0, 'u1']"),
     ("structure", ("observation_transitions", 0), [0, "u1", 1, 2],
      "invalid supervisor {structure}: malformed observation transition [0, 'u1', 1, 2]"),
+    ("structure", ("decision_states", 1, "id"), True,
+     "invalid supervisor {structure}: invalid decision state id: expected an integer, "
+     "got True"),
+    ("structure", ("decision_states", 1, "source"), 0.0,
+     "invalid supervisor {structure}: invalid source: expected an integer, got 0.0"),
+    ("structure", ("decision_states", 1, "target"), True,
+     "invalid supervisor {structure}: invalid target: expected an integer, got True"),
+    ("structure", ("observation_transitions", 0, 2), 1.0,
+     "invalid supervisor {structure}: invalid observation transition [0, 'u1', 1.0]: "
+     "expected an integer, got 1.0"),
+    ("structure", ("initial",), False,
+     "invalid supervisor {structure}: initial False is not the id of the initial "
+     "decision state, 0"),
     ("model", ("transitions", 0), [["x"], "a", "s1"],
      "invalid model {model}: invalid transition: expected a name, got ['x']"),
     ("model", ("controllable",), [["a"]],
@@ -768,9 +833,9 @@ def test_cli_refuses_a_malformed_policy_document(
     document, path, value, message, tmp_path, run_model, srun, capsys
 ):
     """A decision table that is not an object, a structure in a mode that
-    does not exist or with an observation transition that is not a triple,
-    and a list where a model, table or structure wants a name, are invalid
-    input, not an internal error."""
+    does not exist, with an observation transition that is not a triple or
+    an id that is not an integer, and a list where a model, table or
+    structure wants a name, are invalid input, not an internal error."""
     code, paths = _verify_replaced(tmp_path, run_model, srun, document, path, value)
     assert code == 2
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
@@ -905,14 +970,37 @@ def _no_transition_on_u1(doc):
     assert doc["observation_transitions"].pop(0) == [0, "u1", 1]
 
 
+def _ids_0_as(value):
+    """A change that gives observation state 0 and decision state 0, and
+    every reference to either, the id ``value``."""
+
+    def change(doc):
+        for entry in doc["observation_states"] + doc["decision_states"]:
+            if entry["id"] == 0:
+                entry["id"] = value
+        for entry in doc["decision_states"]:
+            for field in ("source", "target"):
+                if entry[field] == 0:
+                    entry[field] = value
+        assert doc["initial"] == 0
+        doc["initial"] = value
+        for transition in doc["observation_transitions"]:
+            for i in (0, 2):
+                if transition[i] == 0:
+                    transition[i] = value
+
+    return change
+
+
 # A change to the whole document of that structure, and the error line it
 # gives.  The document keeps one entry per id and per (source, event), and
-# one observation transition per decision state.  Before these were
-# refused, the second decision state made verify judge its decision and
-# not decision state 1's, the second observation state 4 was drawn unsafe
-# while verify found the structure opaque, the repeated transition was
-# drawn twice, and the decision state without its transition was drawn
-# with no edge into it.
+# one observation transition per decision state, and its ids are integers.
+# Before these were refused, the second decision state made verify judge
+# its decision and not decision state 1's, the second observation state 4
+# was drawn unsafe while verify found the structure opaque, the repeated
+# transition was drawn twice, the decision state without its transition
+# was drawn with no edge into it, and verify found the structure with ids
+# 0.0 or false opaque.
 MALFORMED_STRUCTURES = {
     "second decision state on u1": (
         _second_decision_state, "decision state of source 0 and event 'u1' given twice"
@@ -930,6 +1018,10 @@ MALFORMED_STRUCTURES = {
     "no transition on u1": (
         _no_transition_on_u1, "decision state without its observation transition"
     ),
+    "ids 0.0": (_ids_0_as(0.0), "invalid observation state id: expected an integer, got 0.0"),
+    "ids false": (
+        _ids_0_as(False), "invalid observation state id: expected an integer, got False"
+    ),
 }
 
 
@@ -941,8 +1033,9 @@ def test_cli_refuses_a_structure_document_with_an_entry_twice_or_missing(
 ):
     """A structure keeps one entry per key, so a document that gives an id,
     a decision state or an observation transition twice would lose one of
-    them; every structure command refuses it, and a decision state whose
-    observation transition is missing."""
+    them; every structure command refuses it, a decision state whose
+    observation transition is missing, and ids that are not integers,
+    which as keys would stand for the integer they equal."""
     doc = _sprime_structure(run_model, sprime)
     change(doc)
     _assert_structure_refused(doc, message, tmp_path, capsys)

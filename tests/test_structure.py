@@ -469,23 +469,26 @@ def test_structure_walks_agree_with_the_policy_and_the_string_search(seed):
     for built in (OBS, DEC):
         for policy in ("first_feasible", "locally_maximal"):
             cfg = SynthesisConfig(mode=built, extraction_policy=policy, size_guard=20_000)
-            for structure in synthesize(model, cfg).structures:
-                decoded = structure.decoded()
-                assert structure_from_policy(model, decoded, built) == structure
-                for mode in (OBS, DEC):
-                    searched = structure_module._search_verdict(model, decoded, mode, None)
-                    opaque = verify_closed_loop_opacity(model, structure, mode).opaque
-                    assert opaque == searched.opaque
-                    leaks |= not opaque
-                    if mode is built:
-                        continue
-                    try:
-                        again = structure_from_policy(model, decoded, mode)
-                    except StructureError as exc:
-                        assert "not information-state based" in str(exc)
-                        continue
-                    safe = all(is_safe(i, model.secret_mask) for i in again.observations)
-                    assert safe == opaque
+            outcome = synthesize(model, cfg)
+            if not outcome.solved:
+                continue
+            structure = outcome.structure
+            decoded = structure.decoded()
+            assert structure_from_policy(model, decoded, built) == structure
+            for mode in (OBS, DEC):
+                searched = structure_module._search_verdict(model, decoded, mode, None)
+                opaque = verify_closed_loop_opacity(model, structure, mode).opaque
+                assert opaque == searched.opaque
+                leaks |= not opaque
+                if mode is built:
+                    continue
+                try:
+                    again = structure_from_policy(model, decoded, mode)
+                except StructureError as exc:
+                    assert "not information-state based" in str(exc)
+                    continue
+                safe = all(is_safe(i, model.secret_mask) for i in again.observations)
+                assert safe == opaque
     assert leaks or seed not in CROSS_MODE_LEAKS
 
 
@@ -518,31 +521,34 @@ def test_decoded_supervisor_answers_as_the_structure_runs(seed, mode):
     observable = list(iter_bits(model.supervisor_observable))
     for policy in ("first_feasible", "locally_maximal"):
         cfg = SynthesisConfig(mode=mode, extraction_policy=policy, size_guard=20_000)
-        for structure in synthesize(model, cfg).structures:
-            decoded = structure.decoded()
-            histories = [()]
-            if observable:
-                histories += [
-                    _random_history(rng, structure, observable) for _ in range(60)
-                ]
-            rng.shuffle(histories)
-            for alpha in histories:
-                key = INITIAL_KEY
-                for sigma in alpha:
-                    key = structure.decisions[key][1], sigma
-                    if key not in structure.decisions:
-                        expected = (
-                            "structure is incomplete: observation "
-                            f"{model.events[sigma]!r} undefined"
-                        )
-                        break
-                else:
-                    expected = structure.decisions[key]
-                try:
-                    got = decoded.decision(alpha), decoded.observation_signature(alpha)
-                except StructureError as exc:
-                    got = str(exc)
-                assert got == expected
+        outcome = synthesize(model, cfg)
+        if not outcome.solved:
+            continue
+        structure = outcome.structure
+        decoded = structure.decoded()
+        histories = [()]
+        if observable:
+            histories += [
+                _random_history(rng, structure, observable) for _ in range(60)
+            ]
+        rng.shuffle(histories)
+        for alpha in histories:
+            key = INITIAL_KEY
+            for sigma in alpha:
+                key = structure.decisions[key][1], sigma
+                if key not in structure.decisions:
+                    expected = (
+                        "structure is incomplete: observation "
+                        f"{model.events[sigma]!r} undefined"
+                    )
+                    break
+            else:
+                expected = structure.decisions[key]
+            try:
+                got = decoded.decision(alpha), decoded.observation_signature(alpha)
+            except StructureError as exc:
+                got = str(exc)
+            assert got == expected
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]))
@@ -584,7 +590,7 @@ def _check_kernel_answers(model, mode, succ, state, rng):
             row = succ.targets(gamma, cores, sigma)
             assert [
                 succ.info_of(d, row[column])
-                for d, column in zip(decisions, succ.layout(gamma)[1])
+                for d, column in zip(decisions, succ.layout(gamma))
             ] == [
                 ur_is(model, nx_is(model, state, sigma, d, mode), d, mode)
                 for d in decisions
@@ -611,7 +617,7 @@ def test_memoised_successors_match_the_set_level_reference(seed, mode):
     assert [succ.info_of(d, succ.target(None, None, None, d)) for d in decisions] == initial
     row = succ.targets(None, None, None)
     assert [
-        succ.info_of(d, row[column]) for d, column in zip(decisions, succ.layout(None)[1])
+        succ.info_of(d, row[column]) for d, column in zip(decisions, succ.layout(None))
     ] == initial
     for state in _sample_info_states(rng, model, sup, mode, max_len=3):
         gamma = info_decision(state)
@@ -695,7 +701,7 @@ def test_old_decisions_of_one_class_share_their_rows(seed, mode):
                     targets = succ.targets(old, cores, sigma)
                     assert [
                         succ.info_of(d, targets[column])
-                        for d, column in zip(decisions, succ.layout(old)[1])
+                        for d, column in zip(decisions, succ.layout(old))
                     ] == [ur_is(model, nx_is(model, state, sigma, d, mode), d, mode) for d in decisions]
                 assert len(computed) == before
 

@@ -5,6 +5,7 @@ import gc
 import random
 import weakref
 from collections import deque
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -197,8 +198,10 @@ def test_extract_enumerate_all_yields_distinct_structures(run_pruned):
         run_pruned,
         SynthesisConfig(extraction_policy="enumerate_all"),
     )
-    assert len(out.structures) == MAX_STRUCTURES
-    assert len(set(out.structures)) == MAX_STRUCTURES
+    structures = list(islice(enumerate_structures(run_pruned), MAX_STRUCTURES))
+    assert out.count == len(structures) == MAX_STRUCTURES
+    assert len(set(structures)) == MAX_STRUCTURES
+    assert out.structure == structures[0]
 
 
 def test_extract_no_solution_marker():
@@ -674,8 +677,8 @@ def _count_expansion(model, mode, monkeypatch):
         if cores is None:
             asked.append(None)
         else:
-            asked.append(self.targets_key(old, cores, sigma))
             moved = cores & self._active_at[sigma]
+            asked.append((old & self._hidden, moved, sigma))
             merged.extend((c, sigma, old) for c in iter_bits(moved))
         return targets(self, old, cores, sigma)
 
@@ -684,7 +687,7 @@ def _count_expansion(model, mode, monkeypatch):
         return layout(self, old)
 
     def counting_row(self, c, old, sigma):
-        computed.append((c, sigma, self.old_key(old)))
+        computed.append((c, sigma, old & self._hidden))
         return row(self, c, old, sigma)
 
     with monkeypatch.context() as patched:
@@ -714,7 +717,7 @@ def test_expansion_loops_over_decisions_once_per_safe_row(mode, monkeypatch):
             o = expansion.owner[d]
             old, cores = expansion.decision[o], expansion.cores[o]
             sigma = expansion.events[o][d - expansion.base[o]]
-            key = kernel.targets_key(old, cores, sigma)
+            key = (old & kernel._hidden, cores & kernel._active_at[sigma], sigma)
         keys.add(key)
         row = tuple(t if kernel.is_safe(t) else None for t in kernel.targets(old, cores, sigma))
         rows.add((old if mode is DEC else None, row))
@@ -1042,10 +1045,10 @@ def test_synthesis_in_ids_matches_the_dict_pipeline():
 
 def test_synthesize_builds_only_what_it_outputs(monkeypatch):
     """Seed-10 draw 2 in decision mode: a 4,910-state arena, from which
-    first_feasible (and enumerate_all, first) takes a one-state structure
-    and locally_maximal a 23-state one.  Under every policy, information
-    states are built only for the observation states of the structures
-    returned, once each, and no arena view is read."""
+    first_feasible (and enumerate_all, first of the 64 it counts) takes a
+    one-state structure and locally_maximal a 23-state one.  Under every
+    policy, information states are built only for the observation states
+    of the structure returned, once each, and no arena view is read."""
     from opactrl import synthesis
 
     model = _seed10_draw(2)
@@ -1068,14 +1071,18 @@ def test_synthesize_builds_only_what_it_outputs(monkeypatch):
     monkeypatch.setattr(Successors, "info_of", counting_info_of)
     monkeypatch.setattr(synthesis, "expand_arena", keeping(synthesis.expand_arena))
     monkeypatch.setattr(synthesis, "prune_incomplete", keeping(synthesis.prune_incomplete))
-    for policy, size in (("first_feasible", 1), ("locally_maximal", 23), ("enumerate_all", 1)):
+    for policy, size, count in (
+        ("first_feasible", 1, 1),
+        ("locally_maximal", 23, 1),
+        ("enumerate_all", 1, MAX_STRUCTURES),
+    ):
         built.clear()
         arenas.clear()
         out = synthesize(model, SynthesisConfig(mode=DEC, extraction_policy=policy))
         assert out.arena_states_before == 4_910
         assert len(out.structure.observations) == size
-        observations = {o for structure in out.structures for o in structure.observations}
-        assert len(built) == len(set(built)) and set(built) == observations
+        assert out.count == count
+        assert len(built) == len(set(built)) and set(built) == set(out.structure.observations)
         assert len(arenas) == 2
         for arena in arenas:
             assert arena._dicts is None and arena._trace is None
