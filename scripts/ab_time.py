@@ -35,9 +35,21 @@ running example and the first 8 corpus models whose arenas stay within
 500 states in both modes.  The old tree's structure documents are loaded
 with ``serialize.parse_supervisor_text`` and checked with
 ``verify_closed_loop_opacity`` in both modes, the tree alternating per
-call; the last metric is the time of a round's verify calls.  Before
+call; the metric "verify" is the time of a round's verify calls.  Before
 timing, both trees must give the same verdicts and counterexamples, or
 the script stops with exit 1.
+
+Last, a round goes once through a list like verify-mixed's, as
+``cli.main(["verify", ...])`` calls on files in the temporary directory,
+the tree alternating per call: the running example under its two tables,
+3 random tables per corpus model (``randgen.random_supervisor``, seed 3)
+and those structures, each in both modes, and the open loop of the
+running example and of every corpus model.  The untimed pass must give
+equal exit codes, 0 or 1, and equal stdout on both trees.  The metrics
+"mixed", "mixed p50" and "mixed p90" are the time of a round's calls and
+the median and 90th percentile of their latencies; they carry the fixed
+cost of a call (arguments, reading and parsing its documents) that the
+in-process metrics above leave out.
 """
 
 from __future__ import annotations
@@ -63,6 +75,10 @@ RUN_MODEL = Path(__file__).resolve().parent.parent / "models" / "run.json"
 # arena stays within this size guard in both modes.
 STRUCTURE_MODELS = 8
 STRUCTURE_ARENA_LIMIT = 500
+# The random tables of the verify-mixed-like list: per corpus model, drawn
+# from one seed.
+TABLES_PER_MODEL = 3
+TABLE_SEED = 3
 
 
 def load_tree(tree: Path, name: str):
@@ -114,13 +130,19 @@ def synthesis_digest(pkg, docs: list[dict]) -> str:
     return h.hexdigest()
 
 
-def structure_texts(pkg, docs: list[dict]) -> list[tuple[dict, str]]:
-    """(model document, structure document) for every structure that
-    verify-mixed verifies, as ``pkg`` synthesizes them."""
-    serialize = sys.modules[f"{pkg.__name__}.serialize"]
-    out: list[tuple[dict, str]] = []
+def model_name(i: int) -> str:
+    """The file stem of corpus draw ``i`` (from 1); "run" is the running
+    example."""
+    return f"r{i:02d}"
 
-    def add(doc: dict) -> bool:
+
+def structure_texts(pkg, docs: list[dict]) -> list[tuple[str, dict, str]]:
+    """(model name, model document, structure document) for every
+    structure that verify-mixed verifies, as ``pkg`` synthesizes them."""
+    serialize = sys.modules[f"{pkg.__name__}.serialize"]
+    out: list[tuple[str, dict, str]] = []
+
+    def add(name: str, doc: dict) -> bool:
         """Add the structures of ``doc``; False when its arena exceeds the
         limit in some mode."""
         model = pkg.PlantModel.from_dict(doc)
@@ -132,17 +154,44 @@ def structure_texts(pkg, docs: list[dict]) -> list[tuple[dict, str]]:
             ]
         except pkg.SizeGuardExceeded:
             return False
-        out.extend((doc, serialize.structure_to_json(outcome.structure))
+        out.extend((name, doc, serialize.structure_to_json(outcome.structure))
                    for outcome in outcomes if outcome.solved)
         return True
 
-    add(json.loads(RUN_MODEL.read_text()))
+    add("run", json.loads(RUN_MODEL.read_text()))
     models = 0
-    for doc in docs:
+    for i, doc in enumerate(docs, start=1):
         if models == STRUCTURE_MODELS:
             break
-        models += add(doc)
+        models += add(model_name(i), doc)
     return out
+
+
+def verify_argvs(pkg, work: Path, docs: list[dict],
+                 texts: list[tuple[str, dict, str]]) -> list[list[str]]:
+    """The ``verify`` argvs of the verify-mixed-like list, over files that
+    it writes to ``work``, where the corpus models already are."""
+    randgen = sys.modules[f"{pkg.__name__}.randgen"]
+    (work / "run.json").write_text(RUN_MODEL.read_text())
+    policies = [("run", RUN_MODEL.with_name(f"{name}.json").read_text())
+                for name in ("srun", "sprime")]
+    rng = random.Random(TABLE_SEED)
+    for i, doc in enumerate(docs, start=1):
+        model = pkg.PlantModel.from_dict(doc)
+        policies.extend(
+            (model_name(i), json.dumps(randgen.random_supervisor(rng, model).to_dict()))
+            for _ in range(TABLES_PER_MODEL)
+        )
+    policies.extend((name, text) for name, _, text in texts)
+    argvs = [["verify", str(work / "run.json"), "--open-loop"]]
+    argvs += [["verify", str(work / f"{model_name(i)}.json"), "--open-loop"]
+              for i in range(1, len(docs) + 1)]
+    for j, (name, text) in enumerate(policies):
+        path = work / f"policy-{j:03d}.json"
+        path.write_text(text)
+        argvs += [["verify", str(work / f"{name}.json"), "--supervisor", str(path),
+                   "--mode", mode] for mode in MODES]
+    return argvs
 
 
 def verify_call(pkg, model, text: str, mode) -> tuple[float, tuple]:
@@ -155,13 +204,13 @@ def verify_call(pkg, model, text: str, mode) -> tuple[float, tuple]:
     return perf_counter() - begin, (verdict.opaque, verdict.counterexample)
 
 
-def cli_call(pkg, argv: list[str]) -> tuple[float, int]:
-    """The latency and exit code of one ``cli.main`` call."""
+def cli_call(pkg, argv: list[str]) -> tuple[float, int, str]:
+    """The latency, exit code and stdout of one ``cli.main`` call."""
     main = sys.modules[f"{pkg.__name__}.cli"].main
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         begin = perf_counter()
         code = main(argv)
-        return perf_counter() - begin, code
+        return perf_counter() - begin, code, out.getvalue()
 
 
 def synthesize_call(pkg, model, cfg) -> float:
@@ -219,7 +268,7 @@ def main(argv=None) -> int:
     checks = {
         side: [
             (pkg.PlantModel.from_dict(doc), text, pkg.IssuanceMode(mode))
-            for doc, text in texts
+            for _, doc, text in texts
             for mode in MODES
         ]
         for side, pkg in sides.items()
@@ -231,16 +280,17 @@ def main(argv=None) -> int:
         return 1
     print(f"{len(texts)} structures, {len(checks['old'])} verify calls per round")
     results: dict[str, dict[str, list[float]]] = {
-        side: {"synthesize": [], "cli.main": [], "cli p50": [], "cli p90": [], "verify": []}
+        side: {"synthesize": [], "cli.main": [], "cli p50": [], "cli p90": [], "verify": [],
+               "mixed": [], "mixed p50": [], "mixed p90": []}
         for side in sides
     }
     with tempfile.TemporaryDirectory() as work:
         argvs = []
         for i, doc in enumerate(docs, start=1):
-            path = Path(work) / f"r{i:02d}.json"
+            path = Path(work) / f"{model_name(i)}.json"
             path.write_text(json.dumps(doc))
             for mode in MODES:
-                stem = Path(work) / f"r{i:02d}-{mode}"
+                stem = Path(work) / f"{model_name(i)}-{mode}"
                 argvs.append(["synthesize", str(path), "--mode", mode,
                               "--out", f"{stem}.json", "--dot", f"{stem}.dot"])
         # One untimed pass each, so that imports and lazy set-up are done;
@@ -250,6 +300,13 @@ def main(argv=None) -> int:
         if codes["old"] != codes["new"] or not set(codes["old"]) <= {0, 3}:
             print(f"error: exit codes differ or fail: {codes}", file=sys.stderr)
             return 1
+        mixed = verify_argvs(sides["old"], Path(work), docs, texts)
+        outputs = {side: [cli_call(pkg, argv)[1:] for argv in mixed]
+                   for side, pkg in sides.items()}
+        if outputs["old"] != outputs["new"] or not {c for c, _ in outputs["old"]} <= {0, 1}:
+            print("error: the verify calls differ or fail", file=sys.stderr)
+            return 1
+        print(f"{len(mixed)} verify calls through cli.main per round")
         for r in range(args.rounds):
             gc.collect()
             synthesized = {side: 0.0 for side in sides}
@@ -267,7 +324,15 @@ def main(argv=None) -> int:
                 order = ("old", "new") if (r + j) % 2 == 0 else ("new", "old")
                 for side in order:
                     verified[side] += verify_call(sides[side], *checks[side][j])[0]
+            mixed_latencies: dict[str, list[float]] = {side: [] for side in sides}
+            for k, argv in enumerate(mixed):
+                order = ("old", "new") if (r + k) % 2 == 0 else ("new", "old")
+                for side in order:
+                    mixed_latencies[side].append(cli_call(sides[side], argv)[0])
             for side in sides:
+                results[side]["mixed"].append(1e3 * sum(mixed_latencies[side]))
+                results[side]["mixed p50"].append(1e3 * statistics.median(mixed_latencies[side]))
+                results[side]["mixed p90"].append(1e3 * percentile(mixed_latencies[side], 90))
                 results[side]["synthesize"].append(1e3 * synthesized[side])
                 results[side]["cli.main"].append(1e3 * sum(latencies[side]))
                 results[side]["cli p50"].append(1e3 * statistics.median(latencies[side]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
+import locale
 import sys
 from pathlib import Path
 
@@ -38,14 +38,17 @@ class CliError(Exception):
 
 def _read_input(path: str, what: str) -> tuple[bytes, str]:
     """The bytes of an input file, and their text decoded as
-    ``Path.read_text`` decodes a file (default encoding, universal
-    newlines).  A command reads each input once, so that its manifest
-    digests the bytes it parsed."""
+    ``Path.read_text`` decodes a file: in the encoding a text stream
+    picks by default, with universal newlines.  A command reads each input
+    once, so that its manifest digests the bytes it parsed."""
     try:
         data = Path(path).read_bytes()
-        return data, io.TextIOWrapper(io.BytesIO(data)).read()
+        text = data.decode(locale.getpreferredencoding(False))
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {what}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return data, text
 
 
 def _load(path: str, what: str, parse):
@@ -181,7 +184,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add) in SUBCOMMANDS.items():
         add(sub.add_parser(name, help=help_line))
+    # Each subcommand's parser by name, which ``_parse_args`` hands a
+    # command's arguments to.
+    parser.subcommands = sub.choices
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``.  When ``argv`` starts with a
+    subcommand, the rest goes straight to that subcommand's parser, which
+    is all the top-level parser would do with it; arguments that parser
+    leaves over are refused as the top-level parser refuses them."""
+    parser = build_parser()
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def _cmd_verify(args) -> int:
@@ -334,7 +356,7 @@ def _cmd_export_dot(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

@@ -88,6 +88,25 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def index_mask(index: dict[str, int], names) -> int | None:
+    """The mask of the indices that ``index`` gives the names in the list
+    ``names``, read in one loop.  None when ``names`` is not a list (or
+    tuple) or holds anything that is not a key of ``index``: the caller
+    then has the validators word the first fault."""
+    if not isinstance(names, (list, tuple)):
+        return None
+    mask = 0
+    try:
+        for name in names:
+            i = index.get(name)
+            if i is None:
+                return None
+            mask |= 1 << i
+    except TypeError:  # an unhashable entry, which is no name
+        return None
+    return mask
+
+
 @dataclass(frozen=True)
 class EventPartitions:
     """The three independent event subsets of a plant alphabet.
@@ -140,13 +159,14 @@ class PlantModel:
         # mask per state for fast feasibility tests.
         self._succ: tuple[dict[int, int], ...] = tuple({} for _ in self.states)
         self._active: list[int] = [0] * n
+        state_of, event_of = self.state_index.get, self.event_index.get
         for src, ev, dst in transitions:
-            for name, kind in ((src, "state"), (dst, "state")):
-                if name not in self.state_index:
-                    raise ModelFormatError(f"unknown {kind} {name!r} in transition")
-            if ev not in self.event_index:
-                raise ModelFormatError(f"unknown event {ev!r} in transition")
-            x, e, y = self.state_index[src], self.event_index[ev], self.state_index[dst]
+            x, e, y = state_of(src), event_of(ev), state_of(dst)
+            if x is None or e is None or y is None:
+                for name, i, kind in ((src, x, "state"), (dst, y, "state"),
+                                      (ev, e, "event")):
+                    if i is None:
+                        raise ModelFormatError(f"unknown {kind} {name!r} in transition")
             if e in self._succ[x]:
                 raise ModelFormatError(
                     f"nondeterministic transition: ({src!r}, {ev!r}) has two successors"
@@ -182,10 +202,12 @@ class PlantModel:
         return tuple(self.event(n) for n in names)
 
     def state_mask(self, names: Iterable[str]) -> int:
-        return mask_of(self.state(n) for n in names)
+        mask = index_mask(self.state_index, names)
+        return mask_of(self.state(n) for n in names) if mask is None else mask
 
     def event_mask(self, names: Iterable[str]) -> int:
-        return mask_of(self.event(n) for n in names)
+        mask = index_mask(self.event_index, names)
+        return mask_of(self.event(n) for n in names) if mask is None else mask
 
     def state_names(self, mask: int) -> tuple[str, ...]:
         return tuple(self.states[i] for i in iter_bits(mask))
@@ -210,6 +232,15 @@ class PlantModel:
                 "uncontrollable event disabled in control decision: "
                 + ",".join(self.event_names(missing))
             )
+        return mask
+
+    def listed_decision(self, names) -> int | None:
+        """``control_decision(names)`` of the list ``names``, read in one
+        loop; None where that would be refused, or ``names`` is not a list
+        of names."""
+        mask = index_mask(self.event_index, names)
+        if mask is None or self.uncontrollable & ~mask:
+            return None
         return mask
 
     def iter_decisions(self) -> Iterator[int]:
@@ -314,17 +345,33 @@ class PlantModel:
             if key not in doc:
                 raise ModelFormatError(f"missing key {key!r}")
 
+        # In EventPartitions field order.
+        partition_keys = ("observable_supervisor", "observable_intruder", "controllable")
+        # The fields as the constructor reads them, when each list is a list,
+        # each declared name a string and each transition a list of three.
+        # Where one is not, or the constructor refuses them, the validators
+        # below read the document again and word its first fault.
+        lists = [doc.get(key, []) for key in ("states", "events", "transitions",
+                                              "secret", *partition_keys)]
+        states, events, transitions, secret = lists[:4]
+        if (
+            all(type(value) is list for value in lists)
+            and all(type(name) is str for name in states + events)
+            and all(type(entry) is list and len(entry) == 3 for entry in transitions)
+        ):
+            try:
+                partitions = EventPartitions(*map(frozenset, lists[4:]))
+                return cls(states, events, transitions, doc["initial"], secret, partitions)
+            except (ValueError, TypeError):
+                pass
+
         def listed(key: str) -> list:
             return list_field(doc.get(key, ()), repr(key))
 
         def declared(key: str) -> list[str]:
             return [declared_name(name, repr(key)) for name in listed(key)]
 
-        # In EventPartitions field order.
-        partitions = [
-            names_field(doc.get(key, ()), repr(key))
-            for key in ("observable_supervisor", "observable_intruder", "controllable")
-        ]
+        partitions = [names_field(doc.get(key, ()), repr(key)) for key in partition_keys]
         events = declared("events")
         # Checked in list order, not as a set, so that the error names the
         # first unknown entry whatever the process's string hash seed.

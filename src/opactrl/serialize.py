@@ -17,6 +17,7 @@ from .estimator import IssuanceMode, ObservationPair
 from .model import (
     ModelFormatError,
     PlantModel,
+    index_mask,
     json_object,
     list_field,
     name_field,
@@ -82,6 +83,15 @@ def parse_flow(model: PlantModel, text: str) -> tuple[ObservationPair, ...]:
 # Supervisor policies -------------------------------------------------------
 
 
+def _decision_field(model: PlantModel, value, what: str) -> int | list[str]:
+    """The mask of the decision that a table lists in ``value``, read in one
+    loop.  Where that misses, ``value`` itself, once it is known to be a
+    list of names: the table's constructor then says what is wrong with
+    it, after every decision has been checked to be such a list."""
+    mask = model.listed_decision(value)
+    return names_field(value, what) if mask is None else mask
+
+
 def parse_supervisor(model: PlantModel, doc: dict) -> Supervisor | ControlStructure:
     """Load a policy file: either a finite decision table or a serialized
     control structure."""
@@ -94,12 +104,14 @@ def parse_supervisor(model: PlantModel, doc: dict) -> Supervisor | ControlStruct
             raise ModelFormatError(
                 f"invalid supervisor table: expected an object, got {table!r}"
             )
-        for key, value in table.items():
-            names_field(value, f"supervisor table entry {key!r}")
+        decisions = {
+            key: _decision_field(model, value, f"supervisor table entry {key!r}")
+            for key, value in table.items()
+        }
         default = doc.get("default")
         if default is not None:
-            names_field(default, "supervisor default")
-        return TabularSupervisor(model, table, default)
+            default = _decision_field(model, default, "supervisor default")
+        return TabularSupervisor(model, decisions, default)
     if kind == "control-structure":
         return structure_from_dict(model, doc)
     raise ModelFormatError(f"unknown supervisor document type {kind!r}")
@@ -121,6 +133,17 @@ def _member_to_list(model: PlantModel, m: EstimatorState) -> list:
 
 
 def _member_from_list(model: PlantModel, entry) -> EstimatorState:
+    # Read in one pass; where that misses, the validators below word the
+    # member's first fault.
+    if isinstance(entry, list) and len(entry) == 3:
+        state, estimate, decision = entry
+        member = (
+            model.state_index.get(state) if isinstance(state, str) else None,
+            index_mask(model.state_index, estimate),
+            model.listed_decision(decision),
+        )
+        if None not in member:
+            return EstimatorState(*member)
     if len(list_field(entry, "estimator state")) != 3:
         raise ModelFormatError(f"malformed estimator state {entry!r}")
     state, estimate, decision = entry
@@ -219,8 +242,11 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
                 if source is None
                 else (obs_by_id[_id(source, "source")], model.event(name_field(event, "event")))
             )
+            gamma = model.listed_decision(entry["decision"])
+            if gamma is None:
+                gamma = model.control_decision(names_field(entry["decision"], "decision"))
             decision = (
-                model.control_decision(names_field(entry["decision"], "decision")),
+                gamma,
                 obs_by_id[_id(entry["target"], "target")],
             )
             what = f"decision state of source {source!r} and event {event!r}"

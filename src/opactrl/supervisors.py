@@ -65,6 +65,9 @@ class TabularSupervisor(Supervisor):
     ):
         self.model = model
         self._table: dict[tuple[int, ...], int] = {}
+        # The first entry refused for its key, reported once every entry and
+        # the default have been read.
+        refused = None
         for key, value in table.items():
             obs = model.word(key) if isinstance(key, str) else tuple(key)
             if isinstance(value, int):
@@ -73,6 +76,7 @@ class TabularSupervisor(Supervisor):
                 what = f"supervisor table entry {key!r}"
                 mask = model.control_decision(list_field(value, what))
             self._check(mask)
+            refused = refused or self._refusal(key, obs)
             self._table[obs] = mask
         if default is None:
             self.default = model.all_events_mask
@@ -82,7 +86,22 @@ class TabularSupervisor(Supervisor):
             default = list_field(default, "supervisor default")
             self.default = model.control_decision(default)
         self._check(self.default)
+        if refused:
+            raise ModelFormatError(refused)
         self._horizon = max((len(obs) for obs in self._table), default=0)
+
+    def _refusal(self, key, obs: tuple[int, ...]) -> str | None:
+        """Why the entry ``key``, read as ``obs``, is refused, if it is.
+        The policy advances on the events it observes only, so an entry
+        with any other would never be read; and one string written two
+        ways ("u1", "u1 ") would keep only one of its entries."""
+        for e in obs:
+            if not (self.model.supervisor_observable >> e) & 1:
+                return (f"supervisor table entry {key!r}: event "
+                        f"{self.model.events[e]!r} is not observable by the supervisor")
+        if obs in self._table:
+            return f"supervisor table entry {key!r} given twice"
+        return None
 
     def _check(self, mask: int) -> None:
         if self.model.uncontrollable & ~mask:

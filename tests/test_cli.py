@@ -641,6 +641,42 @@ def test_cli_parses_as_the_full_parser_does(argv, monkeypatch, capsys):
     assert got == (main(argv), *capsys.readouterr())
 
 
+# Argvs that ``main`` hands to a subcommand's parser while the top-level
+# parser would refuse something in them, or that start with an option.
+DISPATCH_ARGVS = [
+    *PARSE_ONLY_ARGVS,
+    ["verify", "M", "--open-loop", "--nope"],
+    ["--nope", "verify", "M"],
+    ["verify", "M", "--", "--open-loop"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda a: " ".join(a) or "-")
+def test_cli_dispatch_exits_as_the_top_level_parser_does(argv, monkeypatch, capsys):
+    """``main`` passes what follows a subcommand straight to that
+    subcommand's parser; its exit code, help, usage and error lines are
+    those of the top-level parser, its exit mapped as ``main`` maps it."""
+    argv = [RUN if arg == "M" else arg for arg in argv]
+    monkeypatch.setenv("COLUMNS", "80")
+    got = (main(argv), *capsys.readouterr())
+    with pytest.raises(SystemExit) as stop:
+        cli.build_parser().parse_args(argv)
+    code = cli.EXIT_OK if stop.value.code in (0, None) else cli.EXIT_ERROR
+    assert got == (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "M", "--open-loop"],
+    ["verify", "M", "--supervisor", "S", "--bound", "3", "--mode", "decision"],
+    ["synthesize", "M", "--policy", "enumerate_all", "--out", "o", "--size-guard", "9"],
+    ["estimate", "M", "--flow", "F"],
+    ["export-dot", "M", "--estimator", "--supervisor", "S", "--depth", "2"],
+    ["export-dot", "--out", "o", "--", "--model"],
+], ids=" ".join)
+def test_cli_dispatch_parses_as_the_top_level_parser_does(argv):
+    assert cli._parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
 def test_cli_holds_one_parser(capsys):
     """Every call, whatever its command, shares the one parser."""
     for i in range(40):
@@ -818,6 +854,24 @@ MALFORMED_DOCUMENTS = [
      "invalid model {model}: invalid 'initial': expected a name, got None"),
     ("model", ("states", 0), True,
      "invalid model {model}: invalid 'states': expected a name, got True"),
+    # An unknown name before a non-name: the document is refused for the
+    # non-name, as every name of a list is checked before any is looked up.
+    ("structure", ("decision_states", 1, "decision"), ["zz", "a", 3],
+     "invalid supervisor {structure}: invalid decision: expected a name, got 3"),
+    ("structure", ("observation_states", 0, "members", 0, 1), ["zz", "0", 3],
+     "invalid supervisor {structure}: invalid estimate: expected a name, got 3"),
+    ("supervisor", ("table", "u2"), ["zz", "a", 3],
+     "invalid supervisor {supervisor}: invalid supervisor table entry 'u2': expected a "
+     "name, got 3"),
+    # A table key is an observation string: its events are observed by the
+    # supervisor, and no two keys spell one string.  The first key used to
+    # be read into a policy that never consults it, and the second to
+    # replace the decision of 'u1'.
+    ("supervisor", ("table", "a u1"), ["a", "b", "u1"],
+     "invalid supervisor {supervisor}: supervisor table entry 'a u1': event 'a' is not "
+     "observable by the supervisor"),
+    ("supervisor", ("table", "u1 "), ["a", "b", "u1"],
+     "invalid supervisor {supervisor}: supervisor table entry 'u1 ' given twice"),
 ]
 
 
@@ -839,6 +893,22 @@ def test_cli_refuses_a_malformed_policy_document(
     code, paths = _verify_replaced(tmp_path, run_model, srun, document, path, value)
     assert code == 2
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+
+
+def test_cli_refuses_a_table_key_that_spells_a_later_key_again(tmp_path, capsys):
+    """Whichever of two spellings of one observation string comes first,
+    the table is refused.  The later entry used to replace the earlier
+    one, so that the verdict on the running example hung on key order."""
+    doc = json.loads(Path(SRUN).read_text())
+    doc["table"] = {"u1 ": ["a", "b", "u1"], **doc["table"]}
+    path = tmp_path / "table.json"
+    path.write_text(dump_json(doc))
+    assert main(["verify", RUN, "--supervisor", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "opaque" not in captured.out
+    assert captured.err == (
+        f"error: invalid supervisor {path}: supervisor table entry 'u1' given twice\n"
+    )
 
 
 # Per invalid input file: the argv, where "M" stands for the running
@@ -1258,3 +1328,27 @@ def test_cli_reports_an_undecodable_file_as_unreadable(argv, what, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot read {what}: ")
     assert "codec can't decode byte 0xff" in captured.err
+
+
+# Pieces of a file's bytes: newlines of each convention, non-ASCII UTF-8,
+# a byte-order mark and a byte that UTF-8 cannot start with.
+BYTE_PIECES = [b"\r\n", b"\r", b"\n", b"{", b" ", "\u00e9".encode(), "\u6f22".encode(),
+               "\ufeff".encode(), b"\xff"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(BYTE_PIECES), max_size=12).map(b"".join))
+def test_cli_reads_a_file_as_read_text_decodes_it(data):
+    """An input's text is what ``Path.read_text`` reads from it, and a
+    file it cannot decode is unreadable with the same reason."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "input"
+        path.write_bytes(data)
+        try:
+            expected = path.read_text()
+        except UnicodeDecodeError as exc:
+            with pytest.raises(cli.CliError) as refused:
+                cli._read_input(str(path), "model")
+            assert str(refused.value) == f"cannot read model: {exc}"
+        else:
+            assert cli._read_input(str(path), "model") == (data, expected)
