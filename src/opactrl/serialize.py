@@ -202,14 +202,11 @@ def _mode_of(value) -> IssuanceMode:
         ) from None
 
 
-# The entry named in an error below is ``what.format(*args)``, formatted
-# only when the entry is refused: the label of an observation transition is
-# the repr of the whole entry.
-
-
 def _put_once(table: dict, key, value, what: str, *args) -> None:
     """Enter ``key`` in ``table``, refusing a key that is there already: a
-    structure keeps one entry per key, so a second would be dropped."""
+    structure keeps one entry per key, so a second would be dropped.  The
+    entry is named ``what.format(*args)``, formatted only to refuse it, as
+    the name of an observation transition is the repr of the whole entry."""
     if key in table:
         raise ModelFormatError(what.format(*args) + " given twice")
     table[key] = value
@@ -217,7 +214,8 @@ def _put_once(table: dict, key, value, what: str, *args) -> None:
 
 def _id(value, what: str, *args) -> int:
     """``value``, which a document gives as an id or a reference to one: an
-    integer.  As a dict key a float or a boolean would find its equal."""
+    integer.  As a dict key a float or a boolean would find its equal.
+    ``what`` and ``args`` name it as ``_put_once`` names an entry."""
     if type(value) is not int:
         raise ModelFormatError(
             f"invalid {what.format(*args)}: expected an integer, got {value!r}"
