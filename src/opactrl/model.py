@@ -202,12 +202,10 @@ class PlantModel:
         return tuple(self.event(n) for n in names)
 
     def state_mask(self, names: Iterable[str]) -> int:
-        mask = index_mask(self.state_index, names)
-        return mask_of(self.state(n) for n in names) if mask is None else mask
+        return mask_of(self.state(n) for n in names)
 
     def event_mask(self, names: Iterable[str]) -> int:
-        mask = index_mask(self.event_index, names)
-        return mask_of(self.event(n) for n in names) if mask is None else mask
+        return mask_of(self.event(n) for n in names)
 
     def state_names(self, mask: int) -> tuple[str, ...]:
         return tuple(self.states[i] for i in iter_bits(mask))

@@ -202,24 +202,19 @@ def _mode_of(value) -> IssuanceMode:
         ) from None
 
 
-def _put_once(table: dict, key, value, what: str, *args) -> None:
+def _put_once(table: dict, key, value, what: str) -> None:
     """Enter ``key`` in ``table``, refusing a key that is there already: a
-    structure keeps one entry per key, so a second would be dropped.  The
-    entry is named ``what.format(*args)``, formatted only to refuse it, as
-    the name of an observation transition is the repr of the whole entry."""
+    structure keeps one entry per key, so a second would be dropped."""
     if key in table:
-        raise ModelFormatError(what.format(*args) + " given twice")
+        raise ModelFormatError(f"{what} given twice")
     table[key] = value
 
 
-def _id(value, what: str, *args) -> int:
+def _id(value, what: str) -> int:
     """``value``, which a document gives as an id or a reference to one: an
-    integer.  As a dict key a float or a boolean would find its equal.
-    ``what`` and ``args`` name it as ``_put_once`` names an entry."""
+    integer.  As a dict key a float or a boolean would find its equal."""
     if type(value) is not int:
-        raise ModelFormatError(
-            f"invalid {what.format(*args)}: expected an integer, got {value!r}"
-        )
+        raise ModelFormatError(f"invalid {what}: expected an integer, got {value!r}")
     return value
 
 
@@ -232,7 +227,7 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
                 sorted(_member_from_list(model, m) for m in entry["members"])
             )
             i = _id(entry["id"], "observation state id")
-            _put_once(obs_by_id, i, members, "observation state {!r}", i)
+            _put_once(obs_by_id, i, members, f"observation state {i!r}")
         if len(set(obs_by_id.values())) != len(obs_by_id):
             raise ModelFormatError("two observation states have the same members")
         decisions = {}
@@ -254,10 +249,10 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
                 gamma,
                 obs_by_id[_id(entry["target"], "target")],
             )
-            _put_once(decisions, key, decision,
-                      "decision state of source {!r} and event {!r}", source, event)
+            what = f"decision state of source {source!r} and event {event!r}"
+            _put_once(decisions, key, decision, what)
             i = _id(entry["id"], "decision state id")
-            _put_once(dec_by_id, i, key, "decision state {!r}", i)
+            _put_once(dec_by_id, i, key, f"decision state {i!r}")
         # Per observation state, its observed events, each entered once.
         observations: dict[InfoState, dict[int, None]] = {
             info: {} for info in obs_by_id.values()
@@ -266,14 +261,14 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
             if len(list_field(entry, "observation transition")) != 3:
                 raise ModelFormatError(f"malformed observation transition {entry!r}")
             obs_ref, event, dec_ref = entry
-            what = "observation transition {!r}"
-            info = obs_by_id[_id(obs_ref, what, entry)]
+            what = f"observation transition {entry!r}"
+            info = obs_by_id[_id(obs_ref, what)]
             sigma = model.event(name_field(event, "event"))
-            if dec_by_id[_id(dec_ref, what, entry)] != (info, sigma):
+            if dec_by_id[_id(dec_ref, what)] != (info, sigma):
                 raise ModelFormatError(
                     "observation transition inconsistent with decision state identity"
                 )
-            _put_once(observations[info], sigma, None, what, entry)
+            _put_once(observations[info], sigma, None, what)
         for i, key in dec_by_id.items():
             if key == INITIAL_KEY and (type(doc["initial"]) is not int or doc["initial"] != i):
                 raise ModelFormatError(
