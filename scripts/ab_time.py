@@ -18,7 +18,14 @@ script stops with exit 1 when the digests differ.
 Then it times rounds.  A round goes once through the operation list of
 synth-random: ``cli.main(["synthesize", MODEL, "--mode", M, "--out", ...,
 "--dot", ...])`` on the same models written to a temporary directory, both
-modes, in a fixed order.  Each operation runs as a ``synthesize`` call on
+modes, in a fixed order.  Each tree writes its ``--out`` and ``--dot``
+files into a directory of its own; the models they read are shared, so
+the manifests name the same inputs.  One untimed pass must give equal exit
+codes and equal bytes in every ``--out`` and ``--dot`` file and in both
+sidecars on the two trees, or the script stops with exit 1.  A timed
+``cli.main`` call first unlinks its ``--out`` and ``--dot`` files, as the
+benchmark does, so that it creates them and rewrites the sidecars.  Each
+operation runs as a ``synthesize`` call on
 both trees and then as a ``cli.main`` call on both trees, the tree that
 goes first alternating from one operation to the next, so that even a
 change in the host's speed within a round hits both trees alike.  The
@@ -213,6 +220,19 @@ def cli_call(pkg, argv: list[str]) -> tuple[float, int, str]:
         return perf_counter() - begin, code, out.getvalue()
 
 
+def artifact_paths(argv: list[str]) -> tuple[str, str]:
+    """The ``--out`` and ``--dot`` paths of a ``synthesize`` argv."""
+    return argv[argv.index("--out") + 1], argv[argv.index("--dot") + 1]
+
+
+def written(argv: list[str]) -> list[bytes | None]:
+    """The bytes of the files a ``synthesize`` argv writes, each artifact
+    and its sidecar; None for a file it did not write."""
+    paths = [Path(f"{path}{ext}") for path in artifact_paths(argv)
+             for ext in ("", ".manifest.json")]
+    return [path.read_bytes() if path.exists() else None for path in paths]
+
+
 def synthesize_call(pkg, model, cfg) -> float:
     begin = perf_counter()
     pkg.synthesize(model, cfg)
@@ -285,21 +305,32 @@ def main(argv=None) -> int:
         for side in sides
     }
     with tempfile.TemporaryDirectory() as work:
-        argvs = []
+        # Per side, the synthesize argvs, over shared models, each writing
+        # into the side's own directory.
+        argvs: dict[str, list[list[str]]] = {side: [] for side in sides}
+        for side in sides:
+            (Path(work) / side).mkdir()
         for i, doc in enumerate(docs, start=1):
             path = Path(work) / f"{model_name(i)}.json"
             path.write_text(json.dumps(doc))
             for mode in MODES:
-                stem = Path(work) / f"{model_name(i)}-{mode}"
-                argvs.append(["synthesize", str(path), "--mode", mode,
-                              "--out", f"{stem}.json", "--dot", f"{stem}.dot"])
+                for side in sides:
+                    stem = Path(work) / side / f"{model_name(i)}-{mode}"
+                    argvs[side].append(["synthesize", str(path), "--mode", mode,
+                                        "--out", f"{stem}.json", "--dot", f"{stem}.dot"])
         # One untimed pass each, so that imports and lazy set-up are done;
-        # the exit codes must agree (3 is "no supervisor exists").
-        codes = {side: [cli_call(pkg, argv)[1] for argv in argvs]
+        # the exit codes (3 is "no supervisor exists") and every file
+        # written must agree.
+        codes = {side: [cli_call(pkg, argv)[1] for argv in argvs[side]]
                  for side, pkg in sides.items()}
         if codes["old"] != codes["new"] or not set(codes["old"]) <= {0, 3}:
             print(f"error: exit codes differ or fail: {codes}", file=sys.stderr)
             return 1
+        for old_argv, new_argv in zip(argvs["old"], argvs["new"]):
+            if written(old_argv) != written(new_argv):
+                print(f"error: the trees write different files for {new_argv}",
+                      file=sys.stderr)
+                return 1
         mixed = verify_argvs(sides["old"], Path(work), docs, texts)
         outputs = {side: [cli_call(pkg, argv)[1:] for argv in mixed]
                    for side, pkg in sides.items()}
@@ -313,12 +344,14 @@ def main(argv=None) -> int:
             latencies: dict[str, list[float]] = {side: [] for side in sides}
             # Each operation runs on both trees back to back, the first tree
             # alternating, so that a change in the host's speed hits both.
-            for i, argv in enumerate(argvs):
+            for i in range(len(argvs["old"])):
                 order = ("old", "new") if (r + i) % 2 == 0 else ("new", "old")
                 for side in order:
                     synthesized[side] += synthesize_call(sides[side], *jobs[side][i])
                 for side in order:
-                    latencies[side].append(cli_call(sides[side], argv)[0])
+                    for path in artifact_paths(argvs[side][i]):
+                        Path(path).unlink(missing_ok=True)
+                    latencies[side].append(cli_call(sides[side], argvs[side][i])[0])
             verified = {side: 0.0 for side in sides}
             for j in range(len(checks["old"])):
                 order = ("old", "new") if (r + j) % 2 == 0 else ("new", "old")

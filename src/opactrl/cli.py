@@ -67,6 +67,15 @@ def _parsed(path: str, what: str, parse, source):
         raise CliError(f"invalid {what} {path}: {exc}") from exc
 
 
+def _write(path: str, text: str, manifest: dict) -> None:
+    """``serialize.write_artifact``; a file it cannot write, the artifact
+    or its sidecar, is the user's error, named with the reason."""
+    try:
+        serialize.write_artifact(path, text, manifest)
+    except OSError as exc:
+        raise CliError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+
+
 def _mode(args) -> IssuanceMode:
     return IssuanceMode(args.mode)
 
@@ -269,12 +278,10 @@ def _cmd_synthesize(args) -> int:
             "synthesize", {args.model: data}, config_doc, outcome_doc
         )
     if args.out:
-        serialize.write_artifact(
-            args.out, serialize.structure_to_json(structure), manifest
-        )
+        _write(args.out, serialize.structure_to_json(structure), manifest)
         print(f"structure written to {args.out}")
     if args.dot:
-        serialize.write_artifact(args.dot, dotmod.structure_to_dot(structure), manifest)
+        _write(args.dot, dotmod.structure_to_dot(structure), manifest)
         print(f"dot written to {args.dot}")
     return EXIT_OK
 
@@ -348,7 +355,7 @@ def _cmd_export_dot(args) -> int:
             output = dotmod.structure_to_dot(structure)
     if args.out:
         manifest = serialize.manifest_for("export-dot", inputs, config, {})
-        serialize.write_artifact(args.out, output, manifest)
+        _write(args.out, output, manifest)
     else:
         print(output, end="")
     return EXIT_OK

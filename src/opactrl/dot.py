@@ -7,9 +7,11 @@ Plants render as circles with secret states filled red.
 
 from __future__ import annotations
 
+import functools
+
 from .estimator import IssuanceMode
 from .model import PlantModel
-from .structure import ControlStructure, canonical_ids, closed_loop_search, is_safe
+from .structure import ControlStructure, closed_loop_search, is_safe
 from .supervisors import Supervisor
 
 
@@ -32,37 +34,38 @@ def model_to_dot(model: PlantModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _info_label(model: PlantModel, info) -> str:
+def _info_label(model: PlantModel, info, state_set, decision) -> str:
+    """An observation state's label, with ``state_set`` and ``decision``
+    formatting estimates and decisions."""
     members = ",".join(
-        f"({model.states[m.plant_state]},{model.format_state_set(m.estimate)})"
-        for m in info
+        f"({model.states[m.plant_state]},{state_set(m.estimate)})" for m in info
     )
-    gamma = model.format_decision(info[0].decision) if info else "{}"
-    return "{" + members + "}, " + gamma
+    return "{" + members + "}, " + decision(info[0].decision)
 
 
 def structure_to_dot(structure: ControlStructure) -> str:
-    """Render a control structure under its canonical numbering."""
+    """Render a control structure under its canonical numbering.  Each
+    state set and decision is formatted once, and each observation state's
+    label once, for that state and the decision states it leads to."""
     model, decisions = structure.model, structure.decisions
-    obs_id, dec_id = canonical_ids(structure.observations, decisions)
+    obs_id, dec_id = structure.canonical_ids
+    state_set = functools.cache(model.format_state_set)
+    decision = functools.cache(model.format_decision)
+    labels = {info: _info_label(model, info, state_set, decision) for info in obs_id}
     lines = ["digraph structure {", "  rankdir=TB;"]
     for (info, sigma), i in dec_id.items():
-        label = (
-            "{m0}, -"
-            if info is None
-            else _info_label(model, info) + ", " + model.events[sigma]
-        )
+        label = "{m0}, -" if info is None else labels[info] + ", " + model.events[sigma]
         lines.append(f"  d{i} [shape=box, style=rounded, label={_quote(label)}];")
     for info, i in obs_id.items():
         attrs = ["shape=box"]
         if not is_safe(info, model.secret_mask):
             attrs.append("style=filled")
             attrs.append("fillcolor=red")
-        attrs.append(f"label={_quote(_info_label(model, info))}")
+        attrs.append(f"label={_quote(labels[info])}")
         lines.append(f"  o{i} [{', '.join(attrs)}];")
     for key, i in dec_id.items():
         gamma, target = decisions[key]
-        label = _quote(model.format_decision(gamma))
+        label = _quote(decision(gamma))
         lines.append(f"  d{i} -> o{obs_id[target]} [label={label}];")
     for info, i in obs_id.items():
         for sigma in structure.observations[info]:

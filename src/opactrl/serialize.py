@@ -8,9 +8,14 @@ layout.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import locale
+import os
 import re
+import stat
+from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 
 from .estimator import IssuanceMode, ObservationPair
@@ -18,6 +23,7 @@ from .model import (
     ModelFormatError,
     PlantModel,
     index_mask,
+    iter_bits,
     json_object,
     list_field,
     name_field,
@@ -29,7 +35,6 @@ from .structure import (
     EstimatorState,
     InfoState,
     StructureError,
-    canonical_ids,
 )
 from .supervisors import Supervisor, TabularSupervisor
 
@@ -124,14 +129,6 @@ def parse_supervisor_text(model: PlantModel, text: str) -> Supervisor | ControlS
 # Control structures --------------------------------------------------------
 
 
-def _member_to_list(model: PlantModel, m: EstimatorState) -> list:
-    return [
-        model.states[m.plant_state],
-        list(model.state_names(m.estimate)),
-        list(model.event_names(m.decision)),
-    ]
-
-
 def _member_from_list(model: PlantModel, entry) -> EstimatorState:
     # Read in one pass; where that misses, the validators below word the
     # member's first fault.
@@ -154,42 +151,83 @@ def _member_from_list(model: PlantModel, entry) -> EstimatorState:
     )
 
 
-def structure_to_dict(structure: ControlStructure) -> dict:
+def _name_lists(quoted: list[str]):
+    """A writer of name lists as :func:`dump_json` lays them out:
+    ``write(mask, pad)`` is the list of ``quoted[i]`` for each bit ``i`` of
+    ``mask``, its items indented by ``pad`` and two spaces and its closing
+    bracket by ``pad``.  Each (mask, pad) is rendered once per writer."""
+
+    @functools.cache
+    def write(mask: int, pad: str) -> str:
+        if not mask:
+            return "[]"
+        items = f",\n{pad}  ".join([quoted[i] for i in iter_bits(mask)])
+        return f"[\n{pad}  {items}\n{pad}]"
+
+    return write
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """``items``, JSON texts already laid out for depth ``pad`` and two
+    spaces, as the list :func:`dump_json` writes at depth ``pad``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
+
+
+def structure_to_json(structure: ControlStructure) -> str:
+    """The structure's document, under its canonical numbering, exactly as
+    ``dump_json`` lays it out: the document has a fixed schema, so it is
+    written directly, each name quoted by ``json``'s own encoder and each
+    name list rendered once per depth."""
     model = structure.model
-    obs_id, dec_id = canonical_ids(structure.observations, structure.decisions)
+    obs_id, dec_id = structure.canonical_ids
+    states = [quote(name) for name in model.states]
+    events = [quote(name) for name in model.events]
+    state_list, event_list = _name_lists(states), _name_lists(events)
     decision_states = []
     for key, i in dec_id.items():
         info, sigma = key
         gamma, target = structure.decisions[key]
+        source, event = ("null", "null") if info is None else (obs_id[info], events[sigma])
         decision_states.append(
-            {
-                "id": i,
-                "source": None if info is None else obs_id[info],
-                "event": None if sigma is None else model.events[sigma],
-                "decision": list(model.event_names(gamma)),
-                "target": obs_id[target],
-            }
+            f'    {{\n      "id": {i},\n      "source": {source},\n'
+            f'      "event": {event},\n'
+            f'      "decision": {event_list(gamma, "      ")},\n'
+            f'      "target": {obs_id[target]}\n    }}'
         )
-    observation_states = [
-        {
-            "id": i,
-            "members": [_member_to_list(model, m) for m in info],
-        }
-        for info, i in obs_id.items()
-    ]
-    od = [
-        [i, model.events[sigma], dec_id[(info, sigma)]]
-        for info, i in obs_id.items()
-        for sigma in structure.observations[info]
-    ]
-    return {
-        "type": "control-structure",
-        "mode": structure.mode.value,
-        "initial": dec_id[INITIAL_KEY],
-        "decision_states": decision_states,
-        "observation_states": observation_states,
-        "observation_transitions": od,
-    }
+    observation_states = []
+    transitions = []
+    for info, i in obs_id.items():
+        members = [
+            f"        [\n          {states[m.plant_state]},\n"
+            f'          {state_list(m.estimate, "          ")},\n'
+            f'          {event_list(m.decision, "          ")}\n        ]'
+            for m in info
+        ]
+        observation_states.append(
+            f'    {{\n      "id": {i},\n'
+            f'      "members": {_json_list(members, "      ")}\n    }}'
+        )
+        transitions.extend(
+            f"    [\n      {i},\n      {events[sigma]},\n"
+            f"      {dec_id[(info, sigma)]}\n    ]"
+            for sigma in structure.observations[info]
+        )
+    return (
+        f'{{\n  "type": "control-structure",\n'
+        f'  "mode": {quote(structure.mode.value)},\n'
+        f'  "initial": {dec_id[INITIAL_KEY]},\n'
+        f'  "decision_states": {_json_list(decision_states, "  ")},\n'
+        f'  "observation_states": {_json_list(observation_states, "  ")},\n'
+        f'  "observation_transitions": {_json_list(transitions, "  ")}\n}}\n'
+    )
+
+
+def structure_to_dict(structure: ControlStructure) -> dict:
+    """The structure's document as a dict: :func:`structure_to_json` read
+    back, so that the document has one writer."""
+    return json.loads(structure_to_json(structure))
 
 
 def _mode_of(value) -> IssuanceMode:
@@ -288,10 +326,6 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
         raise ModelFormatError(str(exc)) from exc
 
 
-def structure_to_json(structure: ControlStructure) -> str:
-    return dump_json(structure_to_dict(structure))
-
-
 # Run manifests -------------------------------------------------------------
 
 
@@ -316,8 +350,31 @@ def manifest_for(
     }
 
 
+def _rewrite(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, encoded as ``Path.write_text`` encodes
+    it, into the file that is there, if any: same inode and mode, through a
+    symlink.  A regular file is cut to the new length after the write, not
+    truncated to zero before it, which on ext4 would start writeback at
+    close (``auto_da_alloc``).  Any other file, a FIFO or a terminal, is
+    only written to.  An error carries ``path`` as its filename."""
+    data = text.encode(locale.getpreferredencoding(False))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        left = memoryview(data)
+        while left:
+            left = left[os.write(fd, left):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    except OSError as exc:
+        exc.filename = path
+        raise
+    finally:
+        os.close(fd)
+
+
 def write_artifact(path: str | Path, text: str, manifest: dict) -> None:
-    """Write an artifact plus its ``<name>.manifest.json`` sidecar."""
-    p = Path(path)
-    p.write_text(text)
-    Path(str(p) + ".manifest.json").write_text(dump_json(manifest))
+    """Write an artifact plus its ``<name>.manifest.json`` sidecar, each
+    rewritten in place.  An :class:`OSError` names the file it failed on."""
+    path = str(Path(path))
+    _rewrite(path, text)
+    _rewrite(path + ".manifest.json", dump_json(manifest))

@@ -526,19 +526,6 @@ def feasible_events(model: PlantModel, info: InfoState) -> tuple[int, ...]:
     )
 
 
-def canonical_ids(
-    observations, decision_keys
-) -> tuple[dict[InfoState, int], dict[DecisionKey, int]]:
-    """Canonical numbering of a decision/observation graph: observation
-    states in sorted order, decision states in :func:`decision_key_order`.
-    Each dict iterates in its canonical order."""
-    obs_id = {info: i for i, info in enumerate(sorted(observations))}
-    dec_id = {
-        key: i for i, key in enumerate(sorted(decision_keys, key=decision_key_order))
-    }
-    return obs_id, dec_id
-
-
 class ControlStructure:
     """A decision/observation graph committing one decision per decision
     state, into an observation state whose members carry that decision.
@@ -593,6 +580,19 @@ class ControlStructure:
     @property
     def initial_decision(self) -> int:
         return self.decisions[INITIAL_KEY][0]
+
+    @cached_property
+    def canonical_ids(self) -> tuple[dict[InfoState, int], dict[DecisionKey, int]]:
+        """The canonical numbering, computed once per structure: observation
+        states in sorted order, decision states in
+        :func:`decision_key_order`.  Each dict iterates in its canonical
+        order.  The report, the structure document and the DOT rendering
+        all number by it."""
+        obs_id = {info: i for i, info in enumerate(sorted(self.observations))}
+        dec_id = {
+            key: i for i, key in enumerate(sorted(self.decisions, key=decision_key_order))
+        }
+        return obs_id, dec_id
 
     def decoded(self) -> "DecodedSupervisor":
         return DecodedSupervisor(self)

@@ -26,7 +26,6 @@ from .structure import (
     InfoState,
     SizeGuardExceeded,
     Successors,
-    canonical_ids,
     decision_key_order,
 )
 
@@ -499,7 +498,7 @@ class SynthesisOutcome:
             return "\n".join(lines) + "\n"
         lines.append(f"  outcome: {self.count} structure(s)")
         model = first.model
-        obs_id, dec_id = canonical_ids(first.observations, first.decisions)
+        obs_id, dec_id = first.canonical_ids
         for info, sigma in dec_id:
             label = (
                 "initial"

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from opactrl.dot import estimator_slice_to_dot, model_to_dot, structure_to_dot
 from opactrl.estimator import closed_loop_simulate, estimator_trace
 from opactrl.model import ModelFormatError
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
+from opactrl.synthesis import EXTRACTION_POLICIES, SynthesisConfig, synthesize
 from opactrl.serialize import (
     dump_json,
     format_flow,
@@ -46,6 +48,68 @@ def test_structure_round_trip(run_model, srun, sprime):
         structure = structure_from_policy(run_model, sup, mode)
         doc = json.loads(structure_to_json(structure))
         assert structure_from_dict(run_model, doc) == structure
+
+
+def assert_laid_out_as_dump_json(structure):
+    """The structure's document is the one ``json`` lays out with indent 2,
+    and it reads back as the structure."""
+    text = structure_to_json(structure)
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    assert structure_to_dict(structure) == json.loads(text)
+    assert structure_from_dict(structure.model, json.loads(text)) == structure
+
+
+@given(st.integers(0, 10**9), st.sampled_from(EXTRACTION_POLICIES), st.sampled_from([OBS, DEC]))
+@settings(max_examples=60, deadline=None)
+def test_structure_document_is_laid_out_as_dump_json(seed, policy, mode):
+    model = random_model(random.Random(seed), RandomModelConfig(max_states=6, max_events=4))
+    try:
+        outcome = synthesize(model, SynthesisConfig(mode, policy, 20_000))
+    except structure.SizeGuardExceeded:
+        return
+    if outcome.solved:
+        assert_laid_out_as_dump_json(outcome.structure)
+
+
+# Names that JSON must escape: a quote, a backslash, control characters and
+# text outside ASCII.
+ODD_STATES = ['q"0', "q\\1", "q\x07", "\u00e9\u6f22"]
+ODD_EVENTS = ['a"', "b\\", "c\x01", "\u00fc"]
+
+
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_structure_document_escapes_names_and_lays_out_empty_lists(mode):
+    """With every event controllable, ``first_feasible`` commits the empty
+    decision, so the structure has one observation state and no
+    observation transition; ``locally_maximal`` enables every event and
+    observes each.  Both documents are laid out as ``json`` lays them out."""
+    q, e = ODD_STATES, ODD_EVENTS
+    model = PlantModel.from_dict({
+        "states": q,
+        "events": e,
+        "initial": q[0],
+        "secret": [q[3]],
+        "transitions": [[q[0], e[0], q[1]], [q[1], e[1], q[2]], [q[2], e[2], q[3]],
+                        [q[3], e[3], q[0]], [q[0], e[3], q[2]]],
+        "observable_supervisor": e,
+        "observable_intruder": [e[0], e[3]],
+        "controllable": e,
+    })
+    empty = synthesize(model, SynthesisConfig(mode, "first_feasible")).structure
+    doc = json.loads(structure_to_json(empty))
+    assert [d["decision"] for d in doc["decision_states"]] == [[]]
+    assert doc["observation_transitions"] == []
+    assert '"decision": [],' in structure_to_json(empty)
+    assert '"observation_transitions": []\n}\n' in structure_to_json(empty)
+    assert_laid_out_as_dump_json(empty)
+    full = synthesize(model, SynthesisConfig(mode, "locally_maximal")).structure
+    text = structure_to_json(full)
+    assert json.loads(text)["decision_states"][0]["decision"] == e
+    assert json.loads(text)["observation_transitions"]
+    for escaped in ('"a\\""', '"b\\\\"', '"c\\u0001"', '"\\u00fc"', '"q\\u0007"',
+                    '"\\u00e9\\u6f22"'):
+        assert escaped in text
+    assert_laid_out_as_dump_json(full)
 
 
 def test_structure_dict_rejects_inconsistent_transitions(run_model, srun):
@@ -314,6 +378,96 @@ def test_cli_synthesize_artifacts_are_reproducible(tmp_path):
         assert main(["synthesize", RUN, "--out", str(target)]) == 0
         paths.append(target.read_bytes())
     assert paths[0] == paths[1]
+
+
+def synthesize_into(out, dot):
+    """``synthesize`` of the running example under ``locally_maximal``,
+    writing to ``out`` and ``dot``."""
+    argv = ["synthesize", RUN, "--policy", "locally_maximal", "--out", str(out), "--dot", str(dot)]
+    assert main(argv) == 0
+
+
+def artifact_bytes(*paths):
+    """The bytes of each file and of its sidecar."""
+    return [Path(f"{path}{ext}").read_bytes() for path in paths for ext in ("", ".manifest.json")]
+
+
+def test_cli_rewrites_longer_stale_artifacts_to_exactly_the_new_bytes(tmp_path):
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    synthesize_into(fresh / "s.json", fresh / "s.dot")
+    out, dot = tmp_path / "s.json", tmp_path / "s.dot"
+    for path in (out, dot):
+        for stale in (path, Path(f"{path}.manifest.json")):
+            stale.write_bytes(b"stale\n" * 10_000)
+    inodes = [path.stat().st_ino for path in (out, dot)]
+    synthesize_into(out, dot)
+    assert artifact_bytes(out, dot) == artifact_bytes(fresh / "s.json", fresh / "s.dot")
+    assert [path.stat().st_ino for path in (out, dot)] == inodes
+
+
+def test_cli_writes_through_a_symlinked_out_and_keeps_the_mode(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    dot = tmp_path / "s.dot"
+    dot.write_text("old\n")
+    dot.chmod(0o600)
+    synthesize_into(link, dot)
+    assert link.is_symlink() and link.resolve() == target
+    assert json.loads(target.read_text())["type"] == "control-structure"
+    assert (target.stat().st_mode & 0o777, dot.stat().st_mode & 0o777) == (0o640, 0o600)
+    assert dot.read_text().startswith("digraph structure {")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_cli_writes_all_of_the_dot_into_a_fifo(tmp_path):
+    """A FIFO is written to, not cut to length: ``ftruncate`` on it would
+    fail."""
+    expected = tmp_path / "expected.dot"
+    synthesize_into(tmp_path / "a.json", expected)
+    fifo = tmp_path / "pipe.dot"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        synthesize_into(tmp_path / "b.json", fifo)
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [expected.read_bytes()]
+    assert fifo.is_fifo()
+
+
+# Per command: an argv writing to OUT, and the artifact OUT names.
+WRITING_ARGVS = {
+    "synthesize --out": ["synthesize", RUN, "--out", "OUT"],
+    "synthesize --dot": ["synthesize", RUN, "--dot", "OUT"],
+    "export-dot": ["export-dot", RUN, "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("argv", WRITING_ARGVS.values(), ids=WRITING_ARGVS)
+@pytest.mark.parametrize("where, reason", [
+    ("missing/x", "No such file or directory"),
+    ("dir", "Is a directory"),
+    ("sidecar", "Is a directory"),
+])
+def test_cli_reports_an_unwritable_output_as_the_users_error(
+    argv, where, reason, tmp_path, capsys
+):
+    """An output path that cannot be written is reported with the file it
+    names, the artifact or its sidecar, and exit 2, as an unreadable input
+    is; it is not an internal error."""
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / ("x" if where == "sidecar" else where)
+    (tmp_path / "x.manifest.json").mkdir()
+    failed = f"{out}.manifest.json" if where == "sidecar" else str(out)
+    assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {failed}: {reason}\n"
 
 
 def test_cli_synthesize_no_solution(tmp_path, capsys):
