@@ -151,28 +151,24 @@ def _member_from_list(model: PlantModel, entry) -> EstimatorState:
     )
 
 
-def _name_lists(quoted: list[str]):
-    """A writer of name lists as :func:`dump_json` lays them out:
-    ``write(mask, pad)`` is the list of ``quoted[i]`` for each bit ``i`` of
-    ``mask``, its items indented by ``pad`` and two spaces and its closing
-    bracket by ``pad``.  Each (mask, pad) is rendered once per writer."""
-
-    @functools.cache
-    def write(mask: int, pad: str) -> str:
-        if not mask:
-            return "[]"
-        items = f",\n{pad}  ".join([quoted[i] for i in iter_bits(mask)])
-        return f"[\n{pad}  {items}\n{pad}]"
-
-    return write
-
-
 def _json_list(items: list[str], pad: str) -> str:
     """``items``, JSON texts already laid out for depth ``pad`` and two
     spaces, as the list :func:`dump_json` writes at depth ``pad``."""
     if not items:
         return "[]"
     return "[\n" + ",\n".join(items) + f"\n{pad}]"
+
+
+def _name_lists(quoted: list[str]):
+    """A writer of name lists: ``write(mask, pad)`` is the list of
+    ``quoted[i]`` for each bit ``i`` of ``mask``, written at depth ``pad``.
+    Each (mask, pad) is rendered once per writer."""
+
+    @functools.cache
+    def write(mask: int, pad: str) -> str:
+        return _json_list([f"{pad}  {quoted[i]}" for i in iter_bits(mask)], pad)
+
+    return write
 
 
 def structure_to_json(structure: ControlStructure) -> str:

@@ -26,7 +26,6 @@ from opactrl.dot import estimator_slice_to_dot, model_to_dot, structure_to_dot
 from opactrl.estimator import closed_loop_simulate, estimator_trace
 from opactrl.model import ModelFormatError
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
-from opactrl.synthesis import EXTRACTION_POLICIES, SynthesisConfig, synthesize
 from opactrl.serialize import (
     dump_json,
     format_flow,
@@ -35,6 +34,7 @@ from opactrl.serialize import (
     structure_to_dict,
     structure_to_json,
 )
+from opactrl.synthesis import EXTRACTION_POLICIES, SynthesisConfig, synthesize
 
 
 def test_model_round_trip(run_model):
@@ -442,7 +442,7 @@ def test_cli_writes_all_of_the_dot_into_a_fifo(tmp_path):
     assert fifo.is_fifo()
 
 
-# Per command: an argv writing to OUT, and the artifact OUT names.
+# Argvs that write an artifact to OUT, by what they write.
 WRITING_ARGVS = {
     "synthesize --out": ["synthesize", RUN, "--out", "OUT"],
     "synthesize --dot": ["synthesize", RUN, "--dot", "OUT"],
