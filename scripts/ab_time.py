@@ -57,6 +57,12 @@ equal exit codes, 0 or 1, and equal stdout on both trees.  The metrics
 the median and 90th percentile of their latencies; they carry the fixed
 cost of a call (arguments, reading and parsing its documents) that the
 in-process metrics above leave out.
+
+The metric "load" is the time a round takes to read the documents of
+that list in process, each once: every model with ``PlantModel.from_json``
+and every table and structure with ``serialize.parse_supervisor_text``,
+given the model that the tree read itself.  The tree alternates per
+document, as for the verify calls.
 """
 
 from __future__ import annotations
@@ -201,6 +207,30 @@ def verify_argvs(pkg, work: Path, docs: list[dict],
     return argvs
 
 
+def load_jobs(argvs: list[list[str]]) -> list[tuple[str, str | None]]:
+    """The documents that the ``verify`` argvs read, each once, in the
+    order they first appear: (model path, None) for a model and (model
+    path, policy path) for a table or structure."""
+    jobs: dict[tuple[str, str | None], None] = {}
+    for argv in argvs:
+        jobs[(argv[1], None)] = None
+        if "--supervisor" in argv:
+            jobs[(argv[1], argv[argv.index("--supervisor") + 1])] = None
+    return list(jobs)
+
+
+def load_call(pkg, text: str, model=None) -> float:
+    """The latency of reading one document through ``pkg``'s readers: a
+    model, or, given its ``model``, a table or structure."""
+    serialize = sys.modules[f"{pkg.__name__}.serialize"]
+    begin = perf_counter()
+    if model is None:
+        pkg.PlantModel.from_json(text)
+    else:
+        serialize.parse_supervisor_text(model, text)
+    return perf_counter() - begin
+
+
 def verify_call(pkg, model, text: str, mode) -> tuple[float, tuple]:
     """The latency of loading and verifying one structure document, and
     the verdict with its counterexample."""
@@ -301,7 +331,7 @@ def main(argv=None) -> int:
     print(f"{len(texts)} structures, {len(checks['old'])} verify calls per round")
     results: dict[str, dict[str, list[float]]] = {
         side: {"synthesize": [], "cli.main": [], "cli p50": [], "cli p90": [], "verify": [],
-               "mixed": [], "mixed p50": [], "mixed p90": []}
+               "mixed": [], "mixed p50": [], "mixed p90": [], "load": []}
         for side in sides
     }
     with tempfile.TemporaryDirectory() as work:
@@ -338,6 +368,12 @@ def main(argv=None) -> int:
             print("error: the verify calls differ or fail", file=sys.stderr)
             return 1
         print(f"{len(mixed)} verify calls through cli.main per round")
+        loads = load_jobs(mixed)
+        texts_at = {path: Path(path).read_text() for job in loads for path in job if path}
+        # Per side, the models that its tables and structures are read with.
+        models = {side: {path: pkg.PlantModel.from_json(texts_at[path]) for path, _ in loads}
+                  for side, pkg in sides.items()}
+        print(f"{len(loads)} documents loaded per round")
         for r in range(args.rounds):
             gc.collect()
             synthesized = {side: 0.0 for side in sides}
@@ -362,7 +398,17 @@ def main(argv=None) -> int:
                 order = ("old", "new") if (r + k) % 2 == 0 else ("new", "old")
                 for side in order:
                     mixed_latencies[side].append(cli_call(sides[side], argv)[0])
+            loaded = {side: 0.0 for side in sides}
+            for k, (model_path, policy_path) in enumerate(loads):
+                order = ("old", "new") if (r + k) % 2 == 0 else ("new", "old")
+                for side in order:
+                    if policy_path is None:
+                        loaded[side] += load_call(sides[side], texts_at[model_path])
+                    else:
+                        loaded[side] += load_call(sides[side], texts_at[policy_path],
+                                                  models[side][model_path])
             for side in sides:
+                results[side]["load"].append(1e3 * loaded[side])
                 results[side]["mixed"].append(1e3 * sum(mixed_latencies[side]))
                 results[side]["mixed p50"].append(1e3 * statistics.median(mixed_latencies[side]))
                 results[side]["mixed p90"].append(1e3 * percentile(mixed_latencies[side], 90))

@@ -67,7 +67,7 @@ def _parsed(path: str, what: str, parse, source):
         raise CliError(f"invalid {what} {path}: {exc}") from exc
 
 
-def _write(path: str, text: str, manifest: dict) -> None:
+def _write(path: str, text: str, manifest: str) -> None:
     """``serialize.write_artifact``; a file it cannot write, the artifact
     or its sidecar, is the user's error, named with the reason."""
     try:
@@ -273,10 +273,11 @@ def _cmd_synthesize(args) -> int:
         "pruning_iterations": outcome.pruning_iterations,
     }
     if args.out or args.dot:
-        # One manifest for both artifacts, over the bytes the model was parsed from.
-        manifest = serialize.manifest_for(
+        # One manifest for both artifacts, over the bytes the model was
+        # parsed from, rendered once.
+        manifest = serialize.dump_json(serialize.manifest_for(
             "synthesize", {args.model: data}, config_doc, outcome_doc
-        )
+        ))
     if args.out:
         _write(args.out, serialize.structure_to_json(structure), manifest)
         print(f"structure written to {args.out}")
@@ -355,7 +356,7 @@ def _cmd_export_dot(args) -> int:
             output = dotmod.structure_to_dot(structure)
     if args.out:
         manifest = serialize.manifest_for("export-dot", inputs, config, {})
-        _write(args.out, output, manifest)
+        _write(args.out, output, serialize.dump_json(manifest))
     else:
         print(output, end="")
     return EXIT_OK

@@ -77,8 +77,27 @@ def declared_name(value, what: str) -> str:
 
 
 def names_field(value, what: str) -> list[str]:
-    """``value``, which a document gives as a list of names."""
-    return [name_field(name, what) for name in list_field(value, what)]
+    """``value``, which a document gives as a list of names.  ``str.join``
+    checks every entry in one pass; where it refuses one, the first entry
+    that is not a name is named."""
+    try:
+        "".join(list_field(value, what))
+    except TypeError:
+        for name in value:
+            name_field(name, what)
+        raise  # not reached: both refuse exactly what is not a string
+    return value
+
+
+def declared_names(value, what: str) -> list[str]:
+    """``value``, which a document gives as a list of declared names
+    (:func:`declared_name`): where ``str.join`` refuses an entry, the list
+    is read again name by name, each number as its decimal text."""
+    try:
+        "".join(list_field(value, what))
+    except TypeError:
+        return [declared_name(name, what) for name in value]
+    return value
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -88,23 +107,30 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def index_mask(index: dict[str, int], names) -> int | None:
+def names_mask(index: dict[str, int], names, what: str, kind: str) -> int:
     """The mask of the indices that ``index`` gives the names in the list
-    ``names``, read in one loop.  None when ``names`` is not a list (or
-    tuple) or holds anything that is not a key of ``index``: the caller
-    then has the validators word the first fault."""
-    if not isinstance(names, (list, tuple)):
-        return None
+    ``names``, read in one loop of lookups.  A fault is named in this
+    order: ``names`` that is not a list, then its first entry that is not
+    a name, then its first name that ``index`` does not hold (``unknown
+    KIND 'name'``).  The label ``what`` is the one :func:`names_field`
+    takes."""
     mask = 0
     try:
-        for name in names:
-            i = index.get(name)
-            if i is None:
-                return None
-            mask |= 1 << i
-    except TypeError:  # an unhashable entry, which is no name
-        return None
+        for name in list_field(names, what):
+            mask |= 1 << index[name]
+    except (KeyError, TypeError) as exc:  # TypeError: an unhashable entry
+        # The loop stops at the first miss; an entry that is not a name
+        # comes before an unknown name, wherever it is in the list.
+        names_field(names, what)
+        raise ModelFormatError(f"unknown {kind} {exc.args[0]!r}") from None
     return mask
+
+
+def _check_transitions(transitions) -> None:
+    """Refuse the first of ``transitions`` that is not a triple of names."""
+    for entry in transitions:
+        if len(names_field(entry, "transition")) != 3:
+            raise ModelFormatError(f"malformed transition {entry!r}")
 
 
 @dataclass(frozen=True)
@@ -136,14 +162,14 @@ class PlantModel:
         secret: Iterable[str],
         partitions: EventPartitions,
     ):
-        if len(set(states)) != len(states):
-            raise ModelFormatError("duplicate state name")
-        if len(set(events)) != len(events):
-            raise ModelFormatError("duplicate event name")
         self.states: tuple[str, ...] = tuple(states)
         self.events: tuple[str, ...] = tuple(events)
-        self.state_index = {name: i for i, name in enumerate(self.states)}
-        self.event_index = {name: i for i, name in enumerate(self.events)}
+        self.state_index = dict(zip(self.states, range(len(self.states))))
+        if len(self.state_index) != len(self.states):
+            raise ModelFormatError("duplicate state name")
+        self.event_index = dict(zip(self.events, range(len(self.events))))
+        if len(self.event_index) != len(self.events):
+            raise ModelFormatError("duplicate event name")
 
         if initial not in self.state_index:
             raise ModelFormatError(f"unknown initial state {initial!r}")
@@ -157,8 +183,8 @@ class PlantModel:
 
         # delta as one {event: successor} dict per state, plus the active-event
         # mask per state for fast feasibility tests.
-        self._succ: tuple[dict[int, int], ...] = tuple({} for _ in self.states)
-        self._active: list[int] = [0] * n
+        succ: tuple[dict[int, int], ...] = tuple([{} for _ in range(n)])
+        active: list[int] = [0] * n
         state_of, event_of = self.state_index.get, self.event_index.get
         for src, ev, dst in transitions:
             x, e, y = state_of(src), event_of(ev), state_of(dst)
@@ -167,12 +193,14 @@ class PlantModel:
                                       (ev, e, "event")):
                     if i is None:
                         raise ModelFormatError(f"unknown {kind} {name!r} in transition")
-            if e in self._succ[x]:
+            row = succ[x]
+            if e in row:
                 raise ModelFormatError(
                     f"nondeterministic transition: ({src!r}, {ev!r}) has two successors"
                 )
-            self._succ[x][e] = y
-            self._active[x] |= 1 << e
+            row[e] = y
+            active[x] |= 1 << e
+        self._succ, self._active = succ, active
 
         self.supervisor_observable = self.event_mask(partitions.supervisor_observable)
         self.intruder_observable = self.event_mask(partitions.intruder_observable)
@@ -202,10 +230,10 @@ class PlantModel:
         return tuple(self.event(n) for n in names)
 
     def state_mask(self, names: Iterable[str]) -> int:
-        return mask_of(self.state(n) for n in names)
+        return mask_of(map(self.state, names))
 
     def event_mask(self, names: Iterable[str]) -> int:
-        return mask_of(self.event(n) for n in names)
+        return mask_of(map(self.event, names))
 
     def state_names(self, mask: int) -> tuple[str, ...]:
         return tuple(self.states[i] for i in iter_bits(mask))
@@ -221,24 +249,17 @@ class PlantModel:
 
     # Control decisions --------------------------------------------------
 
-    def control_decision(self, enabled: Iterable[str]) -> int:
-        """Build a valid control decision; uncontrollable events must be enabled."""
-        mask = self.event_mask(enabled)
+    def control_decision(self, names, what: str = "decision") -> int:
+        """The control decision that enables the events in the list
+        ``names``, read by :func:`names_mask` (``what`` labels its faults).
+        A decision that disables an uncontrollable event is refused."""
+        mask = names_mask(self.event_index, names, what, "event")
         missing = self.uncontrollable & ~mask
         if missing:
             raise ModelFormatError(
                 "uncontrollable event disabled in control decision: "
                 + ",".join(self.event_names(missing))
             )
-        return mask
-
-    def listed_decision(self, names) -> int | None:
-        """``control_decision(names)`` of the list ``names``, read in one
-        loop; None where that would be refused, or ``names`` is not a list
-        of names."""
-        mask = index_mask(self.event_index, names)
-        if mask is None or self.uncontrollable & ~mask:
-            return None
         return mask
 
     def iter_decisions(self) -> Iterator[int]:
@@ -338,60 +359,45 @@ class PlantModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PlantModel":
-        required = ("states", "events", "initial", "transitions")
-        for key in required:
+        """The model of a document.  Each field is read once, and a document
+        with several faults is refused for the first in this order: a
+        missing key, the partitions' lists, the events, an unknown event in
+        a partition, the transitions, the states, the initial state, the
+        secret, and then what the constructor refuses."""
+        for key in ("states", "events", "initial", "transitions"):
             if key not in doc:
                 raise ModelFormatError(f"missing key {key!r}")
-
         # In EventPartitions field order.
-        partition_keys = ("observable_supervisor", "observable_intruder", "controllable")
-        # The fields as the constructor reads them, when each list is a list,
-        # each declared name a string and each transition a list of three.
-        # Where one is not, or the constructor refuses them, the validators
-        # below read the document again and word its first fault.
-        lists = [doc.get(key, []) for key in ("states", "events", "transitions",
-                                              "secret", *partition_keys)]
-        states, events, transitions, secret = lists[:4]
-        if (
-            all(type(value) is list for value in lists)
-            and all(type(name) is str for name in states + events)
-            and all(type(entry) is list and len(entry) == 3 for entry in transitions)
-        ):
-            try:
-                partitions = EventPartitions(*map(frozenset, lists[4:]))
-                return cls(states, events, transitions, doc["initial"], secret, partitions)
-            except (ValueError, TypeError):
-                pass
-
-        def listed(key: str) -> list:
-            return list_field(doc.get(key, ()), repr(key))
-
-        def declared(key: str) -> list[str]:
-            return [declared_name(name, repr(key)) for name in listed(key)]
-
-        partitions = [names_field(doc.get(key, ()), repr(key)) for key in partition_keys]
-        events = declared("events")
-        # Checked in list order, not as a set, so that the error names the
-        # first unknown entry whatever the process's string hash seed.
-        for names in partitions:
-            for name in names:
-                if name not in events:
-                    raise ModelFormatError(f"unknown event {name!r} in partition")
-        parts = EventPartitions(*map(frozenset, partitions))
-        transitions = []
-        for entry in listed("transitions"):
-            names = names_field(entry, "transition")
-            if len(names) != 3:
-                raise ModelFormatError(f"malformed transition {entry!r}")
-            transitions.append(tuple(names))
-        return cls(
-            states=declared("states"),
-            events=events,
-            transitions=transitions,
-            initial=declared_name(doc["initial"], "'initial'"),
-            secret=declared("secret"),
-            partitions=parts,
-        )
+        partitions = [
+            names_field(doc.get(key, []), repr(key))
+            for key in ("observable_supervisor", "observable_intruder", "controllable")
+        ]
+        events = declared_names(doc["events"], "'events'")
+        try:
+            transitions = list_field(doc["transitions"], "'transitions'")
+            if not all(type(entry) is list and len(entry) == 3 for entry in transitions):
+                _check_transitions(transitions)
+            return cls(
+                states=declared_names(doc["states"], "'states'"),
+                events=events,
+                transitions=transitions,
+                initial=declared_name(doc["initial"], "'initial'"),
+                secret=declared_names(doc.get("secret", []), "'secret'"),
+                partitions=EventPartitions(*map(frozenset, partitions)),
+            )
+        except (ModelFormatError, TypeError):
+            # What the constructor refuses may not be the first fault: it
+            # looks up the transitions' names, where one that is not a
+            # string reads as unknown (or unhashable), and then the
+            # partitions' names.  An unknown event in a partition, and then
+            # a transition that is not a triple of names, come first.
+            known = set(events)
+            for names in partitions:
+                for name in names:
+                    if name not in known:
+                        raise ModelFormatError(f"unknown event {name!r} in partition") from None
+            _check_transitions(list_field(doc["transitions"], "'transitions'"))
+            raise
 
     @classmethod
     def from_json(cls, text: str) -> "PlantModel":

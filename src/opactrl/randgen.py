@@ -64,14 +64,18 @@ def random_supervisor(
     max_entries: int = 6,
     max_obs_len: int = 3,
 ) -> TabularSupervisor:
-    observable = list(iter_bits(model.supervisor_observable))
-    table: dict[tuple[int, ...], int] = {}
+    """A random decision table over the supervisor's observable events, in
+    the document form: observation strings mapped to lists of event names.
+    The model's event names hold no space."""
+    observable = [model.events[e] for e in iter_bits(model.supervisor_observable)]
+    table: dict[str, list[str]] = {}
     if observable:
         for _ in range(rng.randint(0, max_entries)):
             length = rng.randint(0, max_obs_len)
-            obs = tuple(rng.choice(observable) for _ in range(length))
-            table[obs] = random_decision(rng, model)
+            key = " ".join(rng.choice(observable) for _ in range(length))
+            table[key] = list(model.event_names(random_decision(rng, model)))
     default = (
-        model.all_events_mask if rng.random() < 0.5 else random_decision(rng, model)
+        None if rng.random() < 0.5
+        else list(model.event_names(random_decision(rng, model)))
     )
     return TabularSupervisor(model, table, default)

@@ -22,12 +22,11 @@ from .estimator import IssuanceMode, ObservationPair
 from .model import (
     ModelFormatError,
     PlantModel,
-    index_mask,
     iter_bits,
     json_object,
     list_field,
     name_field,
-    names_field,
+    names_mask,
 )
 from .structure import (
     INITIAL_KEY,
@@ -88,35 +87,17 @@ def parse_flow(model: PlantModel, text: str) -> tuple[ObservationPair, ...]:
 # Supervisor policies -------------------------------------------------------
 
 
-def _decision_field(model: PlantModel, value, what: str) -> int | list[str]:
-    """The mask of the decision that a table lists in ``value``, read in one
-    loop.  Where that misses, ``value`` itself, once it is known to be a
-    list of names: the table's constructor then says what is wrong with
-    it, after every decision has been checked to be such a list."""
-    mask = model.listed_decision(value)
-    return names_field(value, what) if mask is None else mask
-
-
 def parse_supervisor(model: PlantModel, doc: dict) -> Supervisor | ControlStructure:
     """Load a policy file: either a finite decision table or a serialized
     control structure."""
     kind = doc.get("type")
     if kind == "supervisor-table":
-        # Decisions are lists of event names; an int mask is accepted from
-        # Python callers only, not from a document.
         table = doc.get("table", {})
         if not isinstance(table, dict):
             raise ModelFormatError(
                 f"invalid supervisor table: expected an object, got {table!r}"
             )
-        decisions = {
-            key: _decision_field(model, value, f"supervisor table entry {key!r}")
-            for key, value in table.items()
-        }
-        default = doc.get("default")
-        if default is not None:
-            default = _decision_field(model, default, "supervisor default")
-        return TabularSupervisor(model, decisions, default)
+        return TabularSupervisor(model, table, doc.get("default"))
     if kind == "control-structure":
         return structure_from_dict(model, doc)
     raise ModelFormatError(f"unknown supervisor document type {kind!r}")
@@ -130,24 +111,13 @@ def parse_supervisor_text(model: PlantModel, text: str) -> Supervisor | ControlS
 
 
 def _member_from_list(model: PlantModel, entry) -> EstimatorState:
-    # Read in one pass; where that misses, the validators below word the
-    # member's first fault.
-    if isinstance(entry, list) and len(entry) == 3:
-        state, estimate, decision = entry
-        member = (
-            model.state_index.get(state) if isinstance(state, str) else None,
-            index_mask(model.state_index, estimate),
-            model.listed_decision(decision),
-        )
-        if None not in member:
-            return EstimatorState(*member)
     if len(list_field(entry, "estimator state")) != 3:
         raise ModelFormatError(f"malformed estimator state {entry!r}")
     state, estimate, decision = entry
     return EstimatorState(
         model.state(name_field(state, "plant state")),
-        model.state_mask(names_field(estimate, "estimate")),
-        model.control_decision(names_field(decision, "decision")),
+        names_mask(model.state_index, estimate, "estimate", "state"),
+        model.control_decision(decision),
     )
 
 
@@ -276,11 +246,8 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
                 if source is None
                 else (obs_by_id[_id(source, "source")], model.event(name_field(event, "event")))
             )
-            gamma = model.listed_decision(entry["decision"])
-            if gamma is None:
-                gamma = model.control_decision(names_field(entry["decision"], "decision"))
             decision = (
-                gamma,
+                model.control_decision(entry["decision"]),
                 obs_by_id[_id(entry["target"], "target")],
             )
             what = f"decision state of source {source!r} and event {event!r}"
@@ -368,9 +335,11 @@ def _rewrite(path: str, text: str) -> None:
         os.close(fd)
 
 
-def write_artifact(path: str | Path, text: str, manifest: dict) -> None:
-    """Write an artifact plus its ``<name>.manifest.json`` sidecar, each
-    rewritten in place.  An :class:`OSError` names the file it failed on."""
+def write_artifact(path: str | Path, text: str, manifest: str) -> None:
+    """Write an artifact and, first, its ``<name>.manifest.json`` sidecar,
+    whose text is ``manifest``; each is rewritten in place.  A sidecar
+    that cannot be written leaves the artifact as it was.  An
+    :class:`OSError` names the file it failed on."""
     path = str(Path(path))
+    _rewrite(path + ".manifest.json", manifest)
     _rewrite(path, text)
-    _rewrite(path + ".manifest.json", dump_json(manifest))

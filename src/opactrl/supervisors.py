@@ -10,7 +10,7 @@ walk and is agnostic to the representation.
 
 from __future__ import annotations
 
-from .model import ModelFormatError, PlantModel, list_field
+from .model import ModelFormatError, PlantModel
 
 
 class Supervisor:
@@ -55,57 +55,44 @@ class ConstantSupervisor(Supervisor):
 class TabularSupervisor(Supervisor):
     """Finite table from observation strings to decisions, with a default
     decision (all events enabled unless stated otherwise) for unlisted
-    observations."""
+    observations.  The table and the default are given as a document
+    gives them: space-separated observation strings, each mapped to a list
+    of event names, and a list of event names or None.  The table is read
+    entry by entry, each key before its decision, and then the default; a
+    table with several faults is refused for the first."""
 
     def __init__(
         self,
         model: PlantModel,
-        table: dict[str, list[str]] | dict[tuple[int, ...], int],
-        default: list[str] | int | None = None,
+        table: dict[str, list[str]],
+        default: list[str] | None = None,
     ):
         self.model = model
         self._table: dict[tuple[int, ...], int] = {}
-        # The first entry refused for its key, reported once every entry and
-        # the default have been read.
-        refused = None
         for key, value in table.items():
-            obs = model.word(key) if isinstance(key, str) else tuple(key)
-            if isinstance(value, int):
-                mask = value
-            else:
-                what = f"supervisor table entry {key!r}"
-                mask = model.control_decision(list_field(value, what))
-            self._check(mask)
-            refused = refused or self._refusal(key, obs)
-            self._table[obs] = mask
-        if default is None:
-            self.default = model.all_events_mask
-        elif isinstance(default, int):
-            self.default = default
-        else:
-            default = list_field(default, "supervisor default")
-            self.default = model.control_decision(default)
-        self._check(self.default)
-        if refused:
-            raise ModelFormatError(refused)
+            obs = model.word(key)
+            self._refuse(key, obs)
+            what = f"supervisor table entry {key!r}"
+            self._table[obs] = model.control_decision(value, what)
+        self.default = (
+            model.all_events_mask if default is None
+            else model.control_decision(default, "supervisor default")
+        )
         self._horizon = max((len(obs) for obs in self._table), default=0)
 
-    def _refusal(self, key, obs: tuple[int, ...]) -> str | None:
-        """Why the entry ``key``, read as ``obs``, is refused, if it is.
-        The policy advances on the events it observes only, so an entry
-        with any other would never be read; and one string written two
-        ways ("u1", "u1 ") would keep only one of its entries."""
+    def _refuse(self, key: str, obs: tuple[int, ...]) -> None:
+        """Refuse the entry ``key``, read as ``obs``, if it must be.  The
+        policy advances on the events it observes only, so an entry with
+        any other would never be read; and one string written two ways
+        ("u1", "u1 ") would keep only one of its entries."""
         for e in obs:
             if not (self.model.supervisor_observable >> e) & 1:
-                return (f"supervisor table entry {key!r}: event "
-                        f"{self.model.events[e]!r} is not observable by the supervisor")
+                raise ModelFormatError(
+                    f"supervisor table entry {key!r}: event "
+                    f"{self.model.events[e]!r} is not observable by the supervisor"
+                )
         if obs in self._table:
-            return f"supervisor table entry {key!r} given twice"
-        return None
-
-    def _check(self, mask: int) -> None:
-        if self.model.uncontrollable & ~mask:
-            raise ModelFormatError("uncontrollable event disabled in supervisor table")
+            raise ModelFormatError(f"supervisor table entry {key!r} given twice")
 
     def advance(self, state, sigma: int):
         # Past the longest table key, every extension falls to the default,

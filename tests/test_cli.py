@@ -461,13 +461,33 @@ def test_cli_reports_an_unwritable_output_as_the_users_error(
 ):
     """An output path that cannot be written is reported with the file it
     names, the artifact or its sidecar, and exit 2, as an unreadable input
-    is; it is not an internal error."""
+    is; it is not an internal error.  The sidecar is written first, so a
+    missing directory is reported for the sidecar."""
     (tmp_path / "dir").mkdir()
     out = tmp_path / ("x" if where == "sidecar" else where)
     (tmp_path / "x.manifest.json").mkdir()
-    failed = f"{out}.manifest.json" if where == "sidecar" else str(out)
+    failed = f"{out}.manifest.json" if where in ("sidecar", "missing/x") else str(out)
     assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 2
     assert capsys.readouterr().err == f"error: cannot write {failed}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", WRITING_ARGVS.values(), ids=WRITING_ARGVS)
+@pytest.mark.parametrize("before", [None, b"old artifact\n"], ids=["absent", "present"])
+def test_cli_leaves_the_artifact_alone_when_its_sidecar_cannot_be_written(
+    argv, before, tmp_path, capsys
+):
+    """The sidecar is written before the artifact, so an artifact is never
+    left without the manifest of the run that wrote it: when the sidecar
+    cannot be written, the artifact is neither created nor rewritten."""
+    out = tmp_path / "x"
+    if before is not None:
+        out.write_bytes(before)
+    (tmp_path / "x.manifest.json").mkdir()
+    assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}.manifest.json: Is a directory\n"
+    )
+    assert (out.read_bytes() if out.exists() else None) == before
 
 
 def test_cli_synthesize_no_solution(tmp_path, capsys):
@@ -1046,6 +1066,47 @@ def test_cli_refuses_a_malformed_policy_document(
     structure wants a name, are invalid input, not an internal error."""
     code, paths = _verify_replaced(tmp_path, run_model, srun, document, path, value)
     assert code == 2
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+
+
+# (document, the changes to it, the error line): a document with two faults
+# is refused for the one its reader comes to first.  A model's partitions
+# are read before its transitions, a member's estimate before its decision,
+# and a table entry by entry, each key before its decision.
+TWO_FAULT_DOCUMENTS = {
+    "model": (
+        "model", [(("controllable",), ["u1", 3]), (("transitions", 0), ["0", "a"])],
+        "invalid model {model}: invalid 'controllable': expected a name, got 3"),
+    "structure member": (
+        "structure", [(("observation_states", 0, "members", 0, 1), ["zz"]),
+                      (("observation_states", 0, "members", 0, 2), 3)],
+        "invalid supervisor {structure}: unknown state 'zz'"),
+    "table entries": (
+        "supervisor", [(("table",), {"u1 zz": ["a", "b", "u2"], "u2": "ab"})],
+        "invalid supervisor {supervisor}: unknown event 'zz'"),
+    "table key and decision": (
+        "supervisor", [(("table",), {"u1 zz": 3})],
+        "invalid supervisor {supervisor}: unknown event 'zz'"),
+    "table entry and default": (
+        "supervisor", [(("table",), {"a": ["a", "b", "u2"]}), (("default",), "ab")],
+        "invalid supervisor {supervisor}: supervisor table entry 'a': event 'a' is not "
+        "observable by the supervisor"),
+}
+
+
+@pytest.mark.parametrize(
+    "document, changes, message",
+    TWO_FAULT_DOCUMENTS.values(),
+    ids=TWO_FAULT_DOCUMENTS.keys(),
+)
+def test_cli_refuses_a_document_with_two_faults_for_the_first(
+    document, changes, message, tmp_path, run_model, srun, capsys
+):
+    docs = _example_documents(run_model, srun)
+    for path, value in changes:
+        docs[document] = _replaced(docs[document], path, value)
+    paths = _write_documents(tmp_path, docs)
+    assert main(_verify_argv(paths, document)) == 2
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
 
 

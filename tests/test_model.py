@@ -19,7 +19,7 @@ from opactrl import (
     project,
     verify_open_loop_opacity,
 )
-from opactrl.model import iter_bits
+from opactrl.model import iter_bits, names_mask
 from opactrl.randgen import RandomModelConfig, random_model
 
 
@@ -82,6 +82,40 @@ def test_parse_semantic_errors(doc, message):
         PlantModel.from_dict(doc)
 
 
+def _two_state_doc(**changes):
+    doc = {"states": ["0", "1"], "events": ["a"], "initial": "0", "secret": ["1"],
+           "transitions": [["0", "a", "1"]], "controllable": ["a"]}
+    return {**doc, **changes}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_two_state_doc(controllable=["zz"]), "unknown event 'zz' in partition"),
+        (_two_state_doc(controllable=["a", "zz"], states=["0", "1", "1"]),
+         "unknown event 'zz' in partition"),
+        (_two_state_doc(observable_intruder=["zz"], transitions=["0a1"]),
+         "unknown event 'zz' in partition"),
+        (_two_state_doc(transitions=[["0", "a", 3]], secret=["9"]),
+         "invalid transition: expected a name, got 3"),
+        (_two_state_doc(transitions=[["0", "a", "1"], ["1", ["a"], "0"]], initial="9"),
+         "invalid transition: expected a name, got ['a']"),
+        (_two_state_doc(transitions=[["0", "a", "9"], ["1", "a"]], states=["0", "1", None]),
+         "malformed transition ['1', 'a']"),
+        (_two_state_doc(transitions=[["0", "a", "9"]], secret=[True]),
+         "invalid 'secret': expected a name, got True"),
+    ],
+)
+def test_parse_names_the_first_of_two_faults(doc, message):
+    """The constructor looks up the partitions' and the transitions' names
+    after the states, the initial state and the secret; an unknown event in
+    a partition, and then a transition that is not a triple of names, are
+    still named first."""
+    with pytest.raises(ModelFormatError) as refused:
+        PlantModel.from_dict(doc)
+    assert str(refused.value) == message
+
+
 def test_parse_syntax_error_has_line_info():
     with pytest.raises(ModelFormatError, match="line"):
         PlantModel.from_json('{"states": [,]}')
@@ -90,6 +124,50 @@ def test_parse_syntax_error_has_line_info():
 def test_stored_decision_rejects_uncontrollable(run_model):
     with pytest.raises(ModelFormatError, match="uncontrollable"):
         run_model.control_decision(["u1", "u2"])  # drops a and b
+
+
+KNOWN_NAMES = ("0", "1", "a", "b")
+# What a document may hold where it wants a name, and where it wants a list.
+NAME_ENTRIES = st.one_of(
+    st.sampled_from(KNOWN_NAMES),
+    st.text(max_size=3),
+    st.integers(-2, 9),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.lists(st.sampled_from(KNOWN_NAMES), max_size=2),
+    st.dictionaries(st.sampled_from(KNOWN_NAMES), st.integers(), max_size=1),
+)
+NAME_LISTS = st.one_of(
+    st.lists(NAME_ENTRIES, max_size=6),
+    st.lists(st.sampled_from(KNOWN_NAMES), max_size=6),
+    NAME_ENTRIES.filter(lambda value: not isinstance(value, list)),
+)
+
+
+@given(NAME_LISTS)
+@settings(max_examples=400, deadline=None)
+def test_names_mask_reads_a_list_or_names_its_first_fault(names):
+    """The one reader of a list of names: its mask, or its first fault in
+    this order: not a list, then the first entry that is not a name
+    (wherever the first unknown name is), then the first unknown name."""
+    index = {name: i for i, name in enumerate(KNOWN_NAMES)}
+    if not isinstance(names, list):
+        message = f"invalid estimate: expected a list, got {names!r}"
+    elif any(not isinstance(name, str) for name in names):
+        first = next(name for name in names if not isinstance(name, str))
+        message = f"invalid estimate: expected a name, got {first!r}"
+    elif any(name not in index for name in names):
+        message = f"unknown state {next(name for name in names if name not in index)!r}"
+    else:
+        expected = 0
+        for name in names:
+            expected |= 1 << index[name]
+        assert names_mask(index, names, "estimate", "state") == expected
+        return
+    with pytest.raises(ModelFormatError) as refused:
+        names_mask(index, names, "estimate", "state")
+    assert str(refused.value) == message
 
 
 def test_project_examples(run_model):
