@@ -52,7 +52,11 @@ the tree alternating per call: the running example under its two tables,
 3 random tables per corpus model (``randgen.random_supervisor``, seed 3)
 and those structures, each in both modes, and the open loop of the
 running example and of every corpus model.  The untimed pass must give
-equal exit codes, 0 or 1, and equal stdout on both trees.  The metrics
+equal exit codes, 0 or 1, and equal stdout on both trees.  It also renders
+``export-dot MODEL --estimator --supervisor TABLE --mode M`` for every
+table in the list, in the list's modes, and the script stops with exit 1
+unless both trees exit 0 with the same bytes; these calls are not timed.
+The metrics
 "mixed", "mixed p50" and "mixed p90" are the time of a round's calls and
 the median and 90th percentile of their latencies; they carry the fixed
 cost of a call (arguments, reading and parsing its documents) that the
@@ -205,6 +209,20 @@ def verify_argvs(pkg, work: Path, docs: list[dict],
         argvs += [["verify", str(work / f"{name}.json"), "--supervisor", str(path),
                    "--mode", mode] for mode in MODES]
     return argvs
+
+
+def estimator_argvs(argvs: list[list[str]]) -> list[list[str]]:
+    """An ``export-dot --estimator`` argv for each of the ``verify`` argvs
+    that reads a decision table, with its model, table and mode."""
+    out = []
+    for argv in argvs:
+        if "--supervisor" not in argv:
+            continue
+        path = argv[argv.index("--supervisor") + 1]
+        if json.loads(Path(path).read_text())["type"] == "supervisor-table":
+            out.append(["export-dot", argv[1], "--estimator", "--supervisor", path,
+                        "--mode", argv[argv.index("--mode") + 1]])
+    return out
 
 
 def load_jobs(argvs: list[list[str]]) -> list[tuple[str, str | None]]:
@@ -367,7 +385,14 @@ def main(argv=None) -> int:
         if outputs["old"] != outputs["new"] or not {c for c, _ in outputs["old"]} <= {0, 1}:
             print("error: the verify calls differ or fail", file=sys.stderr)
             return 1
-        print(f"{len(mixed)} verify calls through cli.main per round")
+        slices = estimator_argvs(mixed)
+        renders = {side: [cli_call(pkg, argv)[1:] for argv in slices]
+                   for side, pkg in sides.items()}
+        if renders["old"] != renders["new"] or {c for c, _ in renders["old"]} != {0}:
+            print("error: the estimator slices differ or fail", file=sys.stderr)
+            return 1
+        print(f"{len(mixed)} verify calls through cli.main per round; "
+              f"{len(slices)} estimator slices equal")
         loads = load_jobs(mixed)
         texts_at = {path: Path(path).read_text() for job in loads for path in job if path}
         # Per side, the models that its tables and structures are read with.

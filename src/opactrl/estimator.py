@@ -142,7 +142,9 @@ def update_estimate(
     """The intruder's estimate after one step from estimate ``q`` under
     decision ``gamma``: it observed ``seen`` (None when the event is hidden
     from it) and the supervisor released ``release`` (None when nothing was
-    released).  A step showing neither leaves the estimate unchanged."""
+    released).  A step showing neither leaves the estimate unchanged.
+    ``model`` may be any object with the plant's reach operators (see
+    :func:`estimator_step`)."""
     if seen is None and release is None:
         return q
     if seen is None:
@@ -159,6 +161,7 @@ def estimator_step(
     m: EstimatorState | None,
     event: AugmentedEvent,
     mode: IssuanceMode,
+    reach=None,
 ) -> EstimatorState:
     """One transition of the intruder state estimator.
 
@@ -168,13 +171,20 @@ def estimator_step(
     decision in force, and the estimate is updated on what the intruder
     sees: the event if it observes it, and the new decision if the issuance
     mechanism releases it (see :func:`released`).
+
+    ``reach``, when given, stands in for ``model`` in the estimate's reach
+    operators (``observable_reach``, ``unobservable_reach``,
+    ``unobservable_reach_plus``, and ``intruder_unobservable``) and must
+    give the same results, as a memo of them does.
     """
     sigma, new_gamma = event
+    if reach is None:
+        reach = model
     if m is None:
         if sigma is not None:
             raise EstimatorError("initial estimator transition carries no event")
         x0 = 1 << model.initial
-        est = model.unobservable_reach(x0, new_gamma, model.intruder_unobservable)
+        est = reach.unobservable_reach(x0, new_gamma, model.intruder_unobservable)
         return EstimatorState(model.initial, est, new_gamma)
 
     x, q, gamma = m
@@ -186,7 +196,7 @@ def estimator_step(
     assert y is not None
     seen = sigma if (model.intruder_observable >> sigma) & 1 else None
     release = new_gamma if released(model, sigma, new_gamma != gamma, mode) else None
-    return EstimatorState(y, update_estimate(model, q, gamma, seen, release), new_gamma)
+    return EstimatorState(y, update_estimate(reach, q, gamma, seen, release), new_gamma)
 
 
 def estimator_trace(

@@ -170,6 +170,14 @@ class PlantModel:
         self.event_index = dict(zip(self.events, range(len(self.events))))
         if len(self.event_index) != len(self.events):
             raise ModelFormatError("duplicate event name")
+        # A decision table's keys are observation strings, split at
+        # whitespace, so only a name that is one such word can be named.
+        for name in self.events:
+            if name.split() != [name]:
+                raise ModelFormatError(
+                    f"invalid event name {name!r}: it must be non-empty and "
+                    "hold no whitespace"
+                )
 
         if initial not in self.state_index:
             raise ModelFormatError(f"unknown initial state {initial!r}")

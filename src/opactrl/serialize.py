@@ -313,15 +313,24 @@ def manifest_for(
     }
 
 
-def _rewrite(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, encoded as ``Path.write_text`` encodes
-    it, into the file that is there, if any: same inode and mode, through a
-    symlink.  A regular file is cut to the new length after the write, not
-    truncated to zero before it, which on ext4 would start writeback at
-    close (``auto_da_alloc``).  Any other file, a FIFO or a terminal, is
-    only written to.  An error carries ``path`` as its filename."""
+def _open(path: str) -> tuple[int, bool]:
+    """A descriptor that writes into ``path``, creating the file if it is
+    not there, and whether this call created it."""
+    try:
+        return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+    except FileExistsError:
+        return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), False
+
+
+def _rewrite(fd: int, path: str, text: str) -> None:
+    """Write ``text``, encoded as ``Path.write_text`` encodes it, through
+    ``fd``, open on the file that is at ``path``: same inode and mode,
+    through a symlink.  A regular file is cut to the new length after the
+    write, not truncated to zero before it, which on ext4 would start
+    writeback at close (``auto_da_alloc``).  Any other file, a FIFO or a
+    terminal, is only written to.  An error carries ``path`` as its
+    filename."""
     data = text.encode(locale.getpreferredencoding(False))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         left = memoryview(data)
         while left:
@@ -331,15 +340,33 @@ def _rewrite(path: str, text: str) -> None:
     except OSError as exc:
         exc.filename = path
         raise
-    finally:
-        os.close(fd)
 
 
 def write_artifact(path: str | Path, text: str, manifest: str) -> None:
     """Write an artifact and, first, its ``<name>.manifest.json`` sidecar,
-    whose text is ``manifest``; each is rewritten in place.  A sidecar
-    that cannot be written leaves the artifact as it was.  An
-    :class:`OSError` names the file it failed on."""
+    whose text is ``manifest``; each is rewritten in place.  Both are
+    opened before either is written, so an artifact that cannot be opened
+    leaves the sidecar as it was, removing one that this call created.  A
+    sidecar that cannot be written leaves the artifact as it was, in the
+    same way.  An :class:`OSError` names the file it failed on."""
     path = str(Path(path))
-    _rewrite(path + ".manifest.json", manifest)
-    _rewrite(path, text)
+    sidecar = path + ".manifest.json"
+    sidecar_fd, sidecar_created = _open(sidecar)
+    try:
+        fd, created = _open(path)
+    except OSError:
+        os.close(sidecar_fd)
+        if sidecar_created:
+            os.unlink(sidecar)
+        raise
+    try:
+        try:
+            _rewrite(sidecar_fd, sidecar, manifest)
+        except OSError:
+            if created:
+                os.unlink(path)
+            raise
+        _rewrite(fd, path, text)
+    finally:
+        os.close(sidecar_fd)
+        os.close(fd)

@@ -790,8 +790,13 @@ def closed_loop_search(
     state is the length of that prefix, and the policy is asked about the
     prefix itself.  Nodes whose string is ``bound`` long are not expanded.
     Raises :class:`SizeGuardExceeded`, named ``search``, once more than
-    ``size_guard`` nodes are known."""
+    ``size_guard`` nodes are known.
+
+    Each estimator step is taken once per search, and the plant reach
+    operators under it are memoised for the search in one
+    :class:`_ReachMemo`."""
     steps: dict[tuple[EstimatorState | None, int | None, int], EstimatorState] = {}
+    reach = _ReachMemo(model)
 
     def step(m: EstimatorState | None, sigma: int | None, gamma: int) -> EstimatorState:
         key = (m, sigma, gamma)
@@ -800,7 +805,7 @@ def closed_loop_search(
             # Looked up at call time, so that a wrapper installed on this
             # module's ``estimator_step`` sees every miss.
             nxt = steps[key] = estimator_step(
-                model, m, AugmentedEvent(sigma, gamma), mode
+                model, m, AugmentedEvent(sigma, gamma), mode, reach
             )
         return nxt
 

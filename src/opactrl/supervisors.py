@@ -10,6 +10,8 @@ walk and is agnostic to the representation.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .model import ModelFormatError, PlantModel
 
 
@@ -59,7 +61,12 @@ class TabularSupervisor(Supervisor):
     gives them: space-separated observation strings, each mapped to a list
     of event names, and a list of event names or None.  The table is read
     entry by entry, each key before its decision, and then the default; a
-    table with several faults is refused for the first."""
+    table with several faults is refused for the first.
+
+    The policy state is the history while it is a prefix of some table key
+    (the empty history at the start), and None once no key extends it:
+    from there every decision is the default, so all such histories share
+    one state and a search tells them apart no further."""
 
     def __init__(
         self,
@@ -78,7 +85,6 @@ class TabularSupervisor(Supervisor):
             model.all_events_mask if default is None
             else model.control_decision(default, "supervisor default")
         )
-        self._horizon = max((len(obs) for obs in self._table), default=0)
 
     def _refuse(self, key: str, obs: tuple[int, ...]) -> None:
         """Refuse the entry ``key``, read as ``obs``, if it must be.  The
@@ -94,12 +100,20 @@ class TabularSupervisor(Supervisor):
         if obs in self._table:
             raise ModelFormatError(f"supervisor table entry {key!r} given twice")
 
+    @cached_property
+    def _prefixes(self) -> frozenset[tuple[int, ...]]:
+        """The non-empty prefixes of the table keys, the keys included.
+        Built on the first ``advance``, so that a table that is only read
+        or written pays nothing for it."""
+        return frozenset(
+            obs[:n] for obs in self._table for n in range(1, len(obs) + 1)
+        )
+
     def advance(self, state, sigma: int):
-        # Past the longest table key, every extension falls to the default,
-        # so all such histories behave alike: they share the state None.
-        if state is None or len(state) == self._horizon:
+        if state is None:
             return None
-        return state + (sigma,)
+        state += (sigma,)
+        return state if state in self._prefixes else None
 
     def decide(self, state) -> int:
         return self._table.get(state, self.default)

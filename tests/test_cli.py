@@ -294,6 +294,55 @@ def test_cli_verify_structure_refuses_bound(tmp_path, bound, capsys):
     assert main(["verify", RUN, "--supervisor", SRUN, "--bound", bound]) in (0, 1)
 
 
+# One state looping on u and v, both seen by both parties, nothing secret,
+# and a table with the one key "u" that keeps the default decision.  Its
+# closed loop has three policy states: the empty history, "u", and None
+# for every history that no key extends ("v", "u u", "u v", ...).
+TWO_LOOPS = {
+    "states": ["0"],
+    "events": ["u", "v"],
+    "initial": "0",
+    "secret": [],
+    "transitions": [["0", "u", "0"], ["0", "v", "0"]],
+    "observable_supervisor": ["u", "v"],
+    "observable_intruder": ["u", "v"],
+    "controllable": [],
+}
+TWO_LOOPS_TABLE = {"type": "supervisor-table", "table": {"u": ["u", "v"]}}
+
+
+def two_loops_argv(tmp_path, *options):
+    model, table = tmp_path / "loops.json", tmp_path / "table.json"
+    model.write_text(dump_json(TWO_LOOPS))
+    table.write_text(dump_json(TWO_LOOPS_TABLE))
+    return ["verify", str(model), "--supervisor", str(table), *options]
+
+
+def test_cli_verify_bound_reads_complete_once_the_collapsed_loop_is_exhausted(
+    tmp_path, capsys
+):
+    """"v" reaches the shared default state at depth 1, so depth 2 finds
+    nothing new and a bound of 2 exhausts the loop.  Told apart by their
+    histories up to the longest key, "u v" and "v u" were new at depth 2,
+    and the verdict read "opaque up to bound 2"."""
+    assert main(two_loops_argv(tmp_path, "--bound", "2")) == 0
+    assert capsys.readouterr().out == "opaque (observation mode)\n"
+    assert main(two_loops_argv(tmp_path, "--bound", "1")) == 0
+    assert capsys.readouterr().out == "opaque up to bound 1 (observation mode)\n"
+
+
+def test_cli_verify_size_guard_counts_the_collapsed_nodes(tmp_path, capsys):
+    """The table search visits its three policy states, not the four
+    histories up to the longest key that it told apart before: a guard of
+    3 holds, and one of 2 trips at the third."""
+    assert main(two_loops_argv(tmp_path, "--size-guard", "3")) == 0
+    assert capsys.readouterr().out == "opaque (observation mode)\n"
+    assert main(two_loops_argv(tmp_path, "--size-guard", "2")) == 2
+    assert capsys.readouterr().err == (
+        "error: closed-loop search exceeded size guard of 2 states (3 visited so far)\n"
+    )
+
+
 def test_cli_verify_open_loop_size_guard(tmp_path, capsys):
     """The guard bounds the open-loop search, whose observer reaches every
     subset of this plant's chain: a trip exits 2 with no verdict."""
@@ -488,6 +537,24 @@ def test_cli_leaves_the_artifact_alone_when_its_sidecar_cannot_be_written(
         f"error: cannot write {out}.manifest.json: Is a directory\n"
     )
     assert (out.read_bytes() if out.exists() else None) == before
+
+
+@pytest.mark.parametrize("argv", WRITING_ARGVS.values(), ids=WRITING_ARGVS)
+@pytest.mark.parametrize("before", [None, b"old manifest\n"], ids=["absent", "present"])
+def test_cli_leaves_the_sidecar_alone_when_the_artifact_cannot_be_written(
+    argv, before, tmp_path, capsys
+):
+    """Both files are opened before either is written, so an artifact path
+    that is a directory neither leaves a fresh sidecar behind nor rewrites
+    the manifest of an older artifact."""
+    out = tmp_path / "x"
+    out.mkdir()
+    sidecar = tmp_path / "x.manifest.json"
+    if before is not None:
+        sidecar.write_bytes(before)
+    assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+    assert (sidecar.read_bytes() if sidecar.exists() else None) == before
 
 
 def test_cli_synthesize_no_solution(tmp_path, capsys):
@@ -1028,6 +1095,15 @@ MALFORMED_DOCUMENTS = [
      "invalid model {model}: invalid 'initial': expected a name, got None"),
     ("model", ("states", 0), True,
      "invalid model {model}: invalid 'states': expected a name, got True"),
+    # A table key is split at whitespace, so it could not name the event
+    # "x y": the table {"x y": ["x y"]} used to be refused for the unknown
+    # event 'x'.  The model is refused instead, as it is for the empty name.
+    ("model", ("events",), ["a", "u1", "u2", "u3", "b", "x y"],
+     "invalid model {model}: invalid event name 'x y': it must be non-empty and hold "
+     "no whitespace"),
+    ("model", ("events",), ["a", "u1", "u2", "u3", "b", ""],
+     "invalid model {model}: invalid event name '': it must be non-empty and hold "
+     "no whitespace"),
     # An unknown name before a non-name: the document is refused for the
     # non-name, as every name of a list is checked before any is looked up.
     ("structure", ("decision_states", 1, "decision"), ["zz", "a", 3],

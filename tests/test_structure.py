@@ -787,6 +787,46 @@ def test_loop_nodes_link_back_to_their_strings(seed, mode):
         assert state == sup.observation_signature(obs)
 
 
+class FullHistoryTable(TabularSupervisor):
+    """The reference for the table's policy state: the whole history up to
+    the longest key, and None past it, whether or not a key extends it."""
+
+    def advance(self, state, sigma):
+        horizon = max(map(len, self._table), default=0)
+        if state is None or len(state) == horizon:
+            return None
+        return state + (sigma,)
+
+
+@given(
+    model_seeds,
+    st.sampled_from([OBS, DEC]),
+    st.sampled_from([{}, {"max_entries": 8, "max_obs_len": 4}]),
+)
+@settings(max_examples=60, deadline=None)
+def test_table_searches_merge_histories_no_key_extends(seed, mode, sizes):
+    """A table's search sends every history that no key extends to the
+    default state None.  Merged nodes have the same future decisions, so
+    the verdict and shortest counterexample, bounded or not, and the
+    estimator slice are those of the search that tells histories apart up
+    to the longest key; a bounded search is complete at least as often."""
+    rng = random.Random(seed)
+    model = random_model(rng, CLOSED_LOOP_CONFIG)
+    sup = random_supervisor(rng, model, **sizes)
+    doc = sup.to_dict()
+    full = FullHistoryTable(model, doc["table"], doc["default"])
+    got, want = (verify_closed_loop_opacity(model, s, mode) for s in (sup, full))
+    assert (got.opaque, got.counterexample) == (want.opaque, want.counterexample)
+    for depth in (3, 7):
+        assert estimator_slice_to_dot(model, sup, mode, depth) == estimator_slice_to_dot(
+            model, full, mode, depth
+        )
+    for bound in (2, 5):
+        got, want = (verify_closed_loop_opacity(model, s, mode, bound) for s in (sup, full))
+        assert (got.opaque, got.counterexample) == (want.opaque, want.counterexample)
+        assert got.complete or not want.complete
+
+
 # u is hidden from both parties, s from the intruder only, and the
 # controllable c is seen by both; nothing is secret.
 SILENT_AND_RELEASED = {
