@@ -14,17 +14,22 @@ from .estimator import (
     estimate_from_flow,
     estimator_step,
     estimator_trace,
-    information_flow,
-    oracle_controlled_estimate,
     run_estimator,
 )
 from .model import (
     EventPartitions,
     ModelFormatError,
     PlantModel,
-    UnreachableObservationError,
-    open_loop_estimate,
     project,
+)
+from .oracles import (
+    UnreachableObservationError,
+    brute_estimate_set,
+    information_flow,
+    open_loop_estimate,
+    oracle_controlled_estimate,
+    structure_from_policy,
+    supervisor_estimate,
 )
 from .structure import (
     INITIAL_KEY,
@@ -34,7 +39,6 @@ from .structure import (
     OpacityVerdict,
     StructureError,
     Successors,
-    brute_estimate_set,
     info_decision,
     info_estimates,
     info_plant_states,
@@ -42,8 +46,6 @@ from .structure import (
     is_safe,
     make_info,
     nx_is,
-    structure_from_policy,
-    supervisor_estimate,
     ur_is,
     verify_closed_loop_opacity,
     verify_open_loop_opacity,

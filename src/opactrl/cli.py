@@ -232,10 +232,7 @@ def _cmd_verify(args) -> int:
             raise CliError("--bound is read only with a supervisor table")
         check = functools.partial(verify_closed_loop_opacity, model, sup, _mode(args),
                                   args.bound, args.size_guard)
-    try:
-        result = check()
-    except SizeGuardExceeded as exc:
-        raise CliError(str(exc)) from exc
+    result = check()
     if result.opaque:
         qualifier = "" if result.complete else f" up to bound {result.bound}"
         print(f"opaque{qualifier} ({loop})")
@@ -251,10 +248,7 @@ def _cmd_synthesize(args) -> int:
         extraction_policy=args.policy,
         size_guard=args.size_guard,
     )
-    try:
-        outcome = synthesize(model, cfg)
-    except SizeGuardExceeded as exc:
-        raise CliError(str(exc)) from exc
+    outcome = synthesize(model, cfg)
     print(outcome.report(), end="")
     if not outcome.solved:
         print("no solution exists")
@@ -334,12 +328,9 @@ def _cmd_export_dot(args) -> int:
         config.update({dest: getattr(args, dest) for dest in ESTIMATOR_DEFAULTS})
         if isinstance(sup, ControlStructure):
             sup = sup.decoded()
-        try:
-            output = dotmod.estimator_slice_to_dot(
-                model, sup, _mode(args), args.depth, args.size_guard
-            )
-        except SizeGuardExceeded as exc:
-            raise CliError(str(exc)) from exc
+        output = dotmod.estimator_slice_to_dot(
+            model, sup, _mode(args), args.depth, args.size_guard
+        )
     else:
         loaded = _parsed(args.input, "model", _model_or_structure, text)
         if isinstance(loaded, PlantModel):
@@ -369,7 +360,8 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except (CliError, ModelFormatError, StructureError, FlowFormatError) as exc:
+    except (CliError, ModelFormatError, StructureError, FlowFormatError,
+            SizeGuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # a bug, not a verdict: never exit 1 with a traceback

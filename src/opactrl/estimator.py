@@ -1,6 +1,6 @@
 """The intruder's view of the closed loop: closed-loop simulation and
-augmented strings, information flows, the recursive state estimator, and an
-exhaustive decoration oracle.
+augmented strings, the recursive state estimator, and the estimate of an
+information flow (the references for it are in :mod:`opactrl.oracles`).
 
 Two decision-issuance mechanisms are supported.  Under the observation-
 triggered mechanism the supervisor releases a decision after every event it
@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .model import PlantModel, iter_bits
+from .model import PlantModel
 from .supervisors import Supervisor
 
 
@@ -119,21 +119,6 @@ def released(model: PlantModel, sigma: int, changed: bool, mode: IssuanceMode) -
     if mode is IssuanceMode.OBSERVATION:
         return bool((model.supervisor_observable >> sigma) & 1)
     return changed
-
-
-def information_flow(
-    model: PlantModel, s: Sequence[int], sup: Supervisor, mode: IssuanceMode
-) -> tuple[ObservationPair, ...]:
-    """The intruder's timeline of (observed event, released decision) pairs
-    along ``s``.  Steps invisible to both parties contribute nothing."""
-    trace = augment(model, s, sup)
-    out = [ObservationPair(None, trace[0].decision)]
-    for (_, gamma), (sigma, new_gamma) in zip(trace, trace[1:]):
-        seen = sigma if (model.intruder_observable >> sigma) & 1 else None
-        release = new_gamma if released(model, sigma, new_gamma != gamma, mode) else None
-        if seen is not None or release is not None:
-            out.append(ObservationPair(seen, release))
-    return tuple(out)
 
 
 def update_estimate(
@@ -248,69 +233,3 @@ def estimate_from_flow(
         if release is not None:
             gamma = release
     return q
-
-
-def oracle_controlled_estimate(
-    model: PlantModel,
-    flow: Sequence[ObservationPair],
-    mode: IssuanceMode,
-    bound: int,
-    memoize: bool = True,
-) -> int:
-    """Brute-force reference for the controlled state estimate.
-
-    Enumerates every decorated string of at most ``bound`` plant events: at
-    each step the event must be enabled by the decision in force, and the
-    step either releases the (new) decision or stays silent keeping the old
-    one.  Under the decision-triggered mechanism a release happens exactly
-    when the decision changes.  A decoration matches when the observation
-    pairs it induces equal ``flow``; the result collects the end plant states
-    of all matching decorations.
-
-    The memoized search prunes revisits of (plant state, flow position,
-    decision in force, steps used); ``memoize=False`` runs the raw
-    exponential enumeration, kept as a cross-check for the memoization.
-    """
-    if not flow or flow[0].event is not None or flow[0].decision is None:
-        raise FlowFormatError("flow must start with the initial decision release")
-    if bound < len(flow) - 1:
-        raise ValueError("bound smaller than the number of flow steps")
-    total = len(flow)
-    decision_triggered = mode is IssuanceMode.DECISION
-    result = 0
-    seen: set[tuple[int, int, int, int]] = set()
-    stack = [(model.initial, 1, flow[0].decision, 0)]
-    if memoize:
-        seen.add(stack[0])
-    while stack:
-        x, i, d, k = stack.pop()
-        if i == total:
-            result |= 1 << x
-        if k == bound:
-            continue
-        enabled = model.active(x) & d
-        nxt = flow[i] if i < total else None
-        for sigma in iter_bits(enabled):
-            y = model.step(x, sigma)
-            int_sees = (model.intruder_observable >> sigma) & 1
-            candidates = []
-            # Silent step: the decision in force is kept.
-            if int_sees:
-                if nxt is not None and nxt.event == sigma and nxt.decision is None:
-                    candidates.append((y, i + 1, d, k + 1))
-            else:
-                candidates.append((y, i, d, k + 1))
-            # Releasing step: must produce the next flow pair.
-            if nxt is not None and nxt.decision is not None:
-                expected = sigma if int_sees else None
-                if nxt.event == expected and not (
-                    decision_triggered and nxt.decision == d
-                ):
-                    candidates.append((y, i + 1, nxt.decision, k + 1))
-            for node in candidates:
-                if memoize:
-                    if node in seen:
-                        continue
-                    seen.add(node)
-                stack.append(node)
-    return result

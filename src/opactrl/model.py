@@ -3,8 +3,8 @@
 States and events are referred to by name externally and interned to dense
 integer indices internally; every set of states or events is an int bitmask
 over those indices.  Canonical order is first appearance in the model
-document, so all constructions built on top of these primitives are
-deterministic.
+document, so every construction on them is deterministic.  The open-loop
+estimate, a reference for the reach operators, is in :mod:`opactrl.oracles`.
 """
 
 from __future__ import annotations
@@ -17,14 +17,6 @@ from typing import Iterable, Iterator, Sequence
 
 class ModelFormatError(ValueError):
     """A model document is syntactically or semantically invalid."""
-
-
-class UnreachableObservationError(ValueError):
-    """An observation sequence has no witness string in the plant language.
-
-    Distinct from an empty estimate: the estimate of a feasible observation
-    is never empty, so infeasibility is reported explicitly.
-    """
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -171,13 +163,17 @@ class PlantModel:
         if len(self.event_index) != len(self.events):
             raise ModelFormatError("duplicate event name")
         # A decision table's keys are observation strings, split at
-        # whitespace, so only a name that is one such word can be named.
+        # whitespace, and a flow's decision {e1,e2} is split at commas: only
+        # a name that is one such word, with no ',', '{' or '}', can be named.
         for name in self.events:
             if name.split() != [name]:
                 raise ModelFormatError(
                     f"invalid event name {name!r}: it must be non-empty and "
                     "hold no whitespace"
                 )
+            if "," in name or "{" in name or "}" in name:
+                raise ModelFormatError(f"invalid event name {name!r}: it must hold no "
+                                       "',', '{' or '}'")
 
         if initial not in self.state_index:
             raise ModelFormatError(f"unknown initial state {initial!r}")
@@ -433,28 +429,4 @@ class PlantModel:
 def project(s: Sequence[int], obs: int) -> tuple[int, ...]:
     """Natural projection: erase events outside ``obs``, preserving order."""
     return tuple(e for e in s if (obs >> e) & 1)
-
-
-def open_loop_estimate(model: PlantModel, alpha: Sequence[int], obs: int) -> int:
-    """Current-state estimate of the uncontrolled plant after observing
-    ``alpha`` through the projection onto ``obs``.
-
-    Raises :class:`UnreachableObservationError` when no plant string projects
-    to ``alpha``.
-    """
-    hidden = model.all_events_mask & ~obs
-    gamma = model.all_events_mask
-    q = model.unobservable_reach(1 << model.initial, gamma, hidden)
-    for sigma in alpha:
-        if not (obs >> sigma) & 1:
-            raise ValueError(
-                f"event {model.events[sigma]!r} is not in the observation alphabet"
-            )
-        q = model.observable_reach(q, sigma)
-        if not q:
-            raise UnreachableObservationError(
-                "unreachable observation: no plant string matches"
-            )
-        q = model.unobservable_reach(q, gamma, hidden)
-    return q
 

@@ -5,7 +5,7 @@ knowledge: a set of estimator states sharing one decision.  A control
 structure is a bipartite graph alternating decision states, where exactly
 one decision is committed, and observation states, where every feasible
 supervisor observation is resolved.  Walking it decodes a supervisor
-policy.
+policy.  The reference walks over a policy are in :mod:`opactrl.oracles`.
 """
 
 from __future__ import annotations
@@ -647,87 +647,6 @@ class DecodedSupervisor(Supervisor):
         return obs[0].decision
 
 
-def supervisor_estimate(
-    model: PlantModel, sup: Supervisor, alpha: Sequence[int]
-) -> int:
-    """The supervisor's own state estimate after observing ``alpha`` in its
-    closed loop: end states of all strings projecting to ``alpha`` that the
-    policy admits.  Exact (fixpoint per step), no string enumeration."""
-    hidden = model.supervisor_unobservable
-    gamma = sup.decision(())
-    q = model.unobservable_reach(1 << model.initial, gamma, hidden)
-    seen: list[int] = []
-    for sigma in alpha:
-        if not (model.supervisor_observable >> sigma) & 1:
-            raise StructureError(
-                f"event {model.events[sigma]!r} is not supervisor-observable"
-            )
-        if not (gamma >> sigma) & 1:
-            raise StructureError("observation infeasible: event disabled")
-        q = model.observable_reach(q, sigma)
-        if not q:
-            raise StructureError("observation infeasible in the closed loop")
-        seen.append(sigma)
-        gamma = sup.decision(tuple(seen))
-        q = model.unobservable_reach(q, gamma, hidden)
-    return q
-
-
-def structure_from_policy(
-    model: PlantModel, sup: Supervisor, mode: IssuanceMode
-) -> ControlStructure:
-    """Materialize the control structure induced by a policy whose decisions
-    depend only on the information state (true for any finite tabular policy
-    that never distinguishes histories reaching the same state).
-
-    Each decision state is expanded once, but its decision is re-checked on
-    every arrival, so a policy disagreeing with itself across any traversed
-    edge is rejected.  The walk runs on the kernel's (decision, core set)
-    pairs; information states are built for the structure returned."""
-    kernel = Successors(model, mode)
-    # A decision state is (decision, core set, event) of its observation
-    # state and observation, all None for the initial one; an observation
-    # state is (decision, core set).  A queue entry is (decision state,
-    # policy state, parent entry, event from the parent), so that
-    # :func:`loop_string` reads its history back.
-    decided: dict[tuple, tuple[int, tuple[int, int]]] = {}
-    events: dict[tuple[int, int], tuple[int, ...]] = {}
-    first_seen: dict[tuple, tuple] = {}
-    queue = deque([((None, None, None), sup.start(), None, None)])
-    while queue:
-        entry = queue.popleft()
-        key, state = entry[0], entry[1]
-        gamma = sup.decide(state)
-        if key in decided:
-            if decided[key][0] != gamma:
-                raise StructureError(
-                    "policy is not information-state based: decision state "
-                    f"reached by {loop_string(first_seen[key])} and "
-                    f"{loop_string(entry)} with different decisions"
-                )
-            continue
-        first_seen[key] = entry
-        cores = kernel.target(*key, gamma)
-        target = (gamma, cores)
-        decided[key] = (gamma, target)
-        if target not in events:
-            events[target] = kernel.feasible_events(gamma, cores)
-        queue.extend(
-            ((gamma, cores, nxt), sup.advance(state, nxt), entry, nxt)
-            for nxt in events[target]
-        )
-    info = {obs: kernel.info_of(*obs) for obs in events}
-    return ControlStructure(
-        model,
-        mode,
-        {
-            (None if old is None else info[old, cores], sigma): (gamma, info[target])
-            for (old, cores, sigma), (gamma, target) in decided.items()
-        },
-        {info[obs]: evs for obs, evs in events.items()},
-    )
-
-
 @dataclass
 class OpacityVerdict:
     """The answer of an opacity check.  ``counterexample`` holds the events
@@ -774,7 +693,6 @@ def closed_loop_search(
     mode: IssuanceMode,
     bound: int | None = None,
     size_guard: int | None = None,
-    alpha: Sequence[int] | None = None,
     search: str = "closed-loop search",
 ) -> Iterator[tuple[LoopNode | None, int | None, LoopNode, bool]]:
     """Breadth-first search over the closed loop of ``sup``.
@@ -785,10 +703,8 @@ def closed_loop_search(
     the first yield is the estimator's first step, with ``parent`` and
     ``sigma`` None.  A node's policy state is the one ``sup`` advances to
     along the node's observation, and nodes are told apart by their
-    estimator state and policy state.  With ``alpha`` given, only moves
-    whose observation stays a prefix of ``alpha`` are made, the policy
-    state is the length of that prefix, and the policy is asked about the
-    prefix itself.  Nodes whose string is ``bound`` long are not expanded.
+    estimator state and policy state.  Nodes whose string is ``bound`` long
+    are not expanded.
     Raises :class:`SizeGuardExceeded`, named ``search``, once more than
     ``size_guard`` nodes are known.
 
@@ -809,12 +725,8 @@ def closed_loop_search(
             )
         return nxt
 
-    if alpha is None:
-        decide, state = sup.decide, sup.start()
-    else:
-        alpha = tuple(alpha)
-        decide, state = (lambda k: sup.decision(alpha[:k])), 0
-    root: LoopNode = (step(None, None, decide(state)), state, 0, None, None)
+    state = sup.start()
+    root: LoopNode = (step(None, None, sup.decide(state)), state, 0, None, None)
     seen = {root[:2]}
     yield None, None, root, True
     observable = model.supervisor_observable
@@ -826,13 +738,8 @@ def closed_loop_search(
             continue
         for sigma in iter_bits(model.active(m.plant_state) & m.decision):
             if (observable >> sigma) & 1:
-                if alpha is None:
-                    nxt = sup.advance(state, sigma)
-                elif state < len(alpha) and alpha[state] == sigma:
-                    nxt = state + 1
-                else:
-                    continue
-                gamma = decide(nxt)
+                nxt = sup.advance(state, sigma)
+                gamma = sup.decide(nxt)
             else:
                 nxt, gamma = state, m.decision
             node = (step(m, sigma, gamma), nxt, depth + 1, parent, sigma)
@@ -948,23 +855,3 @@ def verify_closed_loop_opacity(
                 _guard_visits(seen, size_guard, "closed-loop walk")
                 stack.append(node)
     return OpacityVerdict(True)
-
-
-def brute_estimate_set(
-    model: PlantModel,
-    sup: Supervisor,
-    alpha: Sequence[int],
-    mode: IssuanceMode,
-    bound: int | None = None,
-) -> frozenset[int]:
-    """All controlled state estimates over strings of the closed loop that
-    project to ``alpha``, of at most ``bound`` events when ``bound`` is set.
-    This folds the intruder-side estimator over strings, independently of
-    the information-state operators."""
-    return frozenset(
-        m.estimate
-        for _, _, (m, k, *_), new in closed_loop_search(
-            model, sup, mode, bound, alpha=alpha
-        )
-        if new and k == len(alpha)
-    )

@@ -653,6 +653,34 @@ def test_cli_estimate_malformed_flow(tmp_path, capsys):
     assert main(["estimate", RUN, "--flow", str(flow)]) == 2
 
 
+def test_cli_estimate_refuses_an_event_that_a_flow_cannot_name(tmp_path, capsys):
+    """The flow below enables "a,b" and o, so the secret S is all the
+    intruder can estimate.  Split at commas, its decision used to read as
+    {a, b, o}, and ``estimate`` printed {s1,s2} with exit 0, hiding the
+    secret; the model is refused instead."""
+    model = tmp_path / "comma.json"
+    model.write_text(dump_json({
+        "states": ["s0", "s1", "s2", "S"],
+        "events": ["a", "b", "a,b", "o"],
+        "initial": "s0",
+        "secret": ["S"],
+        "transitions": [["s0", "a", "s1"], ["s0", "b", "s2"], ["s0", "a,b", "S"],
+                        ["s1", "o", "s1"], ["s2", "o", "s2"], ["S", "o", "S"]],
+        "observable_supervisor": ["o"],
+        "observable_intruder": ["o"],
+        "controllable": ["a", "b", "a,b"],
+    }))
+    flow = tmp_path / "comma.flow"
+    flow.write_text("event=-, decision={a,b,o}\nevent=o, decision=-\n")
+    assert main(["estimate", str(model), "--flow", str(flow)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: invalid model {model}: invalid event name 'a,b': it must hold no "
+        "',', '{' or '}'\n"
+    )
+
+
 def test_cli_export_dot_model(tmp_path, capsys):
     out = tmp_path / "plant.dot"
     assert main(["export-dot", RUN, "--out", str(out)]) == 0
@@ -1104,6 +1132,18 @@ MALFORMED_DOCUMENTS = [
     ("model", ("events",), ["a", "u1", "u2", "u3", "b", ""],
      "invalid model {model}: invalid event name '': it must be non-empty and hold "
      "no whitespace"),
+    # A flow writes a decision as {e1,e2} and splits it at commas, so it
+    # could not name the event "a,b": a decision enabling it was read back
+    # as enabling 'a' and 'b'.
+    ("model", ("events",), ["a", "u1", "u2", "u3", "b", "a,b"],
+     "invalid model {model}: invalid event name 'a,b': it must hold no ',', '{{' or "
+     "'}}'"),
+    ("model", ("events",), ["a", "u1", "u2", "u3", "b", "{c"],
+     "invalid model {model}: invalid event name '{{c': it must hold no ',', '{{' or "
+     "'}}'"),
+    ("model", ("events",), ["a", "u1", "u2", "u3", "b", "c}"],
+     "invalid model {model}: invalid event name 'c}}': it must hold no ',', '{{' or "
+     "'}}'"),
     # An unknown name before a non-name: the document is refused for the
     # non-name, as every name of a list is checked before any is looked up.
     ("structure", ("decision_states", 1, "decision"), ["zz", "a", 3],
