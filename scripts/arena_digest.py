@@ -23,12 +23,12 @@ digests the open loop: the ``verify_open_loop_opacity`` verdict of every
 model, with its witness observation.
 
 Run ``python3 scripts/arena_digest.py``; it imports ``opactrl`` from the
-``src`` directory of its own checkout and takes about half a minute on a
-2-vCPU machine, most of it for the third line.  Equal output
+``src`` directory of its own checkout and takes about 15 seconds on a
+2-vCPU Xeon, two thirds of it for the third line.  Equal output
 from two checkouts means equal results on this corpus.  ``digest(models)``,
 ``closed_loop_digest(models)`` and ``open_loop_digest(models)`` give the
-same lines for any list of models; ``tests/test_golden.py`` pins them for a
-slice of the corpus.
+same lines for any list of models; ``tests/test_golden.py`` pins all four
+for a slice of the corpus, and all but the third for the whole corpus.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ from .supervisors import Supervisor
 
 
 def _quote(text: str) -> str:
-    return '"' + text.replace('"', '\\"') + '"'
+    """``text`` as a DOT string: each backslash doubled, then each quote
+    escaped, so that a name ending in a backslash still closes its string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def model_to_dot(model: PlantModel) -> str:

@@ -708,25 +708,14 @@ def closed_loop_search(
     Raises :class:`SizeGuardExceeded`, named ``search``, once more than
     ``size_guard`` nodes are known.
 
-    Each estimator step is taken once per search, and the plant reach
-    operators under it are memoised for the search in one
-    :class:`_ReachMemo`."""
-    steps: dict[tuple[EstimatorState | None, int | None, int], EstimatorState] = {}
+    Every move takes one estimator step, and the plant reach operators
+    under the steps are memoised for the search in one :class:`_ReachMemo`.
+    ``estimator_step`` is looked up at call time, so that a wrapper
+    installed on this module's name sees every step."""
     reach = _ReachMemo(model)
-
-    def step(m: EstimatorState | None, sigma: int | None, gamma: int) -> EstimatorState:
-        key = (m, sigma, gamma)
-        nxt = steps.get(key)
-        if nxt is None:
-            # Looked up at call time, so that a wrapper installed on this
-            # module's ``estimator_step`` sees every miss.
-            nxt = steps[key] = estimator_step(
-                model, m, AugmentedEvent(sigma, gamma), mode, reach
-            )
-        return nxt
-
     state = sup.start()
-    root: LoopNode = (step(None, None, sup.decide(state)), state, 0, None, None)
+    first = estimator_step(model, None, AugmentedEvent(None, sup.decide(state)), mode, reach)
+    root: LoopNode = (first, state, 0, None, None)
     seen = {root[:2]}
     yield None, None, root, True
     observable = model.supervisor_observable
@@ -742,7 +731,8 @@ def closed_loop_search(
                 gamma = sup.decide(nxt)
             else:
                 nxt, gamma = state, m.decision
-            node = (step(m, sigma, gamma), nxt, depth + 1, parent, sigma)
+            stepped = estimator_step(model, m, AugmentedEvent(sigma, gamma), mode, reach)
+            node = (stepped, nxt, depth + 1, parent, sigma)
             key = node[:2]
             new = key not in seen
             if new:

@@ -209,39 +209,36 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     observation state id when it is first reached under its decision; no
     ``InfoState`` is built.
 
-    The edges of a decision state are memoised three times.  The first
-    memo maps the targets key (the class of the old decision, the cores the
-    event moves and the event), which fixes :meth:`Successors.targets`, to
-    the *safe row*: the targets with each unsafe one set to None.  The
-    second maps the layout key (the old decision under the
-    decision-triggered mechanism, else nothing) and the safe row to the
-    edges: that is all the loop over :attr:`Successors.decisions` reads, so
-    it runs once per distinct (layout, safe row), where many targets keys
-    share one row.  The third maps what fixes both keys, the targets key
-    with the old decision itself in place of its class under the
-    decision-triggered mechanism, to the edges, so that a decision state
-    met again under it takes its edges in one probe.  The first decision
-    state with a row numbers every safe target it reaches, so a later one
-    with the same row reaches no new state and takes the same edges: ids,
-    orders and the size-guard trip point are those of expanding every
-    state."""
+    The edges of a decision state are memoised twice.  The first memo maps
+    what fixes them, the *settled key*, to the edges: the cores the event
+    moves, the event, and the old decision's class, or under the
+    decision-triggered mechanism the old decision itself, whose layout has
+    a column of its own.  On a miss, the targets come from
+    :meth:`Successors.targets`, whose table per (event, class of the old
+    decision) already holds every row and merge, and the *safe row* is the
+    targets with each unsafe one set to None.  The second memo maps the
+    layout key (the old decision under the decision-triggered mechanism,
+    else nothing) and the safe row to the edges: that is all the loop over
+    :attr:`Successors.decisions` reads, so it runs once per distinct
+    (layout, safe row), where many settled keys share one row.  A new
+    observation state takes its events from
+    :meth:`Successors.feasible_events`.  The first decision state with a
+    row numbers every safe target it reaches, so a later one with the same
+    row reaches no new state and takes the same edges: ids, orders and the
+    size-guard trip point are those of expanding every state."""
     successor = Successors(model, cfg.mode)
     expansion = _Expansion(successor)
     decision_of, cores_of, events_of = expansion.decision, expansion.cores, expansion.events
     base, owner = expansion.base, expansion.owner
     decisions = successor.decisions
     hidden, active_at = successor._hidden, successor._active_at
-    observable = model.supervisor_observable
     decision_mode = cfg.mode is IssuanceMode.DECISION
     size_guard = cfg.size_guard
     edges: list[tuple[tuple[int, int], ...] | None] = [None]
     n_decision, n_observation = 1, 0
-    # Safe rows by targets key; the initial decision state's under None.
-    known: dict[tuple[int, int, int] | None, tuple[int | None, ...]] = {}
     # Edges by layout key and safe row.
     by_row: dict[tuple[int | None, tuple], tuple[tuple[int, int], ...]] = {}
-    # Edges by targets key, with the old decision for its class under the
-    # decision-triggered mechanism.
+    # Edges by settled key; the initial decision state's under None.
     settled: dict[tuple[int, int, int] | None, tuple[tuple[int, int], ...]] = {}
     reached: dict[tuple[int, int], int] = {}
     # Decision states to expand; each reads its observation state's
@@ -251,23 +248,20 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
         d = stack.pop()
         o = owner[d]
         if o < 0:
-            old = cores = sigma = key = probe = None
+            old = cores = sigma = probe = None
         else:
             old, cores = decision_of[o], cores_of[o]
             sigma = events_of[o][d - base[o]]
             moved = cores & active_at[sigma]
-            key = (old & hidden, moved, sigma)
-            probe = (old, moved, sigma) if decision_mode else key
+            probe = (old if decision_mode else old & hidden, moved, sigma)
             out = settled.get(probe)
             if out is not None:
                 edges[d] = out
                 continue
-        row = known.get(key)
-        if row is None:
-            targets = successor.targets(old, cores, sigma)
-            # Read after the targets: answering them interns their cores.
-            revealing = successor._revealing
-            row = known[key] = tuple([None if t & revealing else t for t in targets])
+        targets = successor.targets(old, cores, sigma)
+        # Read after the targets: answering them interns their cores.
+        revealing = successor._revealing
+        row = tuple([None if t & revealing else t for t in targets])
         row_key = (old if decision_mode else None, row)
         out = by_row.get(row_key)
         if out is None:
@@ -280,20 +274,11 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
                 if o is None:
                     o = reached[(gamma, t)] = n_observation
                     n_observation += 1
-                    # The feasible events: observable, enabled and active
-                    # at some core.
-                    feasible = []
-                    events = observable & gamma
-                    while events:
-                        low = events & -events
-                        events ^= low
-                        s = low.bit_length() - 1
-                        if t & active_at[s]:
-                            feasible.append(s)
+                    feasible = successor.feasible_events(gamma, t)
                     first, n_decision = n_decision, n_decision + len(feasible)
                     decision_of.append(gamma)
                     cores_of.append(t)
-                    events_of.append(tuple(feasible))
+                    events_of.append(feasible)
                     base.append(first)
                     edges.extend([None] * (n_decision - first))
                     owner.extend([o] * (n_decision - first))

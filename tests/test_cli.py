@@ -112,6 +112,45 @@ def test_structure_document_escapes_names_and_lays_out_empty_lists(mode):
     assert_laid_out_as_dump_json(full)
 
 
+# A DOT string: a quote, then characters other than a quote, a backslash or
+# a line break, or a backslash and the character it escapes, then a quote.
+DOT_STRING = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+
+
+def dot_strings(text):
+    """The quoted strings of a DOT text, unescaped.  Every string must close
+    on its line, so no quote is left over once they are taken out."""
+    for line in text.splitlines():
+        assert '"' not in DOT_STRING.sub("", line), f"unclosed string in {line!r}"
+    return [re.sub(r"\\(.)", r"\1", s) for s in DOT_STRING.findall(text)]
+
+
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_dot_escapes_backslashes_and_quotes_in_names(mode):
+    """A name may end in a backslash or hold a quote; each of the three
+    renderers writes it as a DOT string that closes and reads back as the
+    name."""
+    q, e = [*ODD_STATES, "s1\\"], ODD_EVENTS
+    model = PlantModel.from_dict({
+        "states": q,
+        "events": e,
+        "initial": q[0],
+        "secret": [q[3]],
+        "transitions": [[q[0], e[0], q[1]], [q[1], e[1], q[4]], [q[4], e[2], q[3]],
+                        [q[3], e[3], q[0]], [q[0], e[1], q[2]]],
+        "observable_supervisor": e,
+        "observable_intruder": [e[0], e[3]],
+        "controllable": e,
+    })
+    assert set(dot_strings(model_to_dot(model))) == {*q, *e}
+    full = synthesize(model, SynthesisConfig(mode, "locally_maximal")).structure
+    labels = dot_strings(structure_to_dot(full))
+    names = {name.strip() for label in labels for name in re.split(r"[(),{}]", label)}
+    assert {"s1\\", "b\\"} <= names
+    labels = dot_strings(estimator_slice_to_dot(model, full.decoded(), mode, 6))
+    assert any(label.startswith("s1\\,") for label in labels)
+
+
 def test_structure_dict_rejects_inconsistent_transitions(run_model, srun):
     structure = structure_from_policy(run_model, srun, OBS)
     doc = structure_to_dict(structure)

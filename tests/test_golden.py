@@ -145,6 +145,16 @@ CLOSED_LOOP_DIGEST_LINE = (
 OPEN_LOOP_DIGEST_LINE = (
     "open-loop: e590b3df050b8286f30b2d4ec59154e6d6cc9e77e0b74755c30b5b89694178a9"
 )
+# The lines of scripts/arena_digest.py for its whole corpus, but for the
+# closed-loop line, which takes most of the script's time and is pinned for
+# the slice above.
+FULL_CORPUS_DIGEST_LINES = [
+    "observation: 4af94405aef0ec4897a2f7579bf8cf423eaf27b343734a540da161b809796838",
+    "decision: 64f1ccf358b3b655c75606863655156a1bf9852dc17a151e0b736f4136530cad",
+]
+FULL_CORPUS_OPEN_LOOP_DIGEST_LINE = (
+    "open-loop: 042f973c407d9bd02a5d4191c4e72d75e89717d2d08e5a9d9b7c894194dd3190"
+)
 # The lines of scripts/arena_digest.py for the running example followed by
 # randgen seed-10 draws 2 and 17, re-recorded for the same observation order
 # as ARENA_DIGEST_LINES.
@@ -244,6 +254,14 @@ def test_open_loop_digest_of_a_corpus_slice_is_unchanged(corpus_slice):
     """Each model's open-loop verdict with its witness observation."""
     arena_digest, models = corpus_slice
     assert arena_digest.open_loop_digest(models) == OPEN_LOOP_DIGEST_LINE
+
+
+def test_arena_and_open_loop_digests_of_the_full_corpus_are_unchanged(arena_digest):
+    """The lines of ``scripts/arena_digest.py`` for all 425 models of its
+    corpus, seed-10 draws 1-25 included, but for the closed-loop line."""
+    models = arena_digest.corpus()
+    assert arena_digest.digest(models) == FULL_CORPUS_DIGEST_LINES
+    assert arena_digest.open_loop_digest(models) == FULL_CORPUS_OPEN_LOOP_DIGEST_LINE
 
 
 @pytest.mark.parametrize("mode, depth", sorted(SLICE_DIGESTS))

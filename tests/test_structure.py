@@ -249,31 +249,43 @@ def test_verify_structure_route_matches_string_route(run_model, fig4, sprime):
     assert verify_closed_loop_opacity(run_model, sprime_structure.decoded(), OBS).opaque
 
 
-def test_decoded_structure_slice_stops_growing_with_depth(monkeypatch):
+def test_decoded_structure_slice_stops_growing_with_depth():
     """A decoded structure's observation signature is the observation state
     its history reaches, so the closed-loop search merges histories that
     reach the same one.  On randgen seed-10 draw 5 the estimator slice is
     whole by depth 8: depth 30 renders the same graph, stays far inside the
-    size guard, and takes no more estimator steps."""
+    size guard, and asks the plant for no more reach work.  The search's
+    reach memo sends each distinct input to the plant once, whatever the
+    number of estimator steps."""
     rng = random.Random(10)
     config = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
     model = [random_model(rng, config) for _ in range(6)][5]
     decoded = synthesize(model, SynthesisConfig(mode=OBS)).structure.decoded()
-    calls = []
-    step = structure_module.estimator_step
+    computed = []
+    operators = ("observable_reach", "unobservable_reach", "unobservable_reach_plus")
 
-    def counting(*args):
-        calls.append(args)
-        return step(*args)
+    class CountingModel:
+        """``model``, recording each call of a reach operator made on it."""
 
-    monkeypatch.setattr(structure_module, "estimator_step", counting)
-    slices, steps = {}, {}
+        def __getattr__(self, name):
+            attr = getattr(model, name)
+            if name not in operators:
+                return attr
+
+            def counting(*args):
+                computed.append((name, *args))
+                return attr(*args)
+
+            return counting
+
+    slices, reach = {}, {}
     for depth in (8, 30):
-        calls.clear()
-        slices[depth] = estimator_slice_to_dot(model, decoded, OBS, depth, 10_000)
-        steps[depth] = len(calls)
+        computed.clear()
+        slices[depth] = estimator_slice_to_dot(CountingModel(), decoded, OBS, depth, 10_000)
+        reach[depth] = len(computed)
+        assert len(set(computed)) == len(computed)
     assert slices[30] == slices[8]
-    assert 0 < steps[30] <= steps[8]
+    assert 0 < reach[30] <= reach[8]
 
 
 def test_verify_bounded_verdict_on_infinite_memory_policy():

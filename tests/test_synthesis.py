@@ -664,23 +664,27 @@ def test_expansion_reuses_the_edges_of_a_decision_state_class(mode, monkeypatch)
 
 
 def _count_expansion(model, mode, monkeypatch):
-    """Expand ``model`` counting the kernel's work: the key of every
-    :meth:`Successors.targets` call (None for the initial decision state),
-    every read of the layout (expansion reads it once per loop over the
-    decisions), every row computed and every (core, event, old decision)
-    whose row a targets call merges.  Answers the arena and the four
-    lists."""
+    """Expand ``model`` counting the kernel's work: every
+    :meth:`Successors.targets` call, as its key (None for the initial
+    decision state), the rows it computed and the entries it added to the
+    kernel's tables, and its answer; every read of the layout (expansion
+    reads it once per loop over the decisions), every row computed and
+    every (core, event, old decision) whose row a targets call merges.
+    Answers the arena and the four lists."""
     asked, loops, computed, merged = [], [], [], []
     targets, layout, row = Successors.targets, Successors.layout, Successors._row
 
     def counting_targets(self, old, cores, sigma):
-        if cores is None:
-            asked.append(None)
-        else:
+        key = None
+        if cores is not None:
             moved = cores & self._active_at[sigma]
-            asked.append((old & self._hidden, moved, sigma))
+            key = (old & self._hidden, moved, sigma)
             merged.extend((c, sigma, old) for c in iter_bits(moved))
-        return targets(self, old, cores, sigma)
+        rows, entries = len(computed), sum(map(len, self._tables.values()))
+        answer = targets(self, old, cores, sigma)
+        work = (len(computed) - rows, sum(map(len, self._tables.values())) - entries)
+        asked.append((key, work, answer))
+        return answer
 
     def counting_layout(self, old):
         loops.append(old)
@@ -703,10 +707,14 @@ def test_expansion_loops_over_decisions_once_per_safe_row(mode, monkeypatch):
     """Seed-10 draw 11 has decision states that share their targets key
     (old decision's class, moved cores, event), and states that share
     their layout key and safe row (the targets with unsafe ones set to
-    None), in both modes.  Expansion asks the kernel for targets once per
-    distinct key and loops over the decisions once per distinct (layout
-    key, safe row), and both happen fewer times than there are decision
-    states."""
+    None), in both modes.  The kernel works out the targets of each
+    distinct key once: under the observation-triggered mechanism expansion
+    asks for them once, and under the decision-triggered one, where it
+    asks again for each old decision of a class, a repeated key computes
+    no row, adds no table entry and is answered with the tuple the table
+    holds for it.  Expansion loops over the decisions once per distinct
+    (layout key, safe row).  Distinct keys and loops are both fewer than
+    the decision states."""
     arena, asked, loops, _, _ = _count_expansion(_seed10_draw(11), mode, monkeypatch)
     expansion = arena._expansion
     kernel = expansion.kernel
@@ -721,7 +729,14 @@ def test_expansion_loops_over_decisions_once_per_safe_row(mode, monkeypatch):
         keys.add(key)
         row = tuple(t if kernel.is_safe(t) else None for t in kernel.targets(old, cores, sigma))
         rows.add((old if mode is DEC else None, row))
-    assert len(asked) == len(set(asked)) == len(keys) < arena._counts[0]
+    first, repeated = {}, []
+    for key, work, answer in asked:
+        if key in first:
+            repeated.append((work, answer is first[key]))
+        else:
+            first[key] = answer
+    assert len(first) == len(keys) < arena._counts[0]
+    assert set(repeated) == ({((0, 0), True)} if mode is DEC else set())
     assert len(loops) == len(rows) < arena._counts[0]
 
 
