@@ -18,11 +18,13 @@ script stops with exit 1 when the digests differ.
 Then it times rounds.  A round goes once through the operation list of
 synth-random: ``cli.main(["synthesize", MODEL, "--mode", M, "--out", ...,
 "--dot", ...])`` on the same models written to a temporary directory, both
-modes, in a fixed order.  Each tree writes its ``--out`` and ``--dot``
-files into a directory of its own; the models they read are shared, so
-the manifests name the same inputs.  One untimed pass must give equal exit
-codes and equal bytes in every ``--out`` and ``--dot`` file and in both
-sidecars on the two trees, or the script stops with exit 1.  A timed
+modes, in a fixed order.  The trees write their ``--out`` and ``--dot``
+files into two directories, one each, and swap them from one round to
+the next, so that a cost that differs between the directories falls on
+both trees alike; the models they read are shared, so the manifests name
+the same inputs.  One untimed pass must give equal exit codes and equal
+bytes in every ``--out`` and ``--dot`` file and in both sidecars on the
+two trees, or the script stops with exit 1.  A timed
 ``cli.main`` call first unlinks its ``--out`` and ``--dot`` files, as the
 benchmark does, so that it creates them and rewrites the sidecars.  Each
 operation runs as a ``synthesize`` call on
@@ -61,6 +63,13 @@ The metrics
 the median and 90th percentile of their latencies; they carry the fixed
 cost of a call (arguments, reading and parsing its documents) that the
 in-process metrics above leave out.
+
+The metric "search" is the time of a round's table searches in process:
+``verify_closed_loop_opacity`` on every table of that list, in the list's
+modes, with the model and table that the tree read itself, the tree
+alternating per call.  It times the closed-loop search without the fixed
+cost of a call.  Before timing, both trees must give the same verdicts,
+counterexamples and completeness, or the script stops with exit 1.
 
 The metric "load" is the time a round takes to read the documents of
 that list in process, each once: every model with ``PlantModel.from_json``
@@ -211,18 +220,24 @@ def verify_argvs(pkg, work: Path, docs: list[dict],
     return argvs
 
 
-def estimator_argvs(argvs: list[list[str]]) -> list[list[str]]:
-    """An ``export-dot --estimator`` argv for each of the ``verify`` argvs
-    that reads a decision table, with its model, table and mode."""
+def table_verifies(argvs: list[list[str]]) -> list[tuple[str, str, str]]:
+    """(model path, table path, mode) of each of the ``verify`` argvs that
+    reads a decision table."""
     out = []
     for argv in argvs:
         if "--supervisor" not in argv:
             continue
         path = argv[argv.index("--supervisor") + 1]
         if json.loads(Path(path).read_text())["type"] == "supervisor-table":
-            out.append(["export-dot", argv[1], "--estimator", "--supervisor", path,
-                        "--mode", argv[argv.index("--mode") + 1]])
+            out.append((argv[1], path, argv[argv.index("--mode") + 1]))
     return out
+
+
+def estimator_argvs(tables: list[tuple[str, str, str]]) -> list[list[str]]:
+    """An ``export-dot --estimator`` argv for each table verify, with its
+    model, table and mode."""
+    return [["export-dot", model, "--estimator", "--supervisor", table, "--mode", mode]
+            for model, table, mode in tables]
 
 
 def load_jobs(argvs: list[list[str]]) -> list[tuple[str, str | None]]:
@@ -257,6 +272,14 @@ def verify_call(pkg, model, text: str, mode) -> tuple[float, tuple]:
     verdict = pkg.verify_closed_loop_opacity(
         model, serialize.parse_supervisor_text(model, text), mode)
     return perf_counter() - begin, (verdict.opaque, verdict.counterexample)
+
+
+def search_call(pkg, model, sup, mode) -> tuple[float, tuple]:
+    """The latency of verifying one table, and the verdict with its
+    counterexample and completeness."""
+    begin = perf_counter()
+    verdict = pkg.verify_closed_loop_opacity(model, sup, mode)
+    return perf_counter() - begin, (verdict.opaque, verdict.counterexample, verdict.complete)
 
 
 def cli_call(pkg, argv: list[str]) -> tuple[float, int, str]:
@@ -349,26 +372,32 @@ def main(argv=None) -> int:
     print(f"{len(texts)} structures, {len(checks['old'])} verify calls per round")
     results: dict[str, dict[str, list[float]]] = {
         side: {"synthesize": [], "cli.main": [], "cli p50": [], "cli p90": [], "verify": [],
-               "mixed": [], "mixed p50": [], "mixed p90": [], "load": []}
+               "mixed": [], "mixed p50": [], "mixed p90": [], "search": [], "load": []}
         for side in sides
     }
     with tempfile.TemporaryDirectory() as work:
-        # Per side, the synthesize argvs, over shared models, each writing
-        # into the side's own directory.
-        argvs: dict[str, list[list[str]]] = {side: [] for side in sides}
-        for side in sides:
-            (Path(work) / side).mkdir()
+        # Per output directory, the synthesize argvs, over shared models.
+        # In round r the old tree writes into directory r % 2 and the new
+        # tree into the other one.
+        outdirs: list[list[list[str]]] = [[], []]
+        for d in range(len(outdirs)):
+            (Path(work) / f"out{d}").mkdir()
         for i, doc in enumerate(docs, start=1):
             path = Path(work) / f"{model_name(i)}.json"
             path.write_text(json.dumps(doc))
             for mode in MODES:
-                for side in sides:
-                    stem = Path(work) / side / f"{model_name(i)}-{mode}"
-                    argvs[side].append(["synthesize", str(path), "--mode", mode,
-                                        "--out", f"{stem}.json", "--dot", f"{stem}.dot"])
+                for d, argvs in enumerate(outdirs):
+                    stem = Path(work) / f"out{d}" / f"{model_name(i)}-{mode}"
+                    argvs.append(["synthesize", str(path), "--mode", mode,
+                                  "--out", f"{stem}.json", "--dot", f"{stem}.dot"])
+
+        def round_argvs(r: int) -> dict[str, list[list[str]]]:
+            return {"old": outdirs[r % 2], "new": outdirs[1 - r % 2]}
+
         # One untimed pass each, so that imports and lazy set-up are done;
         # the exit codes (3 is "no supervisor exists") and every file
         # written must agree.
+        argvs = round_argvs(0)
         codes = {side: [cli_call(pkg, argv)[1] for argv in argvs[side]]
                  for side, pkg in sides.items()}
         if codes["old"] != codes["new"] or not set(codes["old"]) <= {0, 3}:
@@ -385,7 +414,8 @@ def main(argv=None) -> int:
         if outputs["old"] != outputs["new"] or not {c for c, _ in outputs["old"]} <= {0, 1}:
             print("error: the verify calls differ or fail", file=sys.stderr)
             return 1
-        slices = estimator_argvs(mixed)
+        tables = table_verifies(mixed)
+        slices = estimator_argvs(tables)
         renders = {side: [cli_call(pkg, argv)[1:] for argv in slices]
                    for side, pkg in sides.items()}
         if renders["old"] != renders["new"] or {c for c, _ in renders["old"]} != {0}:
@@ -399,8 +429,26 @@ def main(argv=None) -> int:
         models = {side: {path: pkg.PlantModel.from_json(texts_at[path]) for path, _ in loads}
                   for side, pkg in sides.items()}
         print(f"{len(loads)} documents loaded per round")
+        # Per side, the table searches: (model, table, mode).
+        serializers = {side: sys.modules[f"{pkg.__name__}.serialize"]
+                       for side, pkg in sides.items()}
+        searches = {
+            side: [(models[side][model_path],
+                    serializers[side].parse_supervisor_text(models[side][model_path],
+                                                            texts_at[table_path]),
+                    pkg.IssuanceMode(mode))
+                   for model_path, table_path, mode in tables]
+            for side, pkg in sides.items()
+        }
+        found = {side: [search_call(sides[side], *job)[1] for job in searches[side]]
+                 for side in sides}
+        if found["old"] != found["new"]:
+            print("error: the table searches differ", file=sys.stderr)
+            return 1
+        print(f"{len(tables)} table searches per round")
         for r in range(args.rounds):
             gc.collect()
+            argvs = round_argvs(r)
             synthesized = {side: 0.0 for side in sides}
             latencies: dict[str, list[float]] = {side: [] for side in sides}
             # Each operation runs on both trees back to back, the first tree
@@ -423,6 +471,11 @@ def main(argv=None) -> int:
                 order = ("old", "new") if (r + k) % 2 == 0 else ("new", "old")
                 for side in order:
                     mixed_latencies[side].append(cli_call(sides[side], argv)[0])
+            searched = {side: 0.0 for side in sides}
+            for k in range(len(tables)):
+                order = ("old", "new") if (r + k) % 2 == 0 else ("new", "old")
+                for side in order:
+                    searched[side] += search_call(sides[side], *searches[side][k])[0]
             loaded = {side: 0.0 for side in sides}
             for k, (model_path, policy_path) in enumerate(loads):
                 order = ("old", "new") if (r + k) % 2 == 0 else ("new", "old")
@@ -433,6 +486,7 @@ def main(argv=None) -> int:
                         loaded[side] += load_call(sides[side], texts_at[policy_path],
                                                   models[side][model_path])
             for side in sides:
+                results[side]["search"].append(1e3 * searched[side])
                 results[side]["load"].append(1e3 * loaded[side])
                 results[side]["mixed"].append(1e3 * sum(mixed_latencies[side]))
                 results[side]["mixed p50"].append(1e3 * statistics.median(mixed_latencies[side]))

@@ -244,7 +244,10 @@ def brute_estimate_set(
     """All controlled state estimates over strings of the closed loop that
     project to ``alpha``, of at most ``bound`` events when ``bound`` is set.
     This folds the intruder-side estimator over strings, independently of
-    the information-state operators."""
+    the information-state operators.  The steps are those of
+    :func:`~opactrl.structure.closed_loop_search`, which a property test
+    (``tests/test_structure.py``) checks move by move against
+    :func:`~opactrl.estimator.estimator_step`."""
     policy = _PrefixPolicy(model, sup, alpha)
     return frozenset(
         m.estimate

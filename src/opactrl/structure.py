@@ -111,6 +111,15 @@ def is_safe(info: InfoState, secret_mask: int) -> bool:
     return all(m.estimate & ~secret_mask for m in info)
 
 
+def _release_table(model: PlantModel, mode: IssuanceMode) -> tuple[tuple[bool, bool], ...]:
+    """Per event: whether a step on it releases the new decision, indexed by
+    whether the new decision is the old one, read from :func:`released`."""
+    return tuple(
+        (released(model, sigma, True, mode), released(model, sigma, False, mode))
+        for sigma in range(len(model.events))
+    )
+
+
 class Successors:
     """The decision successor of one model under one issuance mode.
 
@@ -171,12 +180,7 @@ class Successors:
         self._decision_mode = mode is IssuanceMode.DECISION
         # The events of a decision that steps and closures read.
         self._hidden = model.supervisor_unobservable | model.intruder_unobservable
-        # Per event: whether a step on it releases the new decision, indexed
-        # by whether the new decision is the old one.
-        self._release = tuple(
-            (released(model, sigma, True, mode), released(model, sigma, False, mode))
-            for sigma in range(len(model.events))
-        )
+        self._release = _release_table(model, mode)
         self._reach = _ReachMemo(model)
         self._cores: list[tuple[int, int]] = []
         self._core_ids: dict[tuple[int, int], int] = {}
@@ -708,36 +712,64 @@ def closed_loop_search(
     Raises :class:`SizeGuardExceeded`, named ``search``, once more than
     ``size_guard`` nodes are known.
 
-    Every move takes one estimator step, and the plant reach operators
-    under the steps are memoised for the search in one :class:`_ReachMemo`.
-    ``estimator_step`` is looked up at call time, so that a wrapper
-    installed on this module's name sees every step."""
+    The first step is :func:`estimator_step` from the initial marker.  A
+    move takes the step that :func:`estimator_step` takes, from tables the
+    search reads once: the plant's successor and active-event rows, the
+    events the intruder observes, and per event whether a step on it
+    releases the new decision (:func:`released`).  The estimate is updated
+    as :func:`update_estimate` updates it, on one :class:`_ReachMemo` that
+    memoises the plant reach operators for the search."""
     reach = _ReachMemo(model)
     state = sup.start()
     first = estimator_step(model, None, AugmentedEvent(None, sup.decide(state)), mode, reach)
     root: LoopNode = (first, state, 0, None, None)
     seen = {root[:2]}
     yield None, None, root, True
-    observable = model.supervisor_observable
+    succ, active = model._succ, model._active
+    release = _release_table(model, mode)
+    observable, visible = model.supervisor_observable, model.intruder_observable
+    hidden = model.intruder_unobservable
+    step_reach, close, plus = (
+        reach.observable_reach, reach.unobservable_reach, reach.unobservable_reach_plus
+    )
+    # EstimatorState's own constructor, without its Python-level frame.
+    make_state = tuple.__new__
     queue = deque([root])
     while queue:
         parent = queue.popleft()
-        m, state, depth, _, _ = parent
+        (x, q, old), state, depth, _, _ = parent
         if bound is not None and depth >= bound:
             continue
-        for sigma in iter_bits(model.active(m.plant_state) & m.decision):
-            if (observable >> sigma) & 1:
+        row = succ[x]
+        depth += 1
+        events = active[x] & old
+        while events:
+            low = events & -events
+            events ^= low
+            sigma = low.bit_length() - 1
+            if observable & low:
                 nxt = sup.advance(state, sigma)
                 gamma = sup.decide(nxt)
             else:
-                nxt, gamma = state, m.decision
-            stepped = estimator_step(model, m, AugmentedEvent(sigma, gamma), mode, reach)
-            node = (stepped, nxt, depth + 1, parent, sigma)
-            key = node[:2]
+                nxt, gamma = state, old
+            # update_estimate, seeing the event when the intruder observes
+            # it and the new decision when the step releases it.  A step
+            # that releases nothing keeps the decision, so the closure after
+            # a seen event is under gamma either way.
+            if visible & low:
+                estimate = close(step_reach(q, sigma), gamma, hidden)
+            elif release[sigma][gamma == old]:
+                estimate = close(plus(q, old), gamma, hidden)
+            else:
+                estimate = q
+            stepped = make_state(EstimatorState, (row[sigma], estimate, gamma))
+            node = (stepped, nxt, depth, parent, sigma)
+            key = (stepped, nxt)
             new = key not in seen
             if new:
                 seen.add(key)
-                _guard_visits(seen, size_guard, search)
+                if size_guard is not None and len(seen) > size_guard:
+                    raise SizeGuardExceeded(size_guard, None, len(seen), search)
                 queue.append(node)
             yield parent, sigma, node, new
 

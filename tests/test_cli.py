@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import DEC, MODELS, OBS, REPO_ROOT, observer_blowup_model
 from opactrl import PlantModel, information_flow, structure_from_policy
-from opactrl import cli, structure
+from opactrl import cli, dot, structure
 from opactrl.cli import main
 from opactrl.dot import estimator_slice_to_dot, model_to_dot, structure_to_dot
 from opactrl.estimator import closed_loop_simulate, estimator_trace
@@ -268,24 +268,26 @@ def test_estimator_slice_matches_recursive_slicer(seed, mode, depth):
 def test_estimator_slice_stops_stepping_once_saturated(mode, monkeypatch):
     """Randgen seed-10 draw 11 under one seeded table: the slice stops
     growing by depth 8, where re-simulating every prefix took time growing
-    about 2.5x per level.  Deeper slices add no estimator steps."""
+    about 2.5x per level.  Deeper slices take no more moves of the
+    closed-loop search."""
     rng = random.Random(10)
     config = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
     model = [random_model(rng, config) for _ in range(12)][11]
     sup = random_supervisor(random.Random(4), model)
-    calls = 0
-    step = structure.estimator_step
+    moves = 0
+    search = dot.closed_loop_search
 
-    def counting_step(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return step(*args, **kwargs)
+    def counting_search(*args, **kwargs):
+        nonlocal moves
+        for move in search(*args, **kwargs):
+            moves += 1
+            yield move
 
-    monkeypatch.setattr(structure, "estimator_step", counting_step)
+    monkeypatch.setattr(dot, "closed_loop_search", counting_search)
     shallow = slice_sets(estimator_slice_to_dot(model, sup, mode, 8))
-    calls_at_8, calls = calls, 0
+    moves_at_8, moves = moves, 0
     assert slice_sets(estimator_slice_to_dot(model, sup, mode, 30)) == shallow
-    assert calls == calls_at_8
+    assert moves == moves_at_8
 
 
 # Command-line interface ----------------------------------------------------

@@ -14,6 +14,7 @@ from opactrl import (
     ConstantSupervisor,
     EstimatorState,
     PlantModel,
+    SizeGuardExceeded,
     StructureError,
     Successors,
     SynthesisConfig,
@@ -797,6 +798,81 @@ def test_loop_nodes_link_back_to_their_strings(seed, mode):
         assert run_estimator(model, augment(model, s, sup), mode) == m
         obs = tuple(e for e in s if (model.supervisor_observable >> e) & 1)
         assert state == sup.observation_signature(obs)
+
+
+def search_supervisor(model, rng, kind):
+    """A seeded table, or the decoded supervisor of a structure synthesized
+    in either mode; None when that synthesis finds no structure."""
+    if kind == "table":
+        return random_supervisor(rng, model)
+    out = synthesize(model, SynthesisConfig(mode=rng.choice([OBS, DEC]), size_guard=20_000))
+    return out.structure.decoded() if out.solved else None
+
+
+@given(
+    model_seeds,
+    st.sampled_from([OBS, DEC]),
+    st.sampled_from(["table", "structure"]),
+    st.one_of(st.none(), st.integers(0, 6)),
+    st.integers(1, 40),
+)
+@settings(max_examples=80, deadline=None)
+def test_search_moves_are_estimator_steps_in_breadth_first_order(seed, mode, kind, bound, guard):
+    """The search reads its moves from tables of its own, but each is the
+    reference step: the root is estimator_step from the initial marker,
+    and every move (parent, sigma, node, new) steps the parent's estimator
+    state by estimator_step on sigma and the decision the supervisor takes,
+    advancing the policy state on what the supervisor observes, one level
+    deeper.  The moves come breadth first: each node met for the first
+    time and shallower than the bound is expanded in the order met, on the
+    events its decision enables at its plant state, in increasing order;
+    `new` says whether the node is met for the first time.  Under a size
+    guard the search yields the same moves until the guard-th new one,
+    and then raises."""
+    rng = random.Random(seed)
+    model = random_model(rng, CLOSED_LOOP_CONFIG)
+    sup = search_supervisor(model, rng, kind)
+    if sup is None:
+        return
+    moves = list(closed_loop_search(model, sup, mode, bound))
+    parent, sigma, root, new = moves[0]
+    state = sup.start()
+    first = estimator_step(model, None, AugmentedEvent(None, sup.decide(state)), mode)
+    assert (parent, sigma, root, new) == (None, None, (first, state, 0, None, None), True)
+    met = [root] + [node for _, _, node, new in moves[1:] if new]
+    assert [(id(parent), sigma) for parent, sigma, _, _ in moves[1:]] == [
+        (id(node), sigma)
+        for node in met
+        if bound is None or node[2] < bound
+        for sigma in iter_bits(model.active(node[0].plant_state) & node[0].decision)
+    ]
+    keys = {root[:2]}
+    for parent, sigma, node, new in moves[1:]:
+        m, state, depth = parent[:3]
+        if (model.supervisor_observable >> sigma) & 1:
+            state = sup.advance(state, sigma)
+            gamma = sup.decide(state)
+        else:
+            gamma = m.decision
+        assert node[0].decision == gamma
+        assert node[0] == estimator_step(model, m, AugmentedEvent(sigma, gamma), mode)
+        assert node == (node[0], state, depth + 1, parent, sigma)
+        assert new == (node[:2] not in keys)
+        keys.add(node[:2])
+    if guard >= len(keys):
+        assert len(list(closed_loop_search(model, sup, mode, bound, guard))) == len(moves)
+        return
+    # The root is the first node known, and the guard is checked as each
+    # later one is met.
+    trip = [i for i, move in enumerate(moves) if move[3]][guard]
+    yielded = []
+    with pytest.raises(SizeGuardExceeded) as raised:
+        for move in closed_loop_search(model, sup, mode, bound, guard, "slice"):
+            yielded.append(move)
+    assert yielded == moves[:trip]
+    assert str(raised.value) == (
+        f"slice exceeded size guard of {guard} states ({guard + 1} visited so far)"
+    )
 
 
 class FullHistoryTable(TabularSupervisor):
