@@ -24,7 +24,7 @@ from .structure import (
     verify_closed_loop_opacity,
     verify_open_loop_opacity,
 )
-from .synthesis import EXTRACTION_POLICIES, SynthesisConfig, synthesize
+from .synthesis import DEFAULT_SIZE_GUARD, EXTRACTION_POLICIES, SynthesisConfig, synthesize
 
 EXIT_OK = 0
 EXIT_NOT_OPAQUE = 1
@@ -109,7 +109,7 @@ def _add_mode_and_guard(parser: argparse.ArgumentParser, guard: str) -> None:
     parser.add_argument(
         "--size-guard",
         type=_int_at_least(1),
-        default=10**6,
+        default=DEFAULT_SIZE_GUARD,
         help=f"{guard} (default: 1e6)",
     )
 
@@ -148,7 +148,7 @@ def _add_estimate(p: argparse.ArgumentParser) -> None:
 ESTIMATOR_DEFAULTS = {
     "depth": 6,
     "mode": IssuanceMode.OBSERVATION.value,
-    "size_guard": 10**6,
+    "size_guard": DEFAULT_SIZE_GUARD,
 }
 
 

@@ -128,8 +128,10 @@ def update_estimate(
     decision ``gamma``: it observed ``seen`` (None when the event is hidden
     from it) and the supervisor released ``release`` (None when nothing was
     released).  A step showing neither leaves the estimate unchanged.
-    ``model`` may be any object with the plant's reach operators (see
-    :func:`estimator_step`)."""
+    ``model`` may be any object with the plant's reach operators
+    (``observable_reach``, ``unobservable_reach``, ``unobservable_reach_plus``
+    and ``intruder_unobservable``) that gives the same results, as a memo of
+    them does."""
     if seen is None and release is None:
         return q
     if seen is None:
@@ -146,7 +148,6 @@ def estimator_step(
     m: EstimatorState | None,
     event: AugmentedEvent,
     mode: IssuanceMode,
-    reach=None,
 ) -> EstimatorState:
     """One transition of the intruder state estimator.
 
@@ -156,20 +157,13 @@ def estimator_step(
     decision in force, and the estimate is updated on what the intruder
     sees: the event if it observes it, and the new decision if the issuance
     mechanism releases it (see :func:`released`).
-
-    ``reach``, when given, stands in for ``model`` in the estimate's reach
-    operators (``observable_reach``, ``unobservable_reach``,
-    ``unobservable_reach_plus``, and ``intruder_unobservable``) and must
-    give the same results, as a memo of them does.
     """
     sigma, new_gamma = event
-    if reach is None:
-        reach = model
     if m is None:
         if sigma is not None:
             raise EstimatorError("initial estimator transition carries no event")
         x0 = 1 << model.initial
-        est = reach.unobservable_reach(x0, new_gamma, model.intruder_unobservable)
+        est = model.unobservable_reach(x0, new_gamma, model.intruder_unobservable)
         return EstimatorState(model.initial, est, new_gamma)
 
     x, q, gamma = m
@@ -181,7 +175,7 @@ def estimator_step(
     assert y is not None
     seen = sigma if (model.intruder_observable >> sigma) & 1 else None
     release = new_gamma if released(model, sigma, new_gamma != gamma, mode) else None
-    return EstimatorState(y, update_estimate(reach, q, gamma, seen, release), new_gamma)
+    return EstimatorState(y, update_estimate(model, q, gamma, seen, release), new_gamma)
 
 
 def estimator_trace(
@@ -229,6 +223,8 @@ def estimate_from_flow(
             raise FlowFormatError(
                 "unchanged decision released under the decision-triggered mechanism"
             )
+        if sigma is not None and not (gamma >> sigma) & 1:
+            q = 0  # no closed-loop string takes an event the decision disables
         q = update_estimate(model, q, gamma, sigma, release)
         if release is not None:
             gamma = release

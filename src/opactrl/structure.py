@@ -721,7 +721,7 @@ def closed_loop_search(
     memoises the plant reach operators for the search."""
     reach = _ReachMemo(model)
     state = sup.start()
-    first = estimator_step(model, None, AugmentedEvent(None, sup.decide(state)), mode, reach)
+    first = estimator_step(model, None, AugmentedEvent(None, sup.decide(state)), mode)
     root: LoopNode = (first, state, 0, None, None)
     seen = {root[:2]}
     yield None, None, root, True

@@ -39,12 +39,15 @@ EXTRACTION_POLICIES = ("first_feasible", "locally_maximal", "enumerate_all")
 # The most structures ``enumerate_all`` yields.
 MAX_STRUCTURES = 64
 
+# The default bound on the states a search or an arena may reach.
+DEFAULT_SIZE_GUARD = 10**6
+
 
 @dataclass(frozen=True)
 class SynthesisConfig:
     mode: IssuanceMode = IssuanceMode.OBSERVATION
     extraction_policy: str = "first_feasible"
-    size_guard: int = 10**6
+    size_guard: int = DEFAULT_SIZE_GUARD
 
     def __post_init__(self):
         if self.extraction_policy not in EXTRACTION_POLICIES:

@@ -688,6 +688,26 @@ def test_cli_estimate_initial_only(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "{0}"
 
 
+@pytest.mark.parametrize("mode", ["observation", "decision"])
+def test_cli_estimate_of_a_flow_the_closed_loop_cannot_produce(tmp_path, capsys, mode):
+    """The decision in force disables ``a``, so no closed-loop string shows
+    it and the estimate is empty, as the brute-force oracle finds."""
+    model = tmp_path / "loop.json"
+    model.write_text(dump_json({
+        "states": ["s"],
+        "events": ["a"],
+        "initial": "s",
+        "transitions": [["s", "a", "s"]],
+        "observable_supervisor": ["a"],
+        "observable_intruder": ["a"],
+        "controllable": ["a"],
+    }))
+    flow = tmp_path / "loop.flow"
+    flow.write_text("event=-, decision={}\nevent=a, decision=-\n")
+    assert main(["estimate", str(model), "--flow", str(flow), "--mode", mode]) == 0
+    assert capsys.readouterr().out.strip() == "{}"
+
+
 def test_cli_estimate_malformed_flow(tmp_path, capsys):
     flow = tmp_path / "bad.flow"
     flow.write_text("event=a decision=oops\n")
