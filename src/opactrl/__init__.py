@@ -8,27 +8,34 @@ from .estimator import (
     FlowFormatError,
     IssuanceMode,
     ObservationPair,
-    SupervisionError,
-    augment,
     closed_loop_simulate,
     estimate_from_flow,
     estimator_step,
     estimator_trace,
-    run_estimator,
 )
 from .model import (
     EventPartitions,
     ModelFormatError,
     PlantModel,
-    project,
 )
 from .oracles import (
+    ConstantSupervisor,
+    SupervisionError,
     UnreachableObservationError,
+    augment,
     brute_estimate_set,
+    feasible_events,
+    format_flow,
+    info_decision,
+    info_estimates,
+    info_plant_states,
     information_flow,
     open_loop_estimate,
     oracle_controlled_estimate,
+    project,
+    run_estimator,
     structure_from_policy,
+    structure_to_dict,
     supervisor_estimate,
 )
 from .structure import (
@@ -39,9 +46,6 @@ from .structure import (
     OpacityVerdict,
     StructureError,
     Successors,
-    info_decision,
-    info_estimates,
-    info_plant_states,
     is_consistent,
     is_safe,
     make_info,
@@ -50,7 +54,7 @@ from .structure import (
     verify_closed_loop_opacity,
     verify_open_loop_opacity,
 )
-from .supervisors import ConstantSupervisor, Supervisor, TabularSupervisor
+from .supervisors import Supervisor, TabularSupervisor
 from .synthesis import (
     Arena,
     SizeGuardExceeded,

@@ -76,10 +76,6 @@ def _write(path: str, text: str, manifest: str) -> None:
         raise CliError(f"cannot write {exc.filename}: {exc.strerror}") from exc
 
 
-def _mode(args) -> IssuanceMode:
-    return IssuanceMode(args.mode)
-
-
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
 
@@ -230,8 +226,8 @@ def _cmd_verify(args) -> int:
                        functools.partial(serialize.parse_supervisor_text, model))
         if isinstance(sup, ControlStructure) and args.bound is not None:
             raise CliError("--bound is read only with a supervisor table")
-        check = functools.partial(verify_closed_loop_opacity, model, sup, _mode(args),
-                                  args.bound, args.size_guard)
+        check = functools.partial(verify_closed_loop_opacity, model, sup,
+                                  IssuanceMode(args.mode), args.bound, args.size_guard)
     result = check()
     if result.opaque:
         qualifier = "" if result.complete else f" up to bound {result.bound}"
@@ -244,7 +240,7 @@ def _cmd_verify(args) -> int:
 def _cmd_synthesize(args) -> int:
     model, data = _load(args.model, "model", PlantModel.from_json)
     cfg = SynthesisConfig(
-        mode=_mode(args),
+        mode=IssuanceMode(args.mode),
         extraction_policy=args.policy,
         size_guard=args.size_guard,
     )
@@ -283,7 +279,7 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_estimate(args) -> int:
     model, _ = _load(args.model, "model", PlantModel.from_json)
-    mode = _mode(args)
+    mode = IssuanceMode(args.mode)
     estimate, _ = _load(
         args.flow,
         "flow",
@@ -329,7 +325,7 @@ def _cmd_export_dot(args) -> int:
         if isinstance(sup, ControlStructure):
             sup = sup.decoded()
         output = dotmod.estimator_slice_to_dot(
-            model, sup, _mode(args), args.depth, args.size_guard
+            model, sup, IssuanceMode(args.mode), args.depth, args.size_guard
         )
     else:
         loaded = _parsed(args.input, "model", _model_or_structure, text)

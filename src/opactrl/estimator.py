@@ -25,14 +25,6 @@ class IssuanceMode(enum.Enum):
     DECISION = "decision"
 
 
-class SupervisionError(ValueError):
-    """A string is not executable in the closed loop."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (position {position})")
-        self.position = position
-
-
 class FlowFormatError(ValueError):
     """An information flow is malformed."""
 
@@ -98,17 +90,6 @@ def closed_loop_simulate(
             decision = sup.decide(state)
         trace.append(AugmentedEvent(sigma, decision))
     return SimulationResult(True, trace=tuple(trace))
-
-
-def augment(
-    model: PlantModel, s: Sequence[int], sup: Supervisor
-) -> tuple[AugmentedEvent, ...]:
-    """The augmented trace of ``s``, which must be executable under ``sup``;
-    the first rejected position is reported otherwise."""
-    result = closed_loop_simulate(model, sup, s)
-    if not result.accepted:
-        raise SupervisionError(result.reason, result.rejected_at)
-    return result.trace
 
 
 def released(model: PlantModel, sigma: int, changed: bool, mode: IssuanceMode) -> bool:
@@ -193,19 +174,12 @@ def estimator_trace(
     return tuple(states)
 
 
-def run_estimator(
-    model: PlantModel, augmented: Sequence[AugmentedEvent], mode: IssuanceMode
-) -> EstimatorState:
-    """Final estimator state after replaying a whole augmented string."""
-    return estimator_trace(model, augmented, mode)[-1]
-
-
 def estimate_from_flow(
     model: PlantModel, flow: Sequence[ObservationPair], mode: IssuanceMode
 ) -> int:
     """The intruder's state estimate computed directly from its information
-    flow.  Agrees with the estimate component of :func:`run_estimator` on the
-    flow induced by the same string."""
+    flow.  Agrees with the estimate of :func:`~opactrl.oracles.run_estimator`
+    on the flow induced by the same string."""
     if not flow or flow[0].event is not None or flow[0].decision is None:
         raise FlowFormatError("flow must start with the initial decision release")
     gamma = flow[0].decision

@@ -1,10 +1,11 @@
-"""Finite-state plant models, projections, and reach operators.
+"""Finite-state plant models and reach operators.
 
 States and events are referred to by name externally and interned to dense
 integer indices internally; every set of states or events is an int bitmask
 over those indices.  Canonical order is first appearance in the model
 document, so every construction on them is deterministic.  The open-loop
-estimate, a reference for the reach operators, is in :mod:`opactrl.oracles`.
+estimate, a reference for the reach operators, and the natural projection
+are in :mod:`opactrl.oracles`.
 """
 
 from __future__ import annotations
@@ -162,9 +163,9 @@ class PlantModel:
         self.event_index = dict(zip(self.events, range(len(self.events))))
         if len(self.event_index) != len(self.events):
             raise ModelFormatError("duplicate event name")
-        # A decision table's keys are observation strings, split at
-        # whitespace, and a flow's decision {e1,e2} is split at commas: only
-        # a name that is one such word, with no ',', '{' or '}', can be named.
+        # A decision table's keys are split at whitespace, a flow's decision
+        # {e1,e2} at commas, and a flow writes '-' for no event: only a name
+        # that is one word, with no ',', '{' or '}', and not '-', can be named.
         for name in self.events:
             if name.split() != [name]:
                 raise ModelFormatError(
@@ -174,6 +175,8 @@ class PlantModel:
             if "," in name or "{" in name or "}" in name:
                 raise ModelFormatError(f"invalid event name {name!r}: it must hold no "
                                        "',', '{' or '}'")
+            if name == "-":
+                raise ModelFormatError("invalid event name '-': a flow writes it for no event")
 
         if initial not in self.state_index:
             raise ModelFormatError(f"unknown initial state {initial!r}")
@@ -424,9 +427,3 @@ class PlantModel:
             f"PlantModel({len(self.states)} states, {len(self.events)} events, "
             f"{self.n_transitions} transitions)"
         )
-
-
-def project(s: Sequence[int], obs: int) -> tuple[int, ...]:
-    """Natural projection: erase events outside ``obs``, preserving order."""
-    return tuple(e for e in s if (obs >> e) & 1)
-

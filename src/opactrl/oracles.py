@@ -1,20 +1,120 @@
 """Reference implementations that tests and scripts check the product
 path against: brute-force enumerations and set-level estimates, each
-computed independently of the code a command runs.  No command calls them,
-and no product module imports this one.
+computed independently of the code a command runs, and the set-level
+views, string replays and writers that only tests and scripts call.  No
+command calls them, and no product module imports this one.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from typing import Sequence
 
-from .estimator import FlowFormatError, IssuanceMode, ObservationPair, augment, released
+from .estimator import (
+    AugmentedEvent, EstimatorState, FlowFormatError, IssuanceMode, ObservationPair,
+    closed_loop_simulate, estimator_trace, released,
+)
 from .model import PlantModel, iter_bits
+from .serialize import structure_to_json
 from .structure import (
-    ControlStructure, StructureError, Successors, closed_loop_search, loop_string
+    ControlStructure, InfoState, StructureError, Successors, closed_loop_search,
+    is_consistent, loop_string,
 )
 from .supervisors import Supervisor
+
+
+class SupervisionError(ValueError):
+    """A string is not executable in the closed loop."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (position {position})")
+        self.position = position
+
+
+def augment(
+    model: PlantModel, s: Sequence[int], sup: Supervisor
+) -> tuple[AugmentedEvent, ...]:
+    """The augmented trace of ``s``, which must be executable under ``sup``;
+    the first rejected position is reported otherwise."""
+    result = closed_loop_simulate(model, sup, s)
+    if not result.accepted:
+        raise SupervisionError(result.reason, result.rejected_at)
+    return result.trace
+
+
+def run_estimator(
+    model: PlantModel, augmented: Sequence[AugmentedEvent], mode: IssuanceMode
+) -> EstimatorState:
+    """Final estimator state after replaying a whole augmented string."""
+    return estimator_trace(model, augmented, mode)[-1]
+
+
+def project(s: Sequence[int], obs: int) -> tuple[int, ...]:
+    """Natural projection: erase events outside ``obs``, preserving order."""
+    return tuple(e for e in s if (obs >> e) & 1)
+
+
+def info_plant_states(info: InfoState) -> int:
+    mask = 0
+    for m in info:
+        mask |= 1 << m.plant_state
+    return mask
+
+
+def info_estimates(info: InfoState) -> frozenset[int]:
+    return frozenset(m.estimate for m in info)
+
+
+def info_decision(info: InfoState) -> int:
+    """The decision shared by all members; defined only for consistent states."""
+    if not info:
+        raise StructureError("empty information state has no decision")
+    if not is_consistent(info):
+        raise StructureError("inconsistent information state")
+    return info[0].decision
+
+
+def feasible_events(model: PlantModel, info: InfoState) -> tuple[int, ...]:
+    """Observations the plant can produce at this state under the shared
+    decision: supervisor-observable, enabled, and active somewhere.  The
+    set-level reference for :meth:`Successors.feasible_events`."""
+    if not info:
+        return ()
+    return tuple(
+        iter_bits(
+            model.supervisor_observable
+            & info_decision(info)
+            & model.active_events(info_plant_states(info))
+        )
+    )
+
+
+class ConstantSupervisor(Supervisor):
+    def __init__(self, decision_mask: int):
+        self._decision = decision_mask
+
+    def advance(self, state, sigma: int):
+        return state
+
+    def decide(self, state) -> int:
+        return self._decision
+
+
+def format_flow(model: PlantModel, flow: tuple[ObservationPair, ...]) -> str:
+    """One observation pair per line: ``event=<name|->, decision={...}|-``."""
+    lines = []
+    for event, decision in flow:
+        ev = model.events[event] if event is not None else "-"
+        dec = model.format_decision(decision) if decision is not None else "-"
+        lines.append(f"event={ev}, decision={dec}")
+    return "\n".join(lines) + "\n"
+
+
+def structure_to_dict(structure: ControlStructure) -> dict:
+    """The structure's document as a dict: :func:`structure_to_json` read
+    back, so that the document has one writer."""
+    return json.loads(structure_to_json(structure))
 
 
 class UnreachableObservationError(ValueError):

@@ -50,16 +50,6 @@ def dump_json(doc: dict) -> str:
 _FLOW_LINE = re.compile(r"^event=(\S+),\s*decision=(\{[^}]*\}|-)$")
 
 
-def format_flow(model: PlantModel, flow: tuple[ObservationPair, ...]) -> str:
-    """One observation pair per line: ``event=<name|->, decision={...}|-``."""
-    lines = []
-    for event, decision in flow:
-        ev = model.events[event] if event is not None else "-"
-        dec = model.format_decision(decision) if decision is not None else "-"
-        lines.append(f"event={ev}, decision={dec}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_flow(model: PlantModel, text: str) -> tuple[ObservationPair, ...]:
     flow = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -190,12 +180,6 @@ def structure_to_json(structure: ControlStructure) -> str:
     )
 
 
-def structure_to_dict(structure: ControlStructure) -> dict:
-    """The structure's document as a dict: :func:`structure_to_json` read
-    back, so that the document has one writer."""
-    return json.loads(structure_to_json(structure))
-
-
 def _mode_of(value) -> IssuanceMode:
     try:
         return IssuanceMode(value)
@@ -222,6 +206,16 @@ def _id(value, what: str) -> int:
     return value
 
 
+def _ref(table: dict, value, what: str, kind: str):
+    """``table[value]``: the ``kind`` that the reference ``value`` in ``what`` names."""
+    if type(value) is not int:
+        _id(value, what)  # refuses it
+    try:
+        return table[value]
+    except KeyError:
+        raise ModelFormatError(f"unknown {kind} {value!r} in {what}") from None
+
+
 def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
     try:
         mode = _mode_of(doc["mode"])
@@ -241,14 +235,14 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
             event = entry["event"]
             if (source is None) != (event is None):
                 raise ModelFormatError("decision state must pair source with event")
-            key = (
-                INITIAL_KEY
-                if source is None
-                else (obs_by_id[_id(source, "source")], model.event(name_field(event, "event")))
-            )
+            if source is None:
+                key = INITIAL_KEY
+            else:
+                key = (_ref(obs_by_id, source, "source", "observation state"),
+                       model.event(name_field(event, "event")))
             decision = (
                 model.control_decision(entry["decision"]),
-                obs_by_id[_id(entry["target"], "target")],
+                _ref(obs_by_id, entry["target"], "target", "observation state"),
             )
             what = f"decision state of source {source!r} and event {event!r}"
             _put_once(decisions, key, decision, what)
@@ -263,9 +257,9 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
                 raise ModelFormatError(f"malformed observation transition {entry!r}")
             obs_ref, event, dec_ref = entry
             what = f"observation transition {entry!r}"
-            info = obs_by_id[_id(obs_ref, what)]
+            info = _ref(obs_by_id, obs_ref, what, "observation state")
             sigma = model.event(name_field(event, "event"))
-            if dec_by_id[_id(dec_ref, what)] != (info, sigma):
+            if _ref(dec_by_id, dec_ref, what, "decision state") != (info, sigma):
                 raise ModelFormatError(
                     "observation transition inconsistent with decision state identity"
                 )
@@ -276,7 +270,9 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
                     f"initial {doc['initial']!r} is not the id of the initial "
                     f"decision state, {i!r}"
                 )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ModelFormatError(f"missing key {exc}") from exc
+    except TypeError as exc:
         raise ModelFormatError(f"malformed control structure document: {exc}") from exc
     try:
         return ControlStructure(

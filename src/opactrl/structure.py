@@ -25,9 +25,8 @@ from .estimator import (
     update_estimate,
 )
 
-# Closed-loop simulation lives in the estimator; callers such as
-# perfbench/workloads.py import it from here.
-from .estimator import SimulationResult, closed_loop_simulate  # noqa: F401
+# Not called here, but perfbench/workloads.py imports it from this module.
+from .estimator import closed_loop_simulate  # noqa: F401
 from .model import PlantModel, iter_bits
 from .supervisors import Supervisor
 
@@ -82,28 +81,8 @@ def make_info(members: Sequence[EstimatorState]) -> InfoState:
     return tuple(sorted(set(members)))
 
 
-def info_plant_states(info: InfoState) -> int:
-    mask = 0
-    for m in info:
-        mask |= 1 << m.plant_state
-    return mask
-
-
-def info_estimates(info: InfoState) -> frozenset[int]:
-    return frozenset(m.estimate for m in info)
-
-
 def is_consistent(info: InfoState) -> bool:
     return all(m.decision == info[0].decision for m in info)
-
-
-def info_decision(info: InfoState) -> int:
-    """The decision shared by all members; defined only for consistent states."""
-    if not info:
-        raise StructureError("empty information state has no decision")
-    if not is_consistent(info):
-        raise StructureError("inconsistent information state")
-    return info[0].decision
 
 
 def is_safe(info: InfoState, secret_mask: int) -> bool:
@@ -259,8 +238,8 @@ class Successors:
         return not cores & self._revealing
 
     def feasible_events(self, gamma: int, cores: int) -> tuple[int, ...]:
-        """:func:`feasible_events` of the information state with this
-        decision and this set of cores."""
+        """:func:`~opactrl.oracles.feasible_events` of the information state
+        with this decision and this set of cores."""
         active_at = self._active_at
         events = self.model.supervisor_observable & gamma
         feasible = []
@@ -516,20 +495,6 @@ def ur_is(
     return make_info(seen)
 
 
-def feasible_events(model: PlantModel, info: InfoState) -> tuple[int, ...]:
-    """Observations the plant can produce at this state under the shared
-    decision: supervisor-observable, enabled, and active somewhere."""
-    if not info:
-        return ()
-    return tuple(
-        iter_bits(
-            model.supervisor_observable
-            & info_decision(info)
-            & model.active_events(info_plant_states(info))
-        )
-    )
-
-
 class ControlStructure:
     """A decision/observation graph committing one decision per decision
     state, into an observation state whose members carry that decision.
@@ -580,10 +545,6 @@ class ControlStructure:
         self.mode = mode
         self.decisions = decisions
         self.observations = observations
-
-    @property
-    def initial_decision(self) -> int:
-        return self.decisions[INITIAL_KEY][0]
 
     @cached_property
     def canonical_ids(self) -> tuple[dict[InfoState, int], dict[DecisionKey, int]]:
@@ -665,11 +626,6 @@ class OpacityVerdict:
 
     def __bool__(self):
         return self.opaque
-
-
-def _guard_visits(seen: set, size_guard: int | None, search: str) -> None:
-    if size_guard is not None and len(seen) > size_guard:
-        raise SizeGuardExceeded(size_guard, None, len(seen), search)
 
 
 # A node of the closed-loop search: (estimator state, policy state, depth,
@@ -800,7 +756,8 @@ def verify_open_loop_opacity(
             )
             if nxt not in seen:
                 seen.add(nxt)
-                _guard_visits(seen, size_guard, "open-loop search")
+                if size_guard is not None and len(seen) > size_guard:
+                    raise SizeGuardExceeded(size_guard, None, len(seen), "open-loop search")
                 queue.append((nxt, (), node[2] + 1, node, sigma))
     return OpacityVerdict(True)
 
@@ -874,6 +831,7 @@ def verify_closed_loop_opacity(
             node = (nxt, gamma, kernel.target(old, cores, sigma, gamma))
             if node not in seen:
                 seen.add(node)
-                _guard_visits(seen, size_guard, "closed-loop walk")
+                if size_guard is not None and len(seen) > size_guard:
+                    raise SizeGuardExceeded(size_guard, None, len(seen), "closed-loop walk")
                 stack.append(node)
     return OpacityVerdict(True)

@@ -43,17 +43,6 @@ class Supervisor:
         return self.decide(self.observation_signature(obs))
 
 
-class ConstantSupervisor(Supervisor):
-    def __init__(self, decision_mask: int):
-        self._decision = decision_mask
-
-    def advance(self, state, sigma: int):
-        return state
-
-    def decide(self, state) -> int:
-        return self._decision
-
-
 class TabularSupervisor(Supervisor):
     """Finite table from observation strings to decisions, with a default
     decision (all events enabled unless stated otherwise) for unlisted

@@ -12,7 +12,8 @@ arena's dict views when those are read.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
@@ -106,8 +107,8 @@ class Arena:
     Expansion and pruning both keep two invariants, and pruning relies on
     them:
 
-    - ``observation_events[info] == feasible_events(model, info)`` for every
-      observation state;
+    - ``observation_events[info] == oracles.feasible_events(model, info)``
+      for every observation state;
     - every state is reachable from the initial decision state, along
       decision edges into observation states and from an observation state
       ``info`` along each of its events ``sigma`` into ``(info, sigma)``.
@@ -130,65 +131,53 @@ class Arena:
         self._events = events
         self._counts = counts  # decision states, observation states
         self._ranks = ranks  # per rank: the decision and observation ids removed
-        self._dicts: tuple[Mapping, Mapping] | None = None
-        self._trace: tuple[tuple, ...] | None = None
 
     @property
     def n_states(self) -> int:
         return self._counts[0] + self._counts[1]
 
     @property
-    def is_empty(self) -> bool:
-        return self._edges[0] is None
-
-    @property
     def pruning_iterations(self) -> int:
         return len(self._ranks)
 
+    @cached_property
     def _dict_views(self) -> tuple[Mapping, Mapping]:
-        if self._dicts is None:
-            info, base = self._expansion.info, self._expansion.base
-            edges = self._edges
+        info, base = self._expansion.info, self._expansion.base
+        edges = self._edges
 
-            def targets(d):
-                return tuple((gamma, info(o)) for gamma, o in edges[d])
+        def targets(d):
+            return tuple((gamma, info(o)) for gamma, o in edges[d])
 
-            decision_edges: dict[DecisionKey, tuple[tuple[int, InfoState], ...]] = {}
-            observation_events: dict[InfoState, tuple[int, ...]] = {}
-            if edges[0] is not None:
-                decision_edges[INITIAL_KEY] = targets(0)
-            for o, events in enumerate(self._events):
-                if events is not None:
-                    target = info(o)
-                    observation_events[target] = events
-                    for d, sigma in enumerate(events, base[o]):
-                        decision_edges[(target, sigma)] = targets(d)
-            self._dicts = (
-                MappingProxyType(decision_edges),
-                MappingProxyType(observation_events),
-            )
-        return self._dicts
+        decision_edges: dict[DecisionKey, tuple[tuple[int, InfoState], ...]] = {}
+        observation_events: dict[InfoState, tuple[int, ...]] = {}
+        if edges[0] is not None:
+            decision_edges[INITIAL_KEY] = targets(0)
+        for o, events in enumerate(self._events):
+            if events is not None:
+                target = info(o)
+                observation_events[target] = events
+                for d, sigma in enumerate(events, base[o]):
+                    decision_edges[(target, sigma)] = targets(d)
+        return MappingProxyType(decision_edges), MappingProxyType(observation_events)
 
     @property
     def decision_edges(self) -> Mapping[DecisionKey, tuple[tuple[int, InfoState], ...]]:
-        return self._dict_views()[0]
+        return self._dict_views[0]
 
     @property
     def observation_events(self) -> Mapping[InfoState, tuple[int, ...]]:
-        return self._dict_views()[1]
+        return self._dict_views[1]
 
-    @property
+    @cached_property
     def pruning_trace(self) -> tuple[tuple, ...]:
         """The removed states by rank: decision keys in
         :func:`decision_key_order`, then observation states, sorted."""
-        if self._trace is None:
-            key, info = self._expansion.key, self._expansion.info
-            self._trace = tuple(
-                tuple(sorted(map(key, ds), key=decision_key_order))
-                + tuple(sorted(map(info, os)))
-                for ds, os in self._ranks
-            )
-        return self._trace
+        key, info = self._expansion.key, self._expansion.info
+        return tuple(
+            tuple(sorted(map(key, ds), key=decision_key_order))
+            + tuple(sorted(map(info, os)))
+            for ds, os in self._ranks
+        )
 
     def __repr__(self):
         return (
@@ -457,8 +446,6 @@ class SynthesisOutcome:
     arena_states_after: int = 0
     pruning_iterations: int = 0
     elapsed: float = 0.0
-    # The pruned arena the structure was extracted from.
-    arena: Arena | None = field(default=None, repr=False, compare=False)
 
     @property
     def solved(self) -> bool:
@@ -528,7 +515,6 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
         arena_states_before=len(expansion.owner) + len(expansion.cores),
         arena_states_after=arena.n_states,
         pruning_iterations=arena.pruning_iterations,
-        arena=arena,
     )
 
 

@@ -49,8 +49,7 @@ from opactrl import (
 )
 from opactrl.model import PlantModel
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
-from opactrl.serialize import format_flow
-from opactrl.structure import info_estimates, info_plant_states
+from opactrl.oracles import format_flow, info_estimates, info_plant_states
 from opactrl.synthesis import MAX_STRUCTURES
 
 SIGMA = "a u1 u2 u3 b"

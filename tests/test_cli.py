@@ -26,14 +26,8 @@ from opactrl.dot import estimator_slice_to_dot, model_to_dot, structure_to_dot
 from opactrl.estimator import closed_loop_simulate, estimator_trace
 from opactrl.model import ModelFormatError
 from opactrl.randgen import RandomModelConfig, random_model, random_supervisor
-from opactrl.serialize import (
-    dump_json,
-    format_flow,
-    parse_flow,
-    structure_from_dict,
-    structure_to_dict,
-    structure_to_json,
-)
+from opactrl.oracles import format_flow, structure_to_dict
+from opactrl.serialize import dump_json, parse_flow, structure_from_dict, structure_to_json
 from opactrl.synthesis import EXTRACTION_POLICIES, SynthesisConfig, synthesize
 
 
@@ -1205,6 +1199,10 @@ MALFORMED_DOCUMENTS = [
     ("model", ("events",), ["a", "u1", "u2", "u3", "b", "c}"],
      "invalid model {model}: invalid event name 'c}}': it must hold no ',', '{{' or "
      "'}}'"),
+    # A flow writes '-' for no event, so it could not name the event "-":
+    # "event=-, decision=-" was read as an empty observation pair.
+    ("model", ("events",), ["a", "u1", "u2", "u3", "b", "-"],
+     "invalid model {model}: invalid event name '-': a flow writes it for no event"),
     # An unknown name before a non-name: the document is refused for the
     # non-name, as every name of a list is checked before any is looked up.
     ("structure", ("decision_states", 1, "decision"), ["zz", "a", 3],
@@ -1545,6 +1543,66 @@ def test_cli_refuses_a_structure_document_with_a_wrong_initial_or_an_unreached_s
     """A structure is read from its initial decision state: every structure
     command refuses a document whose ``initial`` names another id, or with
     an observation state that the initial decision state does not reach."""
+    doc = _sprime_structure(run_model, sprime)
+    change(doc)
+    _assert_structure_refused(doc, message, tmp_path, capsys)
+
+
+def _set(*path_and_value):
+    """A change that sets the entry at ``path`` in the document to ``value``."""
+    *path, key, value = path_and_value
+
+    def change(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return change
+
+
+def _without(key, *path):
+    """A change that removes ``key`` from the entry at ``path``."""
+
+    def change(doc):
+        for step in path:
+            doc = doc[step]
+        del doc[key]
+
+    return change
+
+
+# A change to that document that leaves a reference to an id no state has,
+# or leaves out a key, and the error line it gives.  These used to read
+# "malformed control structure document: 99" and "...: 'initial'".
+DANGLING_STRUCTURES = {
+    "source 99": (
+        _set("decision_states", 1, "source", 99), "unknown observation state 99 in source"
+    ),
+    "target 99": (
+        _set("decision_states", 1, "target", 99), "unknown observation state 99 in target"
+    ),
+    "transition from 99": (
+        _set("observation_transitions", 0, 0, 99),
+        "unknown observation state 99 in observation transition [99, 'u1', 1]",
+    ),
+    "transition into 99": (
+        _set("observation_transitions", 0, 2, 99),
+        "unknown decision state 99 in observation transition [0, 'u1', 99]",
+    ),
+    "no initial": (_without("initial"), "missing key 'initial'"),
+    "no target": (_without("target", "decision_states", 1), "missing key 'target'"),
+}
+
+
+@pytest.mark.parametrize(
+    "change, message", DANGLING_STRUCTURES.values(), ids=DANGLING_STRUCTURES.keys()
+)
+def test_cli_refuses_a_structure_document_with_a_dangling_id_or_a_missing_key(
+    change, message, tmp_path, run_model, sprime, capsys
+):
+    """Every structure command refuses a document that refers to an id no
+    state has, naming the field and the id, or that leaves out a key,
+    naming the key."""
     doc = _sprime_structure(run_model, sprime)
     change(doc)
     _assert_structure_refused(doc, message, tmp_path, capsys)

@@ -33,6 +33,17 @@ MOVED = {
     "brute_estimate_set": "structure",
     "open_loop_estimate": "model",
     "UnreachableObservationError": "model",
+    "info_plant_states": "structure",
+    "info_estimates": "structure",
+    "info_decision": "structure",
+    "feasible_events": "structure",
+    "augment": "estimator",
+    "SupervisionError": "estimator",
+    "run_estimator": "estimator",
+    "project": "model",
+    "ConstantSupervisor": "supervisors",
+    "format_flow": "serialize",
+    "structure_to_dict": "serialize",
 }
 
 model_seeds = st.integers(0, 10**9)

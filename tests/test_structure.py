@@ -22,6 +22,7 @@ from opactrl import (
     closed_loop_simulate,
     augment,
     estimator_step,
+    feasible_events,
     info_decision,
     info_estimates,
     info_plant_states,
@@ -593,7 +594,7 @@ def _check_kernel_answers(model, mode, succ, state, rng):
     assert succ.info_of(gamma, cores) == state
     assert succ.is_safe(cores) == is_safe(state, model.secret_mask)
     feasible = succ.feasible_events(gamma, cores)
-    assert feasible == structure_module.feasible_events(model, state)
+    assert feasible == feasible_events(model, state)
     for sigma in range(len(model.events)):
         gamma_new = rng.choice(decisions)
         image = nx_is(model, state, sigma, gamma_new, mode)

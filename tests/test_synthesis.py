@@ -34,7 +34,8 @@ from opactrl.estimator import AugmentedEvent, estimator_step, released, update_e
 from opactrl.model import iter_bits
 from opactrl.randgen import RandomModelConfig, random_model
 from opactrl.serialize import structure_to_json
-from opactrl.structure import Successors, decision_key_order, feasible_events
+from opactrl.oracles import feasible_events
+from opactrl.structure import Successors, decision_key_order
 from opactrl.synthesis import MAX_STRUCTURES
 
 SIGMA = "a u1 u2 u3 b"
@@ -169,7 +170,7 @@ def test_prune_empty_case():
         }
     )
     pruned = prune_incomplete(expand_arena(model, SynthesisConfig()))
-    assert pruned.is_empty
+    assert not pruned.decision_edges
     assert pruned.n_states == 0
 
 
@@ -179,7 +180,7 @@ def test_extract_first_feasible_takes_canonical_first(run_model, run_pruned):
     structure = out.structure
     # the canonically first surviving decision at the initial state enables
     # no controllable event at all
-    assert structure.initial_decision == run_model.uncontrollable
+    assert structure.decisions[INITIAL_KEY][0] == run_model.uncontrollable
     for key, (gamma, _) in structure.decisions.items():
         assert gamma == run_pruned.decision_edges[key][0][0]
 
@@ -214,9 +215,10 @@ def test_extract_no_solution_marker():
             "transitions": [],
         }
     )
+    # The initial decision state is dropped.
+    assert prune_incomplete(expand_arena(model, SynthesisConfig())).pruning_trace
     outcome = synthesize(model, SynthesisConfig())
     assert not outcome.solved
-    assert outcome.arena.pruning_trace  # the initial decision state was dropped
     with pytest.raises(ValueError, match="no solution"):
         outcome.structure
     assert "no solution exists" in outcome.report()
@@ -949,7 +951,7 @@ def test_attractor_pruning_matches_the_round_based_fixpoint():
 def test_forced_chain_prunes_one_state_per_round():
     arena = expand_arena(_chain_model(60, False), SynthesisConfig(mode=OBS))
     pruned = prune_incomplete(arena)
-    assert pruned.is_empty
+    assert pruned.n_states == 0
     assert [len(batch) for batch in pruned.pruning_trace] == [1] * (2 * 60 - 1)
     assert _pruned_with_orders(pruned) == _with_orders(
         *_round_based_prune(arena.model, *_views(arena))
@@ -1100,4 +1102,4 @@ def test_synthesize_builds_only_what_it_outputs(monkeypatch):
         assert len(built) == len(set(built)) and set(built) == set(out.structure.observations)
         assert len(arenas) == 2
         for arena in arenas:
-            assert arena._dicts is None and arena._trace is None
+            assert not {"_dict_views", "pruning_trace"} & vars(arena).keys()
