@@ -82,11 +82,7 @@ def parse_supervisor(model: PlantModel, doc: dict) -> Supervisor | ControlStruct
     control structure."""
     kind = doc.get("type")
     if kind == "supervisor-table":
-        table = doc.get("table", {})
-        if not isinstance(table, dict):
-            raise ModelFormatError(
-                f"invalid supervisor table: expected an object, got {table!r}"
-            )
+        table = _object_field(doc.get("table", {}), "supervisor table")
         return TabularSupervisor(model, table, doc.get("default"))
     if kind == "control-structure":
         return structure_from_dict(model, doc)
@@ -98,6 +94,14 @@ def parse_supervisor_text(model: PlantModel, text: str) -> Supervisor | ControlS
 
 
 # Control structures --------------------------------------------------------
+
+
+def _object_field(value, what: str) -> dict:
+    """``value``, which a document gives as an object.  Anything else is
+    refused, naming ``what``."""
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"invalid {what}: expected an object, got {value!r}")
+    return value
 
 
 def _member_from_list(model: PlantModel, entry) -> EstimatorState:
@@ -220,17 +224,18 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
     try:
         mode = _mode_of(doc["mode"])
         obs_by_id: dict[int, InfoState] = {}
-        for entry in doc["observation_states"]:
-            members = tuple(
-                sorted(_member_from_list(model, m) for m in entry["members"])
-            )
+        for entry in list_field(doc["observation_states"], "'observation_states'"):
+            entry = _object_field(entry, "observation state")
+            members = list_field(entry["members"], "'members'")
+            members = tuple(sorted(_member_from_list(model, m) for m in members))
             i = _id(entry["id"], "observation state id")
             _put_once(obs_by_id, i, members, f"observation state {i!r}")
         if len(set(obs_by_id.values())) != len(obs_by_id):
             raise ModelFormatError("two observation states have the same members")
         decisions = {}
         dec_by_id = {}
-        for entry in doc["decision_states"]:
+        for entry in list_field(doc["decision_states"], "'decision_states'"):
+            entry = _object_field(entry, "decision state")
             source = entry["source"]
             event = entry["event"]
             if (source is None) != (event is None):
@@ -252,7 +257,8 @@ def structure_from_dict(model: PlantModel, doc: dict) -> ControlStructure:
         observations: dict[InfoState, dict[int, None]] = {
             info: {} for info in obs_by_id.values()
         }
-        for entry in doc["observation_transitions"]:
+        transitions = list_field(doc["observation_transitions"], "'observation_transitions'")
+        for entry in transitions:
             if len(list_field(entry, "observation transition")) != 3:
                 raise ModelFormatError(f"malformed observation transition {entry!r}")
             obs_ref, event, dec_ref = entry

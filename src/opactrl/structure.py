@@ -139,10 +139,10 @@ class Successors:
       holding per core the core's image under the event, closed, under
       one representative of each class of new decision, and last, under
       the decision-triggered mechanism, under the old decision kept (see
-      :meth:`layout` and :meth:`_row`).  The targets of a decision state
-      are the rows of the cores the event moves, merged position by
-      position, and the table keeps those merges too (see
-      :meth:`targets`).
+      :meth:`_row`).  A decision reads its class's column, and the old
+      decision itself the last one.  The targets of a decision state are
+      the rows of the cores the event moves, merged position by position,
+      and the table keeps those merges too (see :meth:`targets`).
 
     It takes and answers core sets only; :meth:`intern` and :meth:`info_of`
     convert between an information state and its decision and core set.
@@ -170,7 +170,6 @@ class Successors:
         # The set of cores whose estimate lies inside the secret.
         self._revealing = 0
         self._closures: dict[tuple[int, int], int] = {}
-        self._layouts: dict[int, tuple[int, ...]] = {}
         # Per (event, class of the old decision): rows and their merges,
         # by set of cores.
         self._tables: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
@@ -333,27 +332,10 @@ class Successors:
             closed = self._closures[key] = seen
         return closed
 
-    def layout(self, old: int | None) -> tuple[int, ...]:
-        """Each decision's column of the targets after ``old`` (None at the
-        initial decision state), in :attr:`decisions` order.  There is one
-        column per class of decision, in order of first appearance.  Under
-        the decision-triggered mechanism ``old`` itself releases nothing, so
-        it has a last column of its own."""
-        if old is None or not self._decision_mode:
-            return self._classes[1]
-        layout = self._layouts.get(old)
-        if layout is None:
-            unchanged = len(self._classes[0])
-            layout = self._layouts[old] = tuple(
-                unchanged if gamma == old else column
-                for gamma, column in zip(self.decisions, self._classes[1])
-            )
-        return layout
-
     def _row(self, c: int, old: int, sigma: int) -> tuple[int, ...]:
         """The closed images of core ``c`` under ``sigma`` after decision
-        ``old``, one per column of :meth:`layout`.  Every entry reads only
-        the class of ``old``."""
+        ``old``, one per column (see :meth:`targets`).  Every entry reads
+        only the class of ``old``."""
         row = self._images(c, old, sigma, self._classes[0])
         if self._decision_mode:
             row += self._images(c, old, sigma, (old,), False)
@@ -361,11 +343,11 @@ class Successors:
 
     def targets(self, old: int | None, cores: int | None, sigma: int | None) -> Sequence[int]:
         """The core sets of the observation states reached from decision
-        state (observation state, ``sigma``), one per column of
-        :meth:`layout`, where the observation state has decision ``old``
-        and core set ``cores``; both are None at the initial decision
-        state.  ``sigma`` must be enabled by ``old`` and move some core, as
-        every feasible observation does.
+        state (observation state, ``sigma``), where the observation state
+        has decision ``old`` and core set ``cores`` (both None at the
+        initial decision state): one per class of decision, then under the
+        decision-triggered mechanism one for ``old`` kept.  ``sigma`` must
+        be enabled by ``old`` and move some core, as feasible ones do.
 
         The targets are the rows of the moved cores, merged position by
         position.  The table of (``sigma``, class of ``old``) holds each

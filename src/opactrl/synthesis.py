@@ -96,13 +96,13 @@ class Arena:
     """Expansion result: like a control structure, but decision states carry
     every safe alternative (possibly none).
 
-    It is held in the ids of :class:`_Expansion`: per decision state, its
-    edges as (decision, observation state id), and per observation state,
-    its events; None marks a state that is not in this arena (pruning keeps
-    the ids of the arena it prunes).  ``decision_edges``,
-    ``observation_events`` and ``pruning_trace`` are read-only views in
-    ``InfoState``s, built on first read, with the insertion orders of a
-    dict-based expansion.
+    It is held in the ids of :class:`_Expansion`: *rows*, tuples of edges
+    (decision, observation state id) shared by the decision states that
+    have them, the row id of each decision state, and the events of each
+    observation state; None marks a state not in this arena (pruning keeps
+    the ids it prunes).  ``decision_edges``, ``observation_events`` and
+    ``pruning_trace`` are read-only views in ``InfoState``s, built on first
+    read, with the insertion orders of a dict-based expansion.
 
     Expansion and pruning both keep two invariants, and pruning relies on
     them:
@@ -119,7 +119,8 @@ class Arena:
     def __init__(
         self,
         expansion: _Expansion,
-        edges: list[tuple[tuple[int, int], ...] | None],
+        rows: list[tuple[tuple[int, int], ...] | None],
+        row_of: list[int | None],
         events: list[tuple[int, ...] | None],
         counts: tuple[int, int],
         ranks: tuple[tuple[list[int], list[int]], ...] = (),
@@ -127,7 +128,8 @@ class Arena:
         self.model = expansion.kernel.model
         self.mode = expansion.kernel.mode
         self._expansion = expansion
-        self._edges = edges
+        self._rows = rows
+        self._row_of = row_of
         self._events = events
         self._counts = counts  # decision states, observation states
         self._ranks = ranks  # per rank: the decision and observation ids removed
@@ -143,14 +145,14 @@ class Arena:
     @cached_property
     def _dict_views(self) -> tuple[Mapping, Mapping]:
         info, base = self._expansion.info, self._expansion.base
-        edges = self._edges
+        rows, row_of = self._rows, self._row_of
 
         def targets(d):
-            return tuple((gamma, info(o)) for gamma, o in edges[d])
+            return tuple((gamma, info(o)) for gamma, o in rows[row_of[d]])
 
         decision_edges: dict[DecisionKey, tuple[tuple[int, InfoState], ...]] = {}
         observation_events: dict[InfoState, tuple[int, ...]] = {}
-        if edges[0] is not None:
+        if row_of[0] is not None:
             decision_edges[INITIAL_KEY] = targets(0)
         for o, events in enumerate(self._events):
             if events is not None:
@@ -193,45 +195,45 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     observation.  Unsafe targets are computed, tested, and discarded without
     ever entering the arena.
 
-    The kernel answers with one set of core ids per column of its layout:
-    one per class of decision, and under the decision-triggered mechanism
-    one more for the old decision kept (see :class:`Successors`).  Safety
-    reads the estimates only, so it is one mask test per column, against
-    the kernel's set of revealing cores.  A safe target gets its
-    observation state id when it is first reached under its decision; no
-    ``InfoState`` is built.
+    The kernel answers with one set of core ids per column: one per class
+    of decision, and under the decision-triggered mechanism a last one for
+    the old decision kept (see :class:`Successors`).  A decision reads its
+    class's column, and there the old decision itself the last one.  Safety
+    is one mask test per column, against the kernel's set of revealing
+    cores.  A safe target gets its observation state id when it is first
+    reached under its decision; no ``InfoState`` is built.
 
-    The edges of a decision state are memoised twice.  The first memo maps
-    what fixes them, the *settled key*, to the edges: the cores the event
+    A decision state's row of edges is memoised twice.  The first memo maps
+    what fixes it, the *settled key*, to its row id: the cores the event
     moves, the event, and the old decision's class, or under the
-    decision-triggered mechanism the old decision itself, whose layout has
-    a column of its own.  On a miss, the targets come from
+    decision-triggered mechanism the old decision itself, which has a
+    column of its own.  On a miss, the targets come from
     :meth:`Successors.targets`, whose table per (event, class of the old
     decision) already holds every row and merge, and the *safe row* is the
     targets with each unsafe one set to None.  The second memo maps the
     layout key (the old decision under the decision-triggered mechanism,
-    else nothing) and the safe row to the edges: that is all the loop over
-    :attr:`Successors.decisions` reads, so it runs once per distinct
-    (layout, safe row), where many settled keys share one row.  A new
-    observation state takes its events from
-    :meth:`Successors.feasible_events`.  The first decision state with a
-    row numbers every safe target it reaches, so a later one with the same
-    row reaches no new state and takes the same edges: ids, orders and the
-    size-guard trip point are those of expanding every state."""
+    else None) and the safe row to the row id: that is all the loop over
+    :attr:`Successors.decisions` reads, so it runs, and appends a row, once
+    per distinct (layout key, safe row).  A new observation state takes its
+    events from :meth:`Successors.feasible_events`.  The first decision
+    state with a row numbers every safe target it reaches, so a later one
+    with the same row reaches no new state and shares the row: ids, orders
+    and the size-guard trip point are those of expanding every state."""
     successor = Successors(model, cfg.mode)
     expansion = _Expansion(successor)
     decision_of, cores_of, events_of = expansion.decision, expansion.cores, expansion.events
     base, owner = expansion.base, expansion.owner
-    decisions = successor.decisions
+    decisions, columns = successor.decisions, successor._classes[1]
     hidden, active_at = successor._hidden, successor._active_at
     decision_mode = cfg.mode is IssuanceMode.DECISION
     size_guard = cfg.size_guard
-    edges: list[tuple[tuple[int, int], ...] | None] = [None]
+    rows: list[tuple[tuple[int, int], ...]] = []
+    row_of: list[int | None] = [None]
     n_decision, n_observation = 1, 0
-    # Edges by layout key and safe row.
-    by_row: dict[tuple[int | None, tuple], tuple[tuple[int, int], ...]] = {}
-    # Edges by settled key; the initial decision state's under None.
-    settled: dict[tuple[int, int, int] | None, tuple[tuple[int, int], ...]] = {}
+    # Row ids by layout key and safe row.
+    by_row: dict[tuple[int | None, tuple], int] = {}
+    # Row ids by settled key; the initial decision state's under None.
+    settled: dict[tuple[int, int, int] | None, int] = {}
     reached: dict[tuple[int, int], int] = {}
     # Decision states to expand; each reads its observation state's
     # decision and core set, and its event, back from the lists above.
@@ -246,20 +248,21 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
             sigma = events_of[o][d - base[o]]
             moved = cores & active_at[sigma]
             probe = (old if decision_mode else old & hidden, moved, sigma)
-            out = settled.get(probe)
-            if out is not None:
-                edges[d] = out
+            r = settled.get(probe)
+            if r is not None:
+                row_of[d] = r
                 continue
         targets = successor.targets(old, cores, sigma)
         # Read after the targets: answering them interns their cores.
         revealing = successor._revealing
         row = tuple([None if t & revealing else t for t in targets])
-        row_key = (old if decision_mode else None, row)
-        out = by_row.get(row_key)
-        if out is None:
+        own = old if decision_mode else None  # the decision whose column is last
+        row_key = (own, row)
+        r = by_row.get(row_key)
+        if r is None:
             out = []
-            for gamma, column in zip(decisions, successor.layout(old)):
-                t = row[column]
+            for gamma, column in zip(decisions, columns):
+                t = row[-1 if gamma == own else column]
                 if t is None:
                     continue
                 o = reached.get((gamma, t))
@@ -272,21 +275,23 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
                     cores_of.append(t)
                     events_of.append(feasible)
                     base.append(first)
-                    edges.extend([None] * (n_decision - first))
+                    row_of.extend([None] * (n_decision - first))
                     owner.extend([o] * (n_decision - first))
                     stack.extend(range(first, n_decision))
                     if n_decision + n_observation > size_guard:
                         raise SizeGuardExceeded(size_guard, n_decision, n_observation)
                 out.append((gamma, o))
-            out = by_row[row_key] = tuple(out)
-        edges[d] = settled[probe] = out
-    return Arena(expansion, edges, events_of, (len(edges), len(events_of)))
+            r = by_row[row_key] = len(rows)
+            rows.append(tuple(out))
+        row_of[d] = settled[probe] = r
+    return Arena(expansion, rows, row_of, events_of, (len(row_of), len(events_of)))
 
 
 def _undecided(arena: Arena) -> list[int]:
     """The decision states of ``arena`` left with no decision: the states
     that make an arena incomplete."""
-    return [d for d, out in enumerate(arena._edges) if out is not None and not out]
+    rows = arena._rows
+    return [d for d, r in enumerate(arena._row_of) if r is not None and not rows[r]]
 
 
 def prune_incomplete(arena: Arena) -> Arena:
@@ -295,28 +300,30 @@ def prune_incomplete(arena: Arena) -> Arena:
     state.  The result is the greatest complete safe sub-arena.
 
     The removed states are the attractor of the incomplete ones, worked out
-    in one backward pass over ids: a decision state goes when its last
-    target has gone (a count of live edges per decision state, decremented
-    along predecessor lists), an observation state when the first of its
-    decision states has.  Every event of an observation state has its
-    decision state, so only decision states with no edge are incomplete to
-    begin with.  A state's rank is 0 when it is incomplete in the given
-    arena, else one more than the rank of the removal that forced it out.
-    That is the round in which a round-by-round fixpoint would remove it,
-    and ``pruning_trace`` lists the removed states by rank.  When nothing is
-    incomplete the arena's lists are shared, not rebuilt."""
+    in one backward pass over ids: a row dies when its last target has gone
+    (a count of live edges per row, decremented along predecessor lists of
+    rows), and every decision state with it goes; an observation state goes
+    when the first of its decision states has.  Every event of an
+    observation state has its decision state, so only empty rows are
+    incomplete to begin with.  A state's rank is 0 when it is incomplete in
+    the given arena, else one more than the rank of the removal that forced
+    it out: its round in a round-by-round fixpoint, by which
+    ``pruning_trace`` lists the removed states.  Each surviving row is
+    filtered once; when nothing is incomplete, the lists are shared."""
     expansion = arena._expansion
-    edges, events = arena._edges, arena._events
+    rows, row_of, events = arena._rows, arena._row_of, arena._events
     level_d = _undecided(arena)
     if not level_d:
-        return Arena(expansion, edges, events, arena._counts)
+        return Arena(expansion, rows, row_of, events, arena._counts)
+    users: list[list[int]] = [[] for _ in rows]
+    for d, r in enumerate(row_of):
+        if r is not None:
+            users[r].append(d)
     predecessors: list[list[int]] = [[] for _ in events]
-    live = [0] * len(edges)
-    for d, out in enumerate(edges):
-        if out:
-            live[d] = len(out)
-            for _, o in out:
-                predecessors[o].append(d)
+    live = [len(out) for out in rows]
+    for r, out in enumerate(rows):
+        for _, o in out:
+            predecessors[o].append(r)
     owner = expansion.owner
     removed_o = bytearray(len(events))
     level_o: list[int] = []
@@ -325,10 +332,10 @@ def prune_incomplete(arena: Arena) -> Arena:
         ranks.append((level_d, level_o))
         next_d = []
         for o in level_o:
-            for d in predecessors[o]:
-                live[d] -= 1
-                if not live[d]:
-                    next_d.append(d)
+            for r in predecessors[o]:
+                live[r] -= 1
+                if not live[r]:
+                    next_d.extend(users[r])
         next_o = []
         for d in level_d:
             o = owner[d]
@@ -336,29 +343,31 @@ def prune_incomplete(arena: Arena) -> Arena:
                 removed_o[o] = 1
                 next_o.append(o)
         level_d, level_o = next_d, next_o
-    kept_edges: list[tuple[tuple[int, int], ...] | None] = [None] * len(edges)
+    kept_rows: list[tuple[tuple[int, int], ...] | None] = [None] * len(rows)
+    kept_row_of: list[int | None] = [None] * len(row_of)
     kept_events: list[tuple[int, ...] | None] = [None] * len(events)
-    if not live[0]:  # the initial decision state went
-        return Arena(expansion, kept_edges, kept_events, (0, 0), tuple(ranks))
+    if not live[row_of[0]]:  # the initial decision state went
+        return Arena(expansion, kept_rows, kept_row_of, kept_events, (0, 0), tuple(ranks))
     # Every event of a surviving observation state leads to a surviving
-    # decision state, or the observation state would have gone.
+    # decision state, or the observation state would have gone.  A row's
+    # targets are reached when it is first filtered.
     base = expansion.base
     n_decision = n_observation = 0
-    # Decision states to expand; each reads its observation state's
-    # decision and core set, and its event, back from the lists above.
     stack = [0]
     while stack:
         d = stack.pop()
         n_decision += 1
-        out = kept_edges[d] = tuple(edge for edge in edges[d] if not removed_o[edge[1]])
+        r = kept_row_of[d] = row_of[d]
+        if kept_rows[r] is not None:
+            continue
+        out = kept_rows[r] = tuple(edge for edge in rows[r] if not removed_o[edge[1]])
         for _, o in out:
             if kept_events[o] is None:
                 kept_events[o] = events[o]
                 n_observation += 1
                 stack.extend(range(base[o], base[o] + len(events[o])))
-    return Arena(
-        expansion, kept_edges, kept_events, (n_decision, n_observation), tuple(ranks)
-    )
+    counts = (n_decision, n_observation)
+    return Arena(expansion, kept_rows, kept_row_of, kept_events, counts, tuple(ranks))
 
 
 def _structures(arena: Arena, maximal: bool) -> Iterator[Callable[[], ControlStructure]]:
@@ -371,8 +380,10 @@ def _structures(arena: Arena, maximal: bool) -> Iterator[Callable[[], ControlStr
     without backtracking.  Each comes out as a call that builds it, valid
     until the generator resumes: decisions in commit order, observation
     states in first-reach order, and ``InfoState``s for it alone."""
-    expansion, edges, events = arena._expansion, arena._edges, arena._events
-    base, info, key = expansion.base, expansion.info, expansion.key
+    expansion, rows, row_of = arena._expansion, arena._rows, arena._row_of
+    if row_of[0] is None:  # an empty arena
+        return
+    base, events, info, key = expansion.base, arena._events, expansion.info, expansion.key
     queue = [0]  # decision ids; the first len(commits) are committed
     # Per commit: the edges offered, the one taken, and whether it reached
     # its observation state first.
@@ -394,7 +405,7 @@ def _structures(arena: Arena, maximal: bool) -> Iterator[Callable[[], ControlStr
             yield build
             out = ()
         else:
-            out = edges[queue[len(commits)]] or ()
+            out = rows[row_of[queue[len(commits)]]]
             if maximal:
                 out = tuple(
                     e for e in out if not any(g != e[0] and g | e[0] == g for g, _ in out)

@@ -1608,6 +1608,47 @@ def test_cli_refuses_a_structure_document_with_a_dangling_id_or_a_missing_key(
     _assert_structure_refused(doc, message, tmp_path, capsys)
 
 
+# A change to that document that gives a field the wrong container type,
+# and the error line it gives.  These used to read "malformed control
+# structure document: " and Python's own TypeError text.
+WRONG_CONTAINERS = {
+    "decision state as a list": (
+        _set("decision_states", 1, [1, 2]),
+        "invalid decision state: expected an object, got [1, 2]",
+    ),
+    "observation state as a list": (
+        _set("observation_states", 1, [3]),
+        "invalid observation state: expected an object, got [3]",
+    ),
+    "members 5": (
+        _set("observation_states", 1, "members", 5), "invalid 'members': expected a list, got 5"
+    ),
+    "observation_states 7": (
+        _set("observation_states", 7), "invalid 'observation_states': expected a list, got 7"
+    ),
+    "decision_states null": (
+        _set("decision_states", None), "invalid 'decision_states': expected a list, got None"
+    ),
+    "observation_transitions null": (
+        _set("observation_transitions", None),
+        "invalid 'observation_transitions': expected a list, got None",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "change, message", WRONG_CONTAINERS.values(), ids=WRONG_CONTAINERS.keys()
+)
+def test_cli_names_a_structure_field_of_the_wrong_container_type(
+    change, message, tmp_path, run_model, sprime, capsys
+):
+    """Every structure command refuses a document in which a list is not a
+    list or a state is not an object, naming the field."""
+    doc = _sprime_structure(run_model, sprime)
+    change(doc)
+    _assert_structure_refused(doc, message, tmp_path, capsys)
+
+
 def _reached_from_observation_state_2(doc):
     """Only the initial decision state, observation states 0, 2 and 4, the
     decision states into them and the transitions between them: the states

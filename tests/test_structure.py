@@ -581,6 +581,15 @@ def test_estimator_matches_brute_set_membership(seed, mode):
         assert final.estimate in brute_estimate_set(model, sup, alpha, mode)
 
 
+def _columns(succ, old):
+    """Each decision's column of the targets after ``old`` (None at the
+    initial decision state): its class's, except that under the
+    decision-triggered mechanism ``old`` itself reads the last column."""
+    own = old if succ.mode is DEC else None
+    columns = succ._classes[1]
+    return [-1 if gamma == own else column for gamma, column in zip(succ.decisions, columns)]
+
+
 def _check_kernel_answers(model, mode, succ, state, rng):
     """Every answer ``succ`` gives about ``state`` and its observations is
     the set-level one: its core set, safety, feasible events, the target of
@@ -604,7 +613,7 @@ def _check_kernel_answers(model, mode, succ, state, rng):
             row = succ.targets(gamma, cores, sigma)
             assert [
                 succ.info_of(d, row[column])
-                for d, column in zip(decisions, succ.layout(gamma))
+                for d, column in zip(decisions, _columns(succ, gamma))
             ] == [
                 ur_is(model, nx_is(model, state, sigma, d, mode), d, mode)
                 for d in decisions
@@ -631,7 +640,7 @@ def test_memoised_successors_match_the_set_level_reference(seed, mode):
     assert [succ.info_of(d, succ.target(None, None, None, d)) for d in decisions] == initial
     row = succ.targets(None, None, None)
     assert [
-        succ.info_of(d, row[column]) for d, column in zip(decisions, succ.layout(None))
+        succ.info_of(d, row[column]) for d, column in zip(decisions, _columns(succ, None))
     ] == initial
     for state in _sample_info_states(rng, model, sup, mode, max_len=3):
         gamma = info_decision(state)
@@ -715,7 +724,7 @@ def test_old_decisions_of_one_class_share_their_rows(seed, mode):
                     targets = succ.targets(old, cores, sigma)
                     assert [
                         succ.info_of(d, targets[column])
-                        for d, column in zip(decisions, succ.layout(old))
+                        for d, column in zip(decisions, _columns(succ, old))
                     ] == [ur_is(model, nx_is(model, state, sigma, d, mode), d, mode) for d in decisions]
                 assert len(computed) == before
 

@@ -3,8 +3,9 @@ end-to-end synthesis pipeline."""
 
 import gc
 import random
+import tracemalloc
 import weakref
-from collections import deque
+from collections import Counter, deque
 from itertools import islice
 
 import pytest
@@ -36,6 +37,7 @@ from opactrl.randgen import RandomModelConfig, random_model
 from opactrl.serialize import structure_to_json
 from opactrl.oracles import feasible_events
 from opactrl.structure import Successors, decision_key_order
+from opactrl import synthesis
 from opactrl.synthesis import MAX_STRUCTURES
 
 SIGMA = "a u1 u2 u3 b"
@@ -632,7 +634,8 @@ def test_memoised_edges_match_the_single_decision_targets(seed, mode):
     cores = [kernel.intern(expansion.info(o)) for o in range(len(expansion.cores))]
     ids = {(gamma, t): o for o, (gamma, t) in enumerate(zip(expansion.decision, cores))}
     assert len(ids) == len(cores)
-    for d, out in enumerate(arena._edges):
+    for d, r in enumerate(arena._row_of):
+        out = arena._rows[r]
         if d:
             o = expansion.owner[d]
             sigma = expansion.events[o][d - expansion.base[o]]
@@ -669,12 +672,11 @@ def _count_expansion(model, mode, monkeypatch):
     """Expand ``model`` counting the kernel's work: every
     :meth:`Successors.targets` call, as its key (None for the initial
     decision state), the rows it computed and the entries it added to the
-    kernel's tables, and its answer; every read of the layout (expansion
-    reads it once per loop over the decisions), every row computed and
-    every (core, event, old decision) whose row a targets call merges.
-    Answers the arena and the four lists."""
-    asked, loops, computed, merged = [], [], [], []
-    targets, layout, row = Successors.targets, Successors.layout, Successors._row
+    kernel's tables, and its answer; every row computed and every (core,
+    event, old decision) whose row a targets call merges.  Answers the
+    arena and the three lists."""
+    asked, computed, merged = [], [], []
+    targets, row = Successors.targets, Successors._row
 
     def counting_targets(self, old, cores, sigma):
         key = None
@@ -688,20 +690,15 @@ def _count_expansion(model, mode, monkeypatch):
         asked.append((key, work, answer))
         return answer
 
-    def counting_layout(self, old):
-        loops.append(old)
-        return layout(self, old)
-
     def counting_row(self, c, old, sigma):
         computed.append((c, sigma, old & self._hidden))
         return row(self, c, old, sigma)
 
     with monkeypatch.context() as patched:
         patched.setattr(Successors, "targets", counting_targets)
-        patched.setattr(Successors, "layout", counting_layout)
         patched.setattr(Successors, "_row", counting_row)
         arena = expand_arena(model, SynthesisConfig(mode=mode))
-    return arena, asked, loops, computed, merged
+    return arena, asked, computed, merged
 
 
 @pytest.mark.parametrize("mode", [OBS, DEC])
@@ -715,9 +712,9 @@ def test_expansion_loops_over_decisions_once_per_safe_row(mode, monkeypatch):
     asks again for each old decision of a class, a repeated key computes
     no row, adds no table entry and is answered with the tuple the table
     holds for it.  Expansion loops over the decisions once per distinct
-    (layout key, safe row).  Distinct keys and loops are both fewer than
-    the decision states."""
-    arena, asked, loops, _, _ = _count_expansion(_seed10_draw(11), mode, monkeypatch)
+    (layout key, safe row), appending one row each time.  Distinct keys
+    and rows are both fewer than the decision states."""
+    arena, asked, _, _ = _count_expansion(_seed10_draw(11), mode, monkeypatch)
     expansion = arena._expansion
     kernel = expansion.kernel
     keys, rows = set(), set()
@@ -739,7 +736,7 @@ def test_expansion_loops_over_decisions_once_per_safe_row(mode, monkeypatch):
             first[key] = answer
     assert len(first) == len(keys) < arena._counts[0]
     assert set(repeated) == ({((0, 0), True)} if mode is DEC else set())
-    assert len(loops) == len(rows) < arena._counts[0]
+    assert len(arena._rows) == len(rows) < arena._counts[0]
 
 
 @pytest.mark.parametrize("mode", [OBS, DEC])
@@ -751,7 +748,7 @@ def test_the_kernel_computes_one_row_per_old_decision_class(mode, monkeypatch):
     computes fewer rows than there are distinct (core, event, old
     decision) triples to merge."""
     model = _seed10_draw(11)
-    _, _, _, computed, merged = _count_expansion(model, mode, monkeypatch)
+    _, _, computed, merged = _count_expansion(model, mode, monkeypatch)
     hidden = model.supervisor_unobservable | model.intruder_unobservable
     assert len(computed) == len(set(computed))
     assert set(computed) == {(c, sigma, old & hidden) for c, sigma, old in merged}
@@ -929,8 +926,9 @@ def test_attractor_pruning_matches_the_round_based_fixpoint():
     """Same pruned arena, same dict insertion orders and the same trace: a
     state's attractor rank is the round in which the fixpoint removes it.
     Random plants and forced chains both have to prune something in some
-    drawn example, in each mode."""
-    pruned_some = set()
+    drawn example, in each mode, and in each mode some example has to
+    remove a row that two or more decision states share."""
+    pruned_some, shared_removed = set(), set()
 
     @given(plants, st.sampled_from([OBS, DEC]))
     @settings(max_examples=120, deadline=None)
@@ -940,12 +938,61 @@ def test_attractor_pruning_matches_the_round_based_fixpoint():
         if arena is None:
             return
         expected = _round_based_prune(model, *_views(arena))
-        assert _pruned_with_orders(prune_incomplete(arena)) == _with_orders(*expected)
+        pruned = prune_incomplete(arena)
+        assert _pruned_with_orders(pruned) == _with_orders(*expected)
         if expected[2]:
             pruned_some.add((kind, mode))
+        removed = Counter(arena._row_of[d] for ds, _ in pruned._ranks for d in ds)
+        if max(removed.values(), default=0) >= 2:
+            shared_removed.add(mode)
 
     check()
     assert pruned_some == {(kind, mode) for kind in ("random", "chain") for mode in (OBS, DEC)}
+    assert shared_removed == {OBS, DEC}
+
+
+def _wide_plant():
+    """A plant of 12 states and 14 events, 11 of them controllable: the
+    third draw of ``random.Random(14)``.  The arena lists every decision,
+    so a decision state has up to 2,048 edges, and many share one row."""
+    rng = random.Random(14)
+    config = RandomModelConfig(
+        min_states=10,
+        max_states=14,
+        min_events=14,
+        max_events=14,
+        partition_probability=0.8,
+        transition_density=0.25,
+    )
+    return [random_model(rng, config) for _ in range(3)][2]
+
+
+def test_the_wide_plant_prunes_its_rows_in_little_memory(monkeypatch):
+    """Pruning keeps one live count and one predecessor entry per (row,
+    edge), not per (decision state, edge), and builds each kept row once:
+    on the wide plant in observation mode its traced peak stays under 64
+    MB, where a copy of every decision state's edges would take over a
+    gigabyte."""
+    peaks = []
+    prune = synthesis.prune_incomplete
+
+    def traced(arena):
+        tracemalloc.start()
+        try:
+            return prune(arena)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(synthesis, "prune_incomplete", traced)
+    outcome = synthesize(_wide_plant(), SynthesisConfig(mode=OBS))
+    assert outcome.solved
+    assert (
+        outcome.arena_states_before,
+        outcome.arena_states_after,
+        outcome.pruning_iterations,
+    ) == (70_657, 55_809, 2)
+    assert len(peaks) == 1 and peaks[0] < 64 * 2**20
 
 
 def test_forced_chain_prunes_one_state_per_round():
