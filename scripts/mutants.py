@@ -106,8 +106,8 @@ CATALOGUE = (
     Mutant(
         "locally_maximal filter weakened",
         SYN,
-        "for g, _ in out)",
-        "for g, _ in out[:1])",
+        "if not any(g | m == m for m in maximal):",
+        "if not any(g | m == m for m in maximal[:1]):",
         (T_SYN,),
     ),
     Mutant(
@@ -125,6 +125,20 @@ CATALOGUE = (
         (T_STR,),
     ),
     Mutant(
+        "_ReachMemo always misses",
+        STR,
+        "out = self._observable.get(key)",
+        "out = None",
+        (T_STR,),
+    ),
+    Mutant(
+        "a fresh row table per call",
+        STR,
+        "table = self._tables.get(key)",
+        "table = None",
+        (T_STR,),
+    ),
+    Mutant(
         "_intern's revealing test given an extra `and q`",
         STR,
         "if not q & ~self.model.secret_mask:",
@@ -137,6 +151,13 @@ CATALOGUE = (
         SYN,
         "next_d.extend(users[r])",
         "next_d.extend(users[r][:1])",
+        (T_SYN,),
+    ),
+    Mutant(
+        "pruning starts from one user per empty row",
+        SYN,
+        "if not out for d in users[r]]",
+        "if not out for d in users[r][:1]]",
         (T_SYN,),
     ),
     Mutant(

@@ -102,7 +102,8 @@ class Arena:
     observation state; None marks a state not in this arena (pruning keeps
     the ids it prunes).  ``decision_edges``, ``observation_events`` and
     ``pruning_trace`` are read-only views in ``InfoState``s, built on first
-    read, with the insertion orders of a dict-based expansion.
+    read, with the insertion orders of a dict-based expansion; the decision
+    states of a row share one targets tuple.
 
     Expansion and pruning both keep two invariants, and pruning relies on
     them:
@@ -144,22 +145,18 @@ class Arena:
 
     @cached_property
     def _dict_views(self) -> tuple[Mapping, Mapping]:
-        info, base = self._expansion.info, self._expansion.base
-        rows, row_of = self._rows, self._row_of
-
-        def targets(d):
-            return tuple((gamma, info(o)) for gamma, o in rows[row_of[d]])
-
+        info, base, row_of = self._expansion.info, self._expansion.base, self._row_of
+        rows = [out and tuple((gamma, info(o)) for gamma, o in out) for out in self._rows]
         decision_edges: dict[DecisionKey, tuple[tuple[int, InfoState], ...]] = {}
         observation_events: dict[InfoState, tuple[int, ...]] = {}
         if row_of[0] is not None:
-            decision_edges[INITIAL_KEY] = targets(0)
+            decision_edges[INITIAL_KEY] = rows[row_of[0]]
         for o, events in enumerate(self._events):
             if events is not None:
                 target = info(o)
                 observation_events[target] = events
                 for d, sigma in enumerate(events, base[o]):
-                    decision_edges[(target, sigma)] = targets(d)
+                    decision_edges[(target, sigma)] = rows[row_of[d]]
         return MappingProxyType(decision_edges), MappingProxyType(observation_events)
 
     @property
@@ -287,13 +284,6 @@ def expand_arena(model: PlantModel, cfg: SynthesisConfig) -> Arena:
     return Arena(expansion, rows, row_of, events_of, (len(row_of), len(events_of)))
 
 
-def _undecided(arena: Arena) -> list[int]:
-    """The decision states of ``arena`` left with no decision: the states
-    that make an arena incomplete."""
-    rows = arena._rows
-    return [d for d, r in enumerate(arena._row_of) if r is not None and not rows[r]]
-
-
 def prune_incomplete(arena: Arena) -> Arena:
     """Remove the incomplete states and every state their removal makes
     incomplete, then drop states unreachable from the initial decision
@@ -304,21 +294,22 @@ def prune_incomplete(arena: Arena) -> Arena:
     (a count of live edges per row, decremented along predecessor lists of
     rows), and every decision state with it goes; an observation state goes
     when the first of its decision states has.  Every event of an
-    observation state has its decision state, so only empty rows are
-    incomplete to begin with.  A state's rank is 0 when it is incomplete in
-    the given arena, else one more than the rank of the removal that forced
-    it out: its round in a round-by-round fixpoint, by which
-    ``pruning_trace`` lists the removed states.  Each surviving row is
-    filtered once; when nothing is incomplete, the lists are shared."""
+    observation state has its decision state, and every row has a user, so
+    the incomplete states are the users of the empty rows.  A state's rank
+    is 0 when it is incomplete in the given arena, else one more than the
+    rank of the removal that forced it out: its round in a round-by-round
+    fixpoint, by which ``pruning_trace`` lists the removed states.  Each
+    surviving row is filtered once; when nothing is incomplete, the lists
+    are shared."""
     expansion = arena._expansion
     rows, row_of, events = arena._rows, arena._row_of, arena._events
-    level_d = _undecided(arena)
-    if not level_d:
+    if () not in rows:
         return Arena(expansion, rows, row_of, events, arena._counts)
     users: list[list[int]] = [[] for _ in rows]
     for d, r in enumerate(row_of):
         if r is not None:
             users[r].append(d)
+    level_d = [d for r, out in enumerate(rows) if not out for d in users[r]]
     predecessors: list[list[int]] = [[] for _ in events]
     live = [len(out) for out in rows]
     for r, out in enumerate(rows):
@@ -370,17 +361,28 @@ def prune_incomplete(arena: Arena) -> Arena:
     return Arena(expansion, kept_rows, kept_row_of, kept_events, counts, tuple(ranks))
 
 
-def _structures(arena: Arena, maximal: bool) -> Iterator[Callable[[], ControlStructure]]:
+def _set_maximal(out: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The edges of row ``out`` whose decision no other decision contains,
+    in row order.  Decisions go by decreasing size, so each is checked only
+    against the maximal ones found before it, which contain its supersets."""
+    maximal: list[int] = []
+    for g in sorted((gamma for gamma, _ in out), key=int.bit_count, reverse=True):
+        if not any(g | m == m for m in maximal):
+            maximal.append(g)
+    return tuple(edge for edge in out if edge[0] in maximal)
+
+
+def _structures(arena: Arena, rows: list) -> Iterator[Callable[[], ControlStructure]]:
     """Every control structure embedded in the arena, by backtracking over
     ids.  Decision states are committed breadth first from the initial one,
-    each to one of its edges in order (only to a set-maximal one when
-    ``maximal``), and a commit is undone on backtrack.  A branch that
-    reaches a decision state with no edge to offer is abandoned, so only
-    complete structures come out; on a pruned arena the first comes out
-    without backtracking.  Each comes out as a call that builds it, valid
-    until the generator resumes: decisions in commit order, observation
-    states in first-reach order, and ``InfoState``s for it alone."""
-    expansion, rows, row_of = arena._expansion, arena._rows, arena._row_of
+    each to one of the edges of its row in ``rows`` (the arena's, or cut
+    from them) in order, and a commit is undone on backtrack.  A branch
+    that reaches a decision state with no edge to offer is abandoned, so
+    only complete structures come out; on a pruned arena the first comes
+    out without backtracking.  Each comes out as a call that builds it,
+    valid until the generator resumes: decisions in commit order,
+    observation states in first-reach order, and ``InfoState``s for it."""
+    expansion, row_of = arena._expansion, arena._row_of
     if row_of[0] is None:  # an empty arena
         return
     base, events, info, key = expansion.base, arena._events, expansion.info, expansion.key
@@ -406,10 +408,6 @@ def _structures(arena: Arena, maximal: bool) -> Iterator[Callable[[], ControlStr
             out = ()
         else:
             out = rows[row_of[queue[len(commits)]]]
-            if maximal:
-                out = tuple(
-                    e for e in out if not any(g != e[0] and g | e[0] == g for g, _ in out)
-                )
         if k < len(out):
             o = out[k][1]
             fresh = o not in known
@@ -433,14 +431,14 @@ def enumerate_structures(arena: Arena) -> Iterator[ControlStructure]:
     decision per reachable decision state, all observation transitions kept.
     On an unpruned arena, branches that reach a decision state with no safe
     decision are abandoned, so only complete structures come out."""
-    return (build() for build in _structures(arena, maximal=False))
+    return (build() for build in _structures(arena, arena._rows))
 
 
 def exhaustive_solution_exists(arena: Arena) -> bool:
     """Brute-force existence check used as the independent cross-check for
     pruning-based synthesis: search directly for any complete structure in
     the (raw) arena, without running the pruning fixpoint."""
-    return next(_structures(arena, maximal=False), None) is not None
+    return next(_structures(arena, arena._rows), None) is not None
 
 
 @dataclass
@@ -503,18 +501,20 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
     """Commit one decision per decision state of a pruned arena.
 
     ``first_feasible`` takes the canonically first surviving decision;
-    ``locally_maximal`` takes one whose decision is set-maximal among the
-    state's alternatives; ``enumerate_all`` counts every combination up to
-    :data:`MAX_STRUCTURES` and builds the first.  An empty arena yields the
-    no-solution marker, and an arena with a decision state left with no
-    decision, which pruning would remove, raises ValueError.
-    The outcome's arena sizes and pruning iterations are read from ``arena``;
-    its size before pruning is that of the expansion it was pruned from."""
-    if undecided := _undecided(arena):
-        raise ValueError(f"arena not pruned: {len(undecided)} decision states undecided")
-    policy = cfg.extraction_policy
+    ``locally_maximal`` the first set-maximal one, from each row cut once
+    to its set-maximal edges; ``enumerate_all`` counts every combination up
+    to :data:`MAX_STRUCTURES` and builds the first.  An empty arena yields
+    the no-solution marker, and an arena with an empty row, which pruning
+    would remove, raises ValueError.  The outcome's arena sizes and pruning
+    iterations are read from ``arena``; its size before pruning is that of
+    the expansion it was pruned from."""
+    policy, rows = cfg.extraction_policy, arena._rows
+    if () in rows:
+        raise ValueError("arena not pruned: a decision state has no decision left")
+    if policy == "locally_maximal":
+        rows = [out and _set_maximal(out) for out in rows]
     limit = MAX_STRUCTURES if policy == "enumerate_all" else 1
-    commitments = islice(_structures(arena, policy == "locally_maximal"), limit)
+    commitments = islice(_structures(arena, rows), limit)
     found = next((build() for build in commitments), None)
     count = (found is not None) + sum(1 for _ in commitments)
     expansion = arena._expansion

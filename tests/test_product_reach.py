@@ -46,7 +46,6 @@ UNREACHED = {
     "supervisors.TabularSupervisor.to_dict": PERFBENCH,
     "synthesis.Arena.__repr__": VALUE,
     "synthesis.Arena._dict_views": ARENA,
-    "synthesis.Arena._dict_views.targets": ARENA,
     "synthesis.Arena.decision_edges": ARENA,
     "synthesis.Arena.observation_events": ARENA,
     "synthesis.Arena.pruning_trace": PERFBENCH,

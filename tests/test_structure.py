@@ -2,6 +2,7 @@
 closed-loop simulation, and closed-loop opacity verification."""
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -22,6 +23,7 @@ from opactrl import (
     closed_loop_simulate,
     augment,
     estimator_step,
+    expand_arena,
     feasible_events,
     info_decision,
     info_estimates,
@@ -727,6 +729,39 @@ def test_old_decisions_of_one_class_share_their_rows(seed, mode):
                         for d, column in zip(decisions, _columns(succ, old))
                     ] == [ur_is(model, nx_is(model, state, sigma, d, mode), d, mode) for d in decisions]
                 assert len(computed) == before
+
+
+@pytest.mark.parametrize("mode", [OBS, DEC])
+def test_the_kernel_memos_work_out_each_key_once(mode, monkeypatch):
+    """Over one expansion of seed-10 draw 11, the model's
+    ``observable_reach`` runs once per key of the kernel's reach memo, when
+    that memo calls it (``unobservable_reach_plus`` calls it too, under a
+    memo of its own), and ``Successors._row`` once per single-core entry
+    of the kernel's row tables.  A memo that always missed, or a row table
+    made afresh per call, would work a key out again: neither changes a
+    result, so only a count shows them."""
+    rng = random.Random(10)
+    config = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
+    model = [random_model(rng, config) for _ in range(12)][11]
+    memo_code = structure_module._ReachMemo.observable_reach.__code__
+    reached, rows = [], []
+    observable_reach, row = model.observable_reach, Successors._row
+
+    def counting_reach(q, sigma):
+        if sys._getframe(1).f_code is memo_code:
+            reached.append((q, sigma))
+        return observable_reach(q, sigma)
+
+    def counting_row(self, c, old, sigma):
+        rows.append((c, sigma, old & self._hidden))
+        return row(self, c, old, sigma)
+
+    monkeypatch.setattr(model, "observable_reach", counting_reach)
+    monkeypatch.setattr(Successors, "_row", counting_row)
+    kernel = expand_arena(model, SynthesisConfig(mode=mode))._expansion.kernel
+    assert sorted(reached) == sorted(kernel._reach._observable)
+    singles = [c for table in kernel._tables.values() for c in table if not c & (c - 1)]
+    assert len(rows) == len(singles) == len(set(rows))
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]))

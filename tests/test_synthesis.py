@@ -9,7 +9,7 @@ from collections import Counter, deque
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DEC, MODELS, OBS, feasible_observations
@@ -194,6 +194,27 @@ def test_extract_locally_maximal_postcondition(run_model, run_pruned):
     for key, (gamma, _) in out.structure.decisions.items():
         alternatives = [g for g, _ in run_pruned.decision_edges[key]]
         assert not any(g != gamma and g | gamma == g for g in alternatives)
+
+
+def _rows_of_width(width):
+    """Rows of edges with distinct decisions over ``width`` bits."""
+    decisions = st.integers(0, 2**width - 1)
+    return st.lists(st.tuples(decisions, st.integers(0, 99)), max_size=60, unique_by=lambda e: e[0])
+
+
+@given(st.integers(0, 12).flatmap(_rows_of_width))
+@example([])
+@example([(5, 0)])
+@example([(3, 0), (12, 1), (4, 2), (1, 3)])
+@settings(max_examples=300, deadline=None)
+def test_the_set_maximal_pass_keeps_the_maximal_edges_in_row_order(row):
+    """The per-row pass keeps exactly the edges that the quadratic filter
+    keeps, in row order: narrow rows contain many decisions of one size
+    and many nested ones, and in the last example 4 lies only under the
+    second maximal decision, 12."""
+    out = tuple(row)
+    expected = tuple(e for e in out if not any(g != e[0] and g | e[0] == g for g, _ in out))
+    assert synthesis._set_maximal(out) == expected
 
 
 def test_extract_enumerate_all_yields_distinct_structures(run_pruned):
@@ -993,6 +1014,54 @@ def test_the_wide_plant_prunes_its_rows_in_little_memory(monkeypatch):
         outcome.pruning_iterations,
     ) == (70_657, 55_809, 2)
     assert len(peaks) == 1 and peaks[0] < 64 * 2**20
+
+
+def test_the_wide_plant_cuts_each_row_to_its_set_maximal_edges_once(monkeypatch):
+    """``locally_maximal`` cuts each kept row of the pruned wide plant to
+    its set-maximal edges once, not at every decision state that commits
+    to it: one pass per non-empty kept row."""
+    pruned, cut = [], []
+    prune, set_maximal = synthesis.prune_incomplete, synthesis._set_maximal
+
+    def kept(arena):
+        pruned.append(prune(arena))
+        return pruned[-1]
+
+    def counted(out):
+        cut.append(out)
+        return set_maximal(out)
+
+    monkeypatch.setattr(synthesis, "prune_incomplete", kept)
+    monkeypatch.setattr(synthesis, "_set_maximal", counted)
+    cfg = SynthesisConfig(mode=OBS, extraction_policy="locally_maximal")
+    outcome = synthesize(_wide_plant(), cfg)
+    assert outcome.solved
+    assert (
+        outcome.arena_states_before,
+        outcome.arena_states_after,
+        outcome.pruning_iterations,
+    ) == (70_657, 55_809, 2)
+    assert len(pruned) == 1
+    assert cut == [out for out in pruned[0]._rows if out]
+
+
+def test_the_wide_plant_views_share_one_targets_tuple_per_row():
+    """The raw wide plant's ``decision_edges`` holds one targets tuple per
+    row, which the row's decision states share: its traced peak stays under
+    64 MB, where a tuple per decision state would hold 79,169,536 pairs."""
+    arena = expand_arena(_wide_plant(), SynthesisConfig(mode=OBS))
+    tracemalloc.start()
+    try:
+        edges = arena.decision_edges
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert len(edges) == arena._counts[0] == 45_057
+    key, first = arena._expansion.key, {}
+    for d, r in enumerate(arena._row_of):
+        assert edges[key(d)] is first.setdefault(r, edges[key(d)])
+    assert len(first) == len(arena._rows) < len(edges)
 
 
 def test_forced_chain_prunes_one_state_per_round():
