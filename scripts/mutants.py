@@ -97,6 +97,31 @@ CATALOGUE = (
         (T_STR, T_CLI),
     ),
     Mutant(
+        "structure walk guard at >=",
+        STR,
+        """len(seen) > size_guard:
+                    raise SizeGuardExceeded(size_guard, None, len(seen), "closed-loop walk")""",
+        """len(seen) >= size_guard:
+                    raise SizeGuardExceeded(size_guard, None, len(seen), "closed-loop walk")""",
+        (T_CLI,),
+    ),
+    Mutant(
+        "open-loop guard at >=",
+        STR,
+        """len(seen) > size_guard:
+                    raise SizeGuardExceeded(size_guard, None, len(seen), "open-loop search")""",
+        """len(seen) >= size_guard:
+                    raise SizeGuardExceeded(size_guard, None, len(seen), "open-loop search")""",
+        (T_CLI,),
+    ),
+    Mutant(
+        "structure walk tests safety only at its start",
+        STR,
+        "if not kernel.is_safe(cores):",
+        "if not kernel.is_safe(cores) and (state, old, cores) == start:",
+        (T_STR,),
+    ),
+    Mutant(
         "expansion guard at >=",
         SYN,
         "if n_decision + n_observation > size_guard:",

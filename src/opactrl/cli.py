@@ -18,13 +18,14 @@ from . import serialize
 from .estimator import FlowFormatError, IssuanceMode, estimate_from_flow
 from .model import ModelFormatError, PlantModel, json_object
 from .structure import (
+    DEFAULT_SIZE_GUARD,
     ControlStructure,
     SizeGuardExceeded,
     StructureError,
     verify_closed_loop_opacity,
     verify_open_loop_opacity,
 )
-from .synthesis import DEFAULT_SIZE_GUARD, EXTRACTION_POLICIES, SynthesisConfig, synthesize
+from .synthesis import EXTRACTION_POLICIES, SynthesisConfig, synthesize
 
 EXIT_OK = 0
 EXIT_NOT_OPAQUE = 1

@@ -11,7 +11,7 @@ import functools
 
 from .estimator import IssuanceMode
 from .model import PlantModel
-from .structure import ControlStructure, closed_loop_search, is_safe
+from .structure import DEFAULT_SIZE_GUARD, ControlStructure, closed_loop_search, is_safe
 from .supervisors import Supervisor
 
 
@@ -82,7 +82,7 @@ def estimator_slice_to_dot(
     sup: Supervisor,
     mode: IssuanceMode,
     depth: int,
-    size_guard: int | None = None,
+    size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> str:
     """Render the estimator states visited along all closed-loop strings up
     to the given length, under one supervisor, numbered in breadth-first

@@ -18,8 +18,8 @@ from .estimator import (
 from .model import PlantModel, iter_bits
 from .serialize import structure_to_json
 from .structure import (
-    ControlStructure, InfoState, StructureError, Successors, closed_loop_search,
-    is_consistent, loop_string,
+    DEFAULT_SIZE_GUARD, ControlStructure, InfoState, SizeGuardExceeded, StructureError,
+    Successors, closed_loop_search, is_consistent, loop_string,
 )
 from .supervisors import Supervisor
 
@@ -266,7 +266,10 @@ def structure_from_policy(
     Each decision state is expanded once, but its decision is re-checked on
     every arrival, so a policy disagreeing with itself across any traversed
     edge is rejected.  The walk runs on the kernel's (decision, core set)
-    pairs; information states are built for the structure returned."""
+    pairs; information states are built for the structure returned.
+    Raises :class:`SizeGuardExceeded`, named ``policy walk``, once more
+    than :data:`DEFAULT_SIZE_GUARD` decision and observation states are
+    known."""
     kernel = Successors(model, mode)
     # A decision state is (decision, core set, event) of its observation
     # state and observation, all None for the initial one; an observation
@@ -295,6 +298,10 @@ def structure_from_policy(
         decided[key] = (gamma, target)
         if target not in events:
             events[target] = kernel.feasible_events(gamma, cores)
+        if len(decided) + len(events) > DEFAULT_SIZE_GUARD:
+            raise SizeGuardExceeded(
+                DEFAULT_SIZE_GUARD, len(decided), len(events), "policy walk"
+            )
         queue.extend(
             ((gamma, cores, nxt), sup.advance(state, nxt), entry, nxt)
             for nxt in events[target]

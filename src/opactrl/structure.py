@@ -51,11 +51,14 @@ class StructureError(ValueError):
     """A control structure is malformed or an observation is infeasible."""
 
 
+DEFAULT_SIZE_GUARD = 10**6
+
+
 class SizeGuardExceeded(RuntimeError):
-    """A search hit the configured state budget.  Arena expansion counts its
-    decision and observation states; the closed-loop searches of
-    verification count the states they visited, with ``decision_states``
-    None."""
+    """A search knew more states than its guard, :data:`DEFAULT_SIZE_GUARD`
+    unless its caller gives another.  Arena expansion and the policy walk
+    count decision and observation states; the searches of verification
+    count the states they visited, with ``decision_states`` None."""
 
     def __init__(
         self,
@@ -612,10 +615,8 @@ class OpacityVerdict:
 
 # A node of the closed-loop search: (estimator state, policy state, depth,
 # parent node, event from the parent); the root has depth 0 and no parent.
-# A node holds no event string: its parent links spell it.  The open-loop
-# search has nodes of the same shape, with the intruder's estimate in place
-# of the estimator state and () as the policy state.
-LoopNode = tuple[EstimatorState | int, object, int, "LoopNode | None", int | None]
+# A node holds no event string: its parent links spell it.
+LoopNode = tuple[EstimatorState, object, int, "LoopNode | None", int | None]
 
 
 def loop_string(node: tuple) -> tuple[int, ...]:
@@ -634,7 +635,7 @@ def closed_loop_search(
     sup: Supervisor,
     mode: IssuanceMode,
     bound: int | None = None,
-    size_guard: int | None = None,
+    size_guard: int = DEFAULT_SIZE_GUARD,
     search: str = "closed-loop search",
 ) -> Iterator[tuple[LoopNode | None, int | None, LoopNode, bool]]:
     """Breadth-first search over the closed loop of ``sup``.
@@ -706,14 +707,14 @@ def closed_loop_search(
             new = key not in seen
             if new:
                 seen.add(key)
-                if size_guard is not None and len(seen) > size_guard:
+                if len(seen) > size_guard:
                     raise SizeGuardExceeded(size_guard, None, len(seen), search)
                 queue.append(node)
             yield parent, sigma, node, new
 
 
 def verify_open_loop_opacity(
-    model: PlantModel, size_guard: int | None = None
+    model: PlantModel, size_guard: int = DEFAULT_SIZE_GUARD
 ) -> OpacityVerdict:
     """Decide current-state opacity of the uncontrolled plant against the
     intruder's projection, by a breadth-first search over the intruder's
@@ -724,7 +725,7 @@ def verify_open_loop_opacity(
     everything = model.all_events_mask
     start = model.unobservable_reach(1 << model.initial, everything, hidden)
     seen = {start}
-    queue: deque[LoopNode] = deque([(start, (), 0, None, None)])
+    queue = deque([(start, None, None)])
     while queue:
         node = queue.popleft()
         q = node[0]
@@ -738,9 +739,9 @@ def verify_open_loop_opacity(
             )
             if nxt not in seen:
                 seen.add(nxt)
-                if size_guard is not None and len(seen) > size_guard:
+                if len(seen) > size_guard:
                     raise SizeGuardExceeded(size_guard, None, len(seen), "open-loop search")
-                queue.append((nxt, (), node[2] + 1, node, sigma))
+                queue.append((nxt, node, sigma))
     return OpacityVerdict(True)
 
 
@@ -749,7 +750,7 @@ def _search_verdict(
     sup: Supervisor,
     mode: IssuanceMode,
     bound: int | None,
-    size_guard: int | None = None,
+    size_guard: int,
 ) -> OpacityVerdict:
     """The verdict of a search of the closed loop up to ``bound``: its
     counterexample is the shortest string whose controlled state estimate
@@ -772,7 +773,7 @@ def verify_closed_loop_opacity(
     sup: Supervisor | ControlStructure,
     mode: IssuanceMode,
     depth_bound: int | None = None,
-    size_guard: int | None = None,
+    size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> OpacityVerdict:
     """Decide whether the closed loop keeps the secret from an intruder that
     eavesdrops on released decisions.
@@ -813,7 +814,7 @@ def verify_closed_loop_opacity(
             node = (nxt, gamma, kernel.target(old, cores, sigma, gamma))
             if node not in seen:
                 seen.add(node)
-                if size_guard is not None and len(seen) > size_guard:
+                if len(seen) > size_guard:
                     raise SizeGuardExceeded(size_guard, None, len(seen), "closed-loop walk")
                 stack.append(node)
     return OpacityVerdict(True)

@@ -21,6 +21,7 @@ from typing import Callable, Iterator, Mapping
 from .estimator import IssuanceMode
 from .model import PlantModel
 from .structure import (
+    DEFAULT_SIZE_GUARD,
     INITIAL_KEY,
     ControlStructure,
     DecisionKey,
@@ -39,9 +40,6 @@ EXTRACTION_POLICIES = ("first_feasible", "locally_maximal", "enumerate_all")
 
 # The most structures ``enumerate_all`` yields.
 MAX_STRUCTURES = 64
-
-# The default bound on the states a search or an arena may reach.
-DEFAULT_SIZE_GUARD = 10**6
 
 
 @dataclass(frozen=True)

@@ -666,6 +666,27 @@ def test_cli_verify_size_guard(mode, tmp_path, run_model, srun, capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode", ["observation", "decision"])
+def test_cli_verify_structure_walk_trips_past_an_exact_fit(mode, tmp_path, capsys):
+    """Randgen seed-10 draw 3's ``first_feasible`` structure: its walk knows
+    two states, so a guard of 2 verifies it and a guard of 1 trips at the
+    second."""
+    rng = random.Random(10)
+    config = RandomModelConfig(min_states=8, max_states=12, min_events=5, max_events=6)
+    model = [random_model(rng, config) for _ in range(4)][3]
+    path, out = tmp_path / "draw3.json", tmp_path / "structure.json"
+    path.write_text(dump_json(model.to_dict()))
+    assert main(["synthesize", str(path), "--mode", mode, "--out", str(out)]) == 0
+    capsys.readouterr()
+    argv = ["verify", str(path), "--supervisor", str(out), "--mode", mode, "--size-guard"]
+    assert main(argv + ["2"]) == 0
+    assert capsys.readouterr().out.endswith(f"\nopaque ({mode} mode)\n")
+    assert main(argv + ["1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: closed-loop walk exceeded size guard of 1 states (2 visited so far)\n"
+    )
+
+
 def test_cli_estimate_flows(capsys):
     assert main(["estimate", RUN, "--flow", str(MODELS / "example2.flow")]) == 0
     assert capsys.readouterr().out.strip() == "{7}"

@@ -1,12 +1,14 @@
 """Information-state operators, control structures, decoded supervisors,
 closed-loop simulation, and closed-loop opacity verification."""
 
+import dataclasses
+import inspect
 import random
 import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DEC, OBS, closed_loop_strings, feasible_observations
@@ -39,6 +41,7 @@ from opactrl import (
     ur_is,
     verify_closed_loop_opacity,
 )
+from opactrl import oracles
 from opactrl import structure as structure_module
 from opactrl.dot import estimator_slice_to_dot
 from opactrl.estimator import AugmentedEvent
@@ -122,6 +125,37 @@ def fig4(run_model, srun):
 def test_structure_from_policy_shape(run_model, fig4):
     assert len(fig4.decisions) == 6
     assert len(fig4.observations) == 6
+
+
+def test_policy_walk_has_a_size_guard(run_model, srun, fig4, monkeypatch):
+    """The walk counts decision and observation states as expansion does:
+    the running example's 12-state structure fits a guard of 12, and a
+    smaller guard trips once the walk knows one state more."""
+    monkeypatch.setattr(oracles, "DEFAULT_SIZE_GUARD", 12)
+    assert structure_from_policy(run_model, srun, OBS) == fig4
+    for guard, counts in ((11, "6 decision + 6 observation"), (5, "3 decision + 3 observation")):
+        monkeypatch.setattr(oracles, "DEFAULT_SIZE_GUARD", guard)
+        with pytest.raises(SizeGuardExceeded) as raised:
+            structure_from_policy(run_model, srun, OBS)
+        assert str(raised.value) == (
+            f"policy walk exceeded size guard of {guard} states ({counts} so far)"
+        )
+
+
+def test_every_search_defaults_to_the_one_size_guard():
+    """Each public search and the synthesis config read their bound from
+    one default, and none of them runs unbounded."""
+    guarded = (
+        closed_loop_search,
+        structure_module.verify_open_loop_opacity,
+        verify_closed_loop_opacity,
+        estimator_slice_to_dot,
+    )
+    default = structure_module.DEFAULT_SIZE_GUARD
+    for search in guarded:
+        assert inspect.signature(search).parameters["size_guard"].default is default
+    fields = {f.name: f for f in dataclasses.fields(SynthesisConfig)}
+    assert fields["size_guard"].default is default
 
 
 def test_run_structure_empty_observation(run_model, fig4):
@@ -492,7 +526,9 @@ def test_structure_walks_agree_with_the_policy_and_the_string_search(seed):
             decoded = structure.decoded()
             assert structure_from_policy(model, decoded, built) == structure
             for mode in (OBS, DEC):
-                searched = structure_module._search_verdict(model, decoded, mode, None)
+                searched = structure_module._search_verdict(
+                    model, decoded, mode, None, structure_module.DEFAULT_SIZE_GUARD
+                )
                 opaque = verify_closed_loop_opacity(model, structure, mode).opaque
                 assert opaque == searched.opaque
                 leaks |= not opaque
@@ -823,6 +859,7 @@ def test_kernel_step_is_the_estimator_step(seed, mode):
 
 
 @given(model_seeds, st.sampled_from([OBS, DEC]))
+@example(65, OBS)  # a seen step whose closure differs under the old decision
 @settings(max_examples=30, deadline=None)
 def test_loop_nodes_link_back_to_their_strings(seed, mode):
     """A closed-loop search node keeps its depth, the policy's state and a
