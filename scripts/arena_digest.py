@@ -10,8 +10,10 @@ digest covers:
 - the raw arena and the pruned arena, with the insertion order of both
   dicts;
 - the pruning trace;
-- the structure of each extraction policy, and the structures
-  ``enumerate_all`` counts, with their insertion orders;
+- the structure of each extraction policy, and the first 64 structures
+  ``opactrl.oracles.enumerate_structures`` yields (labelled
+  ``enumerate_all``, after the policy that once counted them), with their
+  insertion orders;
 - where expansion stops under a few small size guards: the arena size, or
   the decision and observation counts at which the guard tripped.
 
@@ -51,11 +53,9 @@ from opactrl import (  # noqa: E402
     verify_closed_loop_opacity,
     verify_open_loop_opacity,
 )
+from opactrl.oracles import enumerate_structures  # noqa: E402
 from opactrl.randgen import RandomModelConfig, random_model  # noqa: E402
 from opactrl.synthesis import (  # noqa: E402
-    EXTRACTION_POLICIES,
-    MAX_STRUCTURES,
-    enumerate_structures,
     expand_arena,
     extract_structure,
     prune_incomplete,
@@ -67,6 +67,10 @@ SMALL_MODELS = 400
 # A model whose arena outgrows this is digested by where the guard tripped.
 SIZE_GUARD = 20_000
 GUARDS = (3, 20, 150)
+# The labels digested, in order: the two extraction policies, then the
+# enumerated structures, of which the first ENUMERATED.
+POLICIES = ("first_feasible", "locally_maximal", "enumerate_all")
+ENUMERATED = 64
 
 
 def corpus():
@@ -92,12 +96,12 @@ def _expand(model, cfg):
 
 
 def _structures(pruned, mode: IssuanceMode):
-    """(policy, structure) for the structure each extraction policy takes
-    from a pruned arena, and for ``enumerate_all`` every structure it
-    counts."""
-    for policy in EXTRACTION_POLICIES:
+    """(label, structure) for the structure each extraction policy takes
+    from a pruned arena, and for ``enumerate_all`` each of the first
+    ``ENUMERATED`` structures the arena embeds."""
+    for policy in POLICIES:
         if policy == "enumerate_all":
-            structures = islice(enumerate_structures(pruned), MAX_STRUCTURES)
+            structures = islice(enumerate_structures(pruned), ENUMERATED)
         else:
             outcome = extract_structure(
                 pruned, SynthesisConfig(mode=mode, extraction_policy=policy)
@@ -153,8 +157,8 @@ def _closed_loop(model, structure, mode: IssuanceMode) -> tuple:
 
 
 def closed_loop_digest(models) -> str:
-    """The third printed line for ``models``: every structure the three
-    extraction policies give in either mode, re-derived from its decoded
+    """The third printed line for ``models``: every structure digested
+    above, built in either mode, re-derived from its decoded
     policy and verified, in both modes."""
     h = hashlib.sha256()
     for n, model in enumerate(models):

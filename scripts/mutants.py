@@ -122,6 +122,13 @@ CATALOGUE = (
         (T_STR,),
     ),
     Mutant(
+        "structure walk skips the members comparison",
+        STR,
+        "if own and state != kernel.info_of(old, cores):",
+        "if False and state != kernel.info_of(old, cores):",
+        (T_CLI,),
+    ),
+    Mutant(
         "expansion guard at >=",
         SYN,
         "if n_decision + n_observation > size_guard:",
@@ -133,6 +140,13 @@ CATALOGUE = (
         SYN,
         "if not any(g | m == m for m in maximal):",
         "if not any(g | m == m for m in maximal[:1]):",
+        (T_SYN,),
+    ),
+    Mutant(
+        "extraction cuts the rows under first_feasible instead",
+        SYN,
+        'if policy == "locally_maximal":',
+        'if policy == "first_feasible":',
         (T_SYN,),
     ),
     Mutant(

@@ -24,6 +24,8 @@ from .oracles import (
     UnreachableObservationError,
     augment,
     brute_estimate_set,
+    enumerate_structures,
+    exhaustive_solution_exists,
     feasible_events,
     format_flow,
     info_decision,
@@ -60,8 +62,6 @@ from .synthesis import (
     SizeGuardExceeded,
     SynthesisConfig,
     SynthesisOutcome,
-    enumerate_structures,
-    exhaustive_solution_exists,
     expand_arena,
     extract_structure,
     prune_incomplete,

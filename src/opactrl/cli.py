@@ -126,7 +126,8 @@ def _add_verify(p: argparse.ArgumentParser) -> None:
 
 def _add_synthesize(p: argparse.ArgumentParser) -> None:
     p.add_argument("model")
-    p.add_argument("--policy", choices=EXTRACTION_POLICIES, default="first_feasible")
+    p.add_argument("--policy", choices=EXTRACTION_POLICIES, default="first_feasible",
+                   help="extraction policy: first_feasible (default) or locally_maximal")
     p.add_argument("--out", metavar="PATH", help="write the control structure here")
     p.add_argument("--dot", metavar="PATH", help="write a DOT rendering here")
     _add_mode_and_guard(p, "maximum arena state count")
@@ -258,7 +259,7 @@ def _cmd_synthesize(args) -> int:
     }
     outcome_doc = {
         "solved": True,
-        "structures": outcome.count,
+        "structures": 1,  # one per run; the field keeps the manifest's schema
         "arena_states_before": outcome.arena_states_before,
         "arena_states_after": outcome.arena_states_after,
         "pruning_iterations": outcome.pruning_iterations,

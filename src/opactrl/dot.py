@@ -11,7 +11,9 @@ import functools
 
 from .estimator import IssuanceMode
 from .model import PlantModel
-from .structure import DEFAULT_SIZE_GUARD, ControlStructure, closed_loop_search, is_safe
+from .structure import (
+    DEFAULT_SIZE_GUARD, ControlStructure, closed_loop_search, format_members, is_safe,
+)
 from .supervisors import Supervisor
 
 
@@ -39,10 +41,7 @@ def model_to_dot(model: PlantModel) -> str:
 def _info_label(model: PlantModel, info, state_set, decision) -> str:
     """An observation state's label, with ``state_set`` and ``decision``
     formatting estimates and decisions."""
-    members = ",".join(
-        f"({model.states[m.plant_state]},{state_set(m.estimate)})" for m in info
-    )
-    return "{" + members + "}, " + decision(info[0].decision)
+    return format_members(model, info, state_set) + ", " + decision(info[0].decision)
 
 
 def structure_to_dot(structure: ControlStructure) -> str:

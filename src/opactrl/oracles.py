@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .estimator import (
     AugmentedEvent, EstimatorState, FlowFormatError, IssuanceMode, ObservationPair,
@@ -22,6 +22,7 @@ from .structure import (
     Successors, closed_loop_search, is_consistent, loop_string,
 )
 from .supervisors import Supervisor
+from .synthesis import Arena, _structures
 
 
 class SupervisionError(ValueError):
@@ -361,3 +362,19 @@ def brute_estimate_set(
         for _, _, (m, k, *_), new in closed_loop_search(model, policy, mode, bound)
         if new and k == len(policy.alpha)
     )
+
+
+def enumerate_structures(arena: Arena) -> Iterator[ControlStructure]:
+    """Lazily yield every control structure embedded in the arena: one
+    decision per reachable decision state, all observation transitions kept.
+    On an unpruned arena, branches that reach a decision state with no safe
+    decision are abandoned, so only complete structures come out.  The
+    first one that a pruned arena yields is ``first_feasible``'s."""
+    return (build() for build in _structures(arena, arena._rows))
+
+
+def exhaustive_solution_exists(arena: Arena) -> bool:
+    """Brute-force existence check used as the independent cross-check for
+    pruning-based synthesis: search directly for any complete structure in
+    the (raw) arena, without running the pruning fixpoint."""
+    return next(_structures(arena, arena._rows), None) is not None

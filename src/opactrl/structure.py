@@ -88,6 +88,12 @@ def is_consistent(info: InfoState) -> bool:
     return all(m.decision == info[0].decision for m in info)
 
 
+def format_members(model: PlantModel, info: InfoState, state_set) -> str:
+    """The members of an information state as ``{(x,{...}),...}``: each
+    plant state with its estimate, which ``state_set`` formats."""
+    return "{" + ",".join(f"({model.states[x]},{state_set(q)})" for x, q, _ in info) + "}"
+
+
 def is_safe(info: InfoState, secret_mask: int) -> bool:
     """True when no member estimate is contained in the secret set."""
     return all(m.estimate & ~secret_mask for m in info)
@@ -780,10 +786,12 @@ def verify_closed_loop_opacity(
 
     For control structures (and their decoded supervisors) the check is
     exact: the reachable observation states are re-derived under ``mode`` and
-    each must be safe.  For arbitrary behavioral policies the closed loop is
-    searched up to ``depth_bound``; the verdict says whether the search was
-    exhaustive.  Either search raises :class:`SizeGuardExceeded` once it has
-    visited more than ``size_guard`` states.
+    each must be safe, and under the structure's own mode equal the state
+    it decodes to (:class:`StructureError` otherwise).  For arbitrary
+    behavioral policies the closed loop is searched up to ``depth_bound``;
+    the verdict says whether the search was exhaustive.  Either search
+    raises :class:`SizeGuardExceeded` once it has visited more than
+    ``size_guard`` states.
     """
     if isinstance(sup, ControlStructure):
         sup = sup.decoded()
@@ -794,9 +802,10 @@ def verify_closed_loop_opacity(
     # under the requested mechanism, as the kernel's (decision, core set)
     # pairs, each next to the decoded supervisor's state.  Stepping that
     # state keeps decoding aligned even when `mode` differs from the one the
-    # structure was built for.  An unsafe one is reported with the search's
-    # shortest witness.
+    # structure was built for, where the members legitimately differ.  An
+    # unsafe one is reported with the search's shortest witness.
     kernel = Successors(model, mode)
+    own = sup.structure.mode is mode
     state = sup.start()
     gamma = sup.decide(state)
     start = (state, gamma, kernel.target(None, None, None, gamma))
@@ -804,6 +813,11 @@ def verify_closed_loop_opacity(
     seen = {start}
     while stack:
         state, old, cores = stack.pop()
+        if own and state != kernel.info_of(old, cores):
+            stated, derived = (format_members(model, info, model.format_state_set)
+                               for info in (state, kernel.info_of(old, cores)))
+            raise StructureError(f"structure misstates observation state {stated}: its "
+                                 f"decisions derive {derived} under {mode.value} mode")
         if not kernel.is_safe(cores):
             verdict = _search_verdict(model, sup, mode, None, size_guard)
             assert not verdict.opaque

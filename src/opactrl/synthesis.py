@@ -14,7 +14,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
@@ -36,10 +35,7 @@ from .structure import (
 from .estimator import estimator_step  # noqa: F401
 from .structure import nx_is, ur_is  # noqa: F401
 
-EXTRACTION_POLICIES = ("first_feasible", "locally_maximal", "enumerate_all")
-
-# The most structures ``enumerate_all`` yields.
-MAX_STRUCTURES = 64
+EXTRACTION_POLICIES = ("first_feasible", "locally_maximal")
 
 
 @dataclass(frozen=True)
@@ -377,9 +373,11 @@ def _structures(arena: Arena, rows: list) -> Iterator[Callable[[], ControlStruct
     from them) in order, and a commit is undone on backtrack.  A branch
     that reaches a decision state with no edge to offer is abandoned, so
     only complete structures come out; on a pruned arena the first comes
-    out without backtracking.  Each comes out as a call that builds it,
-    valid until the generator resumes: decisions in commit order,
-    observation states in first-reach order, and ``InfoState``s for it."""
+    out without backtracking, and it is the one extraction builds;
+    :func:`opactrl.oracles.enumerate_structures` builds them all.  Each
+    comes out as a call that builds it, valid until the generator resumes:
+    decisions in commit order, observation states in first-reach order,
+    and ``InfoState``s for it."""
     expansion, row_of = arena._expansion, arena._row_of
     if row_of[0] is None:  # an empty arena
         return
@@ -424,29 +422,13 @@ def _structures(arena: Arena, rows: list) -> Iterator[Callable[[], ControlStruct
             return
 
 
-def enumerate_structures(arena: Arena) -> Iterator[ControlStructure]:
-    """Lazily yield every control structure embedded in the arena: one
-    decision per reachable decision state, all observation transitions kept.
-    On an unpruned arena, branches that reach a decision state with no safe
-    decision are abandoned, so only complete structures come out."""
-    return (build() for build in _structures(arena, arena._rows))
-
-
-def exhaustive_solution_exists(arena: Arena) -> bool:
-    """Brute-force existence check used as the independent cross-check for
-    pruning-based synthesis: search directly for any complete structure in
-    the (raw) arena, without running the pruning fixpoint."""
-    return next(_structures(arena, arena._rows), None) is not None
-
-
 @dataclass
 class SynthesisOutcome:
     """A synthesis result: the extracted structure (None means no solution
-    exists), how many the policy counted, plus the statistics that make a
-    run reproducible and auditable."""
+    exists), plus the statistics that make a run reproducible and
+    auditable."""
 
     found: ControlStructure | None
-    count: int
     policy: str
     mode: IssuanceMode
     arena_states_before: int = 0
@@ -478,7 +460,7 @@ class SynthesisOutcome:
         if first is None:
             lines.append("  outcome: no solution exists")
             return "\n".join(lines) + "\n"
-        lines.append(f"  outcome: {self.count} structure(s)")
+        lines.append("  outcome: 1 structure(s)")
         model = first.model
         obs_id, dec_id = first.canonical_ids
         for info, sigma in dec_id:
@@ -500,10 +482,9 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
 
     ``first_feasible`` takes the canonically first surviving decision;
     ``locally_maximal`` the first set-maximal one, from each row cut once
-    to its set-maximal edges; ``enumerate_all`` counts every combination up
-    to :data:`MAX_STRUCTURES` and builds the first.  An empty arena yields
-    the no-solution marker, and an arena with an empty row, which pruning
-    would remove, raises ValueError.  The outcome's arena sizes and pruning
+    to its set-maximal edges.  An empty arena yields the no-solution marker,
+    and an arena with an empty row, which pruning would remove, raises
+    ValueError.  The outcome's arena sizes and pruning
     iterations are read from ``arena``; its size before pruning is that of
     the expansion it was pruned from."""
     policy, rows = cfg.extraction_policy, arena._rows
@@ -511,14 +492,10 @@ def extract_structure(arena: Arena, cfg: SynthesisConfig) -> SynthesisOutcome:
         raise ValueError("arena not pruned: a decision state has no decision left")
     if policy == "locally_maximal":
         rows = [out and _set_maximal(out) for out in rows]
-    limit = MAX_STRUCTURES if policy == "enumerate_all" else 1
-    commitments = islice(_structures(arena, rows), limit)
-    found = next((build() for build in commitments), None)
-    count = (found is not None) + sum(1 for _ in commitments)
+    build = next(_structures(arena, rows), None)
     expansion = arena._expansion
     return SynthesisOutcome(
-        found,
-        count,
+        None if build is None else build(),
         policy,
         cfg.mode,
         arena_states_before=len(expansion.owner) + len(expansion.cores),

@@ -609,9 +609,11 @@ def test_cli_synthesize_no_solution(tmp_path, capsys):
     assert "no solution exists" in capsys.readouterr().out
 
 
-def test_cli_enumerate_all_on_a_long_chain(tmp_path, capsys):
-    """One structure on a 1,500-state chain: enumeration goes one decision
-    state deeper per chain state, past the interpreter's recursion limit."""
+def test_cli_synthesize_commits_one_structure_by_one_of_two_policies(tmp_path, capsys):
+    """On a 1,500-state chain each policy reports and records one
+    structure; extraction goes one decision state deeper per chain state,
+    past the interpreter's recursion limit.  The retired ``enumerate_all``
+    is refused as argparse refuses any invalid choice."""
     n = 1500
     doc = {
         "states": [str(i) for i in range(n)],
@@ -625,23 +627,59 @@ def test_cli_enumerate_all_on_a_long_chain(tmp_path, capsys):
     }
     path = tmp_path / "chain.json"
     path.write_text(dump_json(doc))
-    assert main(["synthesize", str(path), "--policy", "enumerate_all"]) == 0
-    assert "outcome: 1 structure(s)" in capsys.readouterr().out
+    for policy in ("first_feasible", "locally_maximal"):
+        out = tmp_path / f"{policy}.json"
+        assert main(["synthesize", str(path), "--policy", policy, "--out", str(out)]) == 0
+        assert "  outcome: 1 structure(s)\n" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / f"{policy}.json.manifest.json").read_text())
+        assert manifest["outcome"]["structures"] == 1
+    assert main(["synthesize", str(path), "--policy", "enumerate_all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "opactrl synthesize: error: argument --policy: invalid choice: 'enumerate_all' "
+        "(choose from 'first_feasible', 'locally_maximal')"
+    )
 
 
-def test_cli_enumerate_all_counts_the_structures_it_does_not_write(tmp_path, capsys):
-    """On the running example enumerate_all counts 64 structures, on its
-    ``outcome:`` line and in the manifest, and writes the first, which is
-    first_feasible's."""
-    outs = {}
-    for policy in ("enumerate_all", "first_feasible"):
-        outs[policy] = tmp_path / f"{policy}.json"
-        argv = ["synthesize", RUN, "--policy", policy, "--out", str(outs[policy])]
-        assert main(argv) == 0
-    assert "  outcome: 64 structure(s)\n" in capsys.readouterr().out
-    manifest = json.loads((tmp_path / "enumerate_all.json.manifest.json").read_text())
-    assert manifest["outcome"]["structures"] == 64
-    assert outs["enumerate_all"].read_bytes() == outs["first_feasible"].read_bytes()
+@pytest.mark.parametrize("policy, state, edit, stated, derived", [
+    ("first_feasible", 0, "widen", "{(0,{0,1}),(1,{1})}", "{(0,{0}),(1,{1})}"),
+    ("first_feasible", 0, "drop", "{(0,{0})}", "{(0,{0}),(1,{1})}"),
+    ("locally_maximal", 1, "drop", "{(2,{1,2,3,4,5,6,7})}",
+     "{(2,{1,2,3,4,5,6,7}),(6,{1,2,3,4,5,6,7})}"),
+], ids=["widened estimate", "dropped member", "dropped member of a later state"])
+def test_cli_verify_refuses_a_structure_whose_members_are_false(
+    tmp_path, capsys, policy, state, edit, stated, derived
+):
+    """Widening the first member's estimate of a decision-mode structure,
+    or dropping the last member of a state that has two, leaves its
+    decisions, and so its verdict, as they were; but the document then
+    states an information state that its decisions do not derive.  Verified
+    in its own mode it is refused, naming the members stated and those
+    derived as ``export-dot`` draws them.  In the other mode, where the
+    members legitimately differ, it is read as before."""
+    out = tmp_path / "s.json"
+    assert main(["synthesize", RUN, "--mode", "decision", "--policy", policy,
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    members = doc["observation_states"][state]["members"]
+    assert len(members) == 2
+    if edit == "widen":
+        members[0][1] = ["0", "1"]
+    else:
+        members.pop()
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_json(doc))
+    assert main(["verify", RUN, "--supervisor", str(out), "--mode", "decision"]) == 0
+    capsys.readouterr()
+    assert main(["verify", RUN, "--supervisor", str(bad), "--mode", "decision"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: structure misstates observation state {stated}: its decisions "
+        f"derive {derived} under decision mode\n"
+    )
+    assert "opaque" not in captured.out
+    assert main(["verify", RUN, "--supervisor", str(bad), "--mode", "observation"]) == 0
 
 
 def test_cli_synthesize_size_guard(capsys):
@@ -1013,7 +1051,7 @@ def test_cli_dispatch_exits_as_the_top_level_parser_does(argv, monkeypatch, caps
 @pytest.mark.parametrize("argv", [
     ["verify", "M", "--open-loop"],
     ["verify", "M", "--supervisor", "S", "--bound", "3", "--mode", "decision"],
-    ["synthesize", "M", "--policy", "enumerate_all", "--out", "o", "--size-guard", "9"],
+    ["synthesize", "M", "--policy", "locally_maximal", "--out", "o", "--size-guard", "9"],
     ["estimate", "M", "--flow", "F"],
     ["export-dot", "M", "--estimator", "--supervisor", "S", "--depth", "2"],
     ["export-dot", "--out", "o", "--", "--model"],

@@ -46,7 +46,8 @@ from opactrl.randgen import RandomModelConfig, random_model
 RUN = str(MODELS / "run.json")
 SRUN = str(MODELS / "srun.json")
 
-# (mode, policy) -> (sha256 of --out bytes, sha256 of --dot bytes)
+# (mode, policy) -> (sha256 of --out bytes, sha256 of --dot bytes).  The
+# retired enumerate_all policy wrote first_feasible's bytes.
 SYNTHESIZE_DIGESTS = {
     ("observation", "first_feasible"): (
         "dc8489842faeb98d716d8eafb40386854b33f75ecaffbdb139176b4d14736055",
@@ -56,10 +57,6 @@ SYNTHESIZE_DIGESTS = {
         "53cf75151c552922c37a679feeeb75213d934a31d7dcb08e4bc76f1fba76787b",
         "8f65a3d8fd99050692061d1149edffa276c9a6dc66253015fb59ac49dcb36944",
     ),
-    ("observation", "enumerate_all"): (
-        "dc8489842faeb98d716d8eafb40386854b33f75ecaffbdb139176b4d14736055",
-        "9d4e0d2a7bf14d59a4f400e660f841212f36e42dd53a5edd77936877f3175ac5",
-    ),
     ("decision", "first_feasible"): (
         "2be8a3780276e3ec9908b2a5e9c46c3762bd29c7e7563dc670e0cc6758f7fccd",
         "9d4e0d2a7bf14d59a4f400e660f841212f36e42dd53a5edd77936877f3175ac5",
@@ -67,10 +64,6 @@ SYNTHESIZE_DIGESTS = {
     ("decision", "locally_maximal"): (
         "91d015c6a9fe9292fd3625b417cca79dcaa4af412620ba018651b0a147907a27",
         "36e8810a3fecb1c3558305d0350f7e5d698ba43f37d95ba7e9c465505ccff99b",
-    ),
-    ("decision", "enumerate_all"): (
-        "2be8a3780276e3ec9908b2a5e9c46c3762bd29c7e7563dc670e0cc6758f7fccd",
-        "9d4e0d2a7bf14d59a4f400e660f841212f36e42dd53a5edd77936877f3175ac5",
     ),
 }
 

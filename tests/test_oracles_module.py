@@ -44,6 +44,8 @@ MOVED = {
     "ConstantSupervisor": "supervisors",
     "format_flow": "serialize",
     "structure_to_dict": "serialize",
+    "enumerate_structures": "synthesis",
+    "exhaustive_solution_exists": "synthesis",
 }
 
 model_seeds = st.integers(0, 10**9)

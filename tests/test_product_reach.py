@@ -49,8 +49,6 @@ UNREACHED = {
     "synthesis.Arena.decision_edges": ARENA,
     "synthesis.Arena.observation_events": ARENA,
     "synthesis.Arena.pruning_trace": PERFBENCH,
-    "synthesis.enumerate_structures": ARENA,
-    "synthesis.exhaustive_solution_exists": ARENA,
 }
 
 
@@ -94,7 +92,7 @@ def _corpus(tmp):
     yield ["-h"], 0
     structures = []
     for mode in ("observation", "decision"):
-        for policy in ("first_feasible", "locally_maximal", "enumerate_all"):
+        for policy in ("first_feasible", "locally_maximal"):
             out = str(tmp / f"{mode}-{policy}.json")
             structures.append(out)
             yield ["synthesize", run, "--mode", mode, "--policy", policy,
@@ -109,6 +107,12 @@ def _corpus(tmp):
     yield ["verify", run, "--open-loop"], 0
     yield ["verify", run, "--supervisor", srun, "--size-guard", "2"], 2
     yield ["synthesize", run, "--size-guard", "3"], 2
+    yield ["synthesize", run, "--policy", "enumerate_all"], 2
+    # A structure whose first observation state lists one member too few.
+    doc = json.loads((tmp / "decision-locally_maximal.json").read_text())
+    doc["observation_states"][0]["members"].pop()
+    falsified = _write(tmp / "falsified.json", json.dumps(doc))
+    yield ["verify", run, "--supervisor", falsified, "--mode", "decision"], 2
     yield ["export-dot", run], 0
     yield ["export-dot", structures[0], "--model", run, "--out", str(tmp / "s.dot")], 0
     yield ["export-dot", run, "--estimator", "--supervisor", srun, "--depth", "3",

@@ -38,7 +38,6 @@ from opactrl.serialize import structure_to_json
 from opactrl.oracles import feasible_events
 from opactrl.structure import Successors, decision_key_order
 from opactrl import synthesis
-from opactrl.synthesis import MAX_STRUCTURES
 
 SIGMA = "a u1 u2 u3 b"
 
@@ -217,15 +216,18 @@ def test_the_set_maximal_pass_keeps_the_maximal_edges_in_row_order(row):
     assert synthesis._set_maximal(out) == expected
 
 
-def test_extract_enumerate_all_yields_distinct_structures(run_pruned):
-    out = extract_structure(
-        run_pruned,
-        SynthesisConfig(extraction_policy="enumerate_all"),
-    )
-    structures = list(islice(enumerate_structures(run_pruned), MAX_STRUCTURES))
-    assert out.count == len(structures) == MAX_STRUCTURES
-    assert len(set(structures)) == MAX_STRUCTURES
+def test_enumerated_structures_are_distinct_and_first_feasible_comes_first(run_pruned):
+    out = extract_structure(run_pruned, SynthesisConfig(extraction_policy="first_feasible"))
+    structures = list(islice(enumerate_structures(run_pruned), 64))
+    assert len(set(structures)) == 64
     assert out.structure == structures[0]
+
+
+def test_synthesis_config_refuses_the_retired_enumerate_all():
+    """Extraction commits one structure per run, by one of two policies."""
+    assert synthesis.EXTRACTION_POLICIES == ("first_feasible", "locally_maximal")
+    with pytest.raises(ValueError, match="unknown extraction policy 'enumerate_all'"):
+        SynthesisConfig(extraction_policy="enumerate_all")
 
 
 def test_extract_no_solution_marker():
@@ -335,7 +337,7 @@ def test_extract_structure_reports_the_sizes_of_its_arena(run_model, mode):
             ) == expected
 
 
-@pytest.mark.parametrize("policy", ["first_feasible", "locally_maximal", "enumerate_all"])
+@pytest.mark.parametrize("policy", ["first_feasible", "locally_maximal"])
 @pytest.mark.parametrize("mode", [OBS, DEC])
 def test_extract_structure_refuses_an_unpruned_arena(mode, policy):
     """The raw arenas of seed-10 draws 4 and 24 have decision states with no
@@ -356,7 +358,7 @@ def test_extract_structure_refuses_an_unpruned_arena(mode, policy):
 def test_synthesis_config_refuses_empty_caps(bad):
     """A guard below one state would trip on every plant."""
     with pytest.raises(ValueError, match="must be positive"):
-        SynthesisConfig(extraction_policy="enumerate_all", **bad)
+        SynthesisConfig(extraction_policy="locally_maximal", **bad)
 
 
 def test_synthesize_is_deterministic(run_model):
@@ -1158,7 +1160,7 @@ def test_synthesis_in_ids_matches_the_dict_pipeline():
     @given(
         plants,
         st.sampled_from([OBS, DEC]),
-        st.sampled_from(["first_feasible", "locally_maximal", "enumerate_all"]),
+        st.sampled_from(["first_feasible", "locally_maximal"]),
     )
     @settings(max_examples=80, deadline=None)
     def check(plant, mode, policy):
@@ -1178,8 +1180,8 @@ def test_synthesis_in_ids_matches_the_dict_pipeline():
 
 def test_synthesize_builds_only_what_it_outputs(monkeypatch):
     """Seed-10 draw 2 in decision mode: a 4,910-state arena, from which
-    first_feasible (and enumerate_all, first of the 64 it counts) takes a
-    one-state structure and locally_maximal a 23-state one.  Under every
+    first_feasible takes a one-state structure and locally_maximal a
+    23-state one.  Under every
     policy, information states are built only for the observation states
     of the structure returned, once each, and no arena view is read."""
     from opactrl import synthesis
@@ -1204,17 +1206,12 @@ def test_synthesize_builds_only_what_it_outputs(monkeypatch):
     monkeypatch.setattr(Successors, "info_of", counting_info_of)
     monkeypatch.setattr(synthesis, "expand_arena", keeping(synthesis.expand_arena))
     monkeypatch.setattr(synthesis, "prune_incomplete", keeping(synthesis.prune_incomplete))
-    for policy, size, count in (
-        ("first_feasible", 1, 1),
-        ("locally_maximal", 23, 1),
-        ("enumerate_all", 1, MAX_STRUCTURES),
-    ):
+    for policy, size in (("first_feasible", 1), ("locally_maximal", 23)):
         built.clear()
         arenas.clear()
         out = synthesize(model, SynthesisConfig(mode=DEC, extraction_policy=policy))
         assert out.arena_states_before == 4_910
         assert len(out.structure.observations) == size
-        assert out.count == count
         assert len(built) == len(set(built)) and set(built) == set(out.structure.observations)
         assert len(arenas) == 2
         for arena in arenas:
