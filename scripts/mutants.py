@@ -1,4 +1,5 @@
-"""A mutation gate for the kernel, pruning and extraction.
+"""A mutation gate for the kernel, the searches, pruning and extraction,
+the table policy and ``export-dot``'s members check.
 
 Each catalogued mutant replaces one exact text of a module under
 ``src/opactrl`` with another.  The script applies each mutant in a copy of
@@ -44,7 +45,7 @@ class Mutant:
 # What the copy of the repository leaves out.
 SKIPPED = (".git", "__pycache__", ".pytest_cache", ".hypothesis", "build", ".perfbench-*")
 
-SYN, STR = "synthesis.py", "structure.py"
+SYN, STR, SUP, CLI = "synthesis.py", "structure.py", "supervisors.py", "cli.py"
 T_SYN, T_STR, T_CLI = "tests/test_synthesis.py", "tests/test_structure.py", "tests/test_cli.py"
 
 CATALOGUE = (
@@ -127,6 +128,22 @@ CATALOGUE = (
         "if own and state != kernel.info_of(old, cores):",
         "if False and state != kernel.info_of(old, cores):",
         (T_CLI,),
+    ),
+    Mutant(
+        "TabularSupervisor starts off the table",
+        SUP,
+        """    def start(self):
+        return ()""",
+        """    def start(self):
+        return None""",
+        (f"{T_STR}::test_verify_closed_loop_examples",),
+    ),
+    Mutant(
+        "export-dot draws a structure without the members check",
+        CLI,
+        "verify_closed_loop_opacity(model, structure, structure.mode)",
+        "pass",
+        (f"{T_CLI}::test_cli_export_dot_refuses_a_structure_whose_members_are_false",),
     ),
     Mutant(
         "expansion guard at >=",
@@ -286,7 +303,7 @@ def main() -> int:
         else:
             verdict = f"error: pytest exited {code}"
             status = 2
-        print(f"{mutant.module:13} {mutant.name}: {verdict} ({seconds:.1f} s)", flush=True)
+        print(f"{mutant.module:14} {mutant.name}: {verdict} ({seconds:.1f} s)", flush=True)
     return status
 
 

@@ -118,8 +118,6 @@ def _add_verify(p: argparse.ArgumentParser) -> None:
                        help="uncontrolled plant, which releases no decisions: "
                        "--mode is not read")
     group.add_argument("--supervisor", metavar="PATH", help="policy file")
-    p.add_argument("--bound", type=_int_at_least(0), default=None,
-                   help="search depth for tabular policies")
     _add_mode_and_guard(p, "maximum states the open-loop or closed-loop search visits")
     p.set_defaults(run=_cmd_verify)
 
@@ -214,8 +212,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _cmd_verify(args) -> int:
-    if args.open_loop and args.bound is not None:
-        raise CliError("--bound is read only with --supervisor")
     model, _ = _load(args.model, "model", PlantModel.from_json)
     if not model.is_live:
         print("note: model is not live (some reachable state is terminal)")
@@ -226,14 +222,11 @@ def _cmd_verify(args) -> int:
         loop, exposed = f"{args.mode} mode", "counterexample string"
         sup, _ = _load(args.supervisor, "supervisor",
                        functools.partial(serialize.parse_supervisor_text, model))
-        if isinstance(sup, ControlStructure) and args.bound is not None:
-            raise CliError("--bound is read only with a supervisor table")
         check = functools.partial(verify_closed_loop_opacity, model, sup,
-                                  IssuanceMode(args.mode), args.bound, args.size_guard)
+                                  IssuanceMode(args.mode), args.size_guard)
     result = check()
     if result.opaque:
-        qualifier = "" if result.complete else f" up to bound {result.bound}"
-        print(f"opaque{qualifier} ({loop})")
+        print(f"opaque ({loop})")
         return EXIT_OK
     print(f"not opaque ({loop}); {exposed}: " + " ".join(result.counterexample))
     return EXIT_NOT_OPAQUE
@@ -342,6 +335,9 @@ def _cmd_export_dot(args) -> int:
             structure = _parsed(args.input, "structure",
                                 functools.partial(serialize.structure_from_dict, model),
                                 loaded)
+            # verify's structure walk, for its members check only: a
+            # structure that misstates a state is refused, not drawn.
+            verify_closed_loop_opacity(model, structure, structure.mode)
             output = dotmod.structure_to_dot(structure)
     if args.out:
         manifest = serialize.manifest_for("export-dot", inputs, config, {})

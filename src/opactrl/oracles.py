@@ -95,6 +95,9 @@ class ConstantSupervisor(Supervisor):
     def __init__(self, decision_mask: int):
         self._decision = decision_mask
 
+    def start(self):
+        return ()
+
     def advance(self, state, sigma: int):
         return state
 

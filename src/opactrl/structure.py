@@ -605,15 +605,12 @@ class DecodedSupervisor(Supervisor):
 
 @dataclass
 class OpacityVerdict:
-    """The answer of an opacity check.  ``counterexample`` holds the events
-    that expose the secret: a plant string of the closed loop, or an
-    observation of the open loop.  ``complete`` says whether a bounded
-    search exhausted the loop, and ``bound`` is its depth bound."""
+    """The answer of an opacity check, which is exact.  ``counterexample``
+    holds the events that expose the secret: a plant string of the closed
+    loop, or an observation of the open loop."""
 
     opaque: bool
     counterexample: tuple[str, ...] | None = None
-    complete: bool = True
-    bound: int | None = None
 
     def __bool__(self):
         return self.opaque
@@ -752,51 +749,41 @@ def verify_open_loop_opacity(
 
 
 def _search_verdict(
-    model: PlantModel,
-    sup: Supervisor,
-    mode: IssuanceMode,
-    bound: int | None,
-    size_guard: int,
+    model: PlantModel, sup: Supervisor, mode: IssuanceMode, size_guard: int
 ) -> OpacityVerdict:
-    """The verdict of a search of the closed loop up to ``bound``: its
+    """The verdict of an exhaustive search of the closed loop: its
     counterexample is the shortest string whose controlled state estimate
     is contained in the secret set.  Raises :class:`SizeGuardExceeded` once
     it has visited more than ``size_guard`` states."""
-    complete = True
-    for _, _, node, new in closed_loop_search(model, sup, mode, bound, size_guard):
-        if not new:
-            continue
-        if not (node[0].estimate & ~model.secret_mask):
+    for _, _, node, new in closed_loop_search(model, sup, mode, size_guard=size_guard):
+        if new and not (node[0].estimate & ~model.secret_mask):
             witness = tuple(model.events[e] for e in loop_string(node))
-            return OpacityVerdict(False, witness, True, bound)
-        if node[2] == bound:
-            complete = False
-    return OpacityVerdict(True, None, complete, bound)
+            return OpacityVerdict(False, witness)
+    return OpacityVerdict(True)
 
 
 def verify_closed_loop_opacity(
     model: PlantModel,
     sup: Supervisor | ControlStructure,
     mode: IssuanceMode,
-    depth_bound: int | None = None,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> OpacityVerdict:
     """Decide whether the closed loop keeps the secret from an intruder that
     eavesdrops on released decisions.
 
-    For control structures (and their decoded supervisors) the check is
-    exact: the reachable observation states are re-derived under ``mode`` and
-    each must be safe, and under the structure's own mode equal the state
-    it decodes to (:class:`StructureError` otherwise).  For arbitrary
-    behavioral policies the closed loop is searched up to ``depth_bound``;
-    the verdict says whether the search was exhaustive.  Either search
-    raises :class:`SizeGuardExceeded` once it has visited more than
-    ``size_guard`` states.
+    The verdict is exact, since every policy takes finitely many states.
+    For control structures (and their decoded supervisors) the reachable
+    observation states are re-derived under ``mode`` and each must be safe,
+    and under the structure's own mode equal the state it decodes to
+    (:class:`StructureError` otherwise).  For any other policy the closed
+    loop is searched to exhaustion.  Either search raises
+    :class:`SizeGuardExceeded` once it has visited more than ``size_guard``
+    states.
     """
     if isinstance(sup, ControlStructure):
         sup = sup.decoded()
     if not isinstance(sup, DecodedSupervisor):
-        return _search_verdict(model, sup, mode, depth_bound, size_guard)
+        return _search_verdict(model, sup, mode, size_guard)
 
     # Re-derive the observation states induced by the structure's decisions
     # under the requested mechanism, as the kernel's (decision, core set)
@@ -819,7 +806,7 @@ def verify_closed_loop_opacity(
             raise StructureError(f"structure misstates observation state {stated}: its "
                                  f"decisions derive {derived} under {mode.value} mode")
         if not kernel.is_safe(cores):
-            verdict = _search_verdict(model, sup, mode, None, size_guard)
+            verdict = _search_verdict(model, sup, mode, size_guard)
             assert not verdict.opaque
             return verdict
         for sigma in kernel.feasible_events(old, cores):

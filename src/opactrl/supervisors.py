@@ -16,20 +16,12 @@ from .model import ModelFormatError, PlantModel
 
 
 class Supervisor:
-    """Base interface: a state advanced on observations, and the decision
-    each state fixes.  The default state is the whole observation history
-    (no collapsing); policies with finite memory should collapse it, since
-    searches tell their nodes apart by it and terminate only if it takes
-    finitely many values."""
-
-    def start(self):
-        return ()
-
-    def advance(self, state, sigma: int):
-        return state + (sigma,)
-
-    def decide(self, state) -> int:
-        raise NotImplementedError
+    """The protocol of a policy: ``start()`` gives its first state,
+    ``advance(state, sigma)`` the state after the supervisor observes
+    ``sigma``, and ``decide(state)`` the decision mask that ``state``
+    fixes.  A subclass defines all three, and its states must take finitely
+    many values: a search of the closed loop tells its nodes apart by the
+    state, so it ends, and the verdict it gives is exact."""
 
     def observation_signature(self, obs: tuple[int, ...]):
         """The state that the history ``obs`` reaches: enough to determine
@@ -97,6 +89,9 @@ class TabularSupervisor(Supervisor):
         return frozenset(
             obs[:n] for obs in self._table for n in range(1, len(obs) + 1)
         )
+
+    def start(self):
+        return ()
 
     def advance(self, state, sigma: int):
         if state is None:

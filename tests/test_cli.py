@@ -305,28 +305,18 @@ def test_cli_verify_open_loop_witness(tmp_path, capsys, run_model):
     assert "a b" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("bound", ["0", "3"])
-def test_cli_verify_open_loop_refuses_bound(bound, capsys):
-    """The open loop has no depth bound to read.  The option is refused
-    before the model is read: no note says that the model is not live."""
-    assert main(["verify", RUN, "--open-loop", "--bound", bound]) == 2
+@pytest.mark.parametrize("loop", [["--open-loop"], ["--supervisor", SRUN]],
+                         ids=["open loop", "table"])
+def test_cli_verify_has_no_bound(loop, capsys):
+    """Every policy takes finitely many states, so every verdict is exact
+    and ``verify`` takes no depth bound: ``--bound`` is an unknown option,
+    refused while parsing, before anything is read or printed."""
+    assert main(["verify", RUN, *loop, "--bound", "3"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: --bound is read only with --supervisor\n"
+    assert captured.err.splitlines()[-1] == (
+        "opactrl: error: unrecognized arguments: --bound 3"
+    )
     assert captured.out == ""
-
-
-@pytest.mark.parametrize("bound", ["0", "3"])
-def test_cli_verify_structure_refuses_bound(tmp_path, bound, capsys):
-    """A control structure is verified exactly, with no depth bound to read.
-    The bound is read only for a supervisor table, where it still works."""
-    out = tmp_path / "structure.json"
-    assert main(["synthesize", RUN, "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["verify", RUN, "--supervisor", str(out), "--bound", bound]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: --bound is read only with a supervisor table\n"
-    assert "opaque" not in captured.out
-    assert main(["verify", RUN, "--supervisor", SRUN, "--bound", bound]) in (0, 1)
 
 
 # One state looping on u and v, both seen by both parties, nothing secret,
@@ -353,17 +343,11 @@ def two_loops_argv(tmp_path, *options):
     return ["verify", str(model), "--supervisor", str(table), *options]
 
 
-def test_cli_verify_bound_reads_complete_once_the_collapsed_loop_is_exhausted(
-    tmp_path, capsys
-):
-    """"v" reaches the shared default state at depth 1, so depth 2 finds
-    nothing new and a bound of 2 exhausts the loop.  Told apart by their
-    histories up to the longest key, "u v" and "v u" were new at depth 2,
-    and the verdict read "opaque up to bound 2"."""
-    assert main(two_loops_argv(tmp_path, "--bound", "2")) == 0
+def test_cli_verify_exhausts_the_collapsed_loop(tmp_path, capsys):
+    """The table's three policy states make the search finite, though the
+    plant loops forever: the verdict is exact, with no bound."""
+    assert main(two_loops_argv(tmp_path)) == 0
     assert capsys.readouterr().out == "opaque (observation mode)\n"
-    assert main(two_loops_argv(tmp_path, "--bound", "1")) == 0
-    assert capsys.readouterr().out == "opaque up to bound 1 (observation mode)\n"
 
 
 def test_cli_verify_size_guard_counts_the_collapsed_nodes(tmp_path, capsys):
@@ -642,23 +626,23 @@ def test_cli_synthesize_commits_one_structure_by_one_of_two_policies(tmp_path, c
     )
 
 
-@pytest.mark.parametrize("policy, state, edit, stated, derived", [
+# Edits of a decision-mode structure of the running example that keep its
+# decisions, and so its verdict, but make the document state an information
+# state that its decisions do not derive: widening the first member's
+# estimate, or dropping the last member of a state that has two.  Each with
+# the members stated and those derived, as ``export-dot`` draws them.
+FALSE_MEMBERS = pytest.mark.parametrize("policy, state, edit, stated, derived", [
     ("first_feasible", 0, "widen", "{(0,{0,1}),(1,{1})}", "{(0,{0}),(1,{1})}"),
     ("first_feasible", 0, "drop", "{(0,{0})}", "{(0,{0}),(1,{1})}"),
     ("locally_maximal", 1, "drop", "{(2,{1,2,3,4,5,6,7})}",
      "{(2,{1,2,3,4,5,6,7}),(6,{1,2,3,4,5,6,7})}"),
 ], ids=["widened estimate", "dropped member", "dropped member of a later state"])
-def test_cli_verify_refuses_a_structure_whose_members_are_false(
-    tmp_path, capsys, policy, state, edit, stated, derived
-):
-    """Widening the first member's estimate of a decision-mode structure,
-    or dropping the last member of a state that has two, leaves its
-    decisions, and so its verdict, as they were; but the document then
-    states an information state that its decisions do not derive.  Verified
-    in its own mode it is refused, naming the members stated and those
-    derived as ``export-dot`` draws them.  In the other mode, where the
-    members legitimately differ, it is read as before."""
-    out = tmp_path / "s.json"
+
+
+def _falsified(tmp_path, policy, state, edit):
+    """The structure that ``synthesize --mode decision --policy policy``
+    writes, and a copy with ``edit`` made to observation state ``state``."""
+    out, bad = tmp_path / "s.json", tmp_path / "bad.json"
     assert main(["synthesize", RUN, "--mode", "decision", "--policy", policy,
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -668,8 +652,18 @@ def test_cli_verify_refuses_a_structure_whose_members_are_false(
         members[0][1] = ["0", "1"]
     else:
         members.pop()
-    bad = tmp_path / "bad.json"
     bad.write_text(dump_json(doc))
+    return out, bad
+
+
+@FALSE_MEMBERS
+def test_cli_verify_refuses_a_structure_whose_members_are_false(
+    tmp_path, capsys, policy, state, edit, stated, derived
+):
+    """Verified in its own mode, a structure that misstates a state is
+    refused, naming the members stated and those derived.  In the other
+    mode, where the members legitimately differ, it is read as before."""
+    out, bad = _falsified(tmp_path, policy, state, edit)
     assert main(["verify", RUN, "--supervisor", str(out), "--mode", "decision"]) == 0
     capsys.readouterr()
     assert main(["verify", RUN, "--supervisor", str(bad), "--mode", "decision"]) == 2
@@ -680,6 +674,40 @@ def test_cli_verify_refuses_a_structure_whose_members_are_false(
     )
     assert "opaque" not in captured.out
     assert main(["verify", RUN, "--supervisor", str(bad), "--mode", "observation"]) == 0
+
+
+@FALSE_MEMBERS
+def test_cli_export_dot_refuses_a_structure_whose_members_are_false(
+    tmp_path, capsys, policy, state, edit, stated, derived
+):
+    """``export-dot`` runs verify's structure walk in the structure's own
+    mode before it draws, so it refuses what verify refuses, with verify's
+    line.  The dropped member used to be drawn as the false state
+    {(0,{0})}, {a,b}, with exit 0."""
+    out, bad = _falsified(tmp_path, policy, state, edit)
+    capsys.readouterr()
+    assert main(["export-dot", str(bad), "--model", RUN]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: structure misstates observation state {stated}: its decisions "
+        f"derive {derived} under decision mode\n"
+    )
+    assert captured.out == ""
+    assert main(["export-dot", str(out), "--model", RUN]) == 0
+    assert capsys.readouterr().out.startswith("digraph structure {")
+
+
+def test_cli_export_dot_draws_a_truthful_unsafe_structure(tmp_path, run_model, srun, capsys):
+    """The members check refuses false states only: srun's structure in
+    observation mode states what its decisions derive, but reveals the
+    secret, and is drawn as it is."""
+    structure = structure_from_policy(run_model, srun, OBS)
+    path = tmp_path / "unsafe.json"
+    path.write_text(structure_to_json(structure))
+    assert main(["verify", RUN, "--supervisor", str(path)]) == 1
+    capsys.readouterr()
+    assert main(["export-dot", str(path), "--model", RUN]) == 0
+    assert capsys.readouterr().out == structure_to_dot(structure)
 
 
 def test_cli_synthesize_size_guard(capsys):
@@ -889,7 +917,6 @@ def test_cli_export_dot_refuses_an_option_it_would_not_read(options, message, ca
     [
         ["synthesize", RUN, "--size-guard", "0"],
         ["verify", RUN, "--open-loop", "--size-guard", "-1"],
-        ["verify", RUN, "--supervisor", SRUN, "--bound", "-3"],
         ["export-dot", RUN, "--estimator", "--supervisor", SRUN, "--depth", "-1"],
     ],
 )
@@ -1006,7 +1033,6 @@ PARSE_ONLY_ARGVS = [
     ["verify", "M", "extra", "--open-loop"],
     ["synthesize", "M", "--mode", "nope"],
     *([command, "M", "--size-guard", "0"] for command in cli.SUBCOMMANDS),
-    ["verify", "M", "--open-loop", "--bound", "-1"],
     ["export-dot", "M", "--estimator", "--depth", "-1"],
 ]
 
@@ -1050,7 +1076,7 @@ def test_cli_dispatch_exits_as_the_top_level_parser_does(argv, monkeypatch, caps
 
 @pytest.mark.parametrize("argv", [
     ["verify", "M", "--open-loop"],
-    ["verify", "M", "--supervisor", "S", "--bound", "3", "--mode", "decision"],
+    ["verify", "M", "--supervisor", "S", "--mode", "decision"],
     ["synthesize", "M", "--policy", "locally_maximal", "--out", "o", "--size-guard", "9"],
     ["estimate", "M", "--flow", "F"],
     ["export-dot", "M", "--estimator", "--supervisor", "S", "--depth", "2"],
@@ -1074,12 +1100,11 @@ def test_cli_holds_one_parser(capsys):
 def test_cli_reused_parser_keeps_no_values_between_parses():
     parser = cli.build_parser()
     parser.parse_args(
-        ["verify", RUN, "--supervisor", SRUN, "--bound", "3", "--mode", "decision",
-         "--size-guard", "7"]
+        ["verify", RUN, "--supervisor", SRUN, "--mode", "decision", "--size-guard", "7"]
     )
     args = parser.parse_args(["verify", RUN, "--open-loop"])
-    assert (args.open_loop, args.supervisor, args.bound, args.mode, args.size_guard) == (
-        True, None, None, "observation", 10**6,
+    assert (args.open_loop, args.supervisor, args.mode, args.size_guard) == (
+        True, None, "observation", 10**6,
     )
 
 

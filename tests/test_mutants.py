@@ -15,7 +15,9 @@ import mutants  # noqa: E402
 
 def test_every_catalogue_text_occurs_once_in_its_module():
     assert mutants.catalogue_errors(REPO_ROOT) == []
-    assert {m.module for m in mutants.CATALOGUE} == {"synthesis.py", "structure.py"}
+    assert {m.module for m in mutants.CATALOGUE} == {
+        "synthesis.py", "structure.py", "supervisors.py", "cli.py"
+    }
     assert [m.name for m in mutants.CATALOGUE if m.equivalent] == [
         "_intern's revealing test given an extra `and q`"
     ]

@@ -167,8 +167,8 @@ def test_finer_intruder_sees_what_a_known_policy_shows(seed):
         )
         for mode in (OBS, DEC):
             assert run_estimator(model, augment(model, s, sup), mode).estimate == expected
-    assert verify_closed_loop_opacity(model, sup, OBS, 8) == verify_closed_loop_opacity(
-        model, sup, DEC, 8
+    assert verify_closed_loop_opacity(model, sup, OBS) == verify_closed_loop_opacity(
+        model, sup, DEC
     )
     solved = [
         synthesize(model, SynthesisConfig(mode=mode, size_guard=20_000)).solved

@@ -20,7 +20,6 @@ from test_oracles_module import PACKAGE, PRODUCT_MODULES
 PERFBENCH = "perfbench reads it, until ROADMAP items 3 and 4 replace that read"
 ARENA = "a reference over the arena's private ids, until ROADMAP item 10"
 VALUE = "value protocol"
-BASE = "a Supervisor base default, which every policy a command builds overrides"
 
 # Each product function that no command calls, by module and qualified
 # name, with the reason it stays where it is.
@@ -39,8 +38,6 @@ UNREACHED = {
     "structure.make_info": f"{PERFBENCH}: nx_is and ur_is call it",
     "structure.nx_is": PERFBENCH,
     "structure.ur_is": PERFBENCH,
-    "supervisors.Supervisor.advance": BASE,
-    "supervisors.Supervisor.decide": BASE,
     "supervisors.Supervisor.decision": PERFBENCH,
     "supervisors.Supervisor.observation_signature": PERFBENCH,
     "supervisors.TabularSupervisor.to_dict": PERFBENCH,
@@ -98,12 +95,9 @@ def _corpus(tmp):
             yield ["synthesize", run, "--mode", mode, "--policy", policy,
                    "--out", out, "--dot", str(tmp / f"{mode}-{policy}.dot")], 0
             yield ["verify", run, "--supervisor", out, "--mode", mode], 0
-            # A structure takes no depth bound.
-            yield ["verify", run, "--supervisor", out, "--mode", mode, "--bound", "4"], 2
     for table, mode, code in ((srun, "observation", 1), (srun, "decision", 0),
                               (sprime, "observation", 0)):
         yield ["verify", run, "--supervisor", table, "--mode", mode], code
-        yield ["verify", run, "--supervisor", table, "--mode", mode, "--bound", "4"], code
     yield ["verify", run, "--open-loop"], 0
     yield ["verify", run, "--supervisor", srun, "--size-guard", "2"], 2
     yield ["synthesize", run, "--size-guard", "3"], 2
@@ -113,6 +107,7 @@ def _corpus(tmp):
     doc["observation_states"][0]["members"].pop()
     falsified = _write(tmp / "falsified.json", json.dumps(doc))
     yield ["verify", run, "--supervisor", falsified, "--mode", "decision"], 2
+    yield ["export-dot", falsified, "--model", run], 2
     yield ["export-dot", run], 0
     yield ["export-dot", structures[0], "--model", run, "--out", str(tmp / "s.dot")], 0
     yield ["export-dot", run, "--estimator", "--supervisor", srun, "--depth", "3",

@@ -326,23 +326,33 @@ def test_decoded_structure_slice_stops_growing_with_depth():
     assert 0 < reach[30] <= reach[8]
 
 
-def test_verify_bounded_verdict_on_infinite_memory_policy():
-    model = self_loop_model()
+# Every policy class the package defines.
+POLICIES = (
+    TabularSupervisor, structure_module.DecodedSupervisor, ConstantSupervisor,
+    oracles._PrefixPolicy,
+)
 
-    class CountingPolicy(Supervisor):
-        # the state is the whole history, as by default: no finite signature
-        def decide(self, state):
-            return model.all_events_mask
 
-    verdict = verify_closed_loop_opacity(model, CountingPolicy(), OBS, depth_bound=5)
-    assert verdict.opaque and not verdict.complete and verdict.bound == 5
+def test_the_policy_classes_are_every_policy_of_the_package():
+    package = {c for c in Supervisor.__subclasses__() if c.__module__.startswith("opactrl.")}
+    assert package == set(POLICIES)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda c: c.__name__)
+def test_every_policy_defines_the_protocol_itself(policy):
+    """The base class gives no default state, so no policy takes its whole
+    history as its state by omission: each defines its own start, advance
+    and decide."""
+    protocol = {"start", "advance", "decide"}
+    assert not protocol & set(vars(Supervisor))
+    assert protocol <= set(vars(policy))
 
 
 def test_verify_terminates_on_cyclic_model_with_tabular_policy():
     model = self_loop_model()
     sup = TabularSupervisor(model, {"u": ["u"]})
     verdict = verify_closed_loop_opacity(model, sup, OBS)
-    assert verdict.opaque and verdict.complete
+    assert verdict.opaque
 
 
 
@@ -527,7 +537,7 @@ def test_structure_walks_agree_with_the_policy_and_the_string_search(seed):
             assert structure_from_policy(model, decoded, built) == structure
             for mode in (OBS, DEC):
                 searched = structure_module._search_verdict(
-                    model, decoded, mode, None, structure_module.DEFAULT_SIZE_GUARD
+                    model, decoded, mode, structure_module.DEFAULT_SIZE_GUARD
                 )
                 opaque = verify_closed_loop_opacity(model, structure, mode).opaque
                 assert opaque == searched.opaque
@@ -977,9 +987,8 @@ class FullHistoryTable(TabularSupervisor):
 def test_table_searches_merge_histories_no_key_extends(seed, mode, sizes):
     """A table's search sends every history that no key extends to the
     default state None.  Merged nodes have the same future decisions, so
-    the verdict and shortest counterexample, bounded or not, and the
-    estimator slice are those of the search that tells histories apart up
-    to the longest key; a bounded search is complete at least as often."""
+    the verdict and shortest counterexample, and the estimator slice, are
+    those of the search that tells histories apart up to the longest key."""
     rng = random.Random(seed)
     model = random_model(rng, CLOSED_LOOP_CONFIG)
     sup = random_supervisor(rng, model, **sizes)
@@ -991,10 +1000,6 @@ def test_table_searches_merge_histories_no_key_extends(seed, mode, sizes):
         assert estimator_slice_to_dot(model, sup, mode, depth) == estimator_slice_to_dot(
             model, full, mode, depth
         )
-    for bound in (2, 5):
-        got, want = (verify_closed_loop_opacity(model, s, mode, bound) for s in (sup, full))
-        assert (got.opaque, got.counterexample) == (want.opaque, want.counterexample)
-        assert got.complete or not want.complete
 
 
 # u is hidden from both parties, s from the intruder only, and the
